@@ -7,7 +7,7 @@ the Borel-analytic (Gevrey-1) growth of the resulting spectral series against
 independent oracles.
 """
 
-from ._kernel import BACKEND as kernel_backend
+from ._kernel import BACKEND
 from .errors import DomainError, ParseError, QMorseError, ResourceError
 from .field import Coefficient
 from .series import (
@@ -39,7 +39,6 @@ __all__ = [
     "const",
     "harmonic",
     "hbar_op",
-    "kernel_backend",
     "one",
     "p_op",
     "q_op",
@@ -47,5 +46,4 @@ __all__ = [
     "zero",
 ]
 
-BACKEND = kernel_backend
 __version__ = "0.1.0"

@@ -1,20 +1,23 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled kernel: same semantics as _core_py, compiled hot loops.
+"""Kernel: exact coefficient arithmetic and the normal-ordered product.
 
-Coefficients stay arbitrary-precision Python ints (exactness is the point);
-Cython removes the interpreter overhead of the pair loop, the reordering sum,
-and the tuple packing, which is where the engine spends its time.
+Coefficients of the engine live in the number field Q(i, sqrt2) and are packed
+as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
+d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
+
+Callers reach `qmul` through the module attribute (``_kernel.qmul``), so a
+wrapper installed on it sees every product.
 """
 
-from math import comb as _comb, factorial as _factorial, gcd as _gcd
+from math import comb, factorial, gcd
 
-BACKEND = "cython"
+BACKEND = "python"
 
 COEFF_ZERO = (0, 0, 0, 0, 1)
 COEFF_ONE = (1, 0, 0, 0, 1)
 
 
-cpdef tuple coeff_make(a, b, c, d, den):
+def coeff_make(a, b, c, d, den):
+    """Normalize raw integer components into a canonical coefficient tuple."""
     if den == 1:
         return (a, b, c, d, 1)
     if den == 0:
@@ -22,13 +25,13 @@ cpdef tuple coeff_make(a, b, c, d, den):
     if den < 0:
         a, b, c, d, den = -a, -b, -c, -d, -den
     # incremental gcd with early exit: most reductions terminate at 1 quickly
-    g = _gcd(den, abs(a))
+    g = gcd(den, abs(a))
     if g > 1:
-        g = _gcd(g, abs(b))
+        g = gcd(g, abs(b))
     if g > 1:
-        g = _gcd(g, abs(c))
+        g = gcd(g, abs(c))
     if g > 1:
-        g = _gcd(g, abs(d))
+        g = gcd(g, abs(d))
     if g > 1:
         a //= g
         b //= g
@@ -38,7 +41,7 @@ cpdef tuple coeff_make(a, b, c, d, den):
     return (a, b, c, d, den)
 
 
-cpdef tuple coeff_add(tuple x, tuple y):
+def coeff_add(x, y):
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
     if xq == yq:
@@ -54,15 +57,17 @@ cpdef tuple coeff_add(tuple x, tuple y):
     )
 
 
-cpdef tuple coeff_neg(tuple x):
-    return (-x[0], -x[1], -x[2], -x[3], x[4])
+def coeff_neg(x):
+    a, b, c, d, den = x
+    return (-a, -b, -c, -d, den)
 
 
-cpdef tuple coeff_sub(tuple x, tuple y):
+def coeff_sub(x, y):
     return coeff_add(x, coeff_neg(y))
 
 
-cpdef tuple coeff_mul(tuple x, tuple y):
+def coeff_mul(x, y):
+    # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
     if xq == 1 and yq == 1:
@@ -82,40 +87,40 @@ cpdef tuple coeff_mul(tuple x, tuple y):
     )
 
 
-cpdef tuple coeff_mul_int(tuple x, n):
-    if x[4] == 1:
-        return (x[0] * n, x[1] * n, x[2] * n, x[3] * n, 1)
-    return coeff_make(x[0] * n, x[1] * n, x[2] * n, x[3] * n, x[4])
+def coeff_mul_int(x, n):
+    a, b, c, d, den = x
+    if den == 1:
+        return (a * n, b * n, c * n, d * n, 1)
+    return coeff_make(a * n, b * n, c * n, d * n, den)
 
 
-def qmul(dict A, dict B, long t_cap, long w2_cap, long guard):
-    """Normal-ordered product of two term maps (see the pure kernel docs)."""
-    cdef dict out = {}
-    cdef long m1, n1, k1, l1, m2, n2, k2, l2, l, m, n, k, j, jmax
-    cdef tuple key, c, term, acc
-    for exp1, c1 in A.items():
-        m1 = exp1[0]
-        n1 = exp1[1]
-        k1 = exp1[2]
-        l1 = exp1[3]
-        for exp2, c2 in B.items():
-            l2 = exp2[3]
+def qmul(A, B, t_cap, w2_cap, guard):
+    """Normal-ordered product of two term maps.
+
+    ``A`` and ``B`` map exponent tuples ``(m, n, k, l)`` (powers of adag, a,
+    hbar, t) to coefficient tuples.  Reordering uses
+    ``a^n adag^m = sum_j C(n,j) C(m,j) j! hbar^j adag^(m-j) a^(n-j)``,
+    which conserves the weight ``m + n + 2k``, so the caps are checked once
+    per term pair.  Terms beyond ``t_cap``/``w2_cap`` are dropped (silent
+    truncation is part of the series contract).  Returns the new term map;
+    raises MemoryError when the accumulator exceeds ``guard`` entries.
+    """
+    out = {}
+    for (m1, n1, k1, l1), c1 in A.items():
+        for (m2, n2, k2, l2), c2 in B.items():
             l = l1 + l2
             if l > t_cap:
                 continue
-            m2 = exp2[0]
-            n2 = exp2[1]
-            k2 = exp2[2]
             if m1 + n1 + m2 + n2 + 2 * (k1 + k2) > w2_cap:
                 continue
             c = coeff_mul(c1, c2)
             m = m1 + m2
             n = n1 + n2
             k = k1 + k2
-            jmax = n1 if n1 < m2 else m2
-            for j in range(jmax + 1):
+            for j in range(min(n1, m2) + 1):
                 if j:
-                    term = coeff_mul_int(c, _comb(n1, j) * _comb(m2, j) * _factorial(j))
+                    factor = comb(n1, j) * comb(m2, j) * factorial(j)
+                    term = coeff_mul_int(c, factor)
                 else:
                     term = c
                 key = (m - j, n - j, k + j, l)
@@ -123,8 +128,4 @@ def qmul(dict A, dict B, long t_cap, long w2_cap, long guard):
                 out[key] = term if acc is None else coeff_add(acc, term)
         if len(out) > guard:
             raise MemoryError("term-count guard exceeded")
-    return {
-        key: val
-        for key, val in out.items()
-        if val[0] or val[1] or val[2] or val[3]
-    }
+    return {key: val for key, val in out.items() if val[0] or val[1] or val[2] or val[3]}

@@ -22,6 +22,7 @@ from .series import (
     SIG_SYMBOL,
     p_op,
     q_op,
+    render_terms,
 )
 
 NEG_I = Coefficient(0, -1)
@@ -229,22 +230,7 @@ class OrderedPQ:
 
     def __str__(self):
         names = ("q", "p") if self.order == "qp" else ("p", "q")
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp in sorted(self.terms):
-            c = Coefficient._raw(self.terms[exp])
-            factors = [
-                nm if e == 1 else f"{nm}^{e}"
-                for nm, e in zip(names + ("hbar", "t"), exp)
-                if e
-            ]
-            body = "*".join(factors)
-            cs = str(c)
-            if body:
-                cs = body if cs == "1" else (f"-{body}" if cs == "-1" else f"({cs})*{body}")
-            chunks.append(cs)
-        return " + ".join(chunks)
+        return render_terms(self.terms, names + ("hbar", "t"))
 
 
 def _cpoly_mul(A, B):

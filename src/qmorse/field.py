@@ -46,7 +46,9 @@ class Coefficient:
 
     def __init__(self, r=0, i=0, r2=0, ir2=0):
         if isinstance(r, tuple) and i == 0 and r2 == 0 and ir2 == 0:
-            self._t = r
+            if len(r) != 5 or not all(isinstance(x, int) for x in r) or r[4] <= 0:
+                raise ValueError("raw coefficient must be five ints (a, b, c, d, den), den > 0")
+            self._t = coeff_make(*r)
             return
         parts = [Fraction(x) for x in (r, i, r2, ir2)]
         self._t = _normalize_components(parts)
@@ -207,7 +209,11 @@ class Coefficient:
         return self._t == o._t
 
     def __hash__(self):
-        return hash(self._t)
+        # a rational coefficient equals its int/Fraction, so it must hash like it
+        a, b, c, d, den = self._t
+        if b or c or d:
+            return hash(self._t)
+        return hash(Fraction(a, den))
 
     # -- conversion / rendering ---------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ._kernel import coeff_add, coeff_mul, coeff_mul_int, coeff_neg
 from .errors import DomainError
 from .field import Coefficient
+from .series import render_terms
 
 
 class PlanePoly:
@@ -117,21 +118,7 @@ class PlanePoly:
         )
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for ex, ey in sorted(self._terms):
-            c = Coefficient._raw(self._terms[(ex, ey)])
-            body = "*".join(
-                nm if e == 1 else f"{nm}^{e}"
-                for nm, e in (("x", ex), ("y", ey))
-                if e
-            )
-            cs = str(c)
-            if body:
-                cs = body if cs == "1" else (f"-{body}" if cs == "-1" else f"({cs})*{body}")
-            chunks.append(cs)
-        return " + ".join(chunks)
+        return render_terms(self._terms, ("x", "y"))
 
     __repr__ = __str__
 

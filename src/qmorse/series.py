@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import factorial
 
 from . import _kernel
 from .errors import DomainError, ResourceError
@@ -43,6 +42,20 @@ def weight_cap_to_w2(weight_cap) -> int:
 
 def w2_to_str(w2: int) -> str:
     return str(w2 // 2) if w2 % 2 == 0 else f"{w2}/2"
+
+
+def render_terms(terms, names) -> str:
+    """Render {exponent tuple: packed coefficient} as a sum of monomials in `names`."""
+    if not terms:
+        return "0"
+    chunks = []
+    for exp in sorted(terms):
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e)
+        cs = str(Coefficient._raw(terms[exp]))
+        if body:
+            cs = body if cs == "1" else (f"-{body}" if cs == "-1" else f"({cs})*{body}")
+        chunks.append(cs)
+    return " + ".join(chunks)
 
 
 def _as_raw(value):
@@ -252,23 +265,7 @@ class QSeries:
     # -- rendering -------------------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        names = ("adag", "a", "hbar", "t")
-        chunks = []
-        for exp in sorted(self._terms):
-            c = Coefficient._raw(self._terms[exp])
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exp)
-                if e
-            ]
-            body = "*".join(factors)
-            cs = str(c)
-            if body:
-                cs = body if cs == "1" else (f"-{body}" if cs == "-1" else f"({cs})*{body}")
-            chunks.append(cs)
-        return " + ".join(chunks)
+        return render_terms(self._terms, ("adag", "a", "hbar", "t"))
 
     __repr__ = __str__
 
@@ -595,22 +592,7 @@ class ScalarSeries:
     # -- rendering --------------------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for exp in sorted(self._terms):
-            c = Coefficient._raw(self._terms[exp])
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.vars, exp)
-                if e
-            ]
-            body = "*".join(factors)
-            cs = str(c)
-            if body:
-                cs = body if cs == "1" else (f"-{body}" if cs == "-1" else f"({cs})*{body}")
-            chunks.append(cs)
-        return " + ".join(chunks)
+        return render_terms(self._terms, self.vars)
 
     __repr__ = __str__
 
@@ -703,15 +685,7 @@ def harmonic(t_cap, weight_cap):
     )
 
 
-def scalar_const(c, vars, t_cap, weight_cap):
-    exp = (0,) * len(vars)
-    return ScalarSeries({exp: c}, vars=vars, t_cap=t_cap, weight_cap=weight_cap)
-
-
 def scalar_var(name, vars, t_cap, weight_cap):
     exp = tuple(1 if v == name else 0 for v in vars)
     return ScalarSeries({exp: 1}, vars=vars, t_cap=t_cap, weight_cap=weight_cap)
 
-
-def borel_factor(k: int) -> Fraction:
-    return Fraction(1, factorial(k))

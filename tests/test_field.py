@@ -89,3 +89,17 @@ def test_json_round_trip():
     c = Coefficient(Fraction(3, 4), Fraction(-1, 2), 0, Fraction(7, 3))
     assert Coefficient.from_json(c.to_json()) == c
     assert c.to_json() == {"r": "3/4", "i": "-1/2", "r2": "0", "ir2": "7/3"}
+
+
+@given(rationals)
+def test_rational_hashes_like_its_number(x):
+    assert Coefficient(x) == x
+    assert hash(Coefficient(x)) == hash(x)
+    assert len({Coefficient(x), x}) == 1
+
+
+def test_raw_tuple_is_validated_and_normalized():
+    assert Coefficient((2, 0, 0, 4, 6)).raw == (1, 0, 0, 2, 3)
+    for bad in [(1, 2), (1, 0, 0, 0, 0), (1, 0, 0, 0, -2), (1.0, 0, 0, 0, 1)]:
+        with pytest.raises(ValueError):
+            Coefficient(bad)

@@ -1,12 +1,15 @@
 """Expression grammar, elaboration, CLI wiring, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmorse
 from qmorse.errors import DomainError, ParseError
 from qmorse.field import Coefficient, I
 from qmorse.parser import elaborate, elaborate_plane, parse_expr, tokenize
@@ -93,10 +96,14 @@ def test_elaborate_plane():
 
 
 def _run_cli(*argv, expect=0):
+    # the child imports the same qmorse as this test, installed or not
+    src = str(Path(qmorse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qmorse.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == expect, proc.stderr
     return proc

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from qmorse.algebra import from_pq, to_ordered, to_pq
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
+from qmorse.milnor import PlanePoly
 from qmorse.series import (
     QSeries,
     ScalarSeries,
@@ -131,3 +133,48 @@ def test_immutability_of_operands():
     _ = f + g
     _ = -f
     assert f.to_json() == before
+
+
+def _render_cases():
+    q = QSeries(
+        {
+            (0, 0, 0, 0): 1,
+            (1, 0, 0, 0): 1,
+            (0, 1, 0, 0): -1,
+            (1, 1, 1, 2): Fraction(3, 2),
+            (2, 0, 0, 0): Coefficient(0, 1),
+            (0, 0, 1, 0): Coefficient(1, 0, -1),
+        },
+        t_cap=2,
+        weight_cap=4,
+    )
+    s = ScalarSeries(
+        {(0, 0, 0): Fraction(-1, 3), (1, 0, 0): -1, (0, 1, 1): 1, (2, 1, 0): Coefficient(0, 0, 2)},
+        vars=SIG_ZHT,
+        t_cap=2,
+        weight_cap=4,
+    )
+    f = from_pq(
+        {(0, 0, 0, 0): 1, (1, 1, 0, 0): 1, (2, 0, 0, 0): -1, (0, 2, 1, 0): Fraction(1, 2)},
+        t_cap=2,
+        weight_cap=4,
+    )
+    return [
+        (q, "1 + (1 - sqrt2)*hbar + -a + adag + (3/2)*adag*a*hbar*t^2 + (i)*adag^2"),
+        (QSeries({}, t_cap=2, weight_cap=4), "0"),
+        (s, "-1/3 + hbar*t + -z + (2*sqrt2)*z^2*hbar"),
+        (ScalarSeries({}, vars=SIG_HT, t_cap=2, weight_cap=4), "0"),
+        (to_pq(f), "1 + (1/2)*p^2*hbar + q*p + -q^2"),
+        (to_ordered(f, "pq"), "1 + (i)*hbar + -q^2 + p*q + (1/2)*p^2*hbar"),
+        (PlanePoly({(0, 0): -1, (1, 0): -1, (0, 1): 1, (2, 1): Fraction(1, 2)}), "-1 + y + -x + (1/2)*x^2*y"),
+        (PlanePoly(), "0"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    _render_cases(),
+    ids=["qseries", "qseries-zero", "scalar", "scalar-zero", "qp", "pq", "plane", "plane-zero"],
+)
+def test_term_rendering(value, expected):
+    assert str(value) == expected
