@@ -18,11 +18,13 @@ from .series import (
     QSeries,
     ScalarSeries,
     SIG_HT,
+    SIG_PLANE,
     SIG_PRINCIPAL,
     SIG_SYMBOL,
     p_op,
     q_op,
     render_terms,
+    weight_cap_to_w2,
 )
 
 NEG_I = Coefficient(0, -1)
@@ -143,28 +145,7 @@ def borel_inverse(f):
 
 def hbar_convolve(u: ScalarSeries, v: ScalarSeries) -> ScalarSeries:
     """Product on the Borel side: B(uv) = B(u) * B(v) for this convolution."""
-    u._check_sig(v)
-    idx = _hbar_index(u)
-    out = {}
-    for e1, c1 in u._terms.items():
-        for e2, c2 in v._terms.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
-            i, j = e1[idx], e2[idx]
-            w = Fraction(factorial(i) * factorial(j), factorial(i + j))
-            c = _kernel.coeff_mul(
-                _kernel.coeff_mul(c1, c2),
-                _kernel.coeff_make(w.numerator, 0, 0, 0, w.denominator),
-            )
-            acc = out.get(exp)
-            s = c if acc is None else _kernel.coeff_add(acc, c)
-            if any(s[:4]):
-                out[exp] = s
-            elif acc is not None:
-                del out[exp]
-    result = ScalarSeries._from_raw(
-        out, u.vars, min(u.t_cap, v.t_cap), min(u.w2_cap, v.w2_cap)
-    )
-    return result._truncated()
+    return borel(borel_inverse(u) * borel_inverse(v))
 
 
 def _inv_fact(k):
@@ -233,27 +214,6 @@ class OrderedPQ:
         return render_terms(self.terms, names + ("hbar", "t"))
 
 
-def _cpoly_mul(A, B):
-    out = {}
-    for e1, c1 in A.items():
-        for e2, c2 in B.items():
-            exp = (e1[0] + e2[0], e1[1] + e2[1])
-            c = _kernel.coeff_mul(c1, c2)
-            acc = out.get(exp)
-            s = c if acc is None else _kernel.coeff_add(acc, c)
-            if any(s[:4]):
-                out[exp] = s
-            elif acc is not None:
-                del out[exp]
-    return out
-
-
-def _cpoly_pow(base, n, cache):
-    while len(cache) <= n:
-        cache.append(_cpoly_mul(cache[-1], base))
-    return cache[n]
-
-
 def ordered_monomial(e1: int, e2: int, order: str, t_cap, w2_cap) -> QSeries:
     """Normal-ordered image of q^e1 p^e2 (or p^e1 q^e2 for order="pq")."""
     wc = Fraction(w2_cap, 2)
@@ -272,26 +232,27 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
     """
     if order not in ("qp", "pq"):
         raise ValueError("order must be 'qp' or 'pq'")
-    # commutative images of x (adag) and y (a) in (Q, P) variables
-    x_img = {(1, 0): HALF_I_SQRT2.raw, (0, 1): HALF_SQRT2.raw}       # (P + iQ)/sqrt2
-    y_img = {(1, 0): _kernel.coeff_neg(HALF_I_SQRT2.raw), (0, 1): HALF_SQRT2.raw}
-    x_cache = [{(0, 0): _kernel.COEFF_ONE}]
-    y_cache = [{(0, 0): _kernel.COEFF_ONE}]
+    # commutative images of x (adag) and y (a) as polynomials in (Q, P)
+    caps = dict(vars=SIG_PLANE, t_cap=0, weight_cap=Fraction(f.w2_cap, 2))
+    x_img = ScalarSeries({(1, 0): HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)  # (P + iQ)/sqrt2
+    y_img = ScalarSeries({(1, 0): -HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)
+    x_pows = [x_img.one_like()]
+    y_pows = [y_img.one_like()]
 
     rem = f
     collected = {}
-    mono_cache = {}
     while rem:
         kmin = min(k for (_, _, k, _) in rem._terms)
         batch = {}
         for (m, n, k, l), c in rem._terms.items():
             if k != kmin:
                 continue
-            expansion = _cpoly_mul(
-                _cpoly_pow(x_img, m, x_cache), _cpoly_pow(y_img, n, y_cache)
-            )
-            for (eq, ep), w in expansion.items():
-                key = (eq, ep, l) if order == "qp" else (ep, eq, l)
+            while len(x_pows) <= m:
+                x_pows.append(x_pows[-1] * x_img)
+            while len(y_pows) <= n:
+                y_pows.append(y_pows[-1] * y_img)
+            for (eq, ep), w in (x_pows[m] * y_pows[n])._terms.items():
+                key = (eq, ep, kmin, l) if order == "qp" else (ep, eq, kmin, l)
                 v = _kernel.coeff_mul(c, w)
                 acc = batch.get(key)
                 s = v if acc is None else _kernel.coeff_add(acc, v)
@@ -299,21 +260,8 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
                     batch[key] = s
                 elif acc is not None:
                     del batch[key]
-        sub = QSeries._from_raw({}, rem.t_cap, rem.w2_cap)
-        for (e1, e2, l), c in batch.items():
-            collected[(e1, e2, kmin, l)] = c
-            if (e1, e2) not in mono_cache:
-                mono_cache[(e1, e2)] = ordered_monomial(
-                    e1, e2, order, rem.t_cap, rem.w2_cap
-                )
-            piece = mono_cache[(e1, e2)].scale(Coefficient._raw(c))
-            shifted = {
-                (m, n, k + kmin, tl + l): v
-                for (m, n, k, tl), v in piece._terms.items()
-                if tl + l <= rem.t_cap and m + n + 2 * (k + kmin) <= rem.w2_cap
-            }
-            sub = sub + QSeries._from_raw(shifted, rem.t_cap, rem.w2_cap)
-        new_rem = rem - sub
+        collected.update(batch)
+        new_rem = rem - from_ordered(OrderedPQ(order, batch, rem.t_cap, rem.w2_cap))
         if new_rem and min(k for (_, _, k, _) in new_rem._terms) <= kmin:
             raise AssertionError("ordered rewrite failed to make progress")
         rem = new_rem
@@ -323,19 +271,13 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
 def from_ordered(view: OrderedPQ) -> QSeries:
     """Normal-order an ordered q/p form back into the algebra."""
     out = QSeries._from_raw({}, view.t_cap, view.w2_cap)
-    mono_cache = {}
+    monomials = {}
     for (e1, e2, k, l), c in view.terms.items():
-        if (e1, e2) not in mono_cache:
-            mono_cache[(e1, e2)] = ordered_monomial(
+        if (e1, e2) not in monomials:
+            monomials[(e1, e2)] = ordered_monomial(
                 e1, e2, view.order, view.t_cap, view.w2_cap
             )
-        piece = mono_cache[(e1, e2)].scale(Coefficient._raw(c))
-        shifted = {
-            (m, n, kk + k, tl + l): v
-            for (m, n, kk, tl), v in piece._terms.items()
-            if tl + l <= view.t_cap and m + n + 2 * (kk + k) <= view.w2_cap
-        }
-        out = out + QSeries._from_raw(shifted, view.t_cap, view.w2_cap)
+        out = out + monomials[(e1, e2)].scale(Coefficient._raw(c)).shift(k, l)
     return out
 
 
@@ -354,8 +296,6 @@ def from_pq(view_or_terms, t_cap=None, weight_cap=None) -> QSeries:
         return from_ordered(view_or_terms)
     if t_cap is None or weight_cap is None:
         raise ValueError("caps required for a raw ordered term map")
-    from .series import weight_cap_to_w2
-
     terms = {
         tuple(exp): (c.raw if isinstance(c, Coefficient) else Coefficient(c).raw)
         for exp, c in view_or_terms.items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernel import coeff_make, coeff_mul
 from .algebra import (
     NEG_I,
     OrderedPQ,
@@ -53,7 +54,7 @@ def int_dq(f: QSeries) -> QSeries:
     """
     view = to_ordered(f, "qp")
     terms = {
-        (m + 1, n, k, l): _scale_frac(c, Fraction(1, m + 1))
+        (m + 1, n, k, l): coeff_mul(c, coeff_make(1, 0, 0, 0, m + 1))
         for (m, n, k, l), c in view.terms.items()
     }
     return from_ordered(OrderedPQ("qp", terms, f.t_cap, f.w2_cap + 1))
@@ -63,16 +64,10 @@ def int_dp(f: QSeries) -> QSeries:
     """The antiderivative F with d_dp F = f and F divisible by p on the left."""
     view = to_ordered(f, "pq")
     terms = {
-        (m + 1, n, k, l): _scale_frac(c, Fraction(1, m + 1))
+        (m + 1, n, k, l): coeff_mul(c, coeff_make(1, 0, 0, 0, m + 1))
         for (m, n, k, l), c in view.terms.items()
     }
     return from_ordered(OrderedPQ("pq", terms, f.t_cap, f.w2_cap + 1))
-
-
-def _scale_frac(raw, frac: Fraction):
-    from ._kernel import coeff_make, coeff_mul
-
-    return coeff_mul(raw, coeff_make(frac.numerator, 0, 0, 0, frac.denominator))
 
 
 def divisible_by_q(f: QSeries) -> bool:

@@ -1,7 +1,10 @@
 """Command-line entry point: parse expressions, dispatch, print JSON.
 
-Exit codes: 0 success, 2 expression parse error, 3 domain error, 4
-resource/cap overflow.  Results go to stdout as JSON; diagnostics to stderr.
+Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
+argument value (a negative order or level, a weight cap that is not a
+non-negative half-integer, a non-positive hbar, malformed JSON in a
+coefficient file), 4 resource/cap overflow, 5 file error (a --coeffs file
+that cannot be read).  Results go to stdout as JSON; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from fractions import Fraction
 from . import algebra, flow, gevrey, milnor, normal_form, spectrum
 from .errors import DomainError, ParseError, ResourceError
 from .field import Coefficient
-from .milnor import PlanePoly
 from .parser import elaborate, elaborate_plane, parse_expr
-from .series import QSeries, ScalarSeries, harmonic, t_op
+from .series import QSeries, ScalarSeries, harmonic, t_op, w2_to_str, weight_cap_to_w2
 
 DEFAULT_T_CAP = 16
 DEFAULT_WEIGHT_CAP = "16"
@@ -96,11 +98,25 @@ def cmd_flow(args):
     return 0
 
 
-def cmd_normal_form(args):
+def _solve(args):
+    """quantum_morse on the --perturbation family; warns on stderr when an
+    explicit --weight-cap is below the cap that keeps every order exact."""
     f = _perturbed(args)
-    result = normal_form.quantum_morse(
-        f, args.order, weight_cap=_opt_weight(args.weight_cap)
-    )
+    weight_cap = _opt_weight(args.weight_cap)
+    result = normal_form.quantum_morse(f, args.order, weight_cap=weight_cap)
+    if weight_cap is not None:
+        needed2 = int(2 * normal_form.solver_weight_cap(f, args.order))
+        if weight_cap_to_w2(weight_cap) < needed2:
+            sys.stderr.write(
+                f"warning: --weight-cap {weight_cap} is below {w2_to_str(needed2)}, the cap"
+                f" that keeps every order through t^{args.order} exact; coefficients"
+                " past the cap are missing from the output\n"
+            )
+    return result
+
+
+def cmd_normal_form(args):
+    result = _solve(args)
     payload = result.to_json()
     if args.rescale_t:
         payload["spectrum"] = _rescale_t(result.spectrum).to_json()
@@ -110,10 +126,7 @@ def cmd_normal_form(args):
 
 
 def cmd_spectrum(args):
-    f = _perturbed(args)
-    result = normal_form.quantum_morse(
-        f, args.order, weight_cap=_opt_weight(args.weight_cap)
-    )
+    result = _solve(args)
     spec = result.spectrum
     if args.level is not None:
         spec = spec.eval_var("n", Coefficient(args.level))
@@ -229,7 +242,7 @@ def _plane_family(args):
             tangents[j][exp[:2]] = c
         else:
             raise DomainError("family must be linear in the parameters")
-    return PlanePoly(base), [PlanePoly(t) for t in tangents]
+    return milnor.plane(base), [milnor.plane(t) for t in tangents]
 
 
 def cmd_milnor(args):
@@ -368,6 +381,12 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return 4
+    except ValueError as exc:
+        sys.stderr.write(f"invalid argument: {exc}\n")
+        return 3
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
+        return 5
 
 
 if __name__ == "__main__":

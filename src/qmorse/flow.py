@@ -6,6 +6,10 @@ phi_0 = id.  A t-dependent observable is transported fiberwise
 (phi fixes t), which is what makes phi an algebra automorphism of the whole
 t-series ring.  All meromorphic intermediates of the textbook conjugation
 U f U^{-1} are avoided; each order is a polynomial identity.
+
+Every t-order recursion here, and the generator ladder of `normal_form`, is
+the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by
+`ladder_step`.
 """
 
 from __future__ import annotations
@@ -16,25 +20,24 @@ from .algebra import bracket_i_hbar
 from .series import QSeries, one
 
 
-def _slices(H: QSeries, order: int):
-    return [H.t_slice(j) for j in range(order + 1)]
+def ladder_step(xs: list, slices, op=None) -> None:
+    """Append X_{r+1} = (1/(r+1)) sum_{j<=r} op(X_j, S_{r-j}) to xs = [X_0..X_r].
 
-
-def _flow_orders(x: QSeries, h_slices, n_orders: int):
-    """phi_k(x) for k = 0..n_orders via (k+1) phi_{k+1} = sum (i/hbar)[phi_j, H_{k-j}]."""
-    phis = [x]
-    for k in range(n_orders):
-        acc = None
-        for j in range(k + 1):
-            h = h_slices[k - j]
-            if not h or not phis[j]:
-                continue
-            term = bracket_i_hbar(phis[j], h)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = QSeries._from_raw({}, x.t_cap, x.w2_cap)
-        phis.append(acc.scale(Fraction(1, k + 1)))
-    return phis
+    `op` defaults to the bracket (i/hbar)[X, S], looked up in this module when
+    the step runs; `slices` is only read up to S_r, so it may still be growing
+    between steps.
+    """
+    r = len(xs) - 1
+    acc = None
+    for j in range(r + 1):
+        x, s = xs[j], slices[r - j]
+        if not s or not x:
+            continue
+        term = bracket_i_hbar(x, s) if op is None else op(x, s)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = QSeries._from_raw({}, xs[0].t_cap, xs[0].w2_cap)
+    xs.append(acc.scale(Fraction(1, r + 1)))
 
 
 def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
@@ -45,16 +48,16 @@ def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
     wc = Fraction(w2, 2)
     fw = f.with_caps(t_cap=order, weight_cap=wc) if f.t_cap != order or f.w2_cap != w2 else f
     hw = H.with_caps(t_cap=order, weight_cap=wc)
-    h_slices = _slices(hw, order)
+    h_slices = [hw.t_slice(j) for j in range(order + 1)]
     out = QSeries._from_raw({}, order, w2)
-    max_l = fw.t_degree()
-    for l in range(max_l + 1):
-        fl = fw.t_slice(l)
-        if not fl:
+    for l in range(fw.t_degree() + 1):
+        phis = [fw.t_slice(l)]
+        if not phis[0]:
             continue
-        phis = _flow_orders(fl, h_slices, order - l)
+        while len(phis) <= order - l:
+            ladder_step(phis, h_slices)
         for k, phi in enumerate(phis):
-            out = out + phi.mul_t_power(k + l)
+            out = out + phi.shift(t=k + l)
     return out
 
 
@@ -63,20 +66,11 @@ def solve_propagator(H: QSeries, order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     hw = H.with_caps(t_cap=order)
-    h_slices = _slices(hw, order)
+    h_slices = [hw.t_slice(j) for j in range(order + 1)]
     us = [one(order, hw.weight_cap)]
-    for k in range(order):
-        acc = None
-        for j in range(k + 1):
-            h = h_slices[k - j]
-            if not h or not us[j]:
-                continue
-            term = h * us[j]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = QSeries._from_raw({}, order, hw.w2_cap)
-        us.append(acc.scale(Fraction(1, k + 1)))
+    while len(us) <= order:
+        ladder_step(us, h_slices, lambda u, h: h * u)
     out = QSeries._from_raw({}, order, hw.w2_cap)
     for k, u in enumerate(us):
-        out = out + u.mul_t_power(k)
+        out = out + u.shift(t=k)
     return out

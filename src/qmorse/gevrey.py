@@ -28,13 +28,11 @@ def homogeneity_check(spectrum: ScalarSeries, degree: int) -> bool:
     vanish outright.
     """
     w = Fraction(degree, 2) - 1
-    ni = spectrum.vars.index("n")
     hi = spectrum.vars.index("hbar")
     ti = spectrum.vars.index("t")
     for exp in spectrum._terms:
         if Fraction(exp[hi]) != w * exp[ti] + 1:
             return False
-        _ = exp[ni]
     return True
 
 

@@ -1,131 +1,45 @@
 """Commutative symbol-level checks: Milnor numbers and versality dimensions.
 
-Everything is degree-truncated exact linear algebra over the coefficient
-field: the local quotient C[x,y]/(ideal) is modelled on monomials of degree
-<= D, and a stabilization flag (dim at D equals dim at D+1) reports whether
-the cutoff already resolved the germ-level answer.  No Groebner machinery;
-the quasi-homogeneous examples this backs stabilize at small D.
+Polynomials in (x, y) are `ScalarSeries` over `SIG_PLANE`; x and y have
+weight 1/2, so total degree is the doubled weight and a weight cap of D/2
+keeps exactly the monomials of degree <= D.  Everything is degree-truncated
+exact linear algebra over the coefficient field: the local quotient
+C[x,y]/(ideal) is modelled on monomials of degree <= D, and a stabilization
+flag (dim at D equals dim at D+1) reports whether the cutoff already resolved
+the germ-level answer.  Each check lifts F to a working cap that holds it and
+every generator exactly, and the rows come out capped at degree D; truncation
+commutes with products, so they are the untruncated rows cut at D.  No
+Groebner machinery; the quasi-homogeneous examples this backs stabilize at
+small D.
 """
 
 from __future__ import annotations
 
-from ._kernel import coeff_add, coeff_mul, coeff_mul_int, coeff_neg
+from fractions import Fraction
+
+from ._kernel import coeff_add, coeff_mul, coeff_neg
 from .errors import DomainError
 from .field import Coefficient
-from .series import render_terms
+from .series import SIG_PLANE, ScalarSeries
 
 
-class PlanePoly:
-    """Sparse bivariate polynomial in (x, y) over the coefficient field."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        self._terms = {}
-        if terms:
-            for exp, c in terms.items():
-                raw = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
-                if any(raw[:4]):
-                    ex, ey = exp
-                    if ex < 0 or ey < 0:
-                        raise ValueError("negative exponent")
-                    acc = self._terms.get((ex, ey))
-                    s = raw if acc is None else coeff_add(acc, raw)
-                    if any(s[:4]):
-                        self._terms[(ex, ey)] = s
-                    elif acc is not None:
-                        del self._terms[(ex, ey)]
-
-    @classmethod
-    def _from_raw(cls, terms):
-        p = cls()
-        p._terms = terms
-        return p
-
-    def coeff(self, exp) -> Coefficient:
-        raw = self._terms.get(tuple(exp))
-        return Coefficient._raw(raw) if raw else Coefficient(0)
-
-    def items(self):
-        for e, c in self._terms.items():
-            yield e, Coefficient._raw(c)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, PlanePoly):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def degree(self):
-        return max((ex + ey for ex, ey in self._terms), default=0)
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e)
-            s = c if acc is None else coeff_add(acc, c)
-            if any(s[:4]):
-                out[e] = s
-            elif acc is not None:
-                del out[e]
-        return PlanePoly._from_raw(out)
-
-    def __neg__(self):
-        return PlanePoly._from_raw({e: coeff_neg(c) for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (x1, y1), c1 in self._terms.items():
-            for (x2, y2), c2 in other._terms.items():
-                e = (x1 + x2, y1 + y2)
-                v = coeff_mul(c1, c2)
-                acc = out.get(e)
-                s = v if acc is None else coeff_add(acc, v)
-                if any(s[:4]):
-                    out[e] = s
-                elif acc is not None:
-                    del out[e]
-        return PlanePoly._from_raw(out)
-
-    def scale(self, c: Coefficient):
-        raw = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
-        return PlanePoly._from_raw(
-            {e: coeff_mul(v, raw) for e, v in self._terms.items()}
-        )
-
-    def diff_x(self):
-        out = {}
-        for (ex, ey), c in self._terms.items():
-            if ex:
-                out[(ex - 1, ey)] = coeff_mul_int(c, ex)
-        return PlanePoly._from_raw(out)
-
-    def diff_y(self):
-        out = {}
-        for (ex, ey), c in self._terms.items():
-            if ey:
-                out[(ex, ey - 1)] = coeff_mul_int(c, ey)
-        return PlanePoly._from_raw(out)
-
-    def truncate(self, degree):
-        return PlanePoly._from_raw(
-            {e: c for e, c in self._terms.items() if e[0] + e[1] <= degree}
-        )
-
-    def __str__(self):
-        return render_terms(self._terms, ("x", "y"))
-
-    __repr__ = __str__
+def plane(terms=None, degree=None) -> ScalarSeries:
+    """The polynomial sum c x^ex y^ey of {(ex, ey): c}, capped at total degree
+    `degree` (by default the highest degree among the terms)."""
+    terms = terms or {}
+    if degree is None:
+        degree = max((sum(exp) for exp in terms), default=0)
+    return ScalarSeries(terms, vars=SIG_PLANE, t_cap=0, weight_cap=Fraction(degree, 2))
 
 
-def poisson(g: PlanePoly, f: PlanePoly) -> PlanePoly:
+def poisson(g: ScalarSeries, f: ScalarSeries) -> ScalarSeries:
     """{g, f} = g_x f_y - g_y f_x."""
-    return g.diff_x() * f.diff_y() - g.diff_y() * f.diff_x()
+    return g.deriv("x") * f.deriv("y") - g.deriv("y") * f.deriv("x")
+
+
+def _working(F: ScalarSeries, degree: int) -> ScalarSeries:
+    """F at degree cap D + deg F, which holds F and every generator exactly."""
+    return F.with_caps(weight_cap=Fraction(degree + F.max_weight2(), 2))
 
 
 def _monomials(degree):
@@ -170,16 +84,17 @@ def _rank_and_pivots(rows, columns):
 
 
 def _jacobian_rows(F, degree):
-    fx, fy = F.diff_x(), F.diff_y()
+    work = _working(F, degree)
+    fx, fy = work.deriv("x"), work.deriv("y")
     rows = []
     for mono in _monomials(degree):
-        m = PlanePoly({mono: 1})
-        rows.append((m * fx).truncate(degree))
-        rows.append((m * fy).truncate(degree))
+        m = plane({mono: 1}, degree)
+        rows.append(m * fx)
+        rows.append(m * fy)
     return rows
 
 
-def milnor_number(F: PlanePoly, degree: int):
+def milnor_number(F: ScalarSeries, degree: int):
     """dim C[x,y]_{<=D} / (F_x, F_y), with a D vs D+1 stabilization flag."""
     if F.coeff((0, 0)):
         raise DomainError("polynomial must vanish at the origin")
@@ -194,21 +109,22 @@ def milnor_number(F: PlanePoly, degree: int):
 
 
 def _versality_rows(F, degree):
+    work = _working(F, degree)
+    top = work.w2_cap  # D + deg F: no generator above it has a bracket of degree <= D
     rows = []
-    for mono in _monomials(degree + F.degree()):
-        g = PlanePoly({mono: 1})
-        br = poisson(g, F).truncate(degree)
+    for mono in _monomials(top):
+        g = plane({mono: 1}, top)
+        br = poisson(g, work).with_caps(weight_cap=Fraction(degree, 2))
         if br:
             rows.append(br)
     for mono in _monomials(degree):
-        m = PlanePoly({mono: 1})
-        prod = (m * F).truncate(degree)
+        prod = plane({mono: 1}, degree) * work
         if prod:
             rows.append(prod)
     return rows
 
 
-def versality_dimension(F: PlanePoly, degree: int):
+def versality_dimension(F: ScalarSeries, degree: int):
     """Dimension and monomial basis of C[x,y]/({., F} + (F)), truncated at D.
 
     Returns (dim, basis monomials, stabilized).
@@ -227,7 +143,7 @@ def versality_dimension(F: PlanePoly, degree: int):
     return dim, basis, dim == dim_next
 
 
-def check_versal(F: PlanePoly, tangents, degree: int):
+def check_versal(F: ScalarSeries, tangents, degree: int):
     """Versal iff the classes of 1 and the parameter tangents span the quotient.
 
     Returns (versal, stabilized); `tangents` are d/d(lambda_j) of the family at
@@ -239,10 +155,9 @@ def check_versal(F: PlanePoly, tangents, degree: int):
     def spans(d):
         cols = _monomials(d)
         rows = _versality_rows(F, d)
-        extra = [PlanePoly({(0, 0): 1})] + [t.truncate(d) for t in tangents]
+        extra = [plane({(0, 0): 1})] + [t.with_caps(weight_cap=Fraction(d, 2)) for t in tangents]
         rank, _ = _rank_and_pivots(rows + extra, cols)
         return rank == len(cols)
 
-    dim, _, stabilized = versality_dimension(F, degree)
-    _ = dim
+    _, _, stabilized = versality_dimension(F, degree)
     return spans(degree), stabilized

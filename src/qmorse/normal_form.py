@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import flow
+from ._kernel import coeff_add, coeff_mul, coeff_mul_int
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
 from .errors import DomainError
 from .field import Coefficient, ONE
@@ -52,15 +54,9 @@ def diagonal_to_scalar(d: QSeries) -> ScalarSeries:
     for (m, n, k, l), c in d._terms.items():
         if m != n:
             raise DomainError("off-diagonal monomial present")
-        piece = basis(m).map_coeff(lambda raw: _mul_raw(raw, c))
+        piece = basis(m).map_coeff(lambda raw: coeff_mul(raw, c))
         out = out + piece.mul_var_power("hbar", k).mul_var_power("t", l)
     return out
-
-
-def _mul_raw(raw, c):
-    from ._kernel import coeff_mul
-
-    return coeff_mul(raw, c)
 
 
 def _falling_basis(t_cap, w2_cap):
@@ -82,30 +78,22 @@ def _falling_basis(t_cap, w2_cap):
     return get
 
 
-def split_homological(r: QSeries, term_order: str = "insertion"):
+def split_homological(r: QSeries):
     """Split r = s o f0 + (i/hbar)[f0, K] with K normalized to zero diagonal.
 
     The splitting is total at the harmonic base point: ad(f0) is semisimple
     with (i/hbar)[f0, adag^m a^n] = 2i(m-n) adag^m a^n, so each off-diagonal
     monomial divides by 2i(m-n) and the diagonal goes through
-    `diagonal_to_scalar`.  `term_order` only permutes the iteration order
-    (determinism surrogate; the result is independent of it).
+    `diagonal_to_scalar`.
     """
-    items = r._terms.items()
-    if term_order == "sorted":
-        items = sorted(items)
-    elif term_order == "reversed":
-        items = sorted(items, reverse=True)
-    elif term_order != "insertion":
-        raise ValueError("term_order must be insertion, sorted, or reversed")
     diag = {}
     off = {}
-    for (m, n, k, l), c in items:
+    for (m, n, k, l), c in r._terms.items():
         if m == n:
             diag[(m, n, k, l)] = c
         else:
             scale = Coefficient(0, Fraction(-1, 2 * (m - n)))  # 1/(2i(m-n))
-            off[(m, n, k, l)] = _mul_raw(scale.raw, c)
+            off[(m, n, k, l)] = coeff_mul(scale.raw, c)
     s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap))
     return s, QSeries._from_raw(off, r.t_cap, r.w2_cap)
 
@@ -164,10 +152,8 @@ class NormalFormResult:
 
     def verify(self) -> bool:
         """Master identity: compose_scalar(u, phi(fn)) == f0 through the caps."""
-        from .flow import integrate_heisenberg
-
         fn = self.normalized_input
-        transported = integrate_heisenberg(self.H, fn, self.order)
+        transported = flow.integrate_heisenberg(self.H, fn, self.order)
         lhs = compose_scalar(self.u, transported)
         f0 = harmonic(lhs.t_cap, lhs.weight_cap)
         return lhs == f0
@@ -212,13 +198,7 @@ def _normalize_input(f: QSeries):
     return scale, shift
 
 
-def quantum_morse(
-    f: QSeries,
-    order: int,
-    *,
-    weight_cap=None,
-    term_order: str = "insertion",
-) -> NormalFormResult:
+def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResult:
     """Normalize a deformation of the harmonic oscillator through t-order N.
 
     f(t=0) must be c (p^2+q^2) plus central hbar terms (use
@@ -244,13 +224,13 @@ def quantum_morse(
     h_slices = []
     for k in range(order):
         residual = (dtf - S - B).t_slice(k)
-        g_k, h_k = split_homological(residual, term_order)
+        g_k, h_k = split_homological(residual)
         g_slices.append(g_k)
         h_slices.append(h_k)
         if k < order - 1:
-            S = S + _compose_cached(g_k, fn, fpows).mul_t_power(k)
+            S = S + _compose_cached(g_k, fn, fpows).shift(t=k)
             if h_k:
-                B = B + bracket_i_hbar(fn, h_k).mul_t_power(k)
+                B = B + bracket_i_hbar(fn, h_k).shift(t=k)
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -309,22 +289,13 @@ def _eulerian_generator(h_slices, order: int, w2: int) -> QSeries:
         for l in range(k):
             ladder = flows[l]
             while len(ladder) <= k - l:
-                r = len(ladder) - 1
-                acc = None
-                for j in range(r + 1):
-                    if not ladder[j] or not g_slices[r - j]:
-                        continue
-                    term = bracket_i_hbar(ladder[j], g_slices[r - j])
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = QSeries._from_raw({}, order, w2)
-                ladder.append(acc.scale(Fraction(1, r + 1)))
+                flow.ladder_step(ladder, g_slices)
             total = total + ladder[k - l]
         g_slices.append(-total)
         flows.append([h_slices[k]])
     H = QSeries._from_raw({}, order, w2)
     for k, gk in enumerate(g_slices):
-        H = H + gk.mul_t_power(k)
+        H = H + gk.shift(t=k)
     return H
 
 
@@ -348,8 +319,6 @@ def spectrum_closure(result: NormalFormResult) -> ScalarSeries:
     """E_n(t, hbar) = scale * u_inv(t, hbar(2n+1)) + shift."""
     v = result.u_inv
     out_terms = {}
-    from ._kernel import coeff_add, coeff_mul_int
-
     for (zj, k, l), c in v._terms.items():
         # z^j -> hbar^j (2n+1)^j
         for r in range(zj + 1):
@@ -396,13 +365,7 @@ def linear_symplectic(f: QSeries, matrix) -> QSeries:
             ad_pows.append(ad_pows[-1] * adag_img)
         while len(a_pows) <= n:
             a_pows.append(a_pows[-1] * a_img)
-        piece = (ad_pows[m] * a_pows[n]).scale(Coefficient._raw(c))
-        shifted = {
-            (mm, nn, kk + k, ll + l): v
-            for (mm, nn, kk, ll), v in piece._terms.items()
-            if ll + l <= f.t_cap and mm + nn + 2 * (kk + k) <= f.w2_cap
-        }
-        out = out + QSeries._from_raw(shifted, f.t_cap, f.w2_cap)
+        out = out + (ad_pows[m] * a_pows[n]).scale(Coefficient._raw(c)).shift(k, l)
     return out
 
 
@@ -434,5 +397,5 @@ def reduce_to_harmonic(f0: QSeries, order: int, *, weight_cap=None) -> NormalFor
     quad_terms[(1, 1, 0, 0)] = a11
     quad = QSeries(quad_terms, t_cap=max(f0.t_cap, order), weight_cap=f0.weight_cap)
     rest = f0.with_caps(t_cap=quad.t_cap) - quad
-    family = quad + rest.mul_t_power(1)
+    family = quad + rest.shift(t=1)
     return quantum_morse(family, order, weight_cap=weight_cap)

@@ -34,6 +34,15 @@ def _is_ident_start(ch: str) -> bool:
     return ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_"
 
 
+def _int_literal(text: str, start: int, end: int) -> int:
+    try:
+        return int(text[start:end])
+    except ValueError:  # beyond the interpreter's int string-digit limit
+        raise ParseError(
+            f"integer literal of {end - start} digits is too long", start, ()
+        ) from None
+
+
 def tokenize(text: str):
     tokens = []
     pos = 0
@@ -47,7 +56,7 @@ def tokenize(text: str):
             start = pos
             while pos < size and _is_digit(text[pos]):
                 pos += 1
-            num = int(text[start:pos])
+            num = _int_literal(text, start, pos)
             if pos < size and text[pos] == "/":
                 den_start = pos + 1
                 pos += 1
@@ -55,7 +64,7 @@ def tokenize(text: str):
                     pos += 1
                 if pos == den_start:
                     raise ParseError("malformed rational literal", pos, ("digit",))
-                den = int(text[den_start:pos])
+                den = _int_literal(text, den_start, pos)
                 if den == 0:
                     raise ParseError("zero denominator", den_start, ())
                 tokens.append(("num", Fraction(num, den), start))

@@ -3,7 +3,7 @@
 `QSeries` is a polynomial in (adag, a, hbar, t) stored in normal order (every
 monomial has all adag powers before all a powers); multiplication re-orders
 with [a, adag] = hbar.  `ScalarSeries` is a commutative polynomial over a fixed
-variable signature such as (z, hbar, t) or (n, hbar, t).
+variable signature such as (z, hbar, t), (n, hbar, t) or the plane (x, y).
 
 Both types are truncated: a t-order cap and a weight cap (weight 1/2 for each
 adag/a, 1 for hbar, 0 for t) are part of every value, and arithmetic silently
@@ -238,11 +238,12 @@ class QSeries:
         }
         return QSeries._from_raw(out, self.t_cap, self.w2_cap)
 
-    def mul_t_power(self, l):
+    def shift(self, hbar=0, t=0):
+        """Multiply by the monomial hbar**hbar * t**t; terms pushed past the caps are dropped."""
         out = {}
-        for (m, n, k, tl), c in self._terms.items():
-            if tl + l <= self.t_cap:
-                out[(m, n, k, tl + l)] = c
+        for (m, n, k, l), c in self._terms.items():
+            if l + t <= self.t_cap and m + n + 2 * (k + hbar) <= self.w2_cap:
+                out[(m, n, k + hbar, l + t)] = c
         return QSeries._from_raw(out, self.t_cap, self.w2_cap)
 
     def dt(self):
@@ -303,6 +304,7 @@ SIG_NHT = ("n", "hbar", "t")
 SIG_H = ("hbar",)
 SIG_SYMBOL = ("x", "y", "hbar", "t")
 SIG_PRINCIPAL = ("x", "y", "t")
+SIG_PLANE = ("x", "y")
 
 
 class ScalarSeries:
@@ -378,6 +380,12 @@ class ScalarSeries:
         if isinstance(other, ScalarSeries):
             return self.vars == other.vars and self._terms == other._terms
         return NotImplemented
+
+    def max_weight2(self):
+        return max(
+            (sum(e * w for e, w in zip(exp, self._weights)) for exp in self._terms),
+            default=0,
+        )
 
     def _check_sig(self, other):
         if self.vars != other.vars:

@@ -3,15 +3,15 @@
 import pytest
 
 from qmorse.errors import DomainError
-from qmorse.milnor import PlanePoly, check_versal, milnor_number, poisson, versality_dimension
+from qmorse.milnor import check_versal, milnor_number, plane, poisson, versality_dimension
 
 
 def _akpoly(k):
-    return PlanePoly({(0, 2): 1, (k + 1, 0): 1})  # y^2 + x^(k+1)
+    return plane({(0, 2): 1, (k + 1, 0): 1})  # y^2 + x^(k+1)
 
 
 def test_milnor_morse_is_one():
-    mu, ok = milnor_number(PlanePoly({(2, 0): 1, (0, 2): 1}), 6)
+    mu, ok = milnor_number(plane({(2, 0): 1, (0, 2): 1}), 6)
     assert (mu, ok) == (1, True)
 
 
@@ -22,17 +22,17 @@ def test_milnor_ak_chain():
 
 
 def test_milnor_x3_plus_y3():
-    mu, ok = milnor_number(PlanePoly({(3, 0): 1, (0, 3): 1}), 8)
+    mu, ok = milnor_number(plane({(3, 0): 1, (0, 3): 1}), 8)
     assert ok and mu == 4
 
 
 def test_milnor_requires_vanishing_at_origin():
     with pytest.raises(DomainError):
-        milnor_number(PlanePoly({(0, 0): 1, (2, 0): 1}), 4)
+        milnor_number(plane({(0, 0): 1, (2, 0): 1}), 4)
 
 
 def test_versality_morse():
-    dim, basis, ok = versality_dimension(PlanePoly({(2, 0): 1, (0, 2): 1}), 6)
+    dim, basis, ok = versality_dimension(plane({(2, 0): 1, (0, 2): 1}), 6)
     assert ok and dim == 1 and basis == [(0, 0)]
 
 
@@ -44,7 +44,7 @@ def test_versality_ak_basis():
 
 
 def test_versality_x_is_zero():
-    dim, basis, ok = versality_dimension(PlanePoly({(1, 0): 1}), 5)
+    dim, basis, ok = versality_dimension(plane({(1, 0): 1}), 5)
     assert ok and dim == 0 and basis == []
 
 
@@ -59,25 +59,25 @@ def test_check_versal_family():
     # y^2 + x^(k+1) + sum_j lambda_j x^j is versal
     for k in range(2, 6):
         F = _akpoly(k)
-        tangents = [PlanePoly({(j, 0): 1}) for j in range(1, k)]
+        tangents = [plane({(j, 0): 1}) for j in range(1, k)]
         versal, ok = check_versal(F, tangents, 2 * k + 2)
         assert ok and versal
 
 
 def test_check_versal_needs_parameters():
     # y^2 + x^3 with no parameters: quotient dim 2, {1} insufficient
-    versal, ok = check_versal(PlanePoly({(0, 2): 1, (3, 0): 1}), [], 8)
+    versal, ok = check_versal(plane({(0, 2): 1, (3, 0): 1}), [], 8)
     assert ok and not versal
     # Morse germ needs none
-    versal2, ok2 = check_versal(PlanePoly({(2, 0): 1, (0, 2): 1}), [], 6)
+    versal2, ok2 = check_versal(plane({(2, 0): 1, (0, 2): 1}), [], 6)
     assert ok2 and versal2
 
 
 def test_poisson_bracket():
-    x = PlanePoly({(1, 0): 1})
-    y = PlanePoly({(0, 1): 1})
-    assert poisson(x, y) == PlanePoly({(0, 0): 1})
-    assert poisson(y, x) == PlanePoly({(0, 0): -1})
+    x = plane({(1, 0): 1})
+    y = plane({(0, 1): 1})
+    assert poisson(x, y) == plane({(0, 0): 1})
+    assert poisson(y, x) == plane({(0, 0): -1})
 
 
 def test_dimensions_nonincreasing_once_stabilized():

@@ -197,8 +197,8 @@ def test_determinism_and_term_order_independence():
     f_rev = harmonic(**caps) + t_op(**caps) * QSeries(dict(reversed(items)), **caps)
     import json
 
-    a = nf.quantum_morse(f_fwd, 6, term_order="sorted")
-    b = nf.quantum_morse(f_rev, 6, term_order="reversed")
+    a = nf.quantum_morse(f_fwd, 6)
+    b = nf.quantum_morse(f_rev, 6)
     assert json.dumps(a.u.to_json()) == json.dumps(b.u.to_json())
     assert json.dumps(a.spectrum.to_json()) == json.dumps(b.spectrum.to_json())
 

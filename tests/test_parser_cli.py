@@ -228,3 +228,66 @@ def test_tokenizer_rational_edge():
         tokenize("3/")
     with pytest.raises(ParseError):
         tokenize("3/0")
+
+
+def test_tokenizer_overlong_literal_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        tokenize("q + " + "1" * 5000)
+    assert err.value.offset == 4
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--perturbation", "q^4", "--order", "-1"], 3),
+        (["rs", "--perturbation", "q^4", "--level", "-1", "--order", "3"], 3),
+        (["spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "1/3"], 3),
+        (["spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "-2"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "0", "--dim", "10"], 3),
+        (["gevrey", "--coeffs", "{tmp}/missing.json"], 5),
+        (["trace", "q^4", "--levels", "-1"], 3),
+        (["spectrum", "--perturbation", "1" * 5000 + "*q^4", "--order", "2"], 2),
+    ],
+    ids=[
+        "order", "level", "cap-third", "cap-negative",
+        "hbar-zero", "missing-file", "levels", "long-literal",
+    ],
+)
+def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
+    proc = _run_cli(*(a.format(tmp=tmp_path) for a in argv), expect=code)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_warns_when_explicit_cap_drops_orders():
+    capped = _run_cli("spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "3")
+    assert "warning: --weight-cap 3 is below 6" in capped.stderr
+    assert "t^3" in capped.stderr
+    exps = [t["exp"] for t in json.loads(capped.stdout)["series"]["terms"]]
+    assert not any(e[2] == 3 for e in exps)  # the order the warning names is missing
+    auto = _run_cli("spectrum", "--perturbation", "q^4", "--order", "3")
+    assert auto.stderr == ""
+    assert any(t["exp"][2] == 3 for t in json.loads(auto.stdout)["series"]["terms"])
+
+
+# SHA-256 of the exact stdout bytes of commands that run the plane
+# polynomials, the flow ladder and the Borel map, none of which the
+# benchmark's output digests reach.
+GOLDEN_STDOUT = {
+    ("milnor", "--symbol", "p^2+q^4", "--cutoff", "8"):
+        "6a8c6ee671d2f61657c6467cd2534c102d7e728f60e1445e3c1537656a2754ac",
+    ("versal", "--symbol", "p^2+q^4+l1*q+l2*q^2", "--params", "l1,l2", "--cutoff", "8"):
+        "1afcfb1022e7e2b9e167e4bfc8293eadf396c3daae44b4c8520befeff2197db2",
+    ("flow", "--hamiltonian", "p^2+q^2", "--observable", "q^3", "--order", "4"):
+        "62105b405da25ca9657168615b1cb6ea1881b1677c42140b72f65b13610152d1",
+    ("borel", "ad*a*hbar^3"):
+        "f85fc8239aaac86aaed3d6d00d723cab0f517febdc37b70d521ea1a4d50578b3",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=lambda argv: argv[0])
+def test_cli_golden_stdout(argv):
+    import hashlib
+
+    out = _run_cli(*argv).stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

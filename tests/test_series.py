@@ -8,7 +8,7 @@ import pytest
 from qmorse.algebra import from_pq, to_ordered, to_pq
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
-from qmorse.milnor import PlanePoly
+from qmorse.milnor import plane
 from qmorse.series import (
     QSeries,
     ScalarSeries,
@@ -166,8 +166,8 @@ def _render_cases():
         (ScalarSeries({}, vars=SIG_HT, t_cap=2, weight_cap=4), "0"),
         (to_pq(f), "1 + (1/2)*p^2*hbar + q*p + -q^2"),
         (to_ordered(f, "pq"), "1 + (i)*hbar + -q^2 + p*q + (1/2)*p^2*hbar"),
-        (PlanePoly({(0, 0): -1, (1, 0): -1, (0, 1): 1, (2, 1): Fraction(1, 2)}), "-1 + y + -x + (1/2)*x^2*y"),
-        (PlanePoly(), "0"),
+        (plane({(0, 0): -1, (1, 0): -1, (0, 1): 1, (2, 1): Fraction(1, 2)}), "-1 + y + -x + (1/2)*x^2*y"),
+        (plane(), "0"),
     ]
 
 
