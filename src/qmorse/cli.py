@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order or level, a weight cap that is not a
 non-negative half-integer, a non-positive hbar, malformed JSON in a
 coefficient file), 4 resource/cap overflow, 5 file error (a --coeffs file
-that cannot be read).  Results go to stdout as JSON; diagnostics to stderr.
+that cannot be read), 64 usage error (an unknown command or option, a
+missing required option, an option value of the wrong type; EX_USAGE).
+Results go to stdout as JSON; diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from .series import QSeries, ScalarSeries, harmonic, t_op, w2_to_str, weight_cap
 
 DEFAULT_T_CAP = 16
 DEFAULT_WEIGHT_CAP = "16"
+EX_USAGE = 64
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with its usage errors on EX_USAGE, apart from parse errors (2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _caps_args(sub):
@@ -285,7 +296,7 @@ def _opt_weight(value):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="qmorse",
         description="Exact normal-ordered algebra and Morse normal forms for perturbed oscillators",
     )

@@ -18,6 +18,14 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
 Weight caps are chosen from the perturbation's weight growth per t-order so
 that every reported order is exact; the Rayleigh-Schrodinger oracle equality
 tests pin this down.
+
+Precision rule: a product used only through t^L is computed at t_cap=L, which
+is exact because truncation commutes with products.  At step k of the solve,
+g_k o fn and (i/hbar)[fn, h_k] are read through t^(N-1-k) only, so they are
+formed from fn cut to that order; iteration j of the reversion fixes t^j and
+works at t_cap=j.  A capped product is re-extended (a metadata-only
+`with_caps`) before it is added to a full-precision sum, since a sum takes the
+smaller caps of its operands.
 """
 
 from __future__ import annotations
@@ -228,9 +236,11 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         g_slices.append(g_k)
         h_slices.append(h_k)
         if k < order - 1:
-            S = S + _compose_cached(g_k, fn, fpows).shift(t=k)
+            # both products are read only through t^(order-1-k) after the shift
+            fk = fn.with_caps(t_cap=order - 1 - k)
+            S = S + _compose_cached(g_k, fk, fpows).with_caps(t_cap=order).shift(t=k)
             if h_k:
-                B = B + bracket_i_hbar(fn, h_k).shift(t=k)
+                B = B + bracket_i_hbar(fk, h_k).with_caps(t_cap=order).shift(t=k)
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -264,7 +274,12 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
 
 
 def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
-    """g_k o fn using cached powers of fn (g_k is a t-free germ in z, hbar)."""
+    """g_k o fn at the caps of fn, using cached powers (g_k is a t-free germ in z, hbar).
+
+    A power fpows[j] is built at the t_cap of the first call that needs it
+    and cut down to the current t_cap on use.  Callers pass fn at t caps that
+    do not increase, so a cached power is never short of an order.
+    """
     out = QSeries._from_raw({}, fn.t_cap, fn.w2_cap)
     for j in range(g_k.var_degree("z") + 1):
         aj = g_k.var_slice("z", j)
@@ -272,6 +287,8 @@ def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
             continue
         while len(fpows) <= j:
             fpows.append(fpows[-1] * fn)
+        if fpows[j].t_cap > fn.t_cap:
+            fpows[j] = fpows[j].with_caps(t_cap=fn.t_cap)
         out = out + scalar_to_qseries(aj, fn.t_cap, fn.w2_cap) * fpows[j]
     return out
 
@@ -308,8 +325,11 @@ def invert_series_z(u: ScalarSeries) -> ScalarSeries:
         raise DomainError("series is not z + O(t)")
     w = u - z
     v = z
-    for _ in range(u.t_cap):
-        v = z - w.subs_series("z", v)
+    # v is exact through t^(j-1) on entry and w = O(t), so w(v) and the
+    # step are exact through t^j: iteration j works at t_cap=j.
+    for j in range(1, u.t_cap + 1):
+        v = z.with_caps(t_cap=j) - w.with_caps(t_cap=j).subs_series("z", v.with_caps(t_cap=j))
+    v = v.with_caps(t_cap=u.t_cap)
     if u.subs_series("z", v) != z:
         raise DomainError("series reversion failed to converge in the t-adic filtration")
     return v

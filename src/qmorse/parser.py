@@ -23,6 +23,9 @@ from .field import Coefficient, I, SQRT2
 from .series import QSeries, a_op, adag, const, hbar_op, p_op, q_op, t_op
 
 _OPERATOR_SYMBOLS = ("q", "p", "a", "ad", "hbar", "t")
+# Deepest nesting of '(' and unary '-' the recursive descent accepts; each
+# '(' level costs four interpreter frames, well inside the default limit.
+MAX_NESTING = 100
 _COEFF_SYMBOLS = {"i": I, "sqrt2": SQRT2}
 
 
@@ -90,6 +93,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -173,12 +177,17 @@ class _Parser:
             return ("num", val)
         if kind == "ident":
             return ("sym", val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
+        if kind == "op" and val in "(-":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", off, ())
+            self.depth += 1
+            if val == "(":
+                node = self.expr()
+                self.expect_op(")")
+            else:
+                node = ("neg", self.atom())
+            self.depth -= 1
             return node
-        if kind == "op" and val == "-":
-            return ("neg", self.atom())
         raise ParseError(
             f"unexpected token {val!r}", off, ("number", "symbol", "'('", "'-'")
         )

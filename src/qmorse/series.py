@@ -14,6 +14,7 @@ dropped early could never contribute below the caps later.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 
@@ -349,6 +350,18 @@ class ScalarSeries:
     def _t_index(self):
         return self.vars.index("t") if "t" in self.vars else None
 
+    def _weighted_terms(self):
+        """(exponent, coefficient, doubled weight, t power) for every term.
+
+        A signature without t reports t power 0, which no t cap drops.
+        """
+        weights = self._weights
+        ti = self._t_index()
+        return [
+            (e, c, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti])
+            for e, c in self._terms.items()
+        ]
+
     def _over_cap(self, exp):
         w2 = sum(e * w for e, w in zip(exp, self._weights))
         if w2 > self.w2_cap:
@@ -444,15 +457,12 @@ class ScalarSeries:
             out = {}
             add = _kernel.coeff_add
             mul = _kernel.coeff_mul
-            weights = self._weights
-            ti = self._t_index()
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    if sum(e * w for e, w in zip(exp, weights)) > w2:
+            right = other._weighted_terms()
+            for e1, c1, a1, t1 in self._weighted_terms():
+                for e2, c2, a2, t2 in right:
+                    if a1 + a2 > w2 or t1 + t2 > t_cap:
                         continue
-                    if ti is not None and exp[ti] > t_cap:
-                        continue
+                    exp = tuple(map(operator.add, e1, e2))
                     c = mul(c1, c2)
                     acc = out.get(exp)
                     out[exp] = c if acc is None else add(acc, c)

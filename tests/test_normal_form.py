@@ -169,6 +169,72 @@ def test_invert_series_examples():
         nf.invert_series_z(z * z)
 
 
+def _invert_full_precision(u):
+    """Reference reversion: v = z - w(v) at full t-precision, t_cap times."""
+    z = scalar_var("z", u.vars, u.t_cap, u.weight_cap)
+    w = u - z
+    v = z
+    for _ in range(u.t_cap):
+        v = z - w.subs_series("z", v)
+    return v
+
+
+def _reversion_input(family, t_cap):
+    if family == "quartic":
+        return nf.quantum_morse(_f(q_op(t_cap=t_cap, weight_cap="24") ** 4), t_cap).u
+    z, hb, t = (scalar_var(name, SIG_ZHT, t_cap, "12") for name in SIG_ZHT)
+    if family == "catalan":
+        return z + t * z * z
+    if family == "hbar":
+        hbar_part = (z * z).scale(Fraction(1, 2)) + (hb * z).scale(Coefficient(0, 0, 1)) - hb * hb
+        return z + t * hbar_part + t * t * hb * z * z
+    # the z-degree of the t^k coefficient grows with k
+    u = z
+    for k in range(1, t_cap + 1):
+        u = u + (t ** k * z ** (k + 1)).scale(Fraction((-1) ** k, k + 1))
+    return u
+
+
+@pytest.mark.parametrize(
+    "family, t_cap",
+    [(family, t_cap) for family in ("catalan", "hbar", "growing") for t_cap in range(1, 9)]
+    + [("quartic", 8)],
+)
+def test_invert_series_matches_full_precision_loop(family, t_cap):
+    u = _reversion_input(family, t_cap)
+    assert nf.invert_series_z(u).to_json() == _invert_full_precision(u).to_json()
+
+
+def test_solve_work_counts(monkeypatch):
+    """Pair visits of the quartic solve at N=12, counted where the products run.
+
+    A change that widens the working precision of the homological solve or
+    of the reversion raises these totals and fails here without timing
+    anything.
+    """
+    from qmorse import _kernel
+    from qmorse.series import ScalarSeries
+
+    caps = dict(t_cap=12, weight_cap="24")
+    f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
+    counts = {"smul_pairs": 0, "qmul_pairs": 0}
+    smul, qmul = ScalarSeries.__mul__, _kernel.qmul
+
+    def counting_smul(self, other):
+        if isinstance(other, ScalarSeries):
+            counts["smul_pairs"] += len(self) * len(other)
+        return smul(self, other)
+
+    def counting_qmul(A, B, *rest):
+        counts["qmul_pairs"] += len(A) * len(B)
+        return qmul(A, B, *rest)
+
+    monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
+    monkeypatch.setattr(_kernel, "qmul", counting_qmul)
+    nf.quantum_morse(f, 12)
+    assert counts == {"smul_pairs": 49858, "qmul_pairs": 62548}
+
+
 def test_spectral_invariance_under_conjugation():
     rng = random.Random(19)
     caps = dict(t_cap=4, weight_cap="30")

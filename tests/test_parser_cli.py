@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import qmorse
 from qmorse.errors import DomainError, ParseError
 from qmorse.field import Coefficient, I
-from qmorse.parser import elaborate, elaborate_plane, parse_expr, tokenize
+from qmorse.parser import MAX_NESTING, elaborate, elaborate_plane, parse_expr, tokenize
 from qmorse.series import QSeries, harmonic, hbar_op, q_op
 
 CAPS = (4, "12")
@@ -54,6 +54,10 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         parse_expr("q ^ 1/2")  # fractional power
     assert err.value.expected == ("uint",)
+    with pytest.raises(ParseError) as err:
+        parse_expr("q + " + "-(" * MAX_NESTING + "q" + ")" * MAX_NESTING)
+    assert err.value.offset == 4 + MAX_NESTING  # the first '(' or '-' past the limit
+    assert parse_expr("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == ("sym", "q")
 
 
 def test_power_must_be_literal():
@@ -247,10 +251,13 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["gevrey", "--coeffs", "{tmp}/missing.json"], 5),
         (["trace", "q^4", "--levels", "-1"], 3),
         (["spectrum", "--perturbation", "1" * 5000 + "*q^4", "--order", "2"], 2),
+        (["mul", "(" * 3000 + "q" + ")" * 3000, "q"], 2),
+        (["spectrum", "--perturbation", "q^4"], 64),
     ],
     ids=[
         "order", "level", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
+        "deep-nesting", "usage-missing-order",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):

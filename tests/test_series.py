@@ -13,6 +13,8 @@ from qmorse.series import (
     QSeries,
     ScalarSeries,
     SIG_HT,
+    SIG_NHT,
+    SIG_PLANE,
     SIG_ZHT,
     a_op,
     adag,
@@ -102,6 +104,54 @@ def test_scalar_series_mul_and_caps():
     assert not z2  # weight cap 1 kills z^2
     z = ScalarSeries({(1, 0, 0): 1}, vars=SIG_ZHT, t_cap=2, weight_cap=4)
     assert (z * z).coeff((2, 0, 0)) == Coefficient(1)
+
+
+def _naive_product(a, b):
+    """Reference product: the untruncated double loop, cut to the smaller caps afterwards."""
+    full = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            full[e] = full.get(e, Coefficient(0)) + c1 * c2
+    return ScalarSeries(
+        full,
+        vars=a.vars,
+        t_cap=min(a.t_cap, b.t_cap),
+        weight_cap=min(a.weight_cap, b.weight_cap),
+    )
+
+
+# per signature: a, b as (terms, t_cap, weight_cap), and the one product term
+# that survives, which sits exactly on the t cap and/or the weight cap
+ON_CAP_PRODUCTS = {
+    SIG_ZHT: (({(1, 0, 2): 1}, 3, 2), ({(1, 0, 1): 1, (1, 0, 2): 1, (2, 0, 1): 1}, 5, 3), (2, 0, 3)),
+    SIG_NHT: (({(5, 1, 1): 1}, 2, 1), ({(3, 0, 1): 1, (0, 1, 1): 1, (1, 0, 2): 1}, 4, 3), (8, 1, 2)),
+    SIG_PLANE: (({(1, 1): 1}, 0, 2), ({(2, 0): 1, (2, 1): 1}, 0, 3), (3, 1)),
+}
+
+
+@pytest.mark.parametrize("sig", list(ON_CAP_PRODUCTS), ids=["zht", "nht", "plane"])
+def test_scalar_product_matches_naive_double_loop(sig):
+    (ta, ca, wa), (tb, cb, wb), on_cap = ON_CAP_PRODUCTS[sig]
+    a = ScalarSeries(ta, vars=sig, t_cap=ca, weight_cap=wa)
+    b = ScalarSeries(tb, vars=sig, t_cap=cb, weight_cap=wb)
+    assert list((a * b)._terms) == [on_cap]
+    assert (a * b).to_json() == _naive_product(a, b).to_json()
+
+    rng = random.Random(11)
+    for _ in range(40):
+        operands = []
+        for _ in range(2):  # unequal caps, exponents on both sides of them
+            terms = {
+                tuple(rng.randint(0, 4) for _ in sig): Coefficient(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1)
+                )
+                for _ in range(rng.randint(0, 9))
+            }
+            t_cap, weight_cap = rng.randint(0, 5), Fraction(rng.randint(0, 12), 2)
+            operands.append(ScalarSeries(terms, vars=sig, t_cap=t_cap, weight_cap=weight_cap))
+        a, b = operands
+        assert (a * b).to_json() == _naive_product(a, b).to_json()
 
 
 def test_scalar_json_round_trip():
