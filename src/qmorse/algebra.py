@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernel
-from .errors import DomainError
-from .field import Coefficient, I
+from .errors import DomainError, ResourceError
+from .field import Coefficient
 from .series import (
     QSeries,
     ScalarSeries,
@@ -24,6 +24,7 @@ from .series import (
     p_op,
     q_op,
     render_terms,
+    term_guard,
     weight_cap_to_w2,
 )
 
@@ -38,23 +39,25 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
 
 
 def commutator(f: QSeries, g: QSeries) -> QSeries:
-    return f * g - g * f
+    """[f, g] = -i hbar (i/hbar)[f, g]; keeps the terms of weight within the smaller cap."""
+    return bracket_i_hbar(f, g).shift(hbar=1).scale(NEG_I)
 
 
 def bracket_i_hbar(f: QSeries, g: QSeries) -> QSeries:
     """(i/hbar)[f, g]; the hbar division is exact in normal order.
 
-    Computed with weight headroom +1 so that terms inside the callers' caps
-    are exact even though the commutator passes through weight w(f)+w(g)
-    before the division brings it back down.
+    One `_kernel.qbracket` pass over the term pairs.  A pair with weights w1,
+    w2 contributes only at weight w1 + w2 - 2 (one contraction, divided by
+    hbar), and those terms are kept when that weight is within the smaller
+    of the two weight caps and the t power within the smaller t cap, so every
+    kept term is exact without widening either operand.
     """
-    t_cap = min(f.t_cap, g.t_cap)
-    w2 = min(f.w2_cap, g.w2_cap)
-    wide = Fraction(w2 + 2, 2)
-    fe = f.with_caps(weight_cap=wide)
-    ge = g.with_caps(weight_cap=wide)
-    out = commutator(fe, ge).div_hbar().scale(I)
-    return out.with_caps(t_cap=t_cap, weight_cap=Fraction(w2, 2))
+    t_cap, w2 = f._join_caps(g)
+    try:
+        terms = _kernel.qbracket(f._terms, g._terms, t_cap, w2, term_guard())
+    except MemoryError as exc:
+        raise ResourceError(str(exc)) from None
+    return QSeries._from_raw(terms, t_cap, w2)
 
 
 def dagger(f: QSeries) -> QSeries:

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from ._kernel import coeff_make, coeff_mul
 from .algebra import (
-    NEG_I,
     OrderedPQ,
     bracket_i_hbar,
     commutator,
@@ -21,28 +20,17 @@ from .algebra import (
     to_ordered,
 )
 from .errors import DomainError
-from .field import I
 from .series import QSeries, ScalarSeries, p_op, q_op
-
-
-def _headroom(f: QSeries, extra_w2: int) -> QSeries:
-    return f.with_caps(weight_cap=Fraction(f.w2_cap + extra_w2, 2))
 
 
 def d_dq(f: QSeries) -> QSeries:
     """-(i/hbar)[f, p]; lowers the q-degree like the classical partial."""
-    fe = _headroom(f, 2)
-    pe = p_op(f.t_cap, fe.weight_cap)
-    out = commutator(fe, pe).div_hbar().scale(NEG_I)
-    return out.with_caps(weight_cap=f.weight_cap)
+    return -bracket_i_hbar(f, p_op(f.t_cap, f.weight_cap))
 
 
 def d_dp(f: QSeries) -> QSeries:
     """(i/hbar)[f, q]."""
-    fe = _headroom(f, 2)
-    qe = q_op(f.t_cap, fe.weight_cap)
-    out = commutator(fe, qe).div_hbar().scale(I)
-    return out.with_caps(weight_cap=f.weight_cap)
+    return bracket_i_hbar(f, q_op(f.t_cap, f.weight_cap))
 
 
 def int_dq(f: QSeries) -> QSeries:

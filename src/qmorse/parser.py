@@ -16,6 +16,7 @@ contexts.  Errors carry the byte offset and the expected token set.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -198,6 +199,23 @@ def parse_expr(text: str):
     return _Parser(text).parse()
 
 
+def _left_spine(node):
+    """Split a left-deep chain of ``add``/``sub``/``mul`` nodes without recursion.
+
+    Returns the leftmost operand and the ``(tag, right operand)`` steps in
+    evaluation order.  A long ``+`` or ``*`` chain parses into a left spine
+    as deep as the chain, so the evaluators walk it with a loop.  A right
+    operand is a term or a factor: its own spine is walked the same way, and
+    its nesting is bounded by `MAX_NESTING`.
+    """
+    steps = []
+    while node[0] in ("add", "sub", "mul"):
+        steps.append((node[0], node[2]))
+        node = node[1]
+    steps.reverse()
+    return node, steps
+
+
 def elaborate(ast, t_cap, weight_cap) -> QSeries:
     """Evaluate an AST in the operator algebra at the given caps."""
     table = {
@@ -208,8 +226,16 @@ def elaborate(ast, t_cap, weight_cap) -> QSeries:
         "hbar": hbar_op(t_cap, weight_cap),
         "t": t_op(t_cap, weight_cap),
     }
+    binary = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
     def ev(node):
+        node, steps = _left_spine(node)
+        out = operand(node)
+        for tag, rhs in steps:
+            out = binary[tag](out, ev(rhs))
+        return out
+
+    def operand(node):
         tag = node[0]
         if tag == "num":
             return const(node[1], t_cap, weight_cap)
@@ -222,12 +248,6 @@ def elaborate(ast, t_cap, weight_cap) -> QSeries:
             raise DomainError(f"unknown symbol {name!r}")
         if tag == "neg":
             return -ev(node[1])
-        if tag == "add":
-            return ev(node[1]) + ev(node[2])
-        if tag == "sub":
-            return ev(node[1]) - ev(node[2])
-        if tag == "mul":
-            return ev(node[1]) * ev(node[2])
         if tag == "pow":
             return ev(node[1]) ** node[2]
         raise AssertionError(f"unknown AST node {tag!r}")
@@ -251,6 +271,19 @@ def elaborate_plane(ast, params=()):
             exp[exp_index] = 1
         return {tuple(exp): coef if coef is not None else Coefficient(1)}
 
+    def neg(A):
+        return {e: -c for e, c in A.items()}
+
+    def add(A, B):
+        out = dict(A)
+        for e, c in B.items():
+            s = out.get(e, Coefficient(0)) + c
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+        return out
+
     def mul(A, B):
         out = {}
         for e1, c1 in A.items():
@@ -265,7 +298,16 @@ def elaborate_plane(ast, params=()):
                     del out[e]
         return out
 
+    binary = {"add": add, "sub": lambda A, B: add(A, neg(B)), "mul": mul}
+
     def ev(node):
+        node, steps = _left_spine(node)
+        out = operand(node)
+        for tag, rhs in steps:
+            out = binary[tag](out, ev(rhs))
+        return out
+
+    def operand(node):
         tag = node[0]
         if tag == "num":
             return unit(coef=Coefficient(node[1]))
@@ -283,20 +325,7 @@ def elaborate_plane(ast, params=()):
                 raise DomainError(f"operator symbol {name!r} not allowed in plane symbols")
             raise DomainError(f"unknown symbol {name!r}")
         if tag == "neg":
-            return {e: -c for e, c in ev(node[1]).items()}
-        if tag == "add":
-            out = dict(ev(node[1]))
-            for e, c in ev(node[2]).items():
-                s = out.get(e, Coefficient(0)) + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-            return out
-        if tag == "sub":
-            return ev(("add", node[1], ("neg", node[2])))
-        if tag == "mul":
-            return mul(ev(node[1]), ev(node[2]))
+            return neg(ev(node[1]))
         if tag == "pow":
             out = unit()
             base = ev(node[1])

@@ -25,7 +25,7 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import normal_order_word, random_qseries, word_to_qseries
+from oracles import normal_order_word, random_coeff, random_qseries, word_to_qseries
 
 CAPS = dict(t_cap=2, weight_cap="12")
 
@@ -257,3 +257,53 @@ def test_sqrt2_needed_for_pq():
     c = p.coeff((1, 0, 0, 0))
     assert c == Coefficient(0, 0, Fraction(1, 2))
     assert c * SQRT2 == Coefficient(1)
+
+
+def _bracket_reference(f, g):
+    """(i/hbar)[f, g] formed the long way: both products at weight headroom
+    +1 over the smaller cap, subtracted, divided by hbar, times i, re-capped."""
+    t_cap, w2 = min(f.t_cap, g.t_cap), min(f.w2_cap, g.w2_cap)
+    wide = Fraction(w2 + 2, 2)
+    fe, ge = f.with_caps(weight_cap=wide), g.with_caps(weight_cap=wide)
+    out = (fe * ge - ge * fe).div_hbar().scale(I)
+    return out.with_caps(t_cap=t_cap, weight_cap=Fraction(w2, 2))
+
+
+def _random_operand(rng):
+    """Up to six terms, central and pure-hbar ones included, with random caps."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        m, n = (0, 0) if rng.random() < 0.25 else (rng.randint(0, 4), rng.randint(0, 4))
+        terms[(m, n, rng.randint(0, 2), rng.randint(0, 3))] = random_coeff(rng)
+    return QSeries(terms, t_cap=rng.randint(1, 5), weight_cap=Fraction(rng.randint(2, 14), 2))
+
+
+def test_bracket_matches_the_product_construction():
+    rng = random.Random(23)
+    for _ in range(60):
+        f, g = _random_operand(rng), _random_operand(rng)
+        assert algebra.bracket_i_hbar(f, g).to_json() == _bracket_reference(f, g).to_json()
+    # pure hbar and central operands bracket to zero
+    f = QSeries({(0, 0, 1, 0): 2, (0, 0, 2, 1): I}, t_cap=2, weight_cap=6)
+    assert not algebra.bracket_i_hbar(f, q_op(2, 6)) and not algebra.bracket_i_hbar(q_op(2, 6), f)
+
+
+@pytest.mark.parametrize("t_cap, weight_cap", [(3, "3/2"), (2, "3/2"), (3, "1"), (3, "2")])
+def test_bracket_output_on_the_caps(t_cap, weight_cap):
+    # a^2 t (w=2) with adag^3 t^2 (w=3): every output term sits at t^3, weight 3/2
+    f = QSeries({(0, 2, 0, 1): 1, (1, 0, 1, 0): Coefficient(0, 1)}, t_cap=5, weight_cap=6)
+    g = QSeries({(3, 0, 0, 2): SQRT2, (0, 1, 0, 0): 1}, t_cap=t_cap, weight_cap=weight_cap)
+    out = algebra.bracket_i_hbar(f, g)
+    assert out.to_json() == _bracket_reference(f, g).to_json()
+    on_caps = (t_cap, weight_cap) in ((3, "3/2"), (3, "2"))
+    assert bool(out.coeff((2, 1, 0, 3))) == on_caps  # the j=1 term of that pair, 6i sqrt2
+
+
+def test_bracket_term_guard(monkeypatch):
+    from qmorse.errors import ResourceError
+
+    f, g = q_op(2, 12) ** 3, p_op(2, 12) ** 3
+    assert len(algebra.bracket_i_hbar(f, g)) > 1
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
+    with pytest.raises(ResourceError):
+        algebra.bracket_i_hbar(f, g)

@@ -210,15 +210,16 @@ def test_solve_work_counts(monkeypatch):
 
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
-    anything.
+    anything.  Brackets are formed by `_kernel.qbracket`, one visit per pair,
+    and are counted apart from the `_kernel.qmul` products.
     """
     from qmorse import _kernel
     from qmorse.series import ScalarSeries
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    counts = {"smul_pairs": 0, "qmul_pairs": 0}
-    smul, qmul = ScalarSeries.__mul__, _kernel.qmul
+    counts = {"smul_pairs": 0, "qmul_pairs": 0, "bracket_pairs": 0}
+    smul, qmul, qbracket = ScalarSeries.__mul__, _kernel.qmul, _kernel.qbracket
 
     def counting_smul(self, other):
         if isinstance(other, ScalarSeries):
@@ -229,10 +230,15 @@ def test_solve_work_counts(monkeypatch):
         counts["qmul_pairs"] += len(A) * len(B)
         return qmul(A, B, *rest)
 
+    def counting_qbracket(A, B, *rest):
+        counts["bracket_pairs"] += len(A) * len(B)
+        return qbracket(A, B, *rest)
+
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
     monkeypatch.setattr(_kernel, "qmul", counting_qmul)
+    monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     nf.quantum_morse(f, 12)
-    assert counts == {"smul_pairs": 49858, "qmul_pairs": 62548}
+    assert counts == {"smul_pairs": 49858, "qmul_pairs": 46576, "bracket_pairs": 7986}
 
 
 def test_spectral_invariance_under_conjugation():

@@ -99,12 +99,12 @@ def test_elaborate_plane():
         elaborate_plane(parse_expr("ad*a"), params=())
 
 
-def _run_cli(*argv, expect=0):
+def _run_cli(*argv, expect=0, module="qmorse.cli"):
     # the child imports the same qmorse as this test, installed or not
     src = str(Path(qmorse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "qmorse.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -298,3 +298,118 @@ def test_cli_golden_stdout(argv):
 
     out = _run_cli(*argv).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_long_chains_elaborate_without_recursion():
+    n = 3000
+    assert elaborate(parse_expr("+".join(["q"] * n)), *CAPS) == q_op(*CAPS).scale(n)
+    assert not elaborate(parse_expr("*".join(["q"] * n)), *CAPS)  # q^3000 is past the cap
+    assert elaborate(parse_expr("-".join(["q"] * n)), *CAPS) == q_op(*CAPS).scale(2 - n)
+    plane = elaborate_plane(parse_expr("+".join(["l1*q^2"] * n) + "-p"), params=("l1",))
+    assert plane == {(2, 0, 1): Coefficient(n), (0, 1, 0): Coefficient(-1)}
+    assert elaborate_plane(parse_expr("*".join(["q"] * n))) == {(n, 0): Coefficient(1)}
+
+
+def test_cli_long_chain_exits_zero():
+    proc = _run_cli("mul", "+".join(["q"] * 3000), "q")
+    assert "Traceback" not in proc.stderr
+    assert QSeries.from_json(json.loads(proc.stdout)) == (q_op(16, "16") ** 2).scale(3000)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_cli("commutator", "p", "q", module="qmorse")
+    assert proc.stdout == _run_cli("commutator", "p", "q").stdout
+    assert _run_cli("nonsense", module="qmorse", expect=64).stdout == ""
+
+
+# Fragments for the CLI fuzz: every value is cheap to act on (orders, levels,
+# dims and cutoffs stay at most 3), so a draw either fails fast or runs a small job.
+_SMALL_INTS = ["-2", "-1", "0", "1", "2", "3"] * 3 + ["1/2", "2.5", "x", "", "1" * 5000]
+_FUZZ_EXPRS = [
+    "q", "q^4", "p^2+q^2", "q^3+p^3", "ad*a", "hbar*q^2", "l1*q+q^4", "(q^2*p^2+p^2*q^2)/2",
+    "q+", "q p", "(q", "$", "1/0", "q^-1", "i*sqrt2*t", "1" * 5000 + "*q",
+    "+".join(["q"] * 500), "*".join(["t"] * 500), "-(" * 40 + "q" + ")" * 40,
+]
+_FUZZ_OPTIONS = {
+    "--order": _SMALL_INTS,
+    "--level": _SMALL_INTS,
+    "--levels": _SMALL_INTS,
+    "--cutoff": _SMALL_INTS,
+    "--dim": _SMALL_INTS,
+    "--t-cap": _SMALL_INTS,
+    "--weight-cap": ["auto", "0", "1/2", "3", "8", "-2", "1/3", "x", "1" * 5000],
+    "--perturbation": _FUZZ_EXPRS,
+    "--symbol": _FUZZ_EXPRS,
+    "--hamiltonian": _FUZZ_EXPRS,
+    "--observable": _FUZZ_EXPRS,
+    "--from-spectrum": _FUZZ_EXPRS,
+    "--params": ["l1", "l1,l2", "", "q", ",,"],
+    "--t": ["0.1", "0", "-1", "nan", "inf", "1e308", "x"],
+    "--hbar": ["1", "0.5", "0", "-1", "nan", "inf", "x"],
+    "--hbar-weight": ["1", "1/2", "0", "-1", "x"],
+    "--window": ["1:3", "3:1", "0:0", "2:", "x"],
+    "--coeffs": ["/nonexistent/coeffs.json"],
+    "--inverse": None,  # flags take no value
+    "--principal": None,
+    "--rescale-t": None,
+    "--csv": None,
+}
+# command: (positional expressions, required options, other options)
+_CAP_OPTIONS = ("--t-cap", "--weight-cap")
+_FUZZ_COMMANDS = {
+    "mul": (2, (), _CAP_OPTIONS),
+    "commutator": (2, (), _CAP_OPTIONS),
+    "dagger": (1, (), _CAP_OPTIONS),
+    "borel": (1, (), _CAP_OPTIONS + ("--inverse",)),
+    "symbol": (1, (), _CAP_OPTIONS + ("--principal",)),
+    "trace": (1, ("--levels",), _CAP_OPTIONS),
+    "flow": (0, ("--hamiltonian", "--observable", "--order"), ("--weight-cap",)),
+    "normal-form": (0, ("--perturbation", "--order"), ("--rescale-t", "--weight-cap")),
+    "spectrum": (0, ("--perturbation", "--order"), ("--level", "--rescale-t", "--weight-cap")),
+    "rs": (0, ("--perturbation", "--level", "--order"), ()),
+    "diag": (0, ("--perturbation", "--t", "--hbar", "--dim"), ("--levels", "--csv")),
+    "gevrey": (0, (), ("--from-spectrum", "--coeffs", "--level", "--hbar-weight", "--window")),
+    "milnor": (0, ("--symbol", "--cutoff"), ()),
+    "versal": (0, ("--symbol", "--cutoff"), ("--params",)),
+    "nonsense": (0, (), ()),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """Mostly well-formed command lines with bad values; now and then a
+    missing, foreign or extra piece, or --help."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    npos, required, optional = _FUZZ_COMMANDS[command]
+    npos = draw(st.sampled_from([npos] * 4 + [abs(npos - 1), npos + 1]))
+    argv = [command] + [draw(st.sampled_from(_FUZZ_EXPRS)) for _ in range(npos)]
+    options = [o for o in required if draw(st.integers(0, 9))]  # each dropped 1 in 10
+    options += [o for o in optional if draw(st.booleans())]
+    if not draw(st.integers(0, 9)):
+        options.append(draw(st.sampled_from(sorted(_FUZZ_OPTIONS))))
+    for option in draw(st.permutations(options)):
+        values = _FUZZ_OPTIONS[option]
+        argv += [option] if values is None else [option, draw(st.sampled_from(values))]
+    if not draw(st.integers(0, 29)):
+        argv.append("--help")
+    if command == "gevrey":
+        argv += ["--order", draw(st.sampled_from(_SMALL_INTS))]  # its default, 16, is a long solve
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    import contextlib
+    import io
+
+    from qmorse import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help (0) and usage errors (64)
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5, 64), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
