@@ -12,6 +12,12 @@ Callers reach them through the module attributes (``_kernel.qmul``,
 benchmark's ``kernel.qmul`` spans therefore count products only: the pairs of
 a bracket go through `qbracket` and are seen by the ``algebra.bracket`` spans
 of its callers, not by ``kernel.qmul``.
+
+Both kernels, and the Fock-space operations of `spectrum` (`apply_rho`,
+`inner_product`, `FockVector.__add__` and the Rayleigh-Schrodinger step), sum
+products unreduced through `_accumulate` and reduce each output coefficient
+once through `_reduced` (the RS step through one `coeff_make` that also
+divides by the level gap).  `coeff_mul_unreduced` gives such a product.
 """
 
 from math import comb, factorial, gcd
@@ -72,8 +78,23 @@ def coeff_sub(x, y):
     return coeff_add(x, coeff_neg(y))
 
 
-def coeff_mul(x, y):
+def coeff_mul_unreduced(x, y):
+    """The product x*y as ``(a, b, c, d, den)``, not reduced to canonical form."""
     # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2
+    xa, xb, xc, xd, xq = x
+    ya, yb, yc, yd, yq = y
+    return (
+        xa * ya - xb * yb + 2 * xc * yc - 2 * xd * yd,
+        xa * yb + xb * ya + 2 * xc * yd + 2 * xd * yc,
+        xa * yc + xc * ya - xb * yd - xd * yb,
+        xa * yd + xd * ya + xb * yc + xc * yb,
+        xq * yq,
+    )
+
+
+def coeff_mul(x, y):
+    # the formula of coeff_mul_unreduced, inlined: the product kernels call
+    # this once per term pair
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
     if xq == 1 and yq == 1:

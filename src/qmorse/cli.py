@@ -3,9 +3,11 @@
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order or level, a weight cap that is not a
 non-negative half-integer, a non-positive hbar, malformed JSON in a
-coefficient file), 4 resource/cap overflow, 5 file error (a --coeffs file
-that cannot be read), 64 usage error (an unknown command or option, a
-missing required option, an option value of the wrong type; EX_USAGE).
+coefficient file), 4 resource/cap overflow (the term-count guard, a Fock
+matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a
+--coeffs file that cannot be read), 64 usage error (an unknown command or
+option, a missing required option, an option value of the wrong type;
+EX_USAGE).
 Results go to stdout as JSON; diagnostics to stderr.
 """
 
@@ -391,6 +393,9 @@ def main(argv=None) -> int:
         return 3
     except ResourceError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
+        return 4
+    except MemoryError:
+        sys.stderr.write("resource error: out of memory\n")
         return 4
     except ValueError as exc:
         sys.stderr.write(f"invalid argument: {exc}\n")

@@ -8,6 +8,15 @@ normal-form solver, which is what makes the oracle-triangle tests meaningful.
 
 Perturbation intermediates (the eigenvector corrections) are Laurent in hbar;
 only the eigenvalue series is required to be polynomial, and that is asserted.
+
+The exact operations work fraction-free, like the product kernels: `apply_rho`,
+`inner_product`, `FockVector.__add__` and each order of `rs_perturbation` sum
+their coefficient products unreduced in one accumulator
+(`_kernel._accumulate`) and reduce each output coefficient once.  The RS step
+folds its division by the level gap into that one reduction.
+
+The dense matrix of `fock_matrix` and `diagonalize` is limited to
+MAX_MATRIX_BYTES; a larger dimension raises ResourceError (CLI exit 4).
 """
 
 from __future__ import annotations
@@ -17,20 +26,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int, coeff_neg
+from ._kernel import _accumulate, _reduced, coeff_make, coeff_mul_unreduced
 from .algebra import pi_restriction
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .field import Coefficient, ONE
 from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one
 
 
-def _hdict_add(acc, k, raw):
-    cur = acc.get(k)
-    s = raw if cur is None else coeff_add(cur, raw)
-    if any(s[:4]):
-        acc[k] = s
-    elif cur is not None:
-        del acc[k]
+def _vector(acc) -> "FockVector":
+    """The FockVector of the accumulated sums ``{(j, hbar exponent): raw}``."""
+    comp = {}
+    for (j, kh), c in _reduced(acc).items():
+        comp.setdefault(j, {})[kh] = c
+    return FockVector._from_raw(comp)
 
 
 class FockVector:
@@ -82,33 +90,12 @@ class FockVector:
         return NotImplemented
 
     def __add__(self, other):
-        out = {j: dict(e) for j, e in self._comp.items()}
-        for j, entry in other._comp.items():
-            acc = out.setdefault(j, {})
-            for k, c in entry.items():
-                _hdict_add(acc, k, c)
-            if not acc:
-                del out[j]
-        return FockVector._from_raw(out)
-
-    def __sub__(self, other):
-        return self + other.scale_raw(coeff_neg(ONE.raw), 0)
-
-    def scale_raw(self, raw, hbar_shift: int) -> "FockVector":
-        out = {}
-        for j, entry in self._comp.items():
-            new = {}
-            for k, c in entry.items():
-                v = coeff_mul(c, raw)
-                if any(v[:4]):
-                    new[k + hbar_shift] = v
-            if new:
-                out[j] = new
-        return FockVector._from_raw(out)
-
-    def scale(self, c, hbar_shift: int = 0) -> "FockVector":
-        raw = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
-        return self.scale_raw(raw, hbar_shift)
+        acc = {}
+        for vec in (self, other):
+            for j, entry in vec._comp.items():
+                for kh, c in entry.items():
+                    _accumulate(acc, (j, kh), *c)
+        return _vector(acc)
 
     def __str__(self):
         if not self._comp:
@@ -126,26 +113,27 @@ class FockVector:
 
 
 def apply_rho(f: QSeries, psi: FockVector) -> FockVector:
-    """Left action of a t-free operator: adag -> z., a -> hbar d/dz."""
+    """Left action of a t-free operator: adag -> z., a -> hbar d/dz.
+
+    The products landing on one entry ``(z^j, hbar^k)`` are summed unreduced
+    and each entry is reduced once.
+    """
     if f.t_degree() > 0:
         raise DomainError("representation acts on t-free operators")
-    out = {}
+    acc = {}
     for (m, n, k, _), coef in f._terms.items():
+        shift = k + n
         for j, entry in psi._comp.items():
             if n > j:
                 continue
             falling = math.perm(j, n)
             target = j - n + m
-            shift = k + n
-            acc = out.setdefault(target, {})
             for kh, c in entry.items():
-                v = coeff_mul(c, coef)
+                a, b, cc, d, den = coeff_mul_unreduced(coef, c)
                 if falling != 1:
-                    v = coeff_mul_int(v, falling)
-                _hdict_add(acc, kh + shift, v)
-            if not acc:
-                del out[target]
-    return FockVector._from_raw(out)
+                    a, b, cc, d = a * falling, b * falling, cc * falling, d * falling
+                _accumulate(acc, (target, kh + shift), a, b, cc, d, den)
+    return _vector(acc)
 
 
 def inner_product(psi: FockVector, chi: FockVector) -> ScalarSeries:
@@ -153,12 +141,12 @@ def inner_product(psi: FockVector, chi: FockVector) -> ScalarSeries:
     acc = {}
     for j in psi._comp.keys() & chi._comp.keys():
         fact = math.factorial(j)
-        for k1, c1 in psi._comp[j].items():
-            a, b, cc, d, den = c1
-            conj = (a, -b, cc, -d, den)
+        for k1, (a1, b1, c1, d1, q1) in psi._comp[j].items():
+            conj = (a1, -b1, c1, -d1, q1)
             for k2, c2 in chi._comp[j].items():
-                v = coeff_mul_int(coeff_mul(conj, c2), fact)
-                _hdict_add(acc, k1 + k2 + j, v)
+                a, b, c, d, den = coeff_mul_unreduced(conj, c2)
+                _accumulate(acc, k1 + k2 + j, a * fact, b * fact, c * fact, d * fact, den)
+    acc = _reduced(acc)
     if any(k < 0 for k in acc):
         raise DomainError("inner product with negative hbar powers")
     w2 = 2 * max(acc, default=0)
@@ -171,6 +159,12 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
     f(t=0) must be exactly p^2 + q^2; the harmonic spectrum is non-degenerate,
     so the plain recursion applies.  Symbolic hbar throughout; eigenvector
     corrections may pick up negative hbar powers, the eigenvalue cannot.
+
+    Each order k sums the residual ``R = sum_{j>=1} (f_j - E_j) psi_{k-j}``
+    into one unreduced accumulator keyed by ``(z power, hbar power)``: the
+    entries of ``rho(f_j) psi_{k-j}`` and the products ``E_j psi_{k-j}``,
+    written out without reduction.  Each off-level entry is then reduced
+    once, together with the division by the gap ``-2 hbar (m - level)``.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
@@ -181,33 +175,38 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
     psis = [FockVector.basis(level)]
     energies = [{1: coeff_make(2 * level + 1, 0, 0, 0, 1)}]  # E_0 = hbar(2n+1)
     for k in range(1, order + 1):
-        # R = sum_{j>=1} (f_j - E_j) psi_{k-j}; E_k is set so R has no level
-        # component, then (f0 - E_0) psi_k = -R fixes psi_k off the level.
-        raw_sum = FockVector()
+        # E_k is the level component of sum_j rho(f_j) psi_{k-j}, so that
+        # E_k psi_0 cancels it in R; then (f0 - E_0) psi_k = -R fixes psi_k
+        # off the level.
+        acc = {}
         for j in range(1, k + 1):
             if slices[j]:
-                raw_sum = raw_sum + apply_rho(slices[j], psis[k - j])
-        e_k = dict(raw_sum._comp.get(level, {}))
-        energies.append(e_k)
-        r = raw_sum
+                for m, entry in apply_rho(slices[j], psis[k - j])._comp.items():
+                    for kh, c in entry.items():
+                        _accumulate(acc, (m, kh), *c)
+        energies.append(_reduced({kh: v for (m, kh), v in acc.items() if m == level}))
         for j in range(1, k + 1):
-            ej = energies[j]
-            if not ej:
-                continue
-            for kh, c in ej.items():
-                r = r - psis[k - j].scale_raw(c, kh)
-        if r._comp.get(level):
-            raise AssertionError("level component of the residual did not cancel")
+            for eh, (ea, eb, ec, ed, eq) in energies[j].items():
+                for m, entry in psis[k - j]._comp.items():
+                    for kh, (a, b, c, d, q) in entry.items():
+                        # acc -= E_j psi_{k-j}, the product written out unreduced
+                        _accumulate(
+                            acc,
+                            (m, kh + eh),
+                            eb * b - ea * a - 2 * (ec * c - ed * d),
+                            -(ea * b + eb * a + 2 * (ec * d + ed * c)),
+                            eb * d + ed * b - ea * c - ec * a,
+                            -(ea * d + ed * a + eb * c + ec * b),
+                            eq * q,
+                        )
         comp = {}
-        for m, entry in r._comp.items():
-            if m == level:
+        for (m, kh), (a, b, c, d, den) in acc.items():
+            if not (a or b or c or d):
                 continue
-            gap = 2 * (m - level)  # (f0 - E_0) z^m = 2 hbar (m - level) z^m
-            new = {}
-            for kh, c in entry.items():
-                v = coeff_mul(c, coeff_make(-1, 0, 0, 0, gap))
-                new[kh - 1] = v
-            comp[m] = new
+            if m == level:
+                raise AssertionError("level component of the residual did not cancel")
+            # (f0 - E_0) z^m = 2 hbar (m - level) z^m
+            comp.setdefault(m, {})[kh - 1] = coeff_make(-a, -b, -c, -d, den * 2 * (m - level))
         psis.append(FockVector._from_raw(comp))
     terms = {}
     for k, e_k in enumerate(energies):
@@ -239,10 +238,28 @@ class FockOperator:
         return "\n".join(rows) + "\n"
 
 
-def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
-    """Matrix elements <e_m | f e_n> at numeric parameter values."""
+# Largest dense Fock matrix (dim^2 complex128 entries, 16 bytes each) that
+# fock_matrix builds: 256 MiB, dim <= 4096.
+MAX_MATRIX_BYTES = 2**28
+
+
+def _check_dim(dim: int):
     if dim < 1:
         raise ValueError("dimension must be positive")
+    size = 16 * dim * dim
+    if size > MAX_MATRIX_BYTES:
+        raise ResourceError(
+            f"a {dim}x{dim} Fock matrix needs {size} bytes, over the limit of "
+            f"{MAX_MATRIX_BYTES} bytes (spectrum.MAX_MATRIX_BYTES)"
+        )
+
+
+def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
+    """Matrix elements <e_m | f e_n> at numeric parameter values.
+
+    Raises ResourceError when the dense matrix would exceed MAX_MATRIX_BYTES.
+    """
+    _check_dim(dim)
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     mat = np.zeros((dim, dim), dtype=complex)
@@ -282,8 +299,10 @@ def diagonalize(f: QSeries, t: float, hbar: float, dim: int, levels: int) -> Dia
 
     The flag re-runs at dim+10 and requires relative drift < 1e-10 on the
     requested levels.  Non-hermitian input downgrades to a general
-    eigensolver and is flagged.
+    eigensolver and is flagged.  Raises ResourceError, before any matrix is
+    built, when the dim+10 matrix would exceed MAX_MATRIX_BYTES.
     """
+    _check_dim(dim + 10)
 
     def lowest(d):
         op = fock_matrix(f, d, t, hbar)

@@ -253,17 +253,32 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["spectrum", "--perturbation", "1" * 5000 + "*q^4", "--order", "2"], 2),
         (["mul", "(" * 3000 + "q" + ")" * 3000, "q"], 2),
         (["spectrum", "--perturbation", "q^4"], 64),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "1000000"], 4),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "5000",
+          "--csv"], 4),
     ],
     ids=[
         "order", "level", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
-        "deep-nesting", "usage-missing-order",
+        "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in argv), expect=code)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_maps_memory_error_to_resource_code(monkeypatch, capsys):
+    from qmorse import cli, spectrum
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spectrum, "diagonalize", exhausted)
+    argv = ["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "10"]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == "resource error: out of memory\n"
 
 
 def test_cli_warns_when_explicit_cap_drops_orders():
@@ -323,7 +338,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 # Fragments for the CLI fuzz: every value is cheap to act on (orders, levels,
-# dims and cutoffs stay at most 3), so a draw either fails fast or runs a small job.
+# dims and cutoffs stay at most 3, and a huge dim is refused before any matrix
+# is built), so a draw either fails fast or runs a small job.
 _SMALL_INTS = ["-2", "-1", "0", "1", "2", "3"] * 3 + ["1/2", "2.5", "x", "", "1" * 5000]
 _FUZZ_EXPRS = [
     "q", "q^4", "p^2+q^2", "q^3+p^3", "ad*a", "hbar*q^2", "l1*q+q^4", "(q^2*p^2+p^2*q^2)/2",
@@ -335,7 +351,7 @@ _FUZZ_OPTIONS = {
     "--level": _SMALL_INTS,
     "--levels": _SMALL_INTS,
     "--cutoff": _SMALL_INTS,
-    "--dim": _SMALL_INTS,
+    "--dim": _SMALL_INTS + ["1000000", "1" * 40],
     "--t-cap": _SMALL_INTS,
     "--weight-cap": ["auto", "0", "1/2", "3", "8", "-2", "1/3", "x", "1" * 5000],
     "--perturbation": _FUZZ_EXPRS,

@@ -1,5 +1,7 @@
 """Representation, RS oracle, Fock matrices, trace, inner products."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmorse import algebra, normal_form as nf, spectrum as sp
-from qmorse.errors import DomainError
+from qmorse import algebra, normal_form as nf, parser, spectrum as sp
+from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
 from qmorse.series import adag, a_op, harmonic, one, q_op, t_op
 
@@ -203,3 +205,54 @@ def test_oracle_triangle_small():
             sum(c.to_complex().real * hbar_val ** e[0] for e, c in nxt.items())
         ) * t_val ** (order + 1)
         assert abs(diag.values[n] - series_val) < max(budget, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p^2+q^2 + t*(sqrt2*(q^3)/3 + (q^2*p^2+p^2*q^2)/5 + i*(q^3*p - p*q^3)/3)"
+        " + t^2*(q^2)/7",
+        # not hermitian: the energies carry all four components of Q(i, sqrt2)
+        "p^2+q^2 + t*(i*(q^2)/2 + sqrt2*(q^3*p+p*q^3)/5 + i*sqrt2*(p^2*q)/3)"
+        " + t^2*(sqrt2*(p^4)/7)",
+    ],
+    ids=["hermitian", "complex-energies"],
+)
+def test_rs_matches_normal_form_outside_q(text):
+    # coefficients in sqrt2 and i, and perturbations in two t-slices
+    f = parser.elaborate(parser.parse_expr(text), 6, "16")
+    res = nf.quantum_morse(f, 6)
+    for n in (0, 1, 2):
+        closure = res.spectrum.eval_var("n", Coefficient(n))
+        lifted = sp.rs_perturbation(f, n, 6).lift(("n", "hbar", "t")).with_caps(
+            t_cap=closure.t_cap, weight_cap=closure.weight_cap
+        )
+        assert closure == lifted
+
+
+# SHA-256 of the RS series of p^2+q^2+t q^4 at order 40, as the CLI prints
+# its JSON, for levels 0, 1, 2: any change to the RS arithmetic must keep
+# these bytes.
+RS_QUARTIC_DIGESTS = {
+    0: "f2951258eee61e3685537cecfd30762b5557141afaf618eab458c7cde1ed8e2c",
+    1: "2b863af5e894e7c3195a41e7e50668b9745ea54c9586ead9c8fe6b3241bb025b",
+    2: "33e6ab52c816ca5e4b45224e8b946c8e512581961d4b35ebbec0de28806fdea0",
+}
+
+
+@pytest.mark.parametrize("level", sorted(RS_QUARTIC_DIGESTS))
+def test_rs_quartic_golden_digest(level):
+    caps = dict(t_cap=40, weight_cap="64")
+    f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
+    text = json.dumps(sp.rs_perturbation(f, level, 40).to_json(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == RS_QUARTIC_DIGESTS[level]
+
+
+def test_fock_matrix_size_limit():
+    caps = dict(t_cap=1, weight_cap="10")
+    f = harmonic(**caps) + t_op(**caps) * (q_op(**caps) ** 4)
+    side = math.isqrt(sp.MAX_MATRIX_BYTES // 16)
+    with pytest.raises(ResourceError):
+        sp.fock_matrix(f, side + 1, 0.1, 1.0)
+    with pytest.raises(ResourceError):  # diagonalize also builds dim + 10
+        sp.diagonalize(f, 0.1, 1.0, side - 9, 1)
