@@ -4,20 +4,30 @@ Coefficients of the engine live in the number field Q(i, sqrt2) and are packed
 as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
 d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 
-Two kernels act on term maps: `qmul`, the normal-ordered product, and
+Three kernels act on term maps: `qmul`, the normal-ordered product,
 `qbracket`, the bracket (i/hbar)[A, B] formed directly from the contraction
-terms.  Both take their reordering factors from one table, `contractions`.
-Callers reach them through the module attributes (``_kernel.qmul``,
-``_kernel.qbracket``), so a wrapper installed on one sees every call.  The
+terms, and `qcompose`, the sum ``sum_j c_j(hbar, t) P_j`` of central
+coefficients times cached powers.  `qmul` and `qbracket` take their
+reordering factors from one table, `contractions`.  Callers reach the kernels
+through the module attributes (``_kernel.qmul``, ``_kernel.qbracket``,
+``_kernel.qcompose``), so a wrapper installed on one sees every call.  The
 benchmark's ``kernel.qmul`` spans therefore count products only: the pairs of
-a bracket go through `qbracket` and are seen by the ``algebra.bracket`` spans
-of its callers, not by ``kernel.qmul``.
+a bracket or a composition are not seen by ``kernel.qmul``.
 
-Both kernels, and the Fock-space operations of `spectrum` (`apply_rho`,
-`inner_product`, `FockVector.__add__` and the Rayleigh-Schrodinger step), sum
-products unreduced through `_accumulate` and reduce each output coefficient
-once through `_reduced` (the RS step through one `coeff_make` that also
-divides by the level gap).  `coeff_mul_unreduced` gives such a product.
+Common denominators.  The kernels and ``ScalarSeries.__mul__`` put each
+operand over the lcm of its denominators (`common_denominator`) and read it as
+4-int numerators over that lcm (`numerators`).  A term pair then costs one
+integer product of numerators, added into a 4-int tuple of the output term;
+no pair is reduced and none calls `coeff_mul` or `coeff_make`.  Each output
+term is reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
+(`reduced_over`).
+
+The Fock-space operations of `spectrum` (`apply_rho`, `inner_product`,
+`FockVector.__add__` and the Rayleigh-Schrodinger step) sum products of
+single coefficients, unreduced, through `_accumulate` and reduce each output
+coefficient once through `_reduced` (the RS step through one `coeff_make`
+that also divides by the level gap).  `coeff_mul_unreduced` gives such a
+product.
 """
 
 from math import comb, factorial, gcd
@@ -93,8 +103,8 @@ def coeff_mul_unreduced(x, y):
 
 
 def coeff_mul(x, y):
-    # the formula of coeff_mul_unreduced, inlined: the product kernels call
-    # this once per term pair
+    # the formula of coeff_mul_unreduced, inlined for single products; the
+    # product kernels multiply numerators over a common denominator instead
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
     if xq == 1 and yq == 1:
@@ -141,8 +151,8 @@ def contractions(n, m):
 def _accumulate(out, key, a, b, c, d, den):
     """out[key] += (a, b, c, d)/den, unreduced over the lcm of the denominators.
 
-    The kernels reduce each accumulated sum once, through `_reduced`, instead
-    of once per contribution.
+    The Fock-space operations of `spectrum` reduce each accumulated sum once,
+    through `_reduced`, instead of once per contribution.
     """
     acc = out.get(key)
     if acc is None:
@@ -167,6 +177,39 @@ def _reduced(out):
     }
 
 
+def common_denominator(terms, den=1):
+    """The lcm of ``den`` and the denominators of a term map's coefficients."""
+    for c in terms.values():
+        q = c[4]
+        if den % q:
+            den = den // gcd(den, q) * q
+    return den
+
+
+def numerators(terms, den):
+    """Yield ``(key, (a, b, c, d))`` with ``terms[key] == (a, b, c, d)/den``.
+
+    ``den`` is a common multiple of the denominators of ``terms`` (see
+    `common_denominator`).  The numerators are made one term at a time, so an
+    operand read once costs no scaled copy.
+    """
+    for key, (a, b, c, d, q) in terms.items():
+        if q == den:
+            yield key, (a, b, c, d)
+        else:
+            s = den // q
+            yield key, (a * s, b * s, c * s, d * s)
+
+
+def reduced_over(out, den):
+    """The nonzero 4-int sums of ``out``, each divided by ``den`` and reduced once."""
+    return {
+        key: coeff_make(a, b, c, d, den)
+        for key, (a, b, c, d) in out.items()
+        if a or b or c or d
+    }
+
+
 def qmul(A, B, t_cap, w2_cap, guard):
     """Normal-ordered product of two term maps.
 
@@ -174,32 +217,50 @@ def qmul(A, B, t_cap, w2_cap, guard):
     hbar, t) to coefficient tuples.  Reordering ``a^n1 adag^m2`` uses the
     factors of `contractions`; it conserves the weight ``m + n + 2k``, so the
     caps are checked once per term pair.  Terms beyond ``t_cap``/``w2_cap``
-    are dropped (silent truncation is part of the series contract).  Returns
-    the new term map; raises MemoryError when the accumulator exceeds
-    ``guard`` entries.
+    are dropped (silent truncation is part of the series contract).  Each
+    operand is put over its common denominator once; the pairs add integer
+    numerators and each output term is reduced once.  Returns the new term
+    map; raises MemoryError when the accumulator exceeds ``guard`` entries.
     """
+    den_a = common_denominator(A)
+    den_b = common_denominator(B)
     table = _contractions
+    right = [(m2, n2, k2, l2, m2 + n2 + 2 * k2, y) for (m2, n2, k2, l2), y in numerators(B, den_b)]
     out = {}
-    for (m1, n1, k1, l1), c1 in A.items():
-        for (m2, n2, k2, l2), c2 in B.items():
-            l = l1 + l2
-            if l > t_cap:
+    get = out.get
+    for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
+        w_room = w2_cap - (m1 + n1 + 2 * k1)
+        t_room = t_cap - l1
+        for m2, n2, k2, l2, w2, (ya, yb, yc, yd) in right:
+            if w2 > w_room or l2 > t_room:
                 continue
-            if m1 + n1 + m2 + n2 + 2 * (k1 + k2) > w2_cap:
-                continue
-            ca, cb, cc, cd, cq = coeff_mul(c1, c2)
+            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
+            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
+            cc = xa * yc + xc * ya - xb * yd - xd * yb
+            cd = xa * yd + xd * ya + xb * yc + xc * yb
             m = m1 + m2
             n = n1 + n2
             k = k1 + k2
-            _accumulate(out, (m, n, k, l), ca, cb, cc, cd, cq)
+            l = l1 + l2
+            key = (m, n, k, l)
+            acc = get(key)
+            if acc is None:
+                out[key] = (ca, cb, cc, cd)
+            else:
+                out[key] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
             if n1 and m2:
                 factors = table.get((n1, m2)) or contractions(n1, m2)
                 for j in range(1, len(factors)):
                     w = factors[j]
-                    _accumulate(out, (m - j, n - j, k + j, l), ca * w, cb * w, cc * w, cd * w, cq)
+                    key = (m - j, n - j, k + j, l)
+                    acc = get(key)
+                    if acc is None:
+                        out[key] = (ca * w, cb * w, cc * w, cd * w)
+                    else:
+                        out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
         if len(out) > guard:
             raise MemoryError("term-count guard exceeded")
-    return _reduced(out)
+    return reduced_over(out, den_a * den_b)
 
 
 def qbracket(A, B, t_cap, w2_cap, guard):
@@ -212,26 +273,33 @@ def qbracket(A, B, t_cap, w2_cap, guard):
     contraction in either order is skipped before its coefficients are
     multiplied.  The ``hbar^j`` part is written at ``hbar^(j-1)`` (the exact
     division by hbar); its weight is ``w1 + w2 - 2``, and it is kept when that
-    is within ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.  The factor
-    ``i`` is applied once per output term as the component permutation
-    ``(a, b, c, d) -> (-b, a, -d, c)``.  Raises MemoryError when the
-    accumulator exceeds ``guard`` entries.
+    is within ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.  Numerators are
+    summed over the operands' common denominators as in `qmul`.  The factor
+    ``i`` is applied once per output term, before its reduction, as the
+    component permutation ``(a, b, c, d) -> (-b, a, -d, c)``.  Raises
+    MemoryError when the accumulator exceeds ``guard`` entries.
     """
+    den_a = common_denominator(A)
+    den_b = common_denominator(B)
     table = _contractions
     room2 = w2_cap + 2
-    right = [(m2, n2, k2, l2, m2 + n2 + 2 * k2, c2) for (m2, n2, k2, l2), c2 in B.items()]
+    right = [(m2, n2, k2, l2, m2 + n2 + 2 * k2, y) for (m2, n2, k2, l2), y in numerators(B, den_b)]
     out = {}
-    for (m1, n1, k1, l1), c1 in A.items():
+    get = out.get
+    for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
         w_room = room2 - (m1 + n1 + 2 * k1)
         t_room = t_cap - l1
-        for m2, n2, k2, l2, w2, c2 in right:
+        for m2, n2, k2, l2, w2, (ya, yb, yc, yd) in right:
             if w2 > w_room or l2 > t_room:
                 continue
             fwd = (table.get((n1, m2)) or contractions(n1, m2)) if n1 and m2 else ()
             bwd = (table.get((n2, m1)) or contractions(n2, m1)) if n2 and m1 else ()
             if not fwd and not bwd:
                 continue
-            ca, cb, cc, cd, cq = coeff_mul(c1, c2)
+            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
+            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
+            cc = xa * yc + xc * ya - xb * yd - xd * yb
+            cd = xa * yd + xd * ya + xb * yc + xc * yb
             m = m1 + m2
             n = n1 + n2
             k = k1 + k2 - 1
@@ -241,7 +309,62 @@ def qbracket(A, B, t_cap, w2_cap, guard):
             for j in range(1, nf if nf > nb else nb):
                 w = (fwd[j] if j < nf else 0) - (bwd[j] if j < nb else 0)
                 if w:
-                    _accumulate(out, (m - j, n - j, k + j, l), ca * w, cb * w, cc * w, cd * w, cq)
+                    key = (m - j, n - j, k + j, l)
+                    acc = get(key)
+                    if acc is None:
+                        out[key] = (ca * w, cb * w, cc * w, cd * w)
+                    else:
+                        out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
         if len(out) > guard:
             raise MemoryError("term-count guard exceeded")
-    return {key: (-b, a, -d, c, den) for key, (a, b, c, d, den) in _reduced(out).items()}
+    den = den_a * den_b
+    return {
+        key: coeff_make(-b, a, -d, c, den)
+        for key, (a, b, c, d) in out.items()
+        if a or b or c or d
+    }
+
+
+def qcompose(C, powers, t_cap, w2_cap, guard):
+    """``sum c hbar^k t^l P_j`` over the terms ``(j, k, l) -> c`` of ``C``.
+
+    ``C`` is the term map of a germ in (z, hbar, t) and ``powers[j]`` the term
+    map of ``P^j`` for every z power j of ``C``; the central factor
+    ``hbar^k t^l`` is a key shift, and a shifted term is kept when its weight
+    is within ``w2_cap`` and its t power within ``t_cap``.  ``C`` is put over
+    its common denominator ``den_C`` and the powers over the lcm ``L`` of
+    theirs, so every contribution is an integer numerator over ``den_C * L``
+    and each output term is reduced once.  The powers are scaled one at a
+    time, so no two scaled copies are alive at once.
+    Raises MemoryError when the accumulator exceeds ``guard`` entries.
+    """
+    den_c = common_denominator(C)
+    by_power = {}
+    for (j, k, l), x in numerators(C, den_c):
+        by_power.setdefault(j, []).append((k, l, x))
+    lcm = 1
+    for j in by_power:
+        lcm = common_denominator(powers[j], lcm)
+    out = {}
+    get = out.get
+    for j, central in by_power.items():
+        right = [(m, n, k, l, m + n + 2 * k, y) for (m, n, k, l), y in numerators(powers[j], lcm)]
+        for kc, lc, (xa, xb, xc, xd) in central:
+            w_room = w2_cap - 2 * kc
+            t_room = t_cap - lc
+            for m, n, k, l, w2, (ya, yb, yc, yd) in right:
+                if w2 > w_room or l > t_room:
+                    continue
+                ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
+                cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
+                cc = xa * yc + xc * ya - xb * yd - xd * yb
+                cd = xa * yd + xd * ya + xb * yc + xc * yb
+                key = (m, n, k + kc, l + lc)
+                acc = get(key)
+                if acc is None:
+                    out[key] = (ca, cb, cc, cd)
+                else:
+                    out[key] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
+            if len(out) > guard:
+                raise MemoryError("term-count guard exceeded")
+    return reduced_over(out, den_c * lcm)

@@ -3,12 +3,17 @@
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order or level, a weight cap that is not a
 non-negative half-integer, a non-positive hbar, malformed JSON in a
-coefficient file), 4 resource/cap overflow (the term-count guard, a Fock
-matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a
---coeffs file that cannot be read), 64 usage error (an unknown command or
-option, a missing required option, an option value of the wrong type;
-EX_USAGE).
+coefficient file), 4 resource/cap overflow (an --order above MAX_ORDER, the
+term-count guard, a Fock matrix over spectrum.MAX_MATRIX_BYTES, memory
+exhausted), 5 file error (a --coeffs file that cannot be read), 64 usage
+error (an unknown command or option, a missing required option, an option
+value of the wrong type; EX_USAGE).
 Results go to stdout as JSON; diagnostics to stderr.
+
+Order ceiling: every command that takes --order (flow, normal-form,
+spectrum, rs, gevrey) refuses an order above MAX_ORDER = 100 with exit 4
+before any work, since the cost of a solve grows steeply with the order.
+The ceiling is well above the orders the benchmark runs (RS at order 60).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .series import QSeries, ScalarSeries, harmonic, t_op, w2_to_str, weight_cap
 DEFAULT_T_CAP = 16
 DEFAULT_WEIGHT_CAP = "16"
 EX_USAGE = 64
+MAX_ORDER = 100
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -384,6 +390,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        order = getattr(args, "order", None)
+        if order is not None and order > MAX_ORDER:
+            raise ResourceError(f"--order {order} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

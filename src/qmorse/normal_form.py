@@ -22,10 +22,14 @@ tests pin this down.
 Precision rule: a product used only through t^L is computed at t_cap=L, which
 is exact because truncation commutes with products.  At step k of the solve,
 g_k o fn and (i/hbar)[fn, h_k] are read through t^(N-1-k) only, so they are
-formed from fn cut to that order; iteration j of the reversion fixes t^j and
-works at t_cap=j.  A capped product is re-extended (a metadata-only
-`with_caps`) before it is added to a full-precision sum, since a sum takes the
-smaller caps of its operands.
+formed from fn cut to that order.  The composition sums c_{j,k} hbar^k fn^j
+in one `_kernel.qcompose` accumulator over the cached powers of fn, cut to
+that order too, and checks each shifted term against the caps.  Iteration j
+of the reversion fixes t^j and works at t_cap=j.  A capped product is
+re-extended (a metadata-only `with_caps`) before it is added to a
+full-precision sum, since a sum takes the smaller caps of its operands.  The
+residual of step k is read at t^k only, so it is formed from the t^k slices
+of df/dt and of the running sums, not from the whole series.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import flow
+from . import _kernel, flow
 from ._kernel import coeff_add, coeff_mul, coeff_mul_int
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .field import Coefficient, ONE
 from .series import (
     QSeries,
@@ -48,6 +52,7 @@ from .series import (
     p_op,
     q_op,
     scalar_var,
+    term_guard,
 )
 
 
@@ -231,7 +236,7 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     g_slices = []
     h_slices = []
     for k in range(order):
-        residual = (dtf - S - B).t_slice(k)
+        residual = dtf.t_slice(k) - S.t_slice(k) - B.t_slice(k)
         g_k, h_k = split_homological(residual)
         g_slices.append(g_k)
         h_slices.append(h_k)
@@ -276,21 +281,23 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
 def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
     """g_k o fn at the caps of fn, using cached powers (g_k is a t-free germ in z, hbar).
 
-    A power fpows[j] is built at the t_cap of the first call that needs it
-    and cut down to the current t_cap on use.  Callers pass fn at t caps that
-    do not increase, so a cached power is never short of an order.
+    ``g_k o fn = sum c_{j,k} hbar^k fn^j`` is formed in one `_kernel.qcompose`
+    accumulator read straight from the cached powers.  A power fpows[j] is
+    built at the t_cap of the first call that needs it and cut down to the
+    current t_cap on use.  Callers pass fn at t caps that do not increase, so
+    a cached power is never short of an order.
     """
-    out = QSeries._from_raw({}, fn.t_cap, fn.w2_cap)
     for j in range(g_k.var_degree("z") + 1):
-        aj = g_k.var_slice("z", j)
-        if not aj:
-            continue
         while len(fpows) <= j:
             fpows.append(fpows[-1] * fn)
         if fpows[j].t_cap > fn.t_cap:
             fpows[j] = fpows[j].with_caps(t_cap=fn.t_cap)
-        out = out + scalar_to_qseries(aj, fn.t_cap, fn.w2_cap) * fpows[j]
-    return out
+    powers = [p._terms for p in fpows]
+    try:
+        terms = _kernel.qcompose(g_k._terms, powers, fn.t_cap, fn.w2_cap, term_guard())
+    except MemoryError as exc:
+        raise ResourceError(str(exc)) from None
+    return QSeries._from_raw(terms, fn.t_cap, fn.w2_cap)
 
 
 def _eulerian_generator(h_slices, order: int, w2: int) -> QSeries:

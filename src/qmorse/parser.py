@@ -9,7 +9,9 @@ algebra a silently reordered `q p` would be a catastrophic footgun):
     atom   := NUMBER | SYMBOL | '(' expr ')' | '-' atom
 
 Division exists only by nonzero rational literals (exact central scaling).
-NUMBER is an integer or a rational literal like 3/4; SYMBOL is one of
+NUMBER is an integer or a rational literal like 3/4; after '^' only an
+integer literal is read, so a following '/' stays the division operator
+(`q^3/3` is `(q^3)/3`).  SYMBOL is one of
 q p a ad hbar t i sqrt2, plus whitelisted parameter names in symbol-family
 contexts.  Errors carry the byte offset and the expected token set.
 """
@@ -61,7 +63,8 @@ def tokenize(text: str):
             while pos < size and _is_digit(text[pos]):
                 pos += 1
             num = _int_literal(text, start, pos)
-            if pos < size and text[pos] == "/":
+            after_caret = bool(tokens) and tokens[-1][:2] == ("op", "^")
+            if pos < size and text[pos] == "/" and not after_caret:
                 den_start = pos + 1
                 pos += 1
                 while pos < size and _is_digit(text[pos]):

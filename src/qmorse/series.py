@@ -350,17 +350,17 @@ class ScalarSeries:
     def _t_index(self):
         return self.vars.index("t") if "t" in self.vars else None
 
-    def _weighted_terms(self):
-        """(exponent, coefficient, doubled weight, t power) for every term.
+    def _weighted_terms(self, nums):
+        """Yield (exponent, numerators, doubled weight, t power) for every term.
 
-        A signature without t reports t power 0, which no t cap drops.
+        ``nums`` yields ``(exponent, numerators)`` pairs of this series over a
+        common denominator (`_kernel.numerators`).  A signature without t
+        reports t power 0, which no t cap drops.
         """
         weights = self._weights
         ti = self._t_index()
-        return [
-            (e, c, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti])
-            for e, c in self._terms.items()
-        ]
+        for e, x in nums:
+            yield e, x, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti]
 
     def _over_cap(self, exp):
         w2 = sum(e * w for e, w in zip(exp, self._weights))
@@ -454,21 +454,30 @@ class ScalarSeries:
             t_cap = min(self.t_cap, other.t_cap)
             w2 = min(self.w2_cap, other.w2_cap)
             guard = term_guard()
+            den_l = _kernel.common_denominator(self._terms)
+            den_r = _kernel.common_denominator(other._terms)
+            right = list(other._weighted_terms(_kernel.numerators(other._terms, den_r)))
             out = {}
-            add = _kernel.coeff_add
-            mul = _kernel.coeff_mul
-            right = other._weighted_terms()
-            for e1, c1, a1, t1 in self._weighted_terms():
-                for e2, c2, a2, t2 in right:
+            get = out.get
+            for e1, (xa, xb, xc, xd), a1, t1 in self._weighted_terms(
+                _kernel.numerators(self._terms, den_l)
+            ):
+                for e2, (ya, yb, yc, yd), a2, t2 in right:
                     if a1 + a2 > w2 or t1 + t2 > t_cap:
                         continue
                     exp = tuple(map(operator.add, e1, e2))
-                    c = mul(c1, c2)
-                    acc = out.get(exp)
-                    out[exp] = c if acc is None else add(acc, c)
+                    ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
+                    cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
+                    cc = xa * yc + xc * ya - xb * yd - xd * yb
+                    cd = xa * yd + xd * ya + xb * yc + xc * yb
+                    acc = get(exp)
+                    if acc is None:
+                        out[exp] = (ca, cb, cc, cd)
+                    else:
+                        out[exp] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
                 if len(out) > guard:
                     raise ResourceError("term-count guard exceeded")
-            out = {e: c for e, c in out.items() if any(c[:4])}
+            out = _kernel.reduced_over(out, den_l * den_r)
             return ScalarSeries._from_raw(out, self.vars, t_cap, w2)
         return self.scale(other)
 

@@ -60,6 +60,16 @@ _COEFF_POOL = [
 ]
 
 
+# One coefficient per coprime denominator 3, 5, 7, all four Q(i, sqrt2)
+# components nonzero: the terms of an operand need different scales to reach
+# their lcm, so a wrong common-denominator scale cannot pass.
+COPRIME = [
+    Coefficient(Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3), Fraction(1, 3)),
+    Coefficient(Fraction(2, 5), Fraction(1, 5), Fraction(-3, 5), Fraction(4, 5)),
+    Coefficient(Fraction(-1, 7), Fraction(6, 7), Fraction(2, 7), Fraction(-5, 7)),
+]
+
+
 def random_coeff(rng: random.Random) -> Coefficient:
     return rng.choice(_COEFF_POOL)
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qmorse import flow, normal_form as nf
+from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
 from qmorse.algebra import compose_scalar
 from qmorse.errors import DomainError
 from qmorse.field import Coefficient, I
 from qmorse.series import (
     QSeries,
+    ScalarSeries,
     SIG_ZHT,
     adag,
     a_op,
@@ -23,6 +25,8 @@ from qmorse.series import (
     scalar_var,
     t_op,
 )
+
+from oracles import COPRIME
 
 CAPS = dict(t_cap=8, weight_cap="24")
 
@@ -211,15 +215,21 @@ def test_solve_work_counts(monkeypatch):
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
     anything.  Brackets are formed by `_kernel.qbracket`, one visit per pair,
-    and are counted apart from the `_kernel.qmul` products.
+    and the compositions g_k o fn by `_kernel.qcompose`, one visit per pair of
+    a germ term and a term of the matching power; both are counted apart from
+    the `_kernel.qmul` products (here the powers of fn).
     """
     from qmorse import _kernel
-    from qmorse.series import ScalarSeries
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    counts = {"smul_pairs": 0, "qmul_pairs": 0, "bracket_pairs": 0}
-    smul, qmul, qbracket = ScalarSeries.__mul__, _kernel.qmul, _kernel.qbracket
+    counts = {"smul_pairs": 0, "qmul_pairs": 0, "bracket_pairs": 0, "compose_pairs": 0}
+    smul, qmul, qbracket, qcompose = (
+        ScalarSeries.__mul__,
+        _kernel.qmul,
+        _kernel.qbracket,
+        _kernel.qcompose,
+    )
 
     def counting_smul(self, other):
         if isinstance(other, ScalarSeries):
@@ -234,11 +244,82 @@ def test_solve_work_counts(monkeypatch):
         counts["bracket_pairs"] += len(A) * len(B)
         return qbracket(A, B, *rest)
 
+    def counting_qcompose(C, powers, *rest):
+        counts["compose_pairs"] += sum(len(powers[j]) for j, _, _ in C)
+        return qcompose(C, powers, *rest)
+
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
     monkeypatch.setattr(_kernel, "qmul", counting_qmul)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
+    monkeypatch.setattr(_kernel, "qcompose", counting_qcompose)
     nf.quantum_morse(f, 12)
-    assert counts == {"smul_pairs": 49858, "qmul_pairs": 46576, "bracket_pairs": 7986}
+    assert counts == {
+        "smul_pairs": 49858,
+        "qmul_pairs": 30646,
+        "bracket_pairs": 7986,
+        "compose_pairs": 7240,
+    }
+
+
+def _compose_per_pair(g, fpows, t_cap, w2):
+    """sum c hbar^k t^l fn^j with every pair product reduced by coeff_mul and
+    summed by coeff_add, cut to the caps of fn afterwards."""
+    out = {}
+    for (j, kc, lc), c in g._terms.items():
+        for (m, n, k, l), p in fpows[j]._terms.items():
+            key = (m, n, k + kc, l + lc)
+            out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul(c, p))
+    return {
+        key: c
+        for key, c in out.items()
+        if any(c[:4]) and key[3] <= t_cap and key[0] + key[1] + 2 * key[2] <= w2
+    }
+
+
+def _compose_operands():
+    c0, c1, c2 = COPRIME
+    fn = QSeries(
+        {(1, 1, 0, 0): 2, (0, 0, 1, 0): Fraction(5, 7), (0, 2, 0, 1): c0, (1, 0, 1, 1): c1, (3, 0, 0, 2): c2},
+        t_cap=3,
+        weight_cap="7/2",
+    )
+    g = ScalarSeries(
+        {(0, 1, 0): c1, (1, 0, 0): c0, (1, 1, 0): c2, (2, 0, 0): c1, (3, 0, 0): c2, (1, 0, 1): c0},
+        vars=SIG_ZHT,
+        t_cap=5,
+        weight_cap=6,
+    )
+    return fn, g
+
+
+def test_compose_cached_matches_per_pair_reduction():
+    fn, g = _compose_operands()
+    fpows = [one(t_cap=3, weight_cap="7/2"), fn]
+    fk = fn.with_caps(t_cap=2)  # powers cached at t^3 are cut to t^2 on use
+    out = nf._compose_cached(g, fk, fpows)
+    assert (out.t_cap, out.w2_cap) == (2, 7)
+    assert all(p.t_cap == 2 for p in fpows[1:])
+    assert out._terms == _compose_per_pair(g, fpows, 2, 7)
+    assert any(key[3] == 2 for key in out._terms)  # on the t cap
+    assert any(m + n + 2 * k == 7 for m, n, k, _ in out._terms)  # on the weight cap
+    assert out == compose_scalar(g.with_caps(t_cap=2, weight_cap="7/2"), fk)
+    # z/3 - (5/21) hbar against the hbar coefficient 5/7 of fn: the term vanishes
+    h = ScalarSeries({(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(-5, 21)}, vars=SIG_ZHT, t_cap=3, weight_cap=4)
+    out = nf._compose_cached(h, fk, fpows)
+    assert (0, 0, 1, 0) not in out._terms and out._terms == _compose_per_pair(h, fpows, 2, 7)
+
+
+def test_compose_cached_term_guard(monkeypatch):
+    from qmorse import _kernel
+    from qmorse.errors import ResourceError
+
+    fn, g = _compose_operands()
+    fpows = [one(t_cap=3, weight_cap="7/2"), fn, fn * fn, fn * fn * fn]
+    assert len(nf._compose_cached(g, fn, fpows)) > 1
+    monkeypatch.setattr(_kernel, "qmul", None)  # every power is cached: no product runs
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
+    with pytest.raises(ResourceError):
+        nf._compose_cached(g, fn, fpows)
 
 
 def test_spectral_invariance_under_conjugation():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,12 +53,26 @@ def test_parse_errors_carry_offsets():
         parse_expr("q + $")
     assert err.value.offset == 4
     with pytest.raises(ParseError) as err:
-        parse_expr("q ^ 1/2")  # fractional power
+        parse_expr("q ^ (1/2)")  # fractional power
     assert err.value.expected == ("uint",)
     with pytest.raises(ParseError) as err:
         parse_expr("q + " + "-(" * MAX_NESTING + "q" + ")" * MAX_NESTING)
     assert err.value.offset == 4 + MAX_NESTING  # the first '(' or '-' past the limit
     assert parse_expr("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == ("sym", "q")
+
+
+def test_division_after_a_power():
+    # after '^' only an integer literal is read: '/' stays the division operator
+    assert _elab("q^3/3") == _elab("(q^3)/3") == (q_op(*CAPS) ** 3).scale(Fraction(1, 3))
+    assert _elab("q^2/7") == _elab("(q^2)/7")
+    assert _elab("q ^ 1/2") == _elab("q/2")
+    assert _elab("2^3/4") == _elab("2")
+    with pytest.raises(ParseError) as err:
+        parse_expr("q^(3/2)")
+    assert err.value.offset == 2 and err.value.expected == ("uint",)
+    with pytest.raises(ParseError) as err:
+        parse_expr("q^3/0")
+    assert err.value.offset == 4
 
 
 def test_power_must_be_literal():
@@ -256,17 +271,38 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "1000000"], 4),
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "5000",
           "--csv"], 4),
+        (["spectrum", "--perturbation", "q^4", "--order", "100000000"], 4),
     ],
     ids=[
         "order", "level", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
+        "order-huge",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in argv), expect=code)
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    if "100000000" in argv:
+        assert "MAX_ORDER = 100" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["flow", "normal-form", "spectrum", "rs", "gevrey"])
+def test_every_order_option_has_one_ceiling(command, capsys):
+    from qmorse import cli
+
+    required = {
+        "flow": ["--hamiltonian", "ad*a", "--observable", "a"],
+        "rs": ["--perturbation", "q^4", "--level", "0"],
+        "gevrey": ["--from-spectrum", "q^4"],
+    }.get(command, ["--perturbation", "q^4"])
+    assert cli.MAX_ORDER >= 60  # the RS order of the benchmark's oracle workload
+    argv = [command, *required, "--order", str(cli.MAX_ORDER + 1)]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"order ceiling MAX_ORDER = {cli.MAX_ORDER}" in captured.err
 
 
 def test_cli_maps_memory_error_to_resource_code(monkeypatch, capsys):
@@ -338,8 +374,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 # Fragments for the CLI fuzz: every value is cheap to act on (orders, levels,
-# dims and cutoffs stay at most 3, and a huge dim is refused before any matrix
-# is built), so a draw either fails fast or runs a small job.
+# dims and cutoffs stay at most 3, and a huge dim or order is refused before
+# any work), so a draw either fails fast or runs a small job.
 _SMALL_INTS = ["-2", "-1", "0", "1", "2", "3"] * 3 + ["1/2", "2.5", "x", "", "1" * 5000]
 _FUZZ_EXPRS = [
     "q", "q^4", "p^2+q^2", "q^3+p^3", "ad*a", "hbar*q^2", "l1*q+q^4", "(q^2*p^2+p^2*q^2)/2",
@@ -347,7 +383,7 @@ _FUZZ_EXPRS = [
     "+".join(["q"] * 500), "*".join(["t"] * 500), "-(" * 40 + "q" + ")" * 40,
 ]
 _FUZZ_OPTIONS = {
-    "--order": _SMALL_INTS,
+    "--order": _SMALL_INTS + ["101", "100000000", "1" * 40],  # over MAX_ORDER: refused first
     "--level": _SMALL_INTS,
     "--levels": _SMALL_INTS,
     "--cutoff": _SMALL_INTS,
@@ -409,7 +445,7 @@ def _cli_argv(draw):
     if not draw(st.integers(0, 29)):
         argv.append("--help")
     if command == "gevrey":
-        argv += ["--order", draw(st.sampled_from(_SMALL_INTS))]  # its default, 16, is a long solve
+        argv += ["--order", draw(st.sampled_from(_FUZZ_OPTIONS["--order"]))]  # its default, 16, is a long solve
     return argv
 
 

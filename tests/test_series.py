@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
 from qmorse.algebra import from_pq, to_ordered, to_pq
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
@@ -26,7 +27,7 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import random_qseries
+from oracles import COPRIME, random_qseries
 
 
 def test_zero_series_has_empty_map():
@@ -228,3 +229,47 @@ def _render_cases():
 )
 def test_term_rendering(value, expected):
     assert str(value) == expected
+
+
+def _per_pair_product(a, b):
+    """a * b with every pair product reduced by coeff_mul and summed by coeff_add."""
+    out = {}
+    for e1, c1 in a._terms.items():
+        for e2, c2 in b._terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = coeff_add(out.get(e, COEFF_ZERO), coeff_mul(c1, c2))
+    t_cap, weight_cap = min(a.t_cap, b.t_cap), min(a.weight_cap, b.weight_cap)
+    return ScalarSeries(out, vars=a.vars, t_cap=t_cap, weight_cap=weight_cap)._terms
+
+
+def test_scalar_product_matches_per_pair_reduction():
+    c0, c1, c2 = COPRIME
+    # unequal caps, joined at t^2 and weight 3; pairs land on each cap and past it
+    a = ScalarSeries(
+        {(1, 0, 1): c0, (0, 1, 0): c1, (0, 0, 2): c2, (0, 0, 0): c1, (1, 0, 0): c2},
+        vars=SIG_ZHT,
+        t_cap=3,
+        weight_cap=3,
+    )
+    b = ScalarSeries(
+        {(1, 1, 1): c2, (0, 0, 0): c0, (0, 1, 1): c1, (2, 0, 0): c0}, vars=SIG_ZHT, t_cap=2, weight_cap=4
+    )
+    for x, y in ((a, b), (b, a)):
+        out = (x * y)._terms
+        assert out == _per_pair_product(x, y)
+        assert any(e[2] == 2 for e in out) and any(e[0] + e[1] == 3 for e in out)
+    # z/3 + hbar/5 times hbar/7 - (5/21) z: the z hbar sums cancel exactly
+    x = ScalarSeries({(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(1, 5)}, vars=SIG_ZHT, t_cap=2, weight_cap=4)
+    y = ScalarSeries({(0, 1, 0): Fraction(1, 7), (1, 0, 0): Fraction(-5, 21)}, vars=SIG_ZHT, t_cap=2, weight_cap=4)
+    out = (x * y)._terms
+    assert (1, 1, 0) not in out and out == _per_pair_product(x, y)
+    assert out == {(2, 0, 0): (-5, 0, 0, 0, 63), (0, 2, 0): (1, 0, 0, 0, 35)}
+
+
+def test_scalar_product_term_guard(monkeypatch):
+    z, hb = (ScalarSeries({e: 1}, vars=SIG_ZHT, t_cap=0, weight_cap=8) for e in ((1, 0, 0), (0, 1, 0)))
+    s = z + hb
+    assert len(s * s) == 3
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
+    with pytest.raises(ResourceError):
+        _ = s * s
