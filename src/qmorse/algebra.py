@@ -33,11 +33,6 @@ HALF_SQRT2 = Coefficient(0, 0, Fraction(1, 2))          # 1/sqrt2
 HALF_I_SQRT2 = Coefficient(0, 0, 0, Fraction(1, 2))     # i/sqrt2
 
 
-def mul(f: QSeries, g: QSeries) -> QSeries:
-    """Normal-ordered product (same as ``f * g``)."""
-    return f * g
-
-
 def commutator(f: QSeries, g: QSeries) -> QSeries:
     """[f, g] = -i hbar (i/hbar)[f, g]; keeps the terms of weight within the smaller cap."""
     return bracket_i_hbar(f, g).shift(hbar=1).scale(NEG_I)
@@ -109,7 +104,7 @@ def principal_symbol(f: QSeries) -> ScalarSeries:
     return ScalarSeries._from_raw(terms, SIG_PRINCIPAL, f.t_cap, f.w2_cap)
 
 
-def _hbar_index(s: ScalarSeries) -> int:
+def _hbar_index(s) -> int:
     if "hbar" not in s.vars:
         raise DomainError("series has no hbar variable")
     return s.vars.index("hbar")
@@ -117,33 +112,14 @@ def _hbar_index(s: ScalarSeries) -> int:
 
 def borel(f):
     """Divide the coefficient of hbar^k by k! (QSeries or ScalarSeries)."""
-    if isinstance(f, QSeries):
-        out = {
-            e: _kernel.coeff_mul(c, _inv_fact(e[2]))
-            for e, c in f._terms.items()
-        }
-        return QSeries._from_raw(out, f.t_cap, f.w2_cap)
     idx = _hbar_index(f)
-    out = {
-        e: _kernel.coeff_mul(c, _inv_fact(e[idx])) for e, c in f._terms.items()
-    }
-    return ScalarSeries._from_raw(out, f.vars, f.t_cap, f.w2_cap)
+    return f._like({e: _kernel.coeff_mul(c, _inv_fact(e[idx])) for e, c in f._terms.items()})
 
 
 def borel_inverse(f):
     """Multiply the coefficient of hbar^k by k!."""
-    if isinstance(f, QSeries):
-        out = {
-            e: _kernel.coeff_mul_int(c, factorial(e[2]))
-            for e, c in f._terms.items()
-        }
-        return QSeries._from_raw(out, f.t_cap, f.w2_cap)
     idx = _hbar_index(f)
-    out = {
-        e: _kernel.coeff_mul_int(c, factorial(e[idx]))
-        for e, c in f._terms.items()
-    }
-    return ScalarSeries._from_raw(out, f.vars, f.t_cap, f.w2_cap)
+    return f._like({e: _kernel.coeff_mul_int(c, factorial(e[idx])) for e, c in f._terms.items()})
 
 
 def hbar_convolve(u: ScalarSeries, v: ScalarSeries) -> ScalarSeries:
@@ -280,7 +256,7 @@ def from_ordered(view: OrderedPQ) -> QSeries:
             monomials[(e1, e2)] = ordered_monomial(
                 e1, e2, view.order, view.t_cap, view.w2_cap
             )
-        out = out + monomials[(e1, e2)].scale(Coefficient._raw(c)).shift(k, l)
+        out = out + monomials[(e1, e2)].scale(Coefficient._raw(c)).shift(hbar=k, t=l)
     return out
 
 

@@ -3,17 +3,20 @@
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order or level, a weight cap that is not a
 non-negative half-integer, a non-positive hbar, malformed JSON in a
-coefficient file), 4 resource/cap overflow (an --order above MAX_ORDER, the
-term-count guard, a Fock matrix over spectrum.MAX_MATRIX_BYTES, memory
-exhausted), 5 file error (a --coeffs file that cannot be read), 64 usage
-error (an unknown command or option, a missing required option, an option
-value of the wrong type; EX_USAGE).
+coefficient file), 4 resource/cap overflow (an --order or a trace --levels
+above MAX_ORDER, the term-count guard, a Fock matrix over
+spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a --coeffs file
+that cannot be read), 64 usage error (an unknown command or option, a
+missing required option, an option value of the wrong type; EX_USAGE).
 Results go to stdout as JSON; diagnostics to stderr.
 
 Order ceiling: every command that takes --order (flow, normal-form,
 spectrum, rs, gevrey) refuses an order above MAX_ORDER = 100 with exit 4
 before any work, since the cost of a solve grows steeply with the order.
 The ceiling is well above the orders the benchmark runs (RS at order 60).
+`trace --levels` is an hbar order too (each level widens the weight cap by
+one) and has the same ceiling; `diag --levels` only counts eigenvalues and
+has none.
 """
 
 from __future__ import annotations
@@ -76,9 +79,7 @@ def _rescale_t(series: ScalarSeries) -> ScalarSeries:
         new = list(exp)
         new[hi] += exp[ti]
         terms[tuple(new)] = c
-    out = ScalarSeries._from_raw({}, wide.vars, wide.t_cap, wide.w2_cap)
-    out._terms = {e: c for e, c in terms.items() if not out._over_cap(e)}
-    return out
+    return ScalarSeries(terms, vars=wide.vars, t_cap=wide.t_cap, weight_cap=wide.weight_cap)
 
 
 def _perturbed(args) -> QSeries:
@@ -393,6 +394,8 @@ def main(argv=None) -> int:
         order = getattr(args, "order", None)
         if order is not None and order > MAX_ORDER:
             raise ResourceError(f"--order {order} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
+        if args.command == "trace" and args.levels > MAX_ORDER:
+            raise ResourceError(f"--levels {args.levels} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -9,6 +9,7 @@ basis change (which needs sqrt2 and i) and hermitian conjugation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from math import sqrt as _fsqrt
 
 from ._kernel import (
@@ -28,15 +29,9 @@ def _normalize_components(parts):
     """Lift four Fractions onto a common denominator -> packed tuple."""
     den = 1
     for p in parts:
-        den = den * p.denominator // _gcd(den, p.denominator)
+        den = den * p.denominator // gcd(den, p.denominator)
     ints = [p.numerator * (den // p.denominator) for p in parts]
     return coeff_make(ints[0], ints[1], ints[2], ints[3], den)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class Coefficient:
@@ -261,7 +256,7 @@ class Coefficient:
 
 
 def _rat_str(num, den):
-    g = _gcd(abs(num), den)
+    g = gcd(num, den)
     num //= g
     den //= g
     return str(num) if den == 1 else f"{num}/{den}"

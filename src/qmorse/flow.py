@@ -7,9 +7,9 @@ phi_0 = id.  A t-dependent observable is transported fiberwise
 t-series ring.  All meromorphic intermediates of the textbook conjugation
 U f U^{-1} are avoided; each order is a polynomial identity.
 
-Every t-order recursion here, and the generator ladder of `normal_form`, is
-the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by
-`ladder_step`.
+Every t-order recursion here, and the generator ladder and the transport of
+the normalizing germ u in `normal_form`, is the Lie ladder
+X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by `ladder_step`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def ladder_step(xs: list, slices, op=None) -> None:
 
     `op` defaults to the bracket (i/hbar)[X, S], looked up in this module when
     the step runs; `slices` is only read up to S_r, so it may still be growing
-    between steps.
+    between steps.  X and S may be QSeries or ScalarSeries; an empty sum is
+    the zero of X_0's type.
     """
     r = len(xs) - 1
     acc = None
@@ -36,7 +37,7 @@ def ladder_step(xs: list, slices, op=None) -> None:
         term = bracket_i_hbar(x, s) if op is None else op(x, s)
         acc = term if acc is None else acc + term
     if acc is None:
-        acc = QSeries._from_raw({}, xs[0].t_cap, xs[0].w2_cap)
+        acc = xs[0].zero_like()
     xs.append(acc.scale(Fraction(1, r + 1)))
 
 
@@ -46,12 +47,12 @@ def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
         raise ValueError("order must be non-negative")
     w2 = min(H.w2_cap, f.w2_cap)
     wc = Fraction(w2, 2)
-    fw = f.with_caps(t_cap=order, weight_cap=wc) if f.t_cap != order or f.w2_cap != w2 else f
+    fw = f.with_caps(t_cap=order, weight_cap=wc)
     hw = H.with_caps(t_cap=order, weight_cap=wc)
-    h_slices = [hw.t_slice(j) for j in range(order + 1)]
+    h_slices = [hw.var_slice("t", j) for j in range(order + 1)]
     out = QSeries._from_raw({}, order, w2)
-    for l in range(fw.t_degree() + 1):
-        phis = [fw.t_slice(l)]
+    for l in range(fw.var_degree("t") + 1):
+        phis = [fw.var_slice("t", l)]
         if not phis[0]:
             continue
         while len(phis) <= order - l:
@@ -66,7 +67,7 @@ def solve_propagator(H: QSeries, order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     hw = H.with_caps(t_cap=order)
-    h_slices = [hw.t_slice(j) for j in range(order + 1)]
+    h_slices = [hw.var_slice("t", j) for j in range(order + 1)]
     us = [one(order, hw.weight_cap)]
     while len(us) <= order:
         ladder_step(us, h_slices, lambda u, h: h * u)

@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 
 from . import _kernel, flow
-from ._kernel import coeff_add, coeff_mul, coeff_mul_int
+from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
 from .errors import DomainError, ResourceError
 from .field import Coefficient, ONE
@@ -68,7 +68,7 @@ def diagonal_to_scalar(d: QSeries) -> ScalarSeries:
         if m != n:
             raise DomainError("off-diagonal monomial present")
         piece = basis(m).map_coeff(lambda raw: coeff_mul(raw, c))
-        out = out + piece.mul_var_power("hbar", k).mul_var_power("t", l)
+        out = out + piece.shift(hbar=k, t=l)
     return out
 
 
@@ -105,8 +105,7 @@ def split_homological(r: QSeries):
         if m == n:
             diag[(m, n, k, l)] = c
         else:
-            scale = Coefficient(0, Fraction(-1, 2 * (m - n)))  # 1/(2i(m-n))
-            off[(m, n, k, l)] = coeff_mul(scale.raw, c)
+            off[(m, n, k, l)] = coeff_mul(coeff_make(0, -1, 0, 0, 2 * (m - n)), c)  # c/(2i(m-n))
     s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap))
     return s, QSeries._from_raw(off, r.t_cap, r.w2_cap)
 
@@ -187,7 +186,7 @@ class NormalFormResult:
 
 def _normalize_input(f: QSeries):
     """Split f(t=0) = scale * f0 + shift(hbar); reject everything else."""
-    t0 = f.t_slice(0)
+    t0 = f.var_slice("t", 0)
     two_c = t0.coeff((1, 1, 0, 0))
     if not two_c:
         raise DomainError("not a harmonic deformation")
@@ -229,14 +228,14 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     w2 = fn.w2_cap
 
     # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = P_k
-    dtf = fn.dt()
+    dtf = fn.deriv("t")
     S = QSeries._from_raw({}, order, w2)  # sum_j t^j (g_j o fn)
     B = QSeries._from_raw({}, order, w2)  # (i/hbar)[fn, sum_j t^j h_j]
     fpows = [QSeries({(0, 0, 0, 0): ONE}, t_cap=order, weight_cap=weight_cap), fn]
     g_slices = []
     h_slices = []
     for k in range(order):
-        residual = dtf.t_slice(k) - S.t_slice(k) - B.t_slice(k)
+        residual = dtf.var_slice("t", k) - S.var_slice("t", k) - B.var_slice("t", k)
         g_k, h_k = split_homological(residual)
         g_slices.append(g_k)
         h_slices.append(h_k)
@@ -250,20 +249,15 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
     u_slices = [z]
-    for m in range(order):
-        acc = z.zero_like()
-        for i in range(m + 1):
-            j = m - i
-            if j < len(g_slices) and g_slices[j]:
-                acc = acc + u_slices[i].deriv("z") * g_slices[j]
-        u_slices.append(acc.scale(Fraction(-1, m + 1)))
+    while len(u_slices) <= order:
+        flow.ladder_step(u_slices, g_slices, lambda u, g: -(u.deriv("z") * g))
     u = z.zero_like()
     for k, piece in enumerate(u_slices):
-        u = u + piece.mul_var_power("t", k)
+        u = u + piece.shift(t=k)
 
     g = z.zero_like()
     for k, piece in enumerate(g_slices):
-        g = g + piece.mul_var_power("t", k)
+        g = g + piece.shift(t=k)
 
     u_inv = invert_series_z(u)
     return NormalFormResult(
@@ -392,7 +386,7 @@ def linear_symplectic(f: QSeries, matrix) -> QSeries:
             ad_pows.append(ad_pows[-1] * adag_img)
         while len(a_pows) <= n:
             a_pows.append(a_pows[-1] * a_img)
-        out = out + (ad_pows[m] * a_pows[n]).scale(Coefficient._raw(c)).shift(k, l)
+        out = out + (ad_pows[m] * a_pows[n]).scale(Coefficient._raw(c)).shift(hbar=k, t=l)
     return out
 
 
@@ -404,7 +398,7 @@ def reduce_to_harmonic(f0: QSeries, order: int, *, weight_cap=None) -> NormalFor
     result is the interpolation parameter, with the composite normalization
     read at t = 1.
     """
-    if f0.t_degree() > 0:
+    if f0.var_degree("t") > 0:
         raise DomainError("input must be t-free")
     lin = [e for e in f0._terms if e[0] + e[1] == 1 and e[2] == 0]
     if lin:

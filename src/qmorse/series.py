@@ -1,15 +1,25 @@
-"""Truncated sparse series: the normal-ordered algebra and its scalar companions.
+"""Truncated sparse series: one term-map core, two products.
 
-`QSeries` is a polynomial in (adag, a, hbar, t) stored in normal order (every
-monomial has all adag powers before all a powers); multiplication re-orders
-with [a, adag] = hbar.  `ScalarSeries` is a commutative polynomial over a fixed
-variable signature such as (z, hbar, t), (n, hbar, t) or the plane (x, y).
+Every value is a map {exponent tuple: packed coefficient} over a variable
+signature, truncated by a t-order cap and a weight cap (doubled weights: 1
+for adag, a, x and y, 2 for hbar and z, 0 for t and n).  `_Series` holds the
+map, the caps and the signature, and implements everything that does not
+depend on how monomials multiply: construction, re-capping, sums, scaling,
+powers, slices, shifts, derivatives, rendering and JSON.  The two value types
+differ only in their products:
 
-Both types are truncated: a t-order cap and a weight cap (weight 1/2 for each
-adag/a, 1 for hbar, 0 for t) are part of every value, and arithmetic silently
-drops terms beyond the caps.  Weights are additive under multiplication and
-conserved by re-ordering, so truncation commutes with products: anything
-dropped early could never contribute below the caps later.
+* `QSeries` is a polynomial in (adag, a, hbar, t) stored in normal order
+  (every monomial has all adag powers before all a powers); multiplication
+  re-orders with [a, adag] = hbar.
+* `ScalarSeries` is a commutative polynomial over a per-value signature such
+  as (z, hbar, t), (n, hbar, t) or the plane (x, y).
+
+Arithmetic silently drops terms beyond the caps.  Weights are additive under
+multiplication and conserved by re-ordering, so truncation commutes with
+products: anything dropped early could never contribute below the caps
+later.  Every term of a value lies within its caps, so an operation checks
+only a cap that it shrinks or an exponent that it raises.  Term maps are
+never changed after construction, so values may share one.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import operator
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _kernel
 from .errors import DomainError, ResourceError
@@ -68,37 +79,78 @@ def _as_raw(value):
     return _kernel.coeff_make(f.numerator, 0, 0, 0, f.denominator)
 
 
-class QSeries:
-    """Normal-ordered element of the truncated operator algebra."""
+class _Series:
+    """Term map, caps and signature, with every operation but the product.
 
-    __slots__ = ("_terms", "t_cap", "w2_cap")
+    The signature is ``vars`` (variable names), ``_weights`` (their doubled
+    weights) and ``_ti`` (the position of t, None when there is no t).
+    """
 
-    def __init__(self, terms=None, *, t_cap, weight_cap):
+    __slots__ = ("_terms", "t_cap", "w2_cap", "vars", "_weights", "_ti")
+
+    def _init(self, terms, t_cap, weight_cap):
+        """Validate and canonicalize `terms` once the signature is set."""
         self.t_cap = int(t_cap)
         self.w2_cap = weight_cap_to_w2(weight_cap)
         if self.t_cap < 0 or self.w2_cap < 0:
             raise ValueError("caps must be non-negative")
-        self._terms = {}
-        if terms:
-            for exp, coef in terms.items():
-                m, n, k, l = exp
-                if m < 0 or n < 0 or k < 0 or l < 0:
-                    raise ValueError(f"negative exponent in {exp}")
-                if l > self.t_cap or m + n + 2 * k > self.w2_cap:
-                    continue
-                raw = _as_raw(coef)
-                if raw[0] or raw[1] or raw[2] or raw[3]:
-                    acc = self._terms.get(exp)
-                    self._terms[exp] = raw if acc is None else _kernel.coeff_add(acc, raw)
-            self._terms = {e: c for e, c in self._terms.items() if any(c[:4])}
+        weights, ti = self._weights, self._ti
+        out = {}
+        for exp, coef in (terms or {}).items():
+            exp = tuple(exp)
+            if len(exp) != len(weights):
+                raise ValueError("exponent arity does not match signature")
+            if any(e < 0 for e in exp):
+                raise ValueError(f"negative exponent in {exp}")
+            if sum(map(operator.mul, exp, weights)) > self.w2_cap:
+                continue
+            if ti is not None and exp[ti] > self.t_cap:
+                continue
+            raw = _as_raw(coef)
+            if any(raw[:4]):
+                acc = out.get(exp)
+                out[exp] = raw if acc is None else _kernel.coeff_add(acc, raw)
+        self._terms = {e: c for e, c in out.items() if any(c[:4])}
 
     @classmethod
-    def _from_raw(cls, terms, t_cap, w2_cap):
+    def _make(cls, sig, terms, t_cap, w2_cap):
         obj = object.__new__(cls)
+        obj.vars, obj._weights, obj._ti = sig
         obj._terms = terms
         obj.t_cap = t_cap
         obj.w2_cap = w2_cap
         return obj
+
+    def _like(self, terms, t_cap=None, w2_cap=None):
+        """A value of this type and signature over `terms`, at this value's caps by default."""
+        return self._make(
+            (self.vars, self._weights, self._ti),
+            terms,
+            self.t_cap if t_cap is None else t_cap,
+            self.w2_cap if w2_cap is None else w2_cap,
+        )
+
+    def _within(self, t_cap, w2_cap):
+        """The term map cut to the given caps; filters only on a cap that shrinks."""
+        ti = self._ti
+        cut_t = ti is not None and t_cap < self.t_cap
+        if w2_cap < self.w2_cap:
+            weights = self._weights
+            return {
+                e: c
+                for e, c in self._terms.items()
+                if sum(map(operator.mul, e, weights)) <= w2_cap and not (cut_t and e[ti] > t_cap)
+            }
+        if cut_t:
+            return {e: c for e, c in self._terms.items() if e[ti] <= t_cap}
+        return self._terms
+
+    def _join_caps(self, other):
+        return min(self.t_cap, other.t_cap), min(self.w2_cap, other.w2_cap)
+
+    def _check_sig(self, other):
+        if self.vars != other.vars:
+            raise DomainError(f"signature mismatch: {self.vars} vs {other.vars}")
 
     # -- inspection ----------------------------------------------------------
 
@@ -121,53 +173,37 @@ class QSeries:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, QSeries):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def is_central(self):
-        return all(m == 0 and n == 0 for (m, n, _, _) in self._terms)
-
-    def t_degree(self):
-        return max((l for (_, _, _, l) in self._terms), default=0)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vars == other.vars and self._terms == other._terms
 
     def max_weight2(self):
-        return max((m + n + 2 * k for (m, n, k, _) in self._terms), default=0)
+        weights = self._weights
+        return max((sum(map(operator.mul, e, weights)) for e in self._terms), default=0)
 
-    def min_hbar(self):
-        return min((k for (_, _, k, _) in self._terms), default=0)
+    def var_degree(self, var):
+        idx = self.vars.index(var)
+        return max((e[idx] for e in self._terms), default=0)
 
-    # -- cap plumbing ----------------------------------------------------------
+    # -- caps and sums -----------------------------------------------------------
 
     def with_caps(self, t_cap=None, weight_cap=None):
         """Re-cap: extending is a metadata change, shrinking truncates."""
         t_cap = self.t_cap if t_cap is None else int(t_cap)
         w2 = self.w2_cap if weight_cap is None else weight_cap_to_w2(weight_cap)
-        terms = {
-            e: c
-            for e, c in self._terms.items()
-            if e[3] <= t_cap and e[0] + e[1] + 2 * e[2] <= w2
-        }
-        return QSeries._from_raw(terms, t_cap, w2)
-
-    def _join_caps(self, other):
-        return min(self.t_cap, other.t_cap), min(self.w2_cap, other.w2_cap)
-
-    # -- ring operations ---------------------------------------------------------
+        return self._like(self._within(t_cap, w2), t_cap, w2)
 
     def __add__(self, other):
-        if not isinstance(other, QSeries):
+        if type(other) is not type(self):
             return NotImplemented
+        self._check_sig(other)
         t_cap, w2 = self._join_caps(other)
-        out = {
-            e: c
-            for e, c in self._terms.items()
-            if e[3] <= t_cap and e[0] + e[1] + 2 * e[2] <= w2
-        }
-        for e, c in other._terms.items():
-            if e[3] > t_cap or e[0] + e[1] + 2 * e[2] > w2:
-                continue
-            acc = out.get(e)
+        out = self._within(t_cap, w2)
+        if out is self._terms:
+            out = dict(out)
+        get = out.get
+        for e, c in other._within(t_cap, w2).items():
+            acc = get(e)
             if acc is None:
                 out[e] = c
             else:
@@ -176,19 +212,142 @@ class QSeries:
                     out[e] = s
                 else:
                     del out[e]
-        return QSeries._from_raw(out, t_cap, w2)
+        return self._like(out, t_cap, w2)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
+        if type(other) is not type(self):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return QSeries._from_raw(
-            {e: _kernel.coeff_neg(c) for e, c in self._terms.items()},
-            self.t_cap,
-            self.w2_cap,
+        return self._like({e: _kernel.coeff_neg(c) for e, c in self._terms.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        raw = _as_raw(c)
+        if not any(raw[:4]):
+            return self.zero_like()
+        return self._like({e: _kernel.coeff_mul(v, raw) for e, v in self._terms.items()})
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers must be non-negative integers")
+        out = self.one_like()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return out
+
+    def one_like(self):
+        return self._like({(0,) * len(self.vars): _kernel.COEFF_ONE})
+
+    def zero_like(self):
+        return self._like({})
+
+    # -- structural maps ------------------------------------------------------------
+
+    def map_coeff(self, fn):
+        out = {}
+        for e, c in self._terms.items():
+            v = fn(c)
+            if any(v[:4]):
+                out[e] = v
+        return self._like(out)
+
+    def var_slice(self, var, power):
+        """Coefficient of var^power, same signature with that exponent zeroed."""
+        idx = self.vars.index(var)
+        return self._like(
+            {
+                exp[:idx] + (0,) + exp[idx + 1 :]: c
+                for exp, c in self._terms.items()
+                if exp[idx] == power
+            }
         )
+
+    def shift(self, **powers):
+        """Multiply by the monomial prod(var**power); terms pushed past the caps are dropped."""
+        delta = [0] * len(self.vars)
+        for var, power in powers.items():
+            delta[self.vars.index(var)] = power
+        if not any(delta):
+            return self
+        weights, ti = self._weights, self._ti
+        w2_room = self.w2_cap - sum(map(operator.mul, delta, weights))
+        t_room = self.t_cap - (delta[ti] if ti is not None else 0)
+        check_w2 = w2_room < self.w2_cap
+        check_t = t_room < self.t_cap
+        out = {}
+        for e, c in self._terms.items():
+            if check_t and e[ti] > t_room:
+                continue
+            if check_w2 and sum(map(operator.mul, e, weights)) > w2_room:
+                continue
+            out[tuple(map(operator.add, e, delta))] = c
+        return self._like(out)
+
+    def deriv(self, var):
+        """Derivative with respect to one variable."""
+        idx = self.vars.index(var)
+        out = {}
+        for exp, c in self._terms.items():
+            e = exp[idx]
+            if e:
+                out[exp[:idx] + (e - 1,) + exp[idx + 1 :]] = _kernel.coeff_mul_int(c, e)
+        return self._like(out)
+
+    # -- rendering -------------------------------------------------------------------
+
+    def __str__(self):
+        return render_terms(self._terms, self.vars)
+
+    __repr__ = __str__
+
+    def to_json(self):
+        return {
+            "format": "qseries-v1",
+            "vars": list(self.vars),
+            "t_cap": self.t_cap,
+            "weight_cap": w2_to_str(self.w2_cap),
+            "terms": [
+                {"exp": list(exp), "coef": Coefficient._raw(self._terms[exp]).to_json()}
+                for exp in sorted(self._terms)
+            ],
+        }
+
+    @staticmethod
+    def _json_terms(obj):
+        if obj.get("format") != "qseries-v1":
+            raise ValueError("not a qseries-v1 object")
+        return {
+            tuple(item["exp"]): Coefficient.from_json(item["coef"])
+            for item in obj.get("terms", [])
+        }
+
+
+_Q_SIG = (("adag", "a", "hbar", "t"), (1, 1, 2, 0), 3)
+
+
+class QSeries(_Series):
+    """Normal-ordered element of the truncated operator algebra."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None, *, t_cap, weight_cap):
+        self.vars, self._weights, self._ti = _Q_SIG
+        self._init(terms, t_cap, weight_cap)
+
+    @classmethod
+    def _from_raw(cls, terms, t_cap, w2_cap):
+        return cls._make(_Q_SIG, terms, t_cap, w2_cap)
+
+    def is_central(self):
+        return all(m == 0 and n == 0 for (m, n, _, _) in self._terms)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -200,61 +359,6 @@ class QSeries:
             return QSeries._from_raw(terms, t_cap, w2)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        raw = _as_raw(c)
-        if not any(raw[:4]):
-            return QSeries._from_raw({}, self.t_cap, self.w2_cap)
-        out = {e: _kernel.coeff_mul(v, raw) for e, v in self._terms.items()}
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be non-negative integers")
-        out = QSeries({(0, 0, 0, 0): ONE}, t_cap=self.t_cap, weight_cap=self.weight_cap)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    # -- structural maps ------------------------------------------------------------
-
-    def map_coeff(self, fn):
-        out = {}
-        for e, c in self._terms.items():
-            v = fn(c)
-            if any(v[:4]):
-                out[e] = v
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
-    def t_slice(self, l):
-        """Coefficient of t^l as a t-free QSeries."""
-        out = {
-            (m, n, k, 0): c for (m, n, k, tl), c in self._terms.items() if tl == l
-        }
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
-    def shift(self, hbar=0, t=0):
-        """Multiply by the monomial hbar**hbar * t**t; terms pushed past the caps are dropped."""
-        out = {}
-        for (m, n, k, l), c in self._terms.items():
-            if l + t <= self.t_cap and m + n + 2 * (k + hbar) <= self.w2_cap:
-                out[(m, n, k + hbar, l + t)] = c
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
-    def dt(self):
-        """Derivative with respect to the central deformation variable t."""
-        out = {}
-        for (m, n, k, l), c in self._terms.items():
-            if l:
-                out[(m, n, k, l - 1)] = _kernel.coeff_mul_int(c, l)
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
     def div_hbar(self):
         """Exact division by hbar; every monomial must carry hbar."""
         out = {}
@@ -262,38 +366,13 @@ class QSeries:
             if k == 0:
                 raise DomainError("series not divisible by hbar")
             out[(m, n, k - 1, l)] = c
-        return QSeries._from_raw(out, self.t_cap, self.w2_cap)
-
-    # -- rendering -------------------------------------------------------------------
-
-    def __str__(self):
-        return render_terms(self._terms, ("adag", "a", "hbar", "t"))
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {
-            "format": "qseries-v1",
-            "vars": ["adag", "a", "hbar", "t"],
-            "t_cap": self.t_cap,
-            "weight_cap": w2_to_str(self.w2_cap),
-            "terms": [
-                {"exp": list(exp), "coef": Coefficient._raw(self._terms[exp]).to_json()}
-                for exp in sorted(self._terms)
-            ],
-        }
+        return self._like(out)
 
     @classmethod
     def from_json(cls, obj) -> "QSeries":
-        if obj.get("format") != "qseries-v1":
-            raise ValueError("not a qseries-v1 object")
-        if obj.get("vars") != ["adag", "a", "hbar", "t"]:
+        if obj.get("format") == "qseries-v1" and obj.get("vars") != list(_Q_SIG[0]):
             raise ValueError("unexpected variable list for an operator series")
-        terms = {
-            tuple(item["exp"]): Coefficient.from_json(item["coef"])
-            for item in obj.get("terms", [])
-        }
-        return cls(terms, t_cap=obj["t_cap"], weight_cap=obj["weight_cap"])
+        return cls(cls._json_terms(obj), t_cap=obj["t_cap"], weight_cap=obj["weight_cap"])
 
 
 # variable weights (doubled) for scalar signatures
@@ -308,47 +387,27 @@ SIG_PRINCIPAL = ("x", "y", "t")
 SIG_PLANE = ("x", "y")
 
 
-class ScalarSeries:
+@lru_cache(maxsize=None)
+def _scalar_sig(vars):
+    return vars, tuple(_VAR_W2[v] for v in vars), vars.index("t") if "t" in vars else None
+
+
+class ScalarSeries(_Series):
     """Commutative truncated polynomial over a fixed variable signature."""
 
-    __slots__ = ("_terms", "vars", "t_cap", "w2_cap", "_weights")
+    __slots__ = ()
 
     def __init__(self, terms=None, *, vars, t_cap, weight_cap):
-        self.vars = tuple(vars)
-        for v in self.vars:
+        vars = tuple(vars)
+        for v in vars:
             if v not in _VAR_W2:
                 raise ValueError(f"unknown scalar variable {v!r}")
-        self._weights = tuple(_VAR_W2[v] for v in self.vars)
-        self.t_cap = int(t_cap)
-        self.w2_cap = weight_cap_to_w2(weight_cap)
-        self._terms = {}
-        if terms:
-            for exp, coef in terms.items():
-                exp = tuple(exp)
-                if len(exp) != len(self.vars):
-                    raise ValueError("exponent arity does not match signature")
-                if any(e < 0 for e in exp):
-                    raise ValueError(f"negative exponent in {exp}")
-                if self._over_cap(exp):
-                    continue
-                raw = _as_raw(coef)
-                if any(raw[:4]):
-                    acc = self._terms.get(exp)
-                    self._terms[exp] = raw if acc is None else _kernel.coeff_add(acc, raw)
-            self._terms = {e: c for e, c in self._terms.items() if any(c[:4])}
+        self.vars, self._weights, self._ti = _scalar_sig(vars)
+        self._init(terms, t_cap, weight_cap)
 
     @classmethod
     def _from_raw(cls, terms, vars, t_cap, w2_cap):
-        obj = object.__new__(cls)
-        obj.vars = vars
-        obj._weights = tuple(_VAR_W2[v] for v in vars)
-        obj._terms = terms
-        obj.t_cap = t_cap
-        obj.w2_cap = w2_cap
-        return obj
-
-    def _t_index(self):
-        return self.vars.index("t") if "t" in self.vars else None
+        return cls._make(_scalar_sig(vars), terms, t_cap, w2_cap)
 
     def _weighted_terms(self, nums):
         """Yield (exponent, numerators, doubled weight, t power) for every term.
@@ -358,101 +417,14 @@ class ScalarSeries:
         reports t power 0, which no t cap drops.
         """
         weights = self._weights
-        ti = self._t_index()
+        ti = self._ti
         for e, x in nums:
             yield e, x, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti]
-
-    def _over_cap(self, exp):
-        w2 = sum(e * w for e, w in zip(exp, self._weights))
-        if w2 > self.w2_cap:
-            return True
-        ti = self._t_index()
-        return ti is not None and exp[ti] > self.t_cap
-
-    # -- inspection ---------------------------------------------------------------
-
-    @property
-    def weight_cap(self) -> Fraction:
-        return Fraction(self.w2_cap, 2)
-
-    def coeff(self, exp) -> Coefficient:
-        raw = self._terms.get(tuple(exp))
-        return Coefficient._raw(raw) if raw else ZERO
-
-    def items(self):
-        for exp, raw in self._terms.items():
-            yield exp, Coefficient._raw(raw)
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, ScalarSeries):
-            return self.vars == other.vars and self._terms == other._terms
-        return NotImplemented
-
-    def max_weight2(self):
-        return max(
-            (sum(e * w for e, w in zip(exp, self._weights)) for exp in self._terms),
-            default=0,
-        )
-
-    def _check_sig(self, other):
-        if self.vars != other.vars:
-            raise DomainError(
-                f"signature mismatch: {self.vars} vs {other.vars}"
-            )
-
-    # -- arithmetic ------------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        self._check_sig(other)
-        t_cap = min(self.t_cap, other.t_cap)
-        w2 = min(self.w2_cap, other.w2_cap)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                s = _kernel.coeff_add(acc, c)
-                if any(s[:4]):
-                    out[e] = s
-                else:
-                    del out[e]
-        result = ScalarSeries._from_raw(out, self.vars, t_cap, w2)
-        return result._truncated()
-
-    def _truncated(self):
-        keep = {e: c for e, c in self._terms.items() if not self._over_cap(e)}
-        if len(keep) == len(self._terms):
-            self._terms = keep
-            return self
-        return ScalarSeries._from_raw(keep, self.vars, self.t_cap, self.w2_cap)
-
-    def __sub__(self, other):
-        if not isinstance(other, ScalarSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return ScalarSeries._from_raw(
-            {e: _kernel.coeff_neg(c) for e, c in self._terms.items()},
-            self.vars,
-            self.t_cap,
-            self.w2_cap,
-        )
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
             self._check_sig(other)
-            t_cap = min(self.t_cap, other.t_cap)
-            w2 = min(self.w2_cap, other.w2_cap)
+            t_cap, w2 = self._join_caps(other)
             guard = term_guard()
             den_l = _kernel.common_denominator(self._terms)
             den_r = _kernel.common_denominator(other._terms)
@@ -478,102 +450,14 @@ class ScalarSeries:
                 if len(out) > guard:
                     raise ResourceError("term-count guard exceeded")
             out = _kernel.reduced_over(out, den_l * den_r)
-            return ScalarSeries._from_raw(out, self.vars, t_cap, w2)
+            return self._like(out, t_cap, w2)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        raw = _as_raw(c)
-        if not any(raw[:4]):
-            return ScalarSeries._from_raw({}, self.vars, self.t_cap, self.w2_cap)
-        out = {e: _kernel.coeff_mul(v, raw) for e, v in self._terms.items()}
-        return ScalarSeries._from_raw(out, self.vars, self.t_cap, self.w2_cap)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be non-negative integers")
-        out = self.one_like()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def one_like(self):
-        exp = (0,) * len(self.vars)
-        return ScalarSeries._from_raw(
-            {exp: _kernel.COEFF_ONE}, self.vars, self.t_cap, self.w2_cap
-        )
-
-    def zero_like(self):
-        return ScalarSeries._from_raw({}, self.vars, self.t_cap, self.w2_cap)
-
-    # -- calculus / substitution ----------------------------------------------------
-
-    def map_coeff(self, fn):
-        out = {}
-        for e, c in self._terms.items():
-            v = fn(c)
-            if any(v[:4]):
-                out[e] = v
-        return ScalarSeries._from_raw(out, self.vars, self.t_cap, self.w2_cap)
-
-    def deriv(self, var):
-        idx = self.vars.index(var)
-        out = {}
-        for exp, c in self._terms.items():
-            e = exp[idx]
-            if e:
-                new = exp[:idx] + (e - 1,) + exp[idx + 1 :]
-                out[new] = _kernel.coeff_mul_int(c, e)
-        return ScalarSeries._from_raw(out, self.vars, self.t_cap, self.w2_cap)
-
-    def with_caps(self, t_cap=None, weight_cap=None):
-        """Re-cap: extending is a metadata change, shrinking truncates."""
-        t_cap = self.t_cap if t_cap is None else int(t_cap)
-        w2 = self.w2_cap if weight_cap is None else weight_cap_to_w2(weight_cap)
-        out = ScalarSeries._from_raw({}, self.vars, t_cap, w2)
-        out._terms = {e: c for e, c in self._terms.items() if not out._over_cap(e)}
-        return out
-
-    def mul_var_power(self, var, power):
-        """Multiply by var**power (terms pushed past the caps are dropped)."""
-        if power == 0:
-            return self
-        idx = self.vars.index(var)
-        out = ScalarSeries._from_raw({}, self.vars, self.t_cap, self.w2_cap)
-        terms = {}
-        for exp, c in self._terms.items():
-            new = exp[:idx] + (exp[idx] + power,) + exp[idx + 1 :]
-            if not out._over_cap(new):
-                terms[new] = c
-        out._terms = terms
-        return out
-
-    def var_slice(self, var, power):
-        """Coefficient of var^power, same signature with that exponent zeroed."""
-        idx = self.vars.index(var)
-        out = {}
-        for exp, c in self._terms.items():
-            if exp[idx] == power:
-                out[exp[:idx] + (0,) + exp[idx + 1 :]] = c
-        return ScalarSeries._from_raw(out, self.vars, self.t_cap, self.w2_cap)
-
-    def var_degree(self, var):
-        idx = self.vars.index(var)
-        return max((e[idx] for e in self._terms), default=0)
 
     def subs_series(self, var, value):
         """Substitute a same-signature series for one variable (Horner)."""
         self._check_sig(value)
-        idx = self.vars.index(var)
-        degree = self.var_degree(var)
         out = self.zero_like()
-        for power in range(degree, -1, -1):
+        for power in range(self.var_degree(var), -1, -1):
             out = out * value + self.var_slice(var, power)
         return out
 
@@ -614,46 +498,18 @@ class ScalarSeries:
                 out[new] = s
             elif acc is not None:
                 del out[new]
-        return ScalarSeries._from_raw(out, self.vars, self.t_cap, self.w2_cap)
-
-    # -- rendering --------------------------------------------------------------------
-
-    def __str__(self):
-        return render_terms(self._terms, self.vars)
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return {
-            "format": "qseries-v1",
-            "vars": list(self.vars),
-            "t_cap": self.t_cap,
-            "weight_cap": w2_to_str(self.w2_cap),
-            "terms": [
-                {"exp": list(exp), "coef": Coefficient._raw(self._terms[exp]).to_json()}
-                for exp in sorted(self._terms)
-            ],
-        }
+        return self._like(out)
 
     @classmethod
     def from_json(cls, obj) -> "ScalarSeries":
-        if obj.get("format") != "qseries-v1":
-            raise ValueError("not a qseries-v1 object")
-        terms = {
-            tuple(item["exp"]): Coefficient.from_json(item["coef"])
-            for item in obj.get("terms", [])
-        }
         return cls(
-            terms,
-            vars=tuple(obj["vars"]),
-            t_cap=obj["t_cap"],
-            weight_cap=obj["weight_cap"],
+            cls._json_terms(obj), vars=obj["vars"], t_cap=obj["t_cap"], weight_cap=obj["weight_cap"]
         )
 
 
 def series_from_json(obj):
     """Dispatch a qseries-v1 JSON object to QSeries or ScalarSeries."""
-    if obj.get("vars") == ["adag", "a", "hbar", "t"]:
+    if obj.get("vars") == list(_Q_SIG[0]):
         return QSeries.from_json(obj)
     return ScalarSeries.from_json(obj)
 
@@ -715,4 +571,3 @@ def harmonic(t_cap, weight_cap):
 def scalar_var(name, vars, t_cap, weight_cap):
     exp = tuple(1 if v == name else 0 for v in vars)
     return ScalarSeries({exp: 1}, vars=vars, t_cap=t_cap, weight_cap=weight_cap)
-

@@ -118,7 +118,7 @@ def apply_rho(f: QSeries, psi: FockVector) -> FockVector:
     The products landing on one entry ``(z^j, hbar^k)`` are summed unreduced
     and each entry is reduced once.
     """
-    if f.t_degree() > 0:
+    if f.var_degree("t") > 0:
         raise DomainError("representation acts on t-free operators")
     acc = {}
     for (m, n, k, _), coef in f._terms.items():
@@ -168,10 +168,10 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    f0 = f.t_slice(0)
+    f0 = f.var_slice("t", 0)
     if f0 != harmonic(f0.t_cap, f0.weight_cap):
         raise DomainError("base operator must be p^2 + q^2")
-    slices = [f.t_slice(j) for j in range(order + 1)]
+    slices = [f.var_slice("t", j) for j in range(order + 1)]
     psis = [FockVector.basis(level)]
     energies = [{1: coeff_make(2 * level + 1, 0, 0, 0, 1)}]  # E_0 = hbar(2n+1)
     for k in range(1, order + 1):

@@ -94,7 +94,7 @@ def test_propagator_solves_ode():
     h = random_qseries(rng, t_cap=3, weight_cap="10", max_exp=1)
     u = flow.solve_propagator(h, 5)
     # dU/dt == H U order by order
-    lhs = u.dt()
+    lhs = u.deriv("t")
     rhs = h.with_caps(t_cap=5) * u
     for k in range(5):
-        assert lhs.t_slice(k) == rhs.t_slice(k)
+        assert lhs.var_slice("t", k) == rhs.var_slice("t", k)

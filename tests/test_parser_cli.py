@@ -272,12 +272,13 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "5000",
           "--csv"], 4),
         (["spectrum", "--perturbation", "q^4", "--order", "100000000"], 4),
+        (["trace", "q^4", "--levels", "100000000"], 4),
     ],
     ids=[
         "order", "level", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
-        "order-huge",
+        "order-huge", "levels-huge",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
@@ -385,7 +386,7 @@ _FUZZ_EXPRS = [
 _FUZZ_OPTIONS = {
     "--order": _SMALL_INTS + ["101", "100000000", "1" * 40],  # over MAX_ORDER: refused first
     "--level": _SMALL_INTS,
-    "--levels": _SMALL_INTS,
+    "--levels": _SMALL_INTS + ["101", "100000000"],  # trace: over MAX_ORDER, refused first
     "--cutoff": _SMALL_INTS,
     "--dim": _SMALL_INTS + ["1000000", "1" * 40],
     "--t-cap": _SMALL_INTS,

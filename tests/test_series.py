@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
-from qmorse.algebra import from_pq, to_ordered, to_pq
+from qmorse.algebra import from_pq, to_ordered, to_pq, total_symbol
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
 from qmorse.milnor import plane
@@ -166,8 +166,76 @@ def test_scalar_json_round_trip():
 def test_t_slice_and_dt():
     t = t_op(3, 4)
     f = harmonic(3, 4) + t * t
-    assert f.t_slice(2) == one(3, 4)
-    assert f.dt().t_slice(1) == one(3, 4) + one(3, 4)  # d/dt t^2 = 2t
+    assert f.var_slice("t", 2) == one(3, 4)
+    assert f.deriv("t").var_slice("t", 1) == one(3, 4) + one(3, 4)  # d/dt t^2 = 2t
+
+
+# Both series types over one shape of term map: a weight-1 variable (adag*a
+# for QSeries, z for ScalarSeries over SIG_ZHT) to the power j, hbar^k, t^l.
+SERIES_KINDS = {
+    "qseries": (lambda terms, t_cap, w: QSeries(terms, t_cap=t_cap, weight_cap=w), lambda j, k, l: (j, j, k, l)),
+    "scalar": (
+        lambda terms, t_cap, w: ScalarSeries(terms, vars=SIG_ZHT, t_cap=t_cap, weight_cap=w),
+        lambda j, k, l: (j, k, l),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SERIES_KINDS))
+def test_shared_operations(kind):
+    make, mono = SERIES_KINDS[kind]
+
+    def series(terms, t_cap=2, weight_cap=2):
+        return make({mono(*e): c for e, c in terms.items()}, t_cap, weight_cap)
+
+    f = series({(0, 0, 0): 1, (1, 0, 1): Fraction(1, 2), (0, 1, 2): -3, (2, 0, 0): 2})
+    assert len(f) == 4
+
+    # shrinking truncates; extending keeps the very same term map
+    g = f.with_caps(t_cap=1, weight_cap=1)
+    assert (g.t_cap, g.w2_cap) == (1, 2)
+    assert g == series({(0, 0, 0): 1, (1, 0, 1): Fraction(1, 2)}, 1, 1)
+    h = g.with_caps(t_cap=5, weight_cap=4)
+    assert (h.t_cap, h.w2_cap) == (5, 8) and h._terms is g._terms
+
+    # sums take the smaller caps and cut only the wider operand
+    assert (h + f).t_cap == 2 and (h + f).w2_cap == 4
+    doubled = series({(0, 0, 0): 2, (1, 0, 1): 1, (0, 1, 2): -3, (2, 0, 0): 2})
+    assert h + f == doubled and f + h == doubled
+    wide = series({(0, 0, 3): 1, (3, 0, 0): 1, (0, 0, 0): -1}, 5, 4)
+    rest = series({(1, 0, 1): Fraction(1, 2), (0, 1, 2): -3, (2, 0, 0): 2})
+    assert wide + f == rest and f + wide == rest and f - series({(0, 0, 0): 1}, 5, 4) == rest
+
+    # shifts drop what they push past the t cap or the weight cap
+    assert f.shift(t=1) == series({(0, 0, 1): 1, (1, 0, 2): Fraction(1, 2), (2, 0, 1): 2})
+    assert f.shift(hbar=1) == series({(0, 1, 0): 1, (1, 1, 1): Fraction(1, 2), (0, 2, 2): -3})
+    assert f.shift(hbar=1, t=1) == series({(0, 1, 1): 1, (1, 1, 2): Fraction(1, 2)})
+    assert f.shift(t=0) == f
+
+    assert -f == f.scale(-1) and not f - f
+    assert f.scale(Fraction(1, 2)).coeff(mono(2, 0, 0)) == Coefficient(1)
+    zero = f.scale(0)
+    assert not zero and (zero.t_cap, zero.w2_cap) == (2, 4)
+    assert f**0 == f.one_like() and f**3 == f * f * f
+    assert type(f).from_json(f.to_json()) == f and series_from_json(f.to_json()) == f
+
+    for caps in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            make({}, *caps)
+
+
+@pytest.mark.parametrize("vars", [["adag", "a", "hbar", "t"], ["z", "a"], ["w", "t"]])
+def test_scalar_from_json_rejects_foreign_variables(vars):
+    payload = {"format": "qseries-v1", "vars": vars, "t_cap": 1, "weight_cap": "1", "terms": []}
+    with pytest.raises(ValueError):
+        ScalarSeries.from_json(payload)
+
+
+def test_qseries_never_equals_a_scalar_series():
+    q = harmonic(2, 4)
+    s = total_symbol(q)
+    assert s._terms == q._terms
+    assert q != s and s != q
 
 
 def test_div_hbar_exactness():
