@@ -5,14 +5,19 @@ as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
 d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 
 Three kernels act on term maps: `qmul`, the normal-ordered product,
-`qbracket`, the bracket (i/hbar)[A, B] formed directly from the contraction
-terms, and `qcompose`, the sum ``sum_j c_j(hbar, t) P_j`` of central
-coefficients times cached powers.  `qmul` and `qbracket` take their
-reordering factors from one table, `contractions`.  Callers reach the kernels
-through the module attributes (``_kernel.qmul``, ``_kernel.qbracket``,
-``_kernel.qcompose``), so a wrapper installed on one sees every call.  The
-benchmark's ``kernel.qmul`` spans therefore count products only: the pairs of
-a bracket or a composition are not seen by ``kernel.qmul``.
+`qbracket`, the sum ``(1/div) sum (i/hbar)[A, B]`` over a list of term-map
+pairs formed directly from the contraction terms, and `qcompose`, the sum
+``sum_j c_j(hbar, t) P_j`` of central coefficients times cached powers.  The
+reordering factors come from one table, `contractions`; `qbracket` reads its
+``j >= 1`` factors by row (`contraction_row`), from entries made from
+`contractions` on first use.  `qbracket` keys its accumulator by packed
+monomials, one int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple, so a
+monomial product is an integer add; a Lie-ladder step passes all of its
+brackets in one call.  Callers reach the kernels through the module attributes
+(``_kernel.qmul``, ``_kernel.qbracket``, ``_kernel.qcompose``), so a wrapper
+installed on one sees every call.  The benchmark's ``kernel.qmul`` spans
+therefore count products only: the pairs of a bracket or a composition are
+not seen by ``kernel.qmul``.
 
 Common denominators.  The kernels and ``ScalarSeries.__mul__`` put each
 operand over the lcm of its denominators (`common_denominator`) and read it as
@@ -20,7 +25,8 @@ operand over the lcm of its denominators (`common_denominator`) and read it as
 integer product of numerators, added into a 4-int tuple of the output term;
 no pair is reduced and none calls `coeff_mul` or `coeff_make`.  Each output
 term is reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
-(`reduced_over`).
+(`reduced_over`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over all
+left and all right operands, and the divisor joins them in that one reduction.
 
 The Fock-space operations of `spectrum` (`apply_rho`, `inner_product`,
 `FockVector.__add__` and the Rayleigh-Schrodinger step) sum products of
@@ -30,6 +36,7 @@ that also divides by the level gap).  `coeff_mul_unreduced` gives such a
 product.
 """
 
+from itertools import zip_longest
 from math import comb, factorial, gcd
 
 BACKEND = "python"
@@ -263,63 +270,120 @@ def qmul(A, B, t_cap, w2_cap, guard):
     return reduced_over(out, den_a * den_b)
 
 
-def qbracket(A, B, t_cap, w2_cap, guard):
-    """The bracket ``(i/hbar)[A, B]`` of two term maps, in one pass over term pairs.
+_rows = []
+
+
+def contraction_row(a, size):
+    """Row ``a`` of the table ``rows[a][b] = contractions(a, b)[1:]``, for ``b < size``.
+
+    Only the ``j >= 1`` factors are kept.  The rows are shared by every call;
+    a row is made, and lengthened, only when a call reads it, so the table is
+    bounded by the exponents in use.  An entry is None until the caller fills
+    it on first use.
+    """
+    rows = _rows
+    if a >= len(rows):
+        rows.extend([] for _ in range(a + 1 - len(rows)))
+    row = rows[a]
+    if len(row) < size:
+        row.extend([None] * (size - len(row)))
+    return row
+
+
+def qbracket(pairs, t_cap, w2_cap, guard, div=1):
+    """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one accumulator.
 
     For a pair of terms with coefficients c1, c2, the ``hbar^j`` part of
     ``AB - BA`` is ``c1 c2`` times ``contractions(n1, m2)[j] -
     contractions(n2, m1)[j]`` (a missing entry counts as 0).  The ``j = 0``
-    parts cancel exactly, so they are never formed, and a pair with no
-    contraction in either order is skipped before its coefficients are
-    multiplied.  The ``hbar^j`` part is written at ``hbar^(j-1)`` (the exact
-    division by hbar); its weight is ``w1 + w2 - 2``, and it is kept when that
-    is within ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.  Numerators are
-    summed over the operands' common denominators as in `qmul`.  The factor
-    ``i`` is applied once per output term, before its reduction, as the
-    component permutation ``(a, b, c, d) -> (-b, a, -d, c)``.  Raises
-    MemoryError when the accumulator exceeds ``guard`` entries.
+    parts cancel exactly, so they are never formed; the ``j >= 1`` factors are
+    read by row from the table of `contraction_row`, as ``rows[n1][m2]`` and
+    ``rows[m1][n2]``, each entry made on its first use.  A term with
+    ``m = n = 0`` commutes with everything and is skipped, and so is a pair
+    with no contraction in either order.  The ``hbar^j`` part is written at
+    ``hbar^(j-1)`` (the exact division by hbar); its weight is
+    ``w1 + w2 - 2``, and it is kept when that is within ``w2_cap`` and
+    ``l1 + l2`` is within ``t_cap``.
+
+    Packed keys.  The accumulator is keyed by ``((m<<S | n)<<S | k)<<S | l``.
+    The key of a pair's product is the sum of the operand keys, and the
+    division by hbar and each contraction (m and n down by one, k up by one)
+    add a constant, so a monomial product is an integer add.  The field width
+    ``S`` holds the largest exponent present in the operands, ``w2_cap + 2``
+    and ``t_cap``: every field of an operand key (an operand may hold terms
+    beyond the caps), of a contributing pair's sum and of an output key fits
+    in ``S`` bits, so the output keys unpack exactly.
+
+    All numerators go over ``den_A * den_B``, the lcm of the left operands'
+    denominators times the lcm of the right ones, as in `qmul`.  The factor
+    ``i`` is applied once per output term, before its single reduction by
+    ``coeff_make(-b, a, -d, c, den_A * den_B * div)``, as the component
+    permutation ``(a, b, c, d) -> (-b, a, -d, c)``.  Raises MemoryError when
+    the accumulator exceeds ``guard`` entries.
     """
-    den_a = common_denominator(A)
-    den_b = common_denominator(B)
-    table = _contractions
+    den_a = den_b = 1
+    top = max(w2_cap + 2, t_cap)
+    for A, B in pairs:
+        den_a = common_denominator(A, den_a)
+        den_b = common_denominator(B, den_b)
+        top = max(top, max(map(max, A), default=0), max(map(max, B), default=0))
+    S = top.bit_length()
+    s2 = 2 * S
+    one = 1 << S
+    step = one - (one << S) - (one << s2)
     room2 = w2_cap + 2
-    right = [(m2, n2, k2, l2, m2 + n2 + 2 * k2, y) for (m2, n2, k2, l2), y in numerators(B, den_b)]
     out = {}
     get = out.get
-    for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
-        w_room = room2 - (m1 + n1 + 2 * k1)
-        t_room = t_cap - l1
-        for m2, n2, k2, l2, w2, (ya, yb, yc, yd) in right:
-            if w2 > w_room or l2 > t_room:
+    for A, B in pairs:
+        # a contributing term has weight <= w2_cap + 1, since its partner's is >= 1
+        right = []
+        reach = 0
+        for (m2, n2, k2, l2), y in numerators(B, den_b):
+            w2 = m2 + n2 + 2 * k2
+            if (m2 or n2) and w2 < room2 and l2 <= t_cap:
+                right.append((((m2 << S | n2) << S | k2) << S | l2, w2, l2, m2, n2, *y))
+                reach = max(reach, m2, n2)
+        if not right:
+            continue
+        for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
+            w_room = room2 - (m1 + n1 + 2 * k1)
+            t_room = t_cap - l1
+            if not (m1 or n1) or w_room < 1 or t_room < 0:
                 continue
-            fwd = (table.get((n1, m2)) or contractions(n1, m2)) if n1 and m2 else ()
-            bwd = (table.get((n2, m1)) or contractions(n2, m1)) if n2 and m1 else ()
-            if not fwd and not bwd:
-                continue
-            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-            cc = xa * yc + xc * ya - xb * yd - xd * yb
-            cd = xa * yd + xd * ya + xb * yc + xc * yb
-            m = m1 + m2
-            n = n1 + n2
-            k = k1 + k2 - 1
-            l = l1 + l2
-            nf = len(fwd)
-            nb = len(bwd)
-            for j in range(1, nf if nf > nb else nb):
-                w = (fwd[j] if j < nf else 0) - (bwd[j] if j < nb else 0)
-                if w:
-                    key = (m - j, n - j, k + j, l)
-                    acc = get(key)
-                    if acc is None:
-                        out[key] = (ca * w, cb * w, cc * w, cd * w)
-                    else:
-                        out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
-        if len(out) > guard:
-            raise MemoryError("term-count guard exceeded")
-    den = den_a * den_b
+            base = (((m1 << S | n1) << S | k1) << S | l1) - one
+            row_f = contraction_row(n1, reach + 1)
+            row_b = contraction_row(m1, reach + 1)
+            for p2, w2, l2, m2, n2, ya, yb, yc, yd in right:
+                if w2 > w_room or l2 > t_room:
+                    continue
+                fwd = row_f[m2]
+                if fwd is None:
+                    fwd = row_f[m2] = contractions(n1, m2)[1:]
+                bwd = row_b[n2]
+                if bwd is None:
+                    bwd = row_b[n2] = contractions(m1, n2)[1:]
+                if not fwd and not bwd:
+                    continue
+                ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
+                cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
+                cc = xa * yc + xc * ya - xb * yd - xd * yb
+                cd = xa * yd + xd * ya + xb * yc + xc * yb
+                key = base + p2
+                for wf, wb in zip_longest(fwd, bwd, fillvalue=0):
+                    key += step
+                    w = wf - wb
+                    if w:
+                        acc = get(key)
+                        if acc is None:
+                            out[key] = (ca * w, cb * w, cc * w, cd * w)
+                        else:
+                            out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
+            if len(out) > guard:
+                raise MemoryError("term-count guard exceeded")
+    den = den_a * den_b * div
+    mask = one - 1
     return {
-        key: coeff_make(-b, a, -d, c, den)
+        (key >> (s2 + S), (key >> s2) & mask, (key >> S) & mask, key & mask): coeff_make(-b, a, -d, c, den)
         for key, (a, b, c, d) in out.items()
         if a or b or c or d
     }

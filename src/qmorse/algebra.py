@@ -47,9 +47,22 @@ def bracket_i_hbar(f: QSeries, g: QSeries) -> QSeries:
     of the two weight caps and the t power within the smaller t cap, so every
     kept term is exact without widening either operand.
     """
-    t_cap, w2 = f._join_caps(g)
+    return bracket_sum([(f, g)])
+
+
+def bracket_sum(pairs, div=1) -> QSeries:
+    """(1/div) sum (i/hbar)[f, g] over a non-empty list of QSeries pairs (f, g).
+
+    One `_kernel.qbracket` call sums every pair in one accumulator and reduces
+    each output term once.  The result takes the smallest t cap and weight cap
+    of all the operands, which is what summing the brackets one by one gives.
+    """
+    t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
+    w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
     try:
-        terms = _kernel.qbracket(f._terms, g._terms, t_cap, w2, term_guard())
+        terms = _kernel.qbracket(
+            [(f._terms, g._terms) for f, g in pairs], t_cap, w2, term_guard(), div
+        )
     except MemoryError as exc:
         raise ResourceError(str(exc)) from None
     return QSeries._from_raw(terms, t_cap, w2)

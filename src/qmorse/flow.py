@@ -9,36 +9,44 @@ U f U^{-1} are avoided; each order is a polynomial identity.
 
 Every t-order recursion here, and the generator ladder and the transport of
 the normalizing germ u in `normal_form`, is the Lie ladder
-X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by `ladder_step`.
+X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by `ladder_step`.  A bracket
+step is one `algebra.bracket_sum` call: the r+1 brackets go to one
+`_kernel.qbracket` accumulator over packed monomial keys, with the division by
+r+1 folded into the single reduction of each output term, so a step forms no
+per-bracket result, no sum of series and no scaled copy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import bracket_i_hbar
+# The ladder calls bracket_sum only; flow.bracket_i_hbar stays importable
+# because the traced benchmark run (qbench/spans.py) wraps it by that name.
+from .algebra import bracket_i_hbar, bracket_sum  # noqa: F401
 from .series import QSeries, one
 
 
 def ladder_step(xs: list, slices, op=None) -> None:
     """Append X_{r+1} = (1/(r+1)) sum_{j<=r} op(X_j, S_{r-j}) to xs = [X_0..X_r].
 
-    `op` defaults to the bracket (i/hbar)[X, S], looked up in this module when
-    the step runs; `slices` is only read up to S_r, so it may still be growing
-    between steps.  X and S may be QSeries or ScalarSeries; an empty sum is
-    the zero of X_0's type.
+    `op` defaults to the bracket (i/hbar)[X, S] of QSeries: the pairs with
+    both X_j and S_{r-j} nonzero go to one `bracket_sum` call with div=r+1.
+    A custom `op` is applied pair by pair and the results are summed and
+    scaled; X and S may then be QSeries or ScalarSeries.  `slices` is only
+    read up to S_r, so it may still be growing between steps.  An empty sum
+    is the zero of X_0's type.
     """
     r = len(xs) - 1
-    acc = None
-    for j in range(r + 1):
-        x, s = xs[j], slices[r - j]
-        if not s or not x:
-            continue
-        term = bracket_i_hbar(x, s) if op is None else op(x, s)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = xs[0].zero_like()
-    xs.append(acc.scale(Fraction(1, r + 1)))
+    pairs = [(xs[j], slices[r - j]) for j in range(r + 1) if xs[j] and slices[r - j]]
+    if not pairs:
+        xs.append(xs[0].zero_like())
+    elif op is None:
+        xs.append(bracket_sum(pairs, r + 1))
+    else:
+        acc = op(*pairs[0])
+        for x, s in pairs[1:]:
+            acc = acc + op(x, s)
+        xs.append(acc.scale(Fraction(1, r + 1)))
 
 
 def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:

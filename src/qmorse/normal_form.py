@@ -25,11 +25,13 @@ g_k o fn and (i/hbar)[fn, h_k] are read through t^(N-1-k) only, so they are
 formed from fn cut to that order.  The composition sums c_{j,k} hbar^k fn^j
 in one `_kernel.qcompose` accumulator over the cached powers of fn, cut to
 that order too, and checks each shifted term against the caps.  Iteration j
-of the reversion fixes t^j and works at t_cap=j.  A capped product is
-re-extended (a metadata-only `with_caps`) before it is added to a
-full-precision sum, since a sum takes the smaller caps of its operands.  The
-residual of step k is read at t^k only, so it is formed from the t^k slices
-of df/dt and of the running sums, not from the whole series.
+of the reversion fixes t^j and works at t_cap=j.  The residual of step k is
+read at t^k only, so the solve keeps one term map (slot) per t-order: slot j
+starts as the t^j part of df/dt, the t^l terms of step k's capped compose and
+bracket products are subtracted from slot k + l (l >= 1), and step k reads
+slot k as its residual.  No sum of whole series and no slice of one is
+formed.  The falling basis P_n of the diagonal split is built once per solve
+and shared by all steps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from fractions import Fraction
 
 from . import _kernel, flow
-from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int
+from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int, coeff_neg, coeff_sub
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
 from .errors import DomainError, ResourceError
 from .field import Coefficient, ONE
@@ -56,13 +58,15 @@ from .series import (
 )
 
 
-def diagonal_to_scalar(d: QSeries) -> ScalarSeries:
+def diagonal_to_scalar(d: QSeries, basis=None) -> ScalarSeries:
     """Express a diagonal series as a scalar germ s with s o f0 = d.
 
     Uses adag^n a^n = prod_{j<n} (N - j hbar) with N = (z - hbar)/2 under
-    z <-> f0 = 2N + hbar; the conversion is triangular and exact.
+    z <-> f0 = 2N + hbar; the conversion is triangular and exact.  `basis` is
+    a `_falling_basis` at the caps of d, made here when not given.
     """
-    basis = _falling_basis(d.t_cap, d.w2_cap)
+    if basis is None:
+        basis = _falling_basis(d.t_cap, d.w2_cap)
     out = ScalarSeries._from_raw({}, SIG_ZHT, d.t_cap, d.w2_cap)
     for (m, n, k, l), c in d._terms.items():
         if m != n:
@@ -91,13 +95,13 @@ def _falling_basis(t_cap, w2_cap):
     return get
 
 
-def split_homological(r: QSeries):
+def split_homological(r: QSeries, basis=None):
     """Split r = s o f0 + (i/hbar)[f0, K] with K normalized to zero diagonal.
 
     The splitting is total at the harmonic base point: ad(f0) is semisimple
     with (i/hbar)[f0, adag^m a^n] = 2i(m-n) adag^m a^n, so each off-diagonal
     monomial divides by 2i(m-n) and the diagonal goes through
-    `diagonal_to_scalar`.
+    `diagonal_to_scalar` (with `basis`, a `_falling_basis` at the caps of r).
     """
     diag = {}
     off = {}
@@ -106,7 +110,7 @@ def split_homological(r: QSeries):
             diag[(m, n, k, l)] = c
         else:
             off[(m, n, k, l)] = coeff_mul(coeff_make(0, -1, 0, 0, 2 * (m - n)), c)  # c/(2i(m-n))
-    s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap))
+    s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap), basis)
     return s, QSeries._from_raw(off, r.t_cap, r.w2_cap)
 
 
@@ -227,24 +231,27 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     fn = (fw - shift_q).scale(scale.inverse())
     w2 = fn.w2_cap
 
-    # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = P_k
-    dtf = fn.deriv("t")
-    S = QSeries._from_raw({}, order, w2)  # sum_j t^j (g_j o fn)
-    B = QSeries._from_raw({}, order, w2)  # (i/hbar)[fn, sum_j t^j h_j]
+    # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = P_k.
+    # rest[j] is the t^j part (t power zeroed) of df/dt minus
+    # sum_i t^i (g_i o fn + (i/hbar)[fn, h_i]) over the steps i solved so far;
+    # step k reads rest[k] as its residual.
+    rest = [{} for _ in range(order)]
+    for (m, n, h, l), c in fn.deriv("t")._terms.items():
+        rest[l][(m, n, h, 0)] = c
+    basis = _falling_basis(order, w2)
     fpows = [QSeries({(0, 0, 0, 0): ONE}, t_cap=order, weight_cap=weight_cap), fn]
     g_slices = []
     h_slices = []
     for k in range(order):
-        residual = dtf.var_slice("t", k) - S.var_slice("t", k) - B.var_slice("t", k)
-        g_k, h_k = split_homological(residual)
+        g_k, h_k = split_homological(QSeries._from_raw(rest[k], order, w2), basis)
         g_slices.append(g_k)
         h_slices.append(h_k)
         if k < order - 1:
             # both products are read only through t^(order-1-k) after the shift
             fk = fn.with_caps(t_cap=order - 1 - k)
-            S = S + _compose_cached(g_k, fk, fpows).with_caps(t_cap=order).shift(t=k)
+            _subtract_later(rest, k, _compose_cached(g_k, fk, fpows))
             if h_k:
-                B = B + bracket_i_hbar(fk, h_k).with_caps(t_cap=order).shift(t=k)
+                _subtract_later(rest, k, bracket_i_hbar(fk, h_k))
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -270,6 +277,27 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         order=order,
         h_slices=h_slices,
     )
+
+
+def _subtract_later(rest, k, product: QSeries) -> None:
+    """rest[k + l] -= the t^l part of t^k * product, for every l >= 1.
+
+    The t^0 part would land in rest[k], which step k has already read.
+    """
+    for (m, n, h, l), c in product._terms.items():
+        if not l:
+            continue
+        slot = rest[k + l]
+        key = (m, n, h, 0)
+        acc = slot.get(key)
+        if acc is None:
+            slot[key] = coeff_neg(c)
+            continue
+        s = coeff_sub(acc, c)
+        if any(s[:4]):
+            slot[key] = s
+        else:
+            del slot[key]
 
 
 def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:

@@ -70,6 +70,12 @@ def render_terms(terms, names) -> str:
     return " + ".join(chunks)
 
 
+def _checked_caps(t_cap, w2_cap):
+    if t_cap < 0 or w2_cap < 0:
+        raise ValueError("caps must be non-negative")
+    return t_cap, w2_cap
+
+
 def _as_raw(value):
     if isinstance(value, Coefficient):
         return value.raw
@@ -90,10 +96,7 @@ class _Series:
 
     def _init(self, terms, t_cap, weight_cap):
         """Validate and canonicalize `terms` once the signature is set."""
-        self.t_cap = int(t_cap)
-        self.w2_cap = weight_cap_to_w2(weight_cap)
-        if self.t_cap < 0 or self.w2_cap < 0:
-            raise ValueError("caps must be non-negative")
+        self.t_cap, self.w2_cap = _checked_caps(int(t_cap), weight_cap_to_w2(weight_cap))
         weights, ti = self._weights, self._ti
         out = {}
         for exp, coef in (terms or {}).items():
@@ -189,8 +192,10 @@ class _Series:
 
     def with_caps(self, t_cap=None, weight_cap=None):
         """Re-cap: extending is a metadata change, shrinking truncates."""
-        t_cap = self.t_cap if t_cap is None else int(t_cap)
-        w2 = self.w2_cap if weight_cap is None else weight_cap_to_w2(weight_cap)
+        t_cap, w2 = _checked_caps(
+            self.t_cap if t_cap is None else int(t_cap),
+            self.w2_cap if weight_cap is None else weight_cap_to_w2(weight_cap),
+        )
         return self._like(self._within(t_cap, w2), t_cap, w2)
 
     def __add__(self, other):

@@ -3,12 +3,18 @@
 The word rewriter normal-orders products of a / adag letters by the literal
 rewrite a adag -> adag a + hbar applied to a fixed point, tracking integer
 coefficients.  It shares nothing with the kernel's binomial formula.
+
+`qmul_per_pair` and `bracket_per_pair` form a product or a bracket term pair
+by term pair, reducing every pair product with the single-coefficient ops of
+`_kernel` (`coeff_mul`, `coeff_add`), not with its product kernels.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 import random
 
-from qmorse.field import Coefficient
+from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
+from qmorse.field import Coefficient, I
 from qmorse.series import QSeries
 
 
@@ -90,3 +96,40 @@ def random_qseries(
         l = rng.randint(0, 1) if with_t else 0
         terms[(m, n, k, l)] = random_coeff(rng)
     return QSeries(terms, t_cap=t_cap, weight_cap=weight_cap)
+
+
+def _contraction(n, m, j):
+    return comb(n, j) * comb(m, j) * factorial(j)
+
+
+def _on_caps(out, t_cap, w2):
+    return {
+        key: c
+        for key, c in out.items()
+        if any(c[:4]) and key[3] <= t_cap and key[0] + key[1] + 2 * key[2] <= w2
+    }
+
+
+def qmul_per_pair(f, g):
+    """f * g with every pair product reduced by coeff_mul and summed by coeff_add."""
+    out = {}
+    for (m1, n1, k1, l1), c1 in f._terms.items():
+        for (m2, n2, k2, l2), c2 in g._terms.items():
+            c = coeff_mul(c1, c2)
+            for j in range(min(n1, m2) + 1):
+                key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j, l1 + l2)
+                out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, _contraction(n1, m2, j)))
+    return _on_caps(out, *f._join_caps(g))
+
+
+def bracket_per_pair(f, g):
+    """(i/hbar)[f, g] with every pair product reduced by coeff_mul and summed by coeff_add."""
+    out = {}
+    for (m1, n1, k1, l1), c1 in f._terms.items():
+        for (m2, n2, k2, l2), c2 in g._terms.items():
+            c = coeff_mul(coeff_mul(c1, c2), I.raw)
+            for j in range(1, max(min(n1, m2), min(n2, m1)) + 1):
+                w = _contraction(n1, m2, j) - _contraction(n2, m1, j)
+                key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)
+                out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, w))
+    return _on_caps(out, *f._join_caps(g))

@@ -3,12 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
 
 import pytest
 
 from qmorse import algebra
-from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
 from qmorse.errors import DomainError
 from qmorse.field import Coefficient, I, SQRT2
 from qmorse.series import (
@@ -27,7 +25,15 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import COPRIME, normal_order_word, random_coeff, random_qseries, word_to_qseries
+from oracles import (
+    COPRIME,
+    bracket_per_pair,
+    normal_order_word,
+    qmul_per_pair,
+    random_coeff,
+    random_qseries,
+    word_to_qseries,
+)
 
 CAPS = dict(t_cap=2, weight_cap="12")
 
@@ -311,41 +317,12 @@ def test_bracket_term_guard(monkeypatch):
         algebra.bracket_i_hbar(f, g)
 
 
-def _contraction(n, m, j):
-    return comb(n, j) * comb(m, j) * factorial(j)
+def test_bracket_factor_table_follows_exponents_not_caps():
+    from qmorse import _kernel
 
-
-def _on_caps(out, t_cap, w2):
-    return {
-        key: c
-        for key, c in out.items()
-        if any(c[:4]) and key[3] <= t_cap and key[0] + key[1] + 2 * key[2] <= w2
-    }
-
-
-def _qmul_per_pair(f, g):
-    """f * g with every pair product reduced by coeff_mul and summed by coeff_add."""
-    out = {}
-    for (m1, n1, k1, l1), c1 in f._terms.items():
-        for (m2, n2, k2, l2), c2 in g._terms.items():
-            c = coeff_mul(c1, c2)
-            for j in range(min(n1, m2) + 1):
-                key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j, l1 + l2)
-                out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, _contraction(n1, m2, j)))
-    return _on_caps(out, *f._join_caps(g))
-
-
-def _qbracket_per_pair(f, g):
-    """(i/hbar)[f, g] with every pair product reduced by coeff_mul and summed by coeff_add."""
-    out = {}
-    for (m1, n1, k1, l1), c1 in f._terms.items():
-        for (m2, n2, k2, l2), c2 in g._terms.items():
-            c = coeff_mul(coeff_mul(c1, c2), I.raw)
-            for j in range(1, max(min(n1, m2), min(n2, m1)) + 1):
-                w = _contraction(n1, m2, j) - _contraction(n2, m1, j)
-                key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)
-                out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, w))
-    return _on_caps(out, *f._join_caps(g))
+    # [adag, a] = -hbar: one contraction of exponent 1 under a weight cap of 4000
+    assert algebra.bracket_i_hbar(adag(0, 4000), a_op(0, 4000)).coeff((0, 0, 0, 0)) == Coefficient(0, -1)
+    assert len(_kernel._rows) < 100 and max(map(len, _kernel._rows)) < 100
 
 
 def _coprime_operands():
@@ -368,14 +345,14 @@ def test_qmul_matches_per_pair_reduction():
     f, g = _coprime_operands()
     for x, y in ((f, g), (g, f)):
         out = (x * y)._terms
-        assert out == _qmul_per_pair(x, y)
+        assert out == qmul_per_pair(x, y)
         assert any(key[3] == 2 for key in out)  # on the t cap
         assert any(m + n + 2 * k == 5 for m, n, k, _ in out)  # on the weight cap
     # adag/3 + hbar/5 times hbar/7 - (5/21) adag: the adag hbar sums cancel exactly
     x = QSeries({(1, 0, 0, 0): Fraction(1, 3), (0, 0, 1, 0): Fraction(1, 5)}, **CAPS)
     y = QSeries({(0, 0, 1, 0): Fraction(1, 7), (1, 0, 0, 0): Fraction(-5, 21)}, **CAPS)
     out = (x * y)._terms
-    assert (1, 0, 1, 0) not in out and out == _qmul_per_pair(x, y)
+    assert (1, 0, 1, 0) not in out and out == qmul_per_pair(x, y)
     assert out == {(2, 0, 0, 0): (-5, 0, 0, 0, 63), (0, 0, 2, 0): (1, 0, 0, 0, 35)}
 
 
@@ -383,12 +360,12 @@ def test_qbracket_matches_per_pair_reduction():
     f, g = _coprime_operands()
     for x, y in ((f, g), (g, f)):
         out = algebra.bracket_i_hbar(x, y)._terms
-        assert out == _qbracket_per_pair(x, y)
+        assert out == bracket_per_pair(x, y)
         assert any(key[3] == 2 for key in out)
         assert any(m + n + 2 * k == 5 for m, n, k, _ in out)
     # (i/hbar)[a/3 + adag/5, adag/7 + (5/21) a] = i (1/21 - 1/21): the term vanishes
     x = QSeries({(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(1, 5)}, **CAPS)
     y = QSeries({(1, 0, 0, 0): Fraction(1, 7), (0, 1, 0, 0): Fraction(5, 21)}, **CAPS)
-    assert not algebra.bracket_i_hbar(x, y) and not _qbracket_per_pair(x, y)
+    assert not algebra.bracket_i_hbar(x, y) and not bracket_per_pair(x, y)
     y = QSeries({(1, 0, 0, 0): Fraction(1, 7), (0, 1, 0, 0): Fraction(2, 21)}, **CAPS)
     assert algebra.bracket_i_hbar(x, y)._terms == {(0, 0, 0, 0): (0, 1, 0, 0, 35)}

@@ -4,11 +4,14 @@ import math
 import random
 from fractions import Fraction
 
-from qmorse import algebra, flow
-from qmorse.field import Coefficient
-from qmorse.series import a_op, adag, harmonic, hbar_op, one, p_op, q_op, t_op
+import pytest
 
-from oracles import random_qseries
+from qmorse import algebra, flow
+from qmorse.errors import ResourceError
+from qmorse.field import Coefficient
+from qmorse.series import QSeries, a_op, adag, harmonic, hbar_op, one, p_op, q_op, t_op
+
+from oracles import COPRIME, bracket_per_pair, random_qseries
 
 
 def test_flow_of_a_under_number_operator():
@@ -98,3 +101,81 @@ def test_propagator_solves_ode():
     rhs = h.with_caps(t_cap=5) * u
     for k in range(5):
         assert lhs.var_slice("t", k) == rhs.var_slice("t", k)
+
+
+def _step_reference(xs, slices):
+    """X_{r+1} as a sum of bracket_i_hbar over the nonzero pairs, then one scale."""
+    r = len(xs) - 1
+    acc = None
+    for j in range(r + 1):
+        x, s = xs[j], slices[r - j]
+        if x and s:
+            term = algebra.bracket_i_hbar(x, s)
+            assert term._terms == bracket_per_pair(x, s)
+            acc = term if acc is None else acc + term
+    if acc is None:
+        acc = xs[0].zero_like()
+    return acc.scale(Fraction(1, r + 1))
+
+
+def _checked_step(xs, slices):
+    expected = _step_reference(xs, slices)
+    flow.ladder_step(xs, slices)
+    got = xs[-1]
+    assert got == expected
+    assert (got.t_cap, got.w2_cap) == (expected.t_cap, expected.w2_cap)
+    return got
+
+
+def test_ladder_step_matches_per_pair_brackets():
+    c0, c1, c2 = COPRIME
+    # joined caps t^2, weight 5/2; S0 holds adag^6 and adag^3 a^3 (weight 3),
+    # and the weight-1/2 terms of X1 and X2 carry adag^6 down to weight 5/2
+    xs = [
+        QSeries({(0, 2, 0, 1): c0, (1, 1, 1, 0): c1, (2, 0, 0, 2): c2, (0, 1, 0, 0): c1}, t_cap=3, weight_cap="5/2"),
+        QSeries({(2, 1, 0, 1): c2, (1, 0, 0, 0): c0, (0, 0, 1, 1): c1, (0, 1, 0, 0): c2}, t_cap=2, weight_cap=4),
+        QSeries({(0, 1, 0, 0): c0, (1, 2, 0, 0): c1, (1, 0, 1, 1): c2}, t_cap=4, weight_cap=3),
+    ]
+    slices = [
+        QSeries({(6, 0, 0, 0): c1, (3, 3, 0, 0): c2, (0, 2, 0, 1): c0, (1, 0, 0, 0): c2}, t_cap=5, weight_cap=3),
+        QSeries({(2, 0, 0, 0): c2, (0, 3, 0, 1): c0, (1, 1, 0, 2): c1}, t_cap=3, weight_cap="7/2"),
+        QSeries({(0, 1, 1, 0): c1, (3, 0, 0, 1): c0}, t_cap=6, weight_cap=3),
+    ]
+    out = _checked_step(xs, slices)
+    assert (out.t_cap, out.w2_cap) == (2, 5)
+    assert out.coeff((5, 0, 0, 0)) and any(m + n + 2 * k == 5 for m, n, k, _ in out._terms)
+
+
+def test_ladder_step_with_t_cap_wider_than_weight_cap():
+    # t powers up to 12 under a weight cap of 3/2: the t field is the widest
+    c0, c1, c2 = COPRIME
+    xs = [QSeries({(2, 0, 0, 5): c0, (0, 1, 0, 7): c1, (0, 1, 0, 12): c2}, t_cap=12, weight_cap="3/2")]
+    slices = [
+        QSeries({(0, 1, 0, 7): c2, (1, 0, 0, 5): c0, (0, 2, 0, 0): c1}, t_cap=14, weight_cap=2),
+        QSeries({(1, 0, 0, 3): c1, (0, 1, 0, 4): c2}, t_cap=13, weight_cap="3/2"),
+    ]
+    out = _checked_step(xs, slices)
+    assert out.coeff((1, 0, 0, 12)) and out.coeff((0, 0, 0, 12))
+    assert _checked_step(xs, slices)
+
+
+def test_ladder_step_empty_and_cancelling_sums():
+    c0, c1, c2 = COPRIME
+    x = QSeries({(1, 0, 0, 0): c0, (0, 2, 0, 1): c1}, t_cap=3, weight_cap=3)
+    s = QSeries({(0, 1, 0, 0): c2, (2, 1, 0, 0): c1}, t_cap=2, weight_cap=4)
+    # every pair has a zero side: the zero at the caps of X_0
+    xs = [x, QSeries({}, t_cap=1, weight_cap=1)]
+    out = _checked_step(xs, [s, s.zero_like()])
+    assert not out and (out.t_cap, out.w2_cap) == (3, 6)
+    # [x, s] + [s, x] = 0: an empty result at the joined caps
+    out = _checked_step([x, s], [x, s])
+    assert not out and (out.t_cap, out.w2_cap) == (2, 6)
+
+
+def test_ladder_step_term_guard(monkeypatch):
+    xs = [q_op(2, 12) ** 3]
+    slices = [p_op(2, 12) ** 3]
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
+    with pytest.raises(ResourceError):
+        flow.ladder_step(xs, slices)
+    assert len(xs) == 1

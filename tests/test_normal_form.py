@@ -217,7 +217,9 @@ def test_solve_work_counts(monkeypatch):
     anything.  Brackets are formed by `_kernel.qbracket`, one visit per pair,
     and the compositions g_k o fn by `_kernel.qcompose`, one visit per pair of
     a germ term and a term of the matching power; both are counted apart from
-    the `_kernel.qmul` products (here the powers of fn).
+    the `_kernel.qmul` products (here the powers of fn).  The falling basis
+    P_n of the diagonal split is built once per solve, so its ScalarSeries
+    products count once.
     """
     from qmorse import _kernel
 
@@ -240,9 +242,9 @@ def test_solve_work_counts(monkeypatch):
         counts["qmul_pairs"] += len(A) * len(B)
         return qmul(A, B, *rest)
 
-    def counting_qbracket(A, B, *rest):
-        counts["bracket_pairs"] += len(A) * len(B)
-        return qbracket(A, B, *rest)
+    def counting_qbracket(pairs, *rest):
+        counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
+        return qbracket(pairs, *rest)
 
     def counting_qcompose(C, powers, *rest):
         counts["compose_pairs"] += sum(len(powers[j]) for j, _, _ in C)
@@ -254,11 +256,42 @@ def test_solve_work_counts(monkeypatch):
     monkeypatch.setattr(_kernel, "qcompose", counting_qcompose)
     nf.quantum_morse(f, 12)
     assert counts == {
-        "smul_pairs": 49858,
+        "smul_pairs": 49132,
         "qmul_pairs": 30646,
         "bracket_pairs": 7986,
         "compose_pairs": 7240,
     }
+
+
+def test_generator_work_counts(monkeypatch):
+    """Bracket work of the generator H and of verify() for the quartic at N=8.
+
+    Every Lie-ladder step of `_eulerian_generator` and of
+    `flow.integrate_heisenberg` is one `_kernel.qbracket` call over all of its
+    nonzero pairs, so the kernel calls equal the bracket-ladder steps.  The
+    pairs are counted as len(A) * len(B) summed over each call's pair list.
+    """
+    from qmorse import _kernel
+
+    caps = dict(t_cap=8, weight_cap="16")
+    result = nf.quantum_morse(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, 8)
+    counts = {"bracket_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0}
+    qbracket, ladder_step = _kernel.qbracket, flow.ladder_step
+
+    def counting_qbracket(pairs, *rest):
+        counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
+        counts["qbracket_calls"] += 1
+        return qbracket(pairs, *rest)
+
+    def counting_ladder_step(xs, slices, op=None):
+        counts["bracket_steps"] += op is None
+        return ladder_step(xs, slices, op)
+
+    monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
+    monkeypatch.setattr(flow, "ladder_step", counting_ladder_step)
+    result.H
+    assert result.verify()
+    assert counts == {"bracket_pairs": 62166, "qbracket_calls": 43, "bracket_steps": 43}
 
 
 def _compose_per_pair(g, fpows, t_cap, w2):

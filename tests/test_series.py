@@ -222,6 +222,10 @@ def test_shared_operations(kind):
     for caps in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             make({}, *caps)
+        with pytest.raises(ValueError):
+            f.with_caps(*caps)
+    with pytest.raises(ValueError):
+        f.with_caps(t_cap=-1, weight_cap=-3)
 
 
 @pytest.mark.parametrize("vars", [["adag", "a", "hbar", "t"], ["z", "a"], ["w", "t"]])
