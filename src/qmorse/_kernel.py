@@ -28,12 +28,11 @@ term is reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
 (`reduced_over`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over all
 left and all right operands, and the divisor joins them in that one reduction.
 
-The Fock-space operations of `spectrum` (`apply_rho`, `inner_product`,
-`FockVector.__add__` and the Rayleigh-Schrodinger step) sum products of
-single coefficients, unreduced, through `_accumulate` and reduce each output
-coefficient once through `_reduced` (the RS step through one `coeff_make`
-that also divides by the level gap).  `coeff_mul_unreduced` gives such a
-product.
+The Fock-space vectors of `spectrum` use the same scheme: a `FockVector` is
+one term map of 4-int numerators over a single denominator, and
+`apply_rho`, `inner_product`, `FockVector.__add__` and each order of the
+Rayleigh-Schrodinger step multiply and add numerators inline and reduce each
+output once (`reduced_over`, or one gcd over a whole vector).
 """
 
 from itertools import zip_longest
@@ -95,22 +94,8 @@ def coeff_sub(x, y):
     return coeff_add(x, coeff_neg(y))
 
 
-def coeff_mul_unreduced(x, y):
-    """The product x*y as ``(a, b, c, d, den)``, not reduced to canonical form."""
-    # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2
-    xa, xb, xc, xd, xq = x
-    ya, yb, yc, yd, yq = y
-    return (
-        xa * ya - xb * yb + 2 * xc * yc - 2 * xd * yd,
-        xa * yb + xb * ya + 2 * xc * yd + 2 * xd * yc,
-        xa * yc + xc * ya - xb * yd - xd * yb,
-        xa * yd + xd * ya + xb * yc + xc * yb,
-        xq * yq,
-    )
-
-
 def coeff_mul(x, y):
-    # the formula of coeff_mul_unreduced, inlined for single products; the
+    # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2; the
     # product kernels multiply numerators over a common denominator instead
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
@@ -153,35 +138,6 @@ def contractions(n, m):
         w = tuple(comb(n, j) * comb(m, j) * factorial(j) for j in range(min(n, m) + 1))
         _contractions[(n, m)] = w
     return w
-
-
-def _accumulate(out, key, a, b, c, d, den):
-    """out[key] += (a, b, c, d)/den, unreduced over the lcm of the denominators.
-
-    The Fock-space operations of `spectrum` reduce each accumulated sum once,
-    through `_reduced`, instead of once per contribution.
-    """
-    acc = out.get(key)
-    if acc is None:
-        out[key] = (a, b, c, d, den)
-        return
-    xa, xb, xc, xd, xq = acc
-    if xq == den:
-        out[key] = (xa + a, xb + b, xc + c, xd + d, den)
-        return
-    g = gcd(xq, den)
-    r = den // g
-    s = xq // g
-    out[key] = (xa * r + a * s, xb * r + b * s, xc * r + c * s, xd * r + d * s, xq * r)
-
-
-def _reduced(out):
-    """The nonzero accumulated sums of `_accumulate`, as canonical coefficients."""
-    return {
-        key: coeff_make(a, b, c, d, den)
-        for key, (a, b, c, d, den) in out.items()
-        if a or b or c or d
-    }
 
 
 def common_denominator(terms, den=1):

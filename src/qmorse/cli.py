@@ -16,7 +16,7 @@ before any work, since the cost of a solve grows steeply with the order.
 The ceiling is well above the orders the benchmark runs (RS at order 60).
 `trace --levels` is an hbar order too (each level widens the weight cap by
 one) and has the same ceiling; `diag --levels` only counts eigenvalues and
-has none.
+has none, but must lie between 0 and --dim (exit 3 otherwise).
 """
 
 from __future__ import annotations

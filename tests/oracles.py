@@ -7,10 +7,13 @@ coefficients.  It shares nothing with the kernel's binomial formula.
 `qmul_per_pair` and `bracket_per_pair` form a product or a bracket term pair
 by term pair, reducing every pair product with the single-coefficient ops of
 `_kernel` (`coeff_mul`, `coeff_add`), not with its product kernels.
+`rho_per_entry` and `rs_per_entry` form the Fock action and the
+Rayleigh-Schrodinger recursion entry by entry in `field.Coefficient`
+arithmetic, with no common denominators.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 import random
 
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
@@ -133,3 +136,41 @@ def bracket_per_pair(f, g):
                 key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)
                 out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, w))
     return _on_caps(out, *f._join_caps(g))
+
+
+def rho_per_entry(f, psi):
+    """rho(f) psi for a t-free ``f``; ``psi`` and the result map (z power, hbar power) to Coefficients."""
+    out = {}
+    for (m, n, k, _), c in f._terms.items():
+        for (j, kh), x in psi.items():
+            if n <= j:
+                key = (j - n + m, kh + k + n)
+                out[key] = out.get(key, 0) + Coefficient._raw(c) * x * perm(j, n)
+    return {key: c for key, c in out.items() if c}
+
+
+def rs_per_entry(f, level, order):
+    """The RS energies ``{(hbar power, t power): Coefficient}`` of ``f = p^2 + q^2 + O(t)``.
+
+    Every sum, product and division is one Coefficient operation per entry.
+    """
+    slices = [f.var_slice("t", j) for j in range(order + 1)]
+    psis = [{(level, 0): Coefficient(1)}]
+    energies = [{1: Coefficient(2 * level + 1)}]
+    for k in range(1, order + 1):
+        res = {}
+        for j in range(1, k + 1):
+            for key, c in rho_per_entry(slices[j], psis[k - j]).items():
+                res[key] = res.get(key, 0) + c
+        energies.append({kh: c for (m, kh), c in res.items() if m == level and c})
+        for j in range(1, k + 1):
+            for eh, e in energies[j].items():
+                for (m, kh), x in psis[k - j].items():
+                    res[(m, kh + eh)] = res.get((m, kh + eh), 0) - e * x
+        psi = {}
+        for (m, kh), c in res.items():
+            if c:
+                assert m != level, "level component of the residual did not cancel"
+                psi[(m, kh - 1)] = -c / (2 * (m - level))
+        psis.append(psi)
+    return {(kh, k): c for k, e in enumerate(energies) for kh, c in e.items()}

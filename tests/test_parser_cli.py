@@ -260,6 +260,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
     [
         (["spectrum", "--perturbation", "q^4", "--order", "-1"], 3),
         (["rs", "--perturbation", "q^4", "--level", "-1", "--order", "3"], 3),
+        (["rs", "--perturbation", "q^4", "--level", "0", "--order", "-1"], 3),
         (["spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "1/3"], 3),
         (["spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "-2"], 3),
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "0", "--dim", "10"], 3),
@@ -275,7 +276,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["trace", "q^4", "--levels", "100000000"], 4),
     ],
     ids=[
-        "order", "level", "cap-third", "cap-negative",
+        "order", "level", "rs-order", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
         "order-huge", "levels-huge",

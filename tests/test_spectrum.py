@@ -12,9 +12,9 @@ import pytest
 from qmorse import algebra, normal_form as nf, parser, spectrum as sp
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
-from qmorse.series import adag, a_op, harmonic, one, q_op, t_op
+from qmorse.series import QSeries, adag, a_op, harmonic, one, q_op, t_op
 
-from oracles import random_qseries
+from oracles import COPRIME, random_qseries, rho_per_entry, rs_per_entry
 
 CAPS = dict(t_cap=2, weight_cap="12")
 
@@ -45,6 +45,35 @@ def test_apply_rho_is_representation():
 def test_apply_rho_rejects_t():
     with pytest.raises(DomainError):
         sp.apply_rho(t_op(**CAPS), sp.FockVector.basis(0))
+
+
+def _vector(entries):
+    """The FockVector of ``{(z power, hbar power): Coefficient}``, built by the constructor."""
+    comps = {}
+    for (j, k), c in entries.items():
+        comps.setdefault(j, {})[k] = c
+    return sp.FockVector(comps)
+
+
+def test_fock_vector_value_contract():
+    # a vector from per-entry Coefficients, the same vector from apply_rho and
+    # from adding its two halves are equal; the denominators 3, 5, 7 make the
+    # three sides reach it over different common denominators
+    c3, c5, c7 = COPRIME
+    f = QSeries({(2, 0, 0, 0): c3, (0, 1, 1, 0): c5, (1, 2, 0, 0): c7}, t_cap=0, weight_cap="12")
+    psi = {(0, 0): c5, (1, -1): c7, (3, 2): c3}
+    expected = rho_per_entry(f, psi)
+    out = sp.apply_rho(f, _vector(psi))
+    assert out == _vector(expected)
+    items = sorted(expected.items())
+    assert _vector(dict(items[::2])) + _vector(dict(items[1::2])) == out
+    for j in out.levels():
+        for k, c in out.component(j).items():
+            assert c == expected[(j, k)]
+            assert c.raw == Coefficient(c.r, c.i, c.r2, c.ir2).raw  # reduced
+    negated = _vector({key: -c for key, c in expected.items()})
+    assert not (out + negated)
+    assert out + negated == sp.FockVector()
 
 
 def test_inner_product():
@@ -113,6 +142,39 @@ def test_rs_q4_known_coefficients():
         assert en.coeff((2, 1)) == Coefficient(Fraction(3 * (2 * n * n + 2 * n + 1), 4))
 
 
+def test_rs_matches_per_entry_reference():
+    # t^1, t^2, t^3 slices over denominators 3, 5, 7 in all four Q(i, sqrt2)
+    # components: every order rescales its sources to a common denominator
+    c3, c5, c7 = COPRIME
+    caps = dict(t_cap=8, weight_cap="16")
+    g = QSeries(
+        {
+            (2, 0, 0, 1): c3, (0, 1, 0, 1): -c3,
+            (1, 2, 0, 2): c5, (0, 0, 1, 2): c5,
+            (3, 0, 0, 3): c7, (0, 1, 1, 3): -c7,
+        },
+        **caps,
+    )
+    f = harmonic(**caps) + g
+    for level in range(4):
+        assert dict(sp.rs_perturbation(f, level, 8).items()) == rs_per_entry(f, level, 8)
+
+
+def test_rs_calls_apply_rho_through_the_module(monkeypatch):
+    # the benchmark's spectrum.apply_rho span wraps the module attribute
+    calls = []
+    original = sp.apply_rho
+
+    def counted(f, psi):
+        calls.append(f)
+        return original(f, psi)
+
+    monkeypatch.setattr(sp, "apply_rho", counted)
+    caps = dict(t_cap=40, weight_cap="64")
+    sp.rs_perturbation(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, 0, 40)
+    assert len(calls) == 40
+
+
 def test_rs_requires_harmonic_base():
     caps = dict(t_cap=2, weight_cap="12")
     f = adag(**caps) * a_op(**caps)  # missing the hbar of p^2+q^2
@@ -143,6 +205,14 @@ def test_diagonalize_harmonic():
     res = sp.diagonalize(harmonic(**caps), 0.0, 1.0, 40, 5)
     assert res.hermitian and res.converged
     assert np.allclose(res.values, [1, 3, 5, 7, 9], atol=1e-12)
+
+
+@pytest.mark.parametrize("levels", [-1, 21])
+def test_diagonalize_refuses_levels_outside_dim(levels):
+    f = harmonic(t_cap=0, weight_cap="4")
+    with pytest.raises(ValueError, match="between 0 and dim = 20"):
+        sp.diagonalize(f, 0.0, 1.0, 20, levels)
+    assert len(sp.diagonalize(f, 0.0, 1.0, 20, 20).values) == 20
 
 
 def test_diagonalize_quartic_value():
