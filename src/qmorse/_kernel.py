@@ -28,11 +28,19 @@ term is reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
 (`reduced_over`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over all
 left and all right operands, and the divisor joins them in that one reduction.
 
-The Fock-space vectors of `spectrum` use the same scheme: a `FockVector` is
-one term map of 4-int numerators over a single denominator, and
-`apply_rho`, `inner_product`, `FockVector.__add__` and each order of the
-Rayleigh-Schrodinger step multiply and add numerators inline and reduce each
-output once (`reduced_over`, or one gcd over a whole vector).
+The Fock-space layer of `spectrum` splits its operands by component instead.
+A `FockVector` keeps up to four integer term maps over one denominator, one per
+basis element ``1, i, sqrt2, i*sqrt2`` (components 0..3, the positions of
+``(a, b, c, d)``), and only the nonzero maps.  Its products, `apply_rho`,
+`inner_product` and the Rayleigh-Schrodinger step, loop over the nonzero
+component pairs of their operands (`component_pairs`); the pair's entry of
+`COMPONENT_PRODUCT` is applied once, to the left operand, and each term pair
+is one integer multiply-add into the target component's map.  An operand with
+only rational entries thus costs one integer product per term pair, and the
+field product is written out nowhere in `spectrum`.  Each output is reduced
+once (`reduced_over`, or one gcd over a whole vector).  `spectrum` calls
+``_kernel.component_pairs`` through the module attribute, so a wrapper
+installed on it sees every component pair.
 """
 
 from itertools import zip_longest
@@ -121,6 +129,31 @@ def coeff_mul_int(x, n):
     if den == 1:
         return (a * n, b * n, c * n, d * n, 1)
     return coeff_make(a * n, b * n, c * n, d * n, den)
+
+
+# The product of the basis elements 1, i, sqrt2, i*sqrt2 (components 0..3):
+# ``(x, y) -> (z, w)`` with ``e_x * e_y = w * e_z``.  Bit 0 of a component is
+# its factor i and bit 1 its factor sqrt2, so ``z = x ^ y``, and w is -1 when
+# both carry i and 2 when both carry sqrt2; e.g. ``(1, 1) -> (0, -1)``
+# (i*i = -1) and ``(3, 2) -> (1, 2)`` (i*sqrt2 * sqrt2 = 2i).
+COMPONENT_PRODUCT = {
+    (x, y): (x ^ y, (-1 if x & y & 1 else 1) * (2 if x & y & 2 else 1))
+    for x in range(4)
+    for y in range(4)
+}
+
+
+def component_pairs(left, right):
+    """Yield ``(z, w, p, q)`` for each part ``p = left[x]`` and ``q = right[y]``.
+
+    ``left`` and ``right`` map components to parts, and hold only the nonzero
+    ones; ``(z, w) = COMPONENT_PRODUCT[x, y]``, so the products of the terms
+    of ``p`` and ``q``, times ``w``, belong to component ``z``.
+    """
+    for x, p in left.items():
+        for y, q in right.items():
+            z, w = COMPONENT_PRODUCT[x, y]
+            yield z, w, p, q
 
 
 _contractions = {}

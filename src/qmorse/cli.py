@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order or level, a weight cap that is not a
-non-negative half-integer, a non-positive hbar, malformed JSON in a
+non-negative half-integer, a non-positive or non-finite hbar, a non-finite
+t, a Fock matrix that overflows the float range, malformed JSON in a
 coefficient file), 4 resource/cap overflow (an --order or a trace --levels
 above MAX_ORDER, the term-count guard, a Fock matrix over
 spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a --coeffs file

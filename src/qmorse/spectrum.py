@@ -9,17 +9,22 @@ normal-form solver, which is what makes the oracle-triangle tests meaningful.
 Perturbation intermediates (the eigenvector corrections) are Laurent in hbar;
 only the eigenvalue series is required to be polynomial, and that is asserted.
 
-The exact operations work fraction-free, like the product kernels.  A
-`FockVector` is one term map ``{(z power, hbar power): (a, b, c, d)}`` of
-integer numerators over a single denominator, the lcm of its entries' reduced
-denominators.  `apply_rho`, `inner_product` and `FockVector.__add__` multiply
-and add numerators inline, with no gcd per pair, and reduce each output once:
-a vector by one gcd chain over its denominator and all of its numerators
-(`_reduced_vector`), a scalar series term by term (`_kernel.reduced_over`).
-Each order of `rs_perturbation` puts all of its contributions over one
-denominator, sums them as integer 4-tuples and reduces the new eigenvector
-correction once, as one vector, with the level gaps folded into its
-denominator.
+The exact operations work fraction-free and split by component.  A
+`FockVector` keeps one integer term map ``{(z power, hbar power): int}`` per
+nonzero basis element ``1, i, sqrt2, i*sqrt2`` (components 0..3), all over a
+single denominator, the lcm of its entries' reduced denominators.
+`apply_rho`, `inner_product` and each order of `rs_perturbation` split their
+operands by component once and loop over the nonzero component pairs
+(`_kernel.component_pairs`): the pair's factor from
+`_kernel.COMPONENT_PRODUCT` is applied once, to the left operand, and each
+term pair is one integer multiply-add into the target component's map.  A
+rational operand, such as every vector and energy of a real perturbation
+like ``q^4``, thus costs one integer product per term pair.  Each output is
+reduced once: a vector by one gcd chain over its denominator and all of its
+numerators (`_reduced`), a scalar series term by term (`_joined`).  Each order
+of `rs_perturbation` puts all of its contributions over one denominator and
+reduces the new eigenvector correction once, as one vector, with the level
+gaps folded into its denominator.
 
 The dense matrix of `fock_matrix` and `diagonalize` is limited to
 MAX_MATRIX_BYTES; a larger dimension raises ResourceError (CLI exit 4).
@@ -32,45 +37,75 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import coeff_make, common_denominator, numerators, reduced_over
+from . import _kernel
+from ._kernel import common_denominator, numerators, reduced_over
 from .algebra import pi_restriction
 from .errors import DomainError, ResourceError
 from .field import Coefficient
 from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one
 
 
-def _reduced_vector(out, den) -> "FockVector":
-    """The FockVector of the 4-int sums ``out`` over ``den``, in canonical form.
+def _split(terms, den):
+    """The term map ``terms`` of coefficient tuples as numerators over ``den``,
+    split by component: ``{component: {key: int}}``, nonzero entries only."""
+    parts = {}
+    for key, num in numerators(terms, den):
+        for x, c in enumerate(num):
+            if c:
+                parts.setdefault(x, {})[key] = c
+    return parts
 
-    Zero sums are dropped and every numerator and ``den`` are divided by
-    ``g = gcd(den, all numerators)``.  An entry ``x/den`` reduces to the
-    denominator ``den / gcd(den, x)``, so ``den / g`` is the lcm of the
+
+def _reduced(parts, den):
+    """The split sums ``parts`` over ``den`` in canonical form, as ``(parts, den)``.
+
+    Zero sums and empty parts are dropped and every numerator and ``den`` are
+    divided by ``g = gcd(den, all numerators)``.  An entry ``x/den`` reduces to
+    the denominator ``den / gcd(den, x)``, so ``den / g`` is the lcm of the
     entries' reduced denominators.  The chain stops at the first ``g == 1``.
     """
-    terms = {key: x for key, x in out.items() if x[0] or x[1] or x[2] or x[3]}
+    kept = {}
     g = den
-    for a, b, c, d in terms.values():
-        g = math.gcd(g, a, b, c, d)
-        if g == 1:
-            break
+    for x, p in parts.items():
+        p = {key: c for key, c in p.items() if c}
+        if p:
+            kept[x] = p
+            if g != 1:
+                g = math.gcd(g, *p.values())
+    if g != 1:
+        kept = {x: {key: c // g for key, c in p.items()} for x, p in kept.items()}
+        den //= g
+    return kept, den
+
+
+def _reduced_vector(parts, den) -> "FockVector":
+    """The FockVector of the split sums ``parts`` over ``den``, in canonical form."""
     v = FockVector()
-    if g == 1:
-        v._terms, v._den = terms, den
-    else:
-        v._terms = {key: (a // g, b // g, c // g, d // g) for key, (a, b, c, d) in terms.items()}
-        v._den = den // g
+    v._parts, v._den = _reduced(parts, den)
     return v
+
+
+def _joined(parts, den):
+    """``{key: coefficient tuple}`` of the split sums ``parts`` over ``den``,
+    each nonzero entry reduced once."""
+    nums = {}
+    for x, p in parts.items():
+        for key, c in p.items():
+            nums.setdefault(key, [0, 0, 0, 0])[x] = c
+    return reduced_over(nums, den)
 
 
 class FockVector:
     """Finite vector sum_j c_j(hbar) z^j with exact Laurent-hbar coefficients.
 
-    Stored as ``_terms = {(j, hbar exponent): (a, b, c, d)}`` over one
-    denominator ``_den``, the lcm of the entries' reduced denominators; that
-    form is canonical, so equal vectors compare equal.
+    Stored split by component, as ``_parts = {component: {(j, hbar
+    exponent): int}}`` with components 0..3 for ``1, i, sqrt2, i*sqrt2`` and
+    only nonzero maps and entries kept, over one denominator ``_den``, the lcm
+    of the entries' reduced denominators; that form is canonical, so equal
+    vectors compare equal.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_parts", "_den")
 
     def __init__(self, components=None):
         coeffs = {}
@@ -81,66 +116,60 @@ class FockVector:
                 elif not isinstance(val, dict):
                     val = {0: Coefficient(val)}
                 for k, c in val.items():
-                    raw = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
-                    if any(raw[:4]):
-                        coeffs[(j, k)] = raw
+                    coeffs[(j, k)] = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
         self._den = common_denominator(coeffs)
-        self._terms = dict(numerators(coeffs, self._den))
+        self._parts = _split(coeffs, self._den)
 
     @classmethod
     def basis(cls, n: int) -> "FockVector":
         v = cls()
-        v._terms = {(n, 0): (1, 0, 0, 0)}
+        v._parts = {0: {(n, 0): 1}}
         return v
 
     def component(self, j):
         """Hbar expansion of the z^j coefficient as {exponent: Coefficient}."""
-        den = self._den
-        return {
-            k: Coefficient._raw(coeff_make(a, b, c, d, den))
-            for (m, k), (a, b, c, d) in self._terms.items()
-            if m == j
-        }
+        level = {x: {key: c for key, c in p.items() if key[0] == j} for x, p in self._parts.items()}
+        return {k: Coefficient._raw(c) for (_, k), c in _joined(level, self._den).items()}
 
-    def over(self, den):
-        """Yield ``(key, (a, b, c, d))``: the entries as numerators over ``den``,
-        a multiple of ``_den``."""
+    def add_into(self, acc, den):
+        """Add the entries, as numerators over ``den`` (a multiple of ``_den``),
+        into the split sums ``acc``."""
         s = den // self._den
-        if s == 1:
-            yield from self._terms.items()
-        else:
-            for key, (a, b, c, d) in self._terms.items():
-                yield key, (a * s, b * s, c * s, d * s)
+        for x, p in self._parts.items():
+            out = acc.get(x)
+            if out is None:
+                acc[x] = {key: c * s for key, c in p.items()}
+            else:
+                get = out.get
+                for key, c in p.items():
+                    out[key] = get(key, 0) + c * s
 
     def levels(self):
-        return sorted({j for j, _ in self._terms})
+        return sorted({j for p in self._parts.values() for j, _ in p})
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._parts)
 
     def __eq__(self, other):
         if isinstance(other, FockVector):
-            return self._den == other._den and self._terms == other._terms
+            return self._den == other._den and self._parts == other._parts
         return NotImplemented
 
     def __add__(self, other):
         den = math.lcm(self._den, other._den)
-        out = dict(self.over(den))
-        get = out.get
-        for key, (a, b, c, d) in other.over(den):
-            acc = get(key)
-            out[key] = (a, b, c, d) if acc is None else (acc[0] + a, acc[1] + b, acc[2] + c, acc[3] + d)
+        out = {}
+        self.add_into(out, den)
+        other.add_into(out, den)
         return _reduced_vector(out, den)
 
     def __str__(self):
-        if not self._terms:
+        if not self._parts:
             return "0"
         chunks = []
-        for j, k in sorted(self._terms):
-            c = Coefficient._raw(coeff_make(*self._terms[(j, k)], self._den))
+        for (j, k), c in sorted(_joined(self._parts, self._den).items()):
             h = "" if k == 0 else ("*hbar" if k == 1 else f"*hbar^{k}")
             zs = "" if j == 0 else ("*z" if j == 1 else f"*z^{j}")
-            chunks.append(f"({c}){h}{zs}")
+            chunks.append(f"({Coefficient._raw(c)}){h}{zs}")
         return " + ".join(chunks)
 
     __repr__ = __str__
@@ -149,61 +178,58 @@ class FockVector:
 def apply_rho(f: QSeries, psi: FockVector) -> FockVector:
     """Left action of a t-free operator: adag -> z., a -> hbar d/dz.
 
-    ``f`` is put over its common denominator; each term pair adds an integer
-    product of numerators into the entry ``(z^j, hbar^k)`` it lands on, and
-    the sums over ``den_f * den_psi`` are reduced once, as one vector.
+    ``f`` is put over its common denominator and split by component; for each
+    pair of components, each term pair adds one integer product into the
+    entry ``(z^j, hbar^k)`` it lands on, and the sums over ``den_f * den_psi``
+    are reduced once, as one vector.
     """
     if f.var_degree("t") > 0:
         raise DomainError("representation acts on t-free operators")
     den_f = common_denominator(f._terms)
+    perm = math.perm
     out = {}
-    get = out.get
-    for (m, n, k, _), (fa, fb, fc, fd) in numerators(f._terms, den_f):
-        shift = k + n
-        for (j, kh), (ya, yb, yc, yd) in psi._terms.items():
-            if n > j:
-                continue
-            falling = math.perm(j, n)
-            xa, xb, xc, xd = fa * falling, fb * falling, fc * falling, fd * falling
-            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-            cc = xa * yc + xc * ya - xb * yd - xd * yb
-            cd = xa * yd + xd * ya + xb * yc + xc * yb
-            key = (j - n + m, kh + shift)
-            acc = get(key)
-            if acc is None:
-                out[key] = (ca, cb, cc, cd)
-            else:
-                out[key] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
+    for z, w, p, q in _kernel.component_pairs(_split(f._terms, den_f), psi._parts):
+        acc = out.setdefault(z, {})
+        get = acc.get
+        for (m, n, k, _), c in p.items():
+            c *= w
+            shift = k + n
+            for (j, kh), y in q.items():
+                if n <= j:
+                    key = (j - n + m, kh + shift)
+                    acc[key] = get(key, 0) + c * perm(j, n) * y
     return _reduced_vector(out, den_f * psi._den)
 
 
 def inner_product(psi: FockVector, chi: FockVector) -> ScalarSeries:
     """<psi|chi> = sum_j conj(c_j) d_j j! hbar^j, exact in hbar.
 
-    The products of numerators are summed per hbar power over
-    ``den_psi * den_chi`` and each sum is reduced once.
+    The conjugation (the sign of the i and i*sqrt2 components) and ``j!`` are
+    applied to ``psi`` once; the products of numerators are summed per
+    component and hbar power over ``den_psi * den_chi`` and each sum is
+    reduced once.
     """
-    by_level = {}
-    for (j, k2), y in chi._terms.items():
-        by_level.setdefault(j, []).append((k2, y))
+    left = {}
+    for x, p in psi._parts.items():
+        sign = -1 if x & 1 else 1
+        left[x] = [(j, k1, sign * math.factorial(j) * c) for (j, k1), c in p.items()]
+    right = {}
+    for y, q in chi._parts.items():
+        by_level = right[y] = {}
+        for (j, k2), c in q.items():
+            by_level.setdefault(j, []).append((k2, c))
     out = {}
-    for (j, k1), (xa, xb, xc, xd) in psi._terms.items():
-        right = by_level.get(j)
-        if right is None:
-            continue
-        fact = math.factorial(j)
-        # the conjugate (a, -b, c, -d), times j!
-        xa, xb, xc, xd = xa * fact, -xb * fact, xc * fact, -xd * fact
-        for k2, (ya, yb, yc, yd) in right:
-            key = (k1 + k2 + j,)
-            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-            cc = xa * yc + xc * ya - xb * yd - xd * yb
-            cd = xa * yd + xd * ya + xb * yc + xc * yb
-            acc = out.get(key)
-            out[key] = (ca, cb, cc, cd) if acc is None else (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
-    terms = reduced_over(out, psi._den * chi._den)
+    for z, w, p, q in _kernel.component_pairs(left, right):
+        acc = out.setdefault(z, {})
+        get = acc.get
+        for j, k1, c in p:
+            row = q.get(j)
+            if row is not None:
+                c *= w
+                for k2, y in row:
+                    key = (k1 + k2 + j,)
+                    acc[key] = get(key, 0) + c * y
+    terms = _joined(out, psi._den * chi._den)
     if any(k < 0 for k, in terms):
         raise DomainError("inner product with negative hbar powers")
     w2 = 2 * max((k for k, in terms), default=0)
@@ -218,14 +244,16 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
     corrections may pick up negative hbar powers, the eigenvalue cannot.
 
     Each order k sums the residual ``R = sum_{j>=1} (f_j - E_j) psi_{k-j}``
-    as integer 4-tuples keyed by ``(z power, hbar power)``, over one
+    as split integer sums keyed by ``(z power, hbar power)``, over one
     denominator ``L``: the lcm of the denominators of the vectors
     ``rho(f_j) psi_{k-j}`` (from `apply_rho`, looked up in this module at each
     call) and of the products ``den(E_j) den(psi_{k-j})``.  Each source is
-    rescaled to ``L`` once: a vector's numerators, or the numerators of
-    ``E_j`` before its products with ``psi_{k-j}``.  ``psi_k = -R / (2 hbar
-    (m - level))`` off the level is then put over ``L`` times the lcm of its
-    gaps and reduced once, as one vector.
+    rescaled to ``L`` once: a vector's numerators, or those of ``E_j``, with
+    the factor of each component pair, before its products with
+    ``psi_{k-j}``.  ``psi_k = -R / (2 hbar (m - level))`` off the level is
+    then put over ``L`` times the lcm of its gaps and reduced once, as one
+    vector.  The energies are kept split, ``(parts, den)`` keyed by hbar
+    power, in the same canonical form as a vector.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
@@ -236,59 +264,53 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
         raise DomainError("base operator must be p^2 + q^2")
     slices = [f.var_slice("t", j) for j in range(order + 1)]
     psis = [FockVector.basis(level)]
-    energies = [{1: coeff_make(2 * level + 1, 0, 0, 0, 1)}]  # E_0 = hbar(2n+1)
-    e_dens = [1]
+    energies = [({0: {1: 2 * level + 1}}, 1)]  # E_0 = hbar(2n+1)
     for k in range(1, order + 1):
         sources = [apply_rho(slices[j], psis[k - j]) for j in range(1, k + 1) if slices[j]]
         den = 1
         for v in sources:
             den = math.lcm(den, v._den)
         for j in range(1, k):
-            den = math.lcm(den, e_dens[j] * psis[k - j]._den)
+            den = math.lcm(den, energies[j][1] * psis[k - j]._den)
         # E_k is the level component of sum_j rho(f_j) psi_{k-j}; its
         # denominator divides den.
         acc = {}
-        get = acc.get
         for v in sources:
-            for key, (a, b, c, d) in v.over(den):
-                x = get(key)
-                acc[key] = (a, b, c, d) if x is None else (x[0] + a, x[1] + b, x[2] + c, x[3] + d)
-        energies.append(reduced_over({kh: x for (m, kh), x in acc.items() if m == level}, den))
-        e_dens.append(common_denominator(energies[k]))
+            v.add_into(acc, den)
+        energies.append(
+            _reduced({x: {kh: c for (m, kh), c in p.items() if m == level} for x, p in acc.items()}, den)
+        )
         # acc -= E_j psi_{k-j}; E_k psi_0 cancels the level component, and
         # then (f0 - E_0) psi_k = -R fixes psi_k off the level
         for j in range(1, k + 1):
             psi = psis[k - j]
-            for eh, (ea, eb, ec, ed) in numerators(energies[j], den // psi._den):
-                for (m, kh), (a, b, c, d) in psi._terms.items():
-                    key = (m, kh + eh)
-                    x = get(key)
-                    ca = ea * a - eb * b + 2 * (ec * c - ed * d)
-                    cb = ea * b + eb * a + 2 * (ec * d + ed * c)
-                    cc = ea * c + ec * a - eb * d - ed * b
-                    cd = ea * d + ed * a + eb * c + ec * b
-                    if x is None:
-                        acc[key] = (-ca, -cb, -cc, -cd)
-                    else:
-                        acc[key] = (x[0] - ca, x[1] - cb, x[2] - cc, x[3] - cd)
+            e_parts, e_den = energies[j]
+            s = -(den // (e_den * psi._den))
+            for z, w, p, q in _kernel.component_pairs(e_parts, psi._parts):
+                left = [(eh, c * w * s) for eh, c in p.items()]
+                target = acc.setdefault(z, {})
+                get = target.get
+                for eh, e in left:
+                    for (m, kh), c in q.items():
+                        key = (m, kh + eh)
+                        target[key] = get(key, 0) + e * c
         # (f0 - E_0) z^m = 2 hbar (m - level) z^m
         gaps = {}
-        for (m, kh), (a, b, c, d) in acc.items():
-            if a or b or c or d:
-                if m == level:
-                    raise AssertionError("level component of the residual did not cancel")
-                gaps[m] = 2 * (m - level)
+        for p in acc.values():
+            for (m, kh), c in p.items():
+                if c:
+                    if m == level:
+                        raise AssertionError("level component of the residual did not cancel")
+                    gaps[m] = 2 * (m - level)
         gap_lcm = math.lcm(*gaps.values())
         scale = {m: -(gap_lcm // g) for m, g in gaps.items()}
         out = {}
-        for (m, kh), (a, b, c, d) in acc.items():
-            s = scale.get(m)
-            if s is not None:
-                out[(m, kh - 1)] = (a * s, b * s, c * s, d * s)
+        for x, p in acc.items():
+            out[x] = {(m, kh - 1): c * scale[m] for (m, kh), c in p.items() if c}
         psis.append(_reduced_vector(out, den * gap_lcm))
     terms = {}
-    for k, e_k in enumerate(energies):
-        for kh, c in e_k.items():
+    for k, (e_parts, e_den) in enumerate(energies):
+        for kh, c in _joined(e_parts, e_den).items():
             if kh < 0:
                 raise AssertionError("eigenvalue series picked up negative hbar powers")
             terms[(kh, k)] = c
@@ -332,23 +354,43 @@ def _check_dim(dim: int):
         )
 
 
+def _check_params(t: float, hbar: float):
+    for name, value in (("t", t), ("hbar", hbar)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+
+
+def _overflow(dim: int, t: float, hbar: float) -> ValueError:
+    return ValueError(f"the {dim}x{dim} Fock matrix overflows at t = {t!r}, hbar = {hbar!r}")
+
+
 def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
     """Matrix elements <e_m | f e_n> at numeric parameter values.
 
-    Raises ResourceError when the dense matrix would exceed MAX_MATRIX_BYTES.
+    Raises ResourceError when the dense matrix would exceed MAX_MATRIX_BYTES,
+    and ValueError for a non-finite ``t`` or ``hbar``, a non-positive
+    ``hbar``, or an entry that overflows the float range.
     """
     _check_dim(dim)
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _check_params(t, hbar)
     mat = np.zeros((dim, dim), dtype=complex)
-    for (m, n, k, l), coef in f._terms.items():
-        base = Coefficient._raw(coef).to_complex() * (t**l) * hbar ** (k + n)
-        for col in range(n, dim):
-            row = col - n + m
-            if row >= dim:
-                continue
-            amp = base * math.perm(col, n) * _norm_ratio(row, col, hbar)
-            mat[row, col] += amp
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for (m, n, k, l), coef in f._terms.items():
+                base = Coefficient._raw(coef).to_complex() * (t**l) * hbar ** (k + n)
+                for col in range(n, dim):
+                    row = col - n + m
+                    if row >= dim:
+                        continue
+                    amp = base * math.perm(col, n) * _norm_ratio(row, col, hbar)
+                    mat[row, col] += amp
+    except (OverflowError, FloatingPointError) as exc:
+        raise _overflow(dim, t, hbar) from exc
+    # float products that overflow give inf or nan without raising
+    if not np.isfinite(mat).all():
+        raise _overflow(dim, t, hbar)
     return FockOperator(dim=dim, t=t, hbar=hbar, matrix=mat)
 
 
@@ -378,14 +420,17 @@ def diagonalize(f: QSeries, t: float, hbar: float, dim: int, levels: int) -> Dia
     The flag re-runs at dim+10 and requires relative drift < 1e-10 on the
     requested levels.  Non-hermitian input downgrades to a general
     eigensolver and is flagged.  Raises ResourceError, before any matrix is
-    built, when the dim+10 matrix would exceed MAX_MATRIX_BYTES, and
-    ValueError unless 0 <= levels <= dim.
+    built, when the dim+10 matrix would exceed MAX_MATRIX_BYTES; ValueError,
+    also before, unless 0 <= levels <= dim and ``t`` and ``hbar`` are finite
+    with ``hbar > 0``, and ValueError when a matrix, or a step of the
+    eigenvalue check, overflows the float range.
     """
     _check_dim(dim + 10)
     if dim < 1:
         raise ValueError("dimension must be positive")
     if not 0 <= levels <= dim:
         raise ValueError(f"levels must be between 0 and dim = {dim}, not {levels}")
+    _check_params(t, hbar)
 
     def lowest(d):
         op = fock_matrix(f, d, t, hbar)
@@ -398,9 +443,13 @@ def diagonalize(f: QSeries, t: float, hbar: float, dim: int, levels: int) -> Dia
             vals = vals[np.argsort(vals.real)]
         return vals[:levels], herm
 
-    vals, herm = lowest(dim)
-    check, _ = lowest(dim + 10)
-    drift = np.abs(vals - check) / np.maximum(1.0, np.abs(check))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            vals, herm = lowest(dim)
+            check, _ = lowest(dim + 10)
+            drift = np.abs(vals - check) / np.maximum(1.0, np.abs(check))
+    except FloatingPointError as exc:
+        raise _overflow(dim, t, hbar) from exc
     converged = bool(np.all(drift < 1e-10))
     out = [complex(v) if not herm else float(np.real(v)) for v in vals]
     return DiagonalizationResult(values=out, converged=converged, hermitian=herm, dim=dim)

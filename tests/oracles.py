@@ -7,9 +7,10 @@ coefficients.  It shares nothing with the kernel's binomial formula.
 `qmul_per_pair` and `bracket_per_pair` form a product or a bracket term pair
 by term pair, reducing every pair product with the single-coefficient ops of
 `_kernel` (`coeff_mul`, `coeff_add`), not with its product kernels.
-`rho_per_entry` and `rs_per_entry` form the Fock action and the
-Rayleigh-Schrodinger recursion entry by entry in `field.Coefficient`
-arithmetic, with no common denominators.
+`rho_per_entry`, `inner_per_entry` and `rs_per_entry` form the Fock action,
+the Fock inner product and the Rayleigh-Schrodinger recursion entry by entry
+in `field.Coefficient` arithmetic, with no common denominators and no split
+by component.
 """
 
 from fractions import Fraction
@@ -147,6 +148,23 @@ def rho_per_entry(f, psi):
                 key = (j - n + m, kh + k + n)
                 out[key] = out.get(key, 0) + Coefficient._raw(c) * x * perm(j, n)
     return {key: c for key, c in out.items() if c}
+
+
+def inner_per_entry(psi, chi):
+    """<psi|chi> as ``{hbar power: Coefficient}``; ``psi`` and ``chi`` map (z power, hbar power) to Coefficients.
+
+    ``<z^j|z^j> = j! hbar^j``, and the left entries are conjugated explicitly,
+    component by component: ``r + i_ i + r2 sqrt2 + ir2 i sqrt2`` becomes
+    ``r - i_ i + r2 sqrt2 - ir2 i sqrt2``.
+    """
+    out = {}
+    for (j, k1), x in psi.items():
+        conj = Coefficient(x.r, -x.i, x.r2, -x.ir2)
+        for (j2, k2), y in chi.items():
+            if j2 == j:
+                key = k1 + k2 + j
+                out[key] = out.get(key, 0) + conj * y * factorial(j)
+    return {k: c for k, c in out.items() if c}
 
 
 def rs_per_entry(f, level, order):

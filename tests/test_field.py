@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qmorse._kernel import COMPONENT_PRODUCT, coeff_mul
 from qmorse.field import Coefficient, I, ONE, SQRT2, parse_rational, rational_str
 
 rationals = st.fractions(
@@ -25,6 +26,18 @@ def test_lowest_terms_storage():
     c = Coefficient(Fraction(2, 4))
     assert c.raw == (1, 0, 0, 0, 2)
     assert Coefficient(Fraction(-2, 4)).raw == (-1, 0, 0, 0, 2)
+
+
+def test_component_product_table_matches_coeff_mul():
+    # e_x * e_y = w * e_z for the basis elements 1, i, sqrt2, i*sqrt2
+    basis = [tuple(int(c == x) for c in range(4)) + (1,) for x in range(4)]
+    assert len(COMPONENT_PRODUCT) == 16
+    for x in range(4):
+        for y in range(4):
+            z, w = COMPONENT_PRODUCT[x, y]
+            expected = [0, 0, 0, 0, 1]
+            expected[z] = w
+            assert coeff_mul(basis[x], basis[y]) == tuple(expected)
 
 
 def test_sqrt2_squares_to_two():

@@ -274,17 +274,24 @@ def test_tokenizer_overlong_literal_is_parse_error():
           "--csv"], 4),
         (["spectrum", "--perturbation", "q^4", "--order", "100000000"], 4),
         (["trace", "q^4", "--levels", "100000000"], 4),
+        (["diag", "--perturbation", "q^4", "--t", "1e308", "--hbar", "1", "--dim", "30"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1e200", "--dim", "30"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "nan", "--hbar", "1", "--dim", "30"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "inf", "--dim", "30",
+          "--csv"], 3),
     ],
     ids=[
         "order", "level", "rs-order", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
-        "order-huge", "levels-huge",
+        "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "t-nan",
+        "hbar-inf-csv",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in argv), expect=code)
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert proc.stdout == ""
     if "100000000" in argv:
         assert "MAX_ORDER = 100" in proc.stderr

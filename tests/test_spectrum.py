@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmorse import algebra, normal_form as nf, parser, spectrum as sp
+from qmorse import _kernel, algebra, normal_form as nf, parser, spectrum as sp
 from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
 from qmorse.series import QSeries, adag, a_op, harmonic, one, q_op, t_op
 
-from oracles import COPRIME, random_qseries, rho_per_entry, rs_per_entry
+from oracles import COPRIME, inner_per_entry, random_qseries, rho_per_entry, rs_per_entry
 
 CAPS = dict(t_cap=2, weight_cap="12")
 
@@ -86,6 +86,17 @@ def test_inner_product():
     assert ip.coeff((2,)) == Coefficient(2)
     psi = sp.FockVector({0: Coefficient(0, 1)})  # i|0>
     assert sp.inner_product(psi, psi).coeff((0,)) == Coefficient(1)
+
+
+def test_inner_product_matches_per_entry_reference():
+    # every entry carries all four Q(i, sqrt2) components over 3, 5 or 7, so
+    # every component pair and every conjugation sign is exercised
+    c3, c5, c7 = COPRIME
+    psi = {(0, 0): c5, (1, 2): c3, (2, -1): c7, (2, 1): c7, (3, 0): c5}
+    chi = {(0, 1): c7, (1, 0): c3, (1, 1): -c5, (2, 0): c5, (3, 2): c3}
+    for left, right in ((psi, chi), (chi, psi), (psi, psi), (chi, chi)):
+        out = sp.inner_product(_vector(left), _vector(right))
+        assert dict(out.items()) == {(k,): c for k, c in inner_per_entry(left, right).items()}
 
 
 def test_inner_product_positivity():
@@ -173,6 +184,57 @@ def test_rs_calls_apply_rho_through_the_module(monkeypatch):
     caps = dict(t_cap=40, weight_cap="64")
     sp.rs_perturbation(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, 0, 40)
     assert len(calls) == 40
+
+
+COMPLEX_ENERGIES = (
+    "p^2+q^2 + t*(i*(q^2)/2 + sqrt2*(q^3*p+p*q^3)/5 + i*sqrt2*(p^2*q)/3)"
+    " + t^2*(sqrt2*(p^4)/7)"
+)
+
+
+def _component_pair_counts(monkeypatch, f, level, order):
+    """The term pairs that RS visits per component pair ``(x, y)``, one per
+    pair of a left and a right entry of a product.
+
+    Every product of the Fock layer runs through `_kernel.component_pairs`,
+    here once per `apply_rho` (the terms of ``f_j`` times the entries of
+    ``psi``, counting the pairs it skips because the entry's z power is
+    below the term's a power) and once per ``E_j psi_{k-j}`` (the entries of
+    ``E_j`` times those of ``psi_{k-j}``).
+    """
+    counts = {}
+    original = _kernel.component_pairs
+
+    def counting(left, right):
+        for x, p in left.items():
+            for y, q in right.items():
+                counts[x, y] = counts.get((x, y), 0) + len(p) * len(q)
+        return original(left, right)
+
+    monkeypatch.setattr(_kernel, "component_pairs", counting)
+    sp.rs_perturbation(f, level, order)
+    return counts
+
+
+def test_rs_component_pair_counts(monkeypatch):
+    """Work counts of the split Fock layer, without timing anything.
+
+    Components 0..3 are ``1, i, sqrt2, i*sqrt2``.  For ``q^4`` every vector
+    and every energy is rational, so only the pair (0, 0) runs, one integer
+    product per term pair, where a 4-int layout pays sixteen.  The
+    non-hermitian ``complex-energies`` perturbation fills all four
+    components, and all sixteen pairs run.
+    """
+    caps = dict(t_cap=40, weight_cap="64")
+    f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
+    assert _component_pair_counts(monkeypatch, f, 0, 40) == {(0, 0): 35409}
+    f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "16")
+    assert _component_pair_counts(monkeypatch, f, 0, 6) == {
+        (0, 0): 807, (0, 1): 532, (0, 2): 390, (0, 3): 642,
+        (1, 0): 551, (1, 1): 381, (1, 2): 266, (1, 3): 460,
+        (2, 0): 598, (2, 1): 348, (2, 2): 266, (2, 3): 432,
+        (3, 0): 645, (3, 1): 449, (3, 2): 316, (3, 3): 540,
+    }
 
 
 def test_rs_requires_harmonic_base():
@@ -283,8 +345,7 @@ def test_oracle_triangle_small():
         "p^2+q^2 + t*(sqrt2*(q^3)/3 + (q^2*p^2+p^2*q^2)/5 + i*(q^3*p - p*q^3)/3)"
         " + t^2*(q^2)/7",
         # not hermitian: the energies carry all four components of Q(i, sqrt2)
-        "p^2+q^2 + t*(i*(q^2)/2 + sqrt2*(q^3*p+p*q^3)/5 + i*sqrt2*(p^2*q)/3)"
-        " + t^2*(sqrt2*(p^4)/7)",
+        COMPLEX_ENERGIES,
     ],
     ids=["hermitian", "complex-energies"],
 )
@@ -316,6 +377,53 @@ def test_rs_quartic_golden_digest(level):
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
     text = json.dumps(sp.rs_perturbation(f, level, 40).to_json(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == RS_QUARTIC_DIGESTS[level]
+
+
+# The same for the non-hermitian perturbation COMPLEX_ENERGIES at order 12,
+# whose vectors and energies fill all four components of Q(i, sqrt2): these
+# bytes were recorded with the 4-int Fock layout, before the split by
+# component.
+RS_COMPLEX_DIGESTS = {
+    0: "8a45f416e6f3f5d8785aaa66454b35490abe187765fabc5c21e5ab205e0fa89f",
+    1: "b64c7f31e1fc4baf36e9c515bb35151da2211b70edef40c2225ff2b127c1d193",
+    2: "12a77a469317cf0fad389dd0209316ccb5d11f3020981d6fdf5d65066d5f9d03",
+}
+
+
+@pytest.mark.parametrize("level", sorted(RS_COMPLEX_DIGESTS))
+def test_rs_complex_energies_golden_digest(level):
+    f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 12, "16")
+    text = json.dumps(sp.rs_perturbation(f, level, 12).to_json(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == RS_COMPLEX_DIGESTS[level]
+
+
+@pytest.mark.parametrize(
+    "t, hbar, message",
+    [
+        (float("nan"), 1.0, "t must be finite"),
+        (float("inf"), 1.0, "t must be finite"),
+        (0.1, float("-inf"), "hbar must be finite"),
+        (1e308, 1.0, "overflows"),
+        (0.1, 1e200, "overflows"),
+    ],
+)
+def test_fock_matrix_refuses_non_finite_input(t, hbar, message):
+    caps = dict(t_cap=1, weight_cap="10")
+    f = harmonic(**caps) + t_op(**caps) * (q_op(**caps) ** 4)
+    with pytest.raises(ValueError, match=message):
+        sp.fock_matrix(f, 30, t, hbar)
+    with pytest.raises(ValueError, match=message):
+        sp.diagonalize(f, t, hbar, 30, 2)
+
+
+def test_diagonalize_refuses_overflow_in_its_checks():
+    # every entry is finite, but the anti-hermitian part doubles in a - a^H
+    caps = dict(t_cap=1, weight_cap="10")
+    f = harmonic(**caps) + t_op(**caps) * parser.elaborate(parser.parse_expr("i*q^3"), **caps)
+    t = 2.0**1020.1
+    assert np.isfinite(sp.fock_matrix(f, 5, t, 1.0).matrix).all()
+    with pytest.raises(ValueError, match="overflows"):
+        sp.diagonalize(f, t, 1.0, 5, 2)
 
 
 def test_fock_matrix_size_limit():
