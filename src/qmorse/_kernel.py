@@ -19,32 +19,33 @@ installed on one sees every call.  The benchmark's ``kernel.qmul`` spans
 therefore count products only: the pairs of a bracket or a composition are
 not seen by ``kernel.qmul``.
 
-Common denominators.  The kernels and ``ScalarSeries.__mul__`` put each
-operand over the lcm of its denominators (`common_denominator`) and read it as
-4-int numerators over that lcm (`numerators`).  A term pair then costs one
-integer product of numerators, added into a 4-int tuple of the output term;
-no pair is reduced and none calls `coeff_mul` or `coeff_make`.  Each output
-term is reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
-(`reduced_over`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over all
-left and all right operands, and the divisor joins them in that one reduction.
-
-The Fock-space layer of `spectrum` splits its operands by component instead.
-A `FockVector` keeps up to four integer term maps over one denominator, one per
-basis element ``1, i, sqrt2, i*sqrt2`` (components 0..3, the positions of
-``(a, b, c, d)``), and only the nonzero maps.  Its products, `apply_rho`,
-`inner_product` and the Rayleigh-Schrodinger step, loop over the nonzero
-component pairs of their operands (`component_pairs`); the pair's entry of
-`COMPONENT_PRODUCT` is applied once, to the left operand, and each term pair
-is one integer multiply-add into the target component's map.  An operand with
-only rational entries thus costs one integer product per term pair, and the
-field product is written out nowhere in `spectrum`.  Each output is reduced
-once (`reduced_over`, or one gcd over a whole vector).  `spectrum` calls
-``_kernel.component_pairs`` through the module attribute, so a wrapper
-installed on it sees every component pair.
+Components and common denominators.  Every product of term maps, the three
+kernels, ``ScalarSeries.__mul__`` and the Fock-space layer of `spectrum`
+(`apply_rho`, `inner_product` and the Rayleigh-Schrodinger step), puts each
+operand over the lcm of its denominators (`common_denominator`) and splits it
+once by component (`split`): up to four integer term maps, one per basis
+element ``1, i, sqrt2, i*sqrt2`` (components 0..3, the positions of ``(a, b,
+c, d)``), only the nonzero ones kept.  A product loops over the nonzero
+component pairs of its operands (`component_pairs`); the pair's entry ``(z,
+w)`` of `COMPONENT_PRODUCT` is applied once, to the left operand, and each term
+pair is then one integer multiply-add into the accumulator of component
+``z``.  An operand with only rational terms thus costs one integer product per
+term pair.  The field product is written out once, in `coeff_mul`, the
+reference that `COMPONENT_PRODUCT` and the tests check against; no pair is
+reduced and none calls `coeff_mul` or `coeff_make`.  Each output term is joined
+from its components and reduced once, by ``coeff_make(a, b, c, d, den_A *
+den_B)`` (`joined`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over
+all left and all right operands, and the divisor joins them in that one
+reduction.  Callers reach `component_pairs` through the module attribute, as
+they reach the kernels, so a wrapper installed on it sees every component
+pair.  Every product raises ResourceError when its accumulators together hold
+more than ``guard`` entries (`check_guard`).
 """
 
 from itertools import zip_longest
 from math import comb, factorial, gcd
+
+from .errors import ResourceError
 
 BACKEND = "python"
 
@@ -103,18 +104,10 @@ def coeff_sub(x, y):
 
 
 def coeff_mul(x, y):
-    # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2; the
-    # product kernels multiply numerators over a common denominator instead
+    # (a1 + b1 i + c1 r + d1 ir)(a2 + b2 i + c2 r + d2 ir), r = sqrt2: the one
+    # written-out product, which COMPONENT_PRODUCT and the tests check against
     xa, xb, xc, xd, xq = x
     ya, yb, yc, yd, yq = y
-    if xq == 1 and yq == 1:
-        return (
-            xa * ya - xb * yb + 2 * xc * yc - 2 * xd * yd,
-            xa * yb + xb * ya + 2 * xc * yd + 2 * xd * yc,
-            xa * yc + xc * ya - xb * yd - xd * yb,
-            xa * yd + xd * ya + xb * yc + xc * yb,
-            1,
-        )
     return coeff_make(
         xa * ya - xb * yb + 2 * xc * yc - 2 * xd * yd,
         xa * yb + xb * ya + 2 * xc * yd + 2 * xd * yc,
@@ -182,28 +175,37 @@ def common_denominator(terms, den=1):
     return den
 
 
-def numerators(terms, den):
-    """Yield ``(key, (a, b, c, d))`` with ``terms[key] == (a, b, c, d)/den``.
+def split(terms, den):
+    """The term map ``terms`` of coefficient tuples as numerators over ``den``,
+    split by component: ``{component: {key: int}}``, nonzero entries only.
 
     ``den`` is a common multiple of the denominators of ``terms`` (see
-    `common_denominator`).  The numerators are made one term at a time, so an
-    operand read once costs no scaled copy.
+    `common_denominator`).
     """
+    parts = ({}, {}, {}, {})
     for key, (a, b, c, d, q) in terms.items():
-        if q == den:
-            yield key, (a, b, c, d)
-        else:
-            s = den // q
-            yield key, (a * s, b * s, c * s, d * s)
+        s = den // q
+        for p, v in zip(parts, (a, b, c, d)):
+            if v:
+                p[key] = v * s
+    return {x: p for x, p in enumerate(parts) if p}
 
 
-def reduced_over(out, den):
-    """The nonzero 4-int sums of ``out``, each divided by ``den`` and reduced once."""
-    return {
-        key: coeff_make(a, b, c, d, den)
-        for key, (a, b, c, d) in out.items()
-        if a or b or c or d
-    }
+def joined(parts, den):
+    """``{key: coefficient tuple}`` of the split sums ``parts`` over ``den``,
+    each nonzero entry reduced once."""
+    nums = {}
+    for x, p in parts.items():
+        for key, c in p.items():
+            if c:
+                nums.setdefault(key, [0, 0, 0, 0])[x] = c
+    return {key: coeff_make(a, b, c, d, den) for key, (a, b, c, d) in nums.items()}
+
+
+def check_guard(out, guard):
+    """Raise ResourceError when the split accumulators ``out`` hold more than ``guard`` entries."""
+    if sum(map(len, out.values())) > guard:
+        raise ResourceError("term-count guard exceeded")
 
 
 def qmul(A, B, t_cap, w2_cap, guard):
@@ -214,49 +216,44 @@ def qmul(A, B, t_cap, w2_cap, guard):
     factors of `contractions`; it conserves the weight ``m + n + 2k``, so the
     caps are checked once per term pair.  Terms beyond ``t_cap``/``w2_cap``
     are dropped (silent truncation is part of the series contract).  Each
-    operand is put over its common denominator once; the pairs add integer
-    numerators and each output term is reduced once.  Returns the new term
-    map; raises MemoryError when the accumulator exceeds ``guard`` entries.
+    operand is put over its common denominator and split by component once;
+    each term pair of a component pair adds one integer product, times each
+    contraction factor, and each output term is reduced once.  Returns the
+    new term map; raises ResourceError when the accumulators exceed ``guard``
+    entries.
     """
     den_a = common_denominator(A)
     den_b = common_denominator(B)
     table = _contractions
-    right = [(m2, n2, k2, l2, m2 + n2 + 2 * k2, y) for (m2, n2, k2, l2), y in numerators(B, den_b)]
+    right = {
+        y: [(m, n, k, l, m + n + 2 * k, c) for (m, n, k, l), c in q.items()]
+        for y, q in split(B, den_b).items()
+    }
     out = {}
-    get = out.get
-    for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
-        w_room = w2_cap - (m1 + n1 + 2 * k1)
-        t_room = t_cap - l1
-        for m2, n2, k2, l2, w2, (ya, yb, yc, yd) in right:
-            if w2 > w_room or l2 > t_room:
-                continue
-            ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-            cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-            cc = xa * yc + xc * ya - xb * yd - xd * yb
-            cd = xa * yd + xd * ya + xb * yc + xc * yb
-            m = m1 + m2
-            n = n1 + n2
-            k = k1 + k2
-            l = l1 + l2
-            key = (m, n, k, l)
-            acc = get(key)
-            if acc is None:
-                out[key] = (ca, cb, cc, cd)
-            else:
-                out[key] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
-            if n1 and m2:
-                factors = table.get((n1, m2)) or contractions(n1, m2)
-                for j in range(1, len(factors)):
-                    w = factors[j]
-                    key = (m - j, n - j, k + j, l)
-                    acc = get(key)
-                    if acc is None:
-                        out[key] = (ca * w, cb * w, cc * w, cd * w)
-                    else:
-                        out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
-        if len(out) > guard:
-            raise MemoryError("term-count guard exceeded")
-    return reduced_over(out, den_a * den_b)
+    for z, w, p, q in component_pairs(split(A, den_a), right):
+        acc = out.setdefault(z, {})
+        get = acc.get
+        for (m1, n1, k1, l1), x in p.items():
+            x *= w
+            w_room = w2_cap - (m1 + n1 + 2 * k1)
+            t_room = t_cap - l1
+            for m2, n2, k2, l2, w2, y in q:
+                if w2 > w_room or l2 > t_room:
+                    continue
+                c = x * y
+                m = m1 + m2
+                n = n1 + n2
+                k = k1 + k2
+                l = l1 + l2
+                key = (m, n, k, l)
+                acc[key] = get(key, 0) + c
+                if n1 and m2:
+                    factors = table.get((n1, m2)) or contractions(n1, m2)
+                    for j in range(1, len(factors)):
+                        key = (m - j, n - j, k + j, l)
+                        acc[key] = get(key, 0) + c * factors[j]
+            check_guard(out, guard)
+    return joined(out, den_a * den_b)
 
 
 _rows = []
@@ -280,7 +277,7 @@ def contraction_row(a, size):
 
 
 def qbracket(pairs, t_cap, w2_cap, guard, div=1):
-    """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one accumulator.
+    """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one split accumulator.
 
     For a pair of terms with coefficients c1, c2, the ``hbar^j`` part of
     ``AB - BA`` is ``c1 c2`` times ``contractions(n1, m2)[j] -
@@ -304,11 +301,12 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     in ``S`` bits, so the output keys unpack exactly.
 
     All numerators go over ``den_A * den_B``, the lcm of the left operands'
-    denominators times the lcm of the right ones, as in `qmul`.  The factor
-    ``i`` is applied once per output term, before its single reduction by
-    ``coeff_make(-b, a, -d, c, den_A * den_B * div)``, as the component
-    permutation ``(a, b, c, d) -> (-b, a, -d, c)``.  Raises MemoryError when
-    the accumulator exceeds ``guard`` entries.
+    denominators times the lcm of the right ones, and each operand is split by
+    component, as in `qmul`.  The factor ``i`` is the table entry
+    ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor to the
+    left operand, so a pair of components ``x, y`` adds into component ``x ^
+    y ^ 1``; each output term is reduced once, over ``den_A * den_B * div``.
+    Raises ResourceError when the accumulators exceed ``guard`` entries.
     """
     den_a = den_b = 1
     top = max(w2_cap + 2, t_cap)
@@ -322,59 +320,62 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     step = one - (one << S) - (one << s2)
     room2 = w2_cap + 2
     out = {}
-    get = out.get
     for A, B in pairs:
         # a contributing term has weight <= w2_cap + 1, since its partner's is >= 1
-        right = []
+        right = {}
         reach = 0
-        for (m2, n2, k2, l2), y in numerators(B, den_b):
-            w2 = m2 + n2 + 2 * k2
-            if (m2 or n2) and w2 < room2 and l2 <= t_cap:
-                right.append((((m2 << S | n2) << S | k2) << S | l2, w2, l2, m2, n2, *y))
-                reach = max(reach, m2, n2)
+        for y, q in split(B, den_b).items():
+            kept = []
+            for (m2, n2, k2, l2), c in q.items():
+                w2 = m2 + n2 + 2 * k2
+                if (m2 or n2) and w2 < room2 and l2 <= t_cap:
+                    kept.append((((m2 << S | n2) << S | k2) << S | l2, w2, l2, m2, n2, c))
+                    reach = max(reach, m2, n2)
+            if kept:
+                right[y] = kept
         if not right:
             continue
-        for (m1, n1, k1, l1), (xa, xb, xc, xd) in numerators(A, den_a):
-            w_room = room2 - (m1 + n1 + 2 * k1)
-            t_room = t_cap - l1
-            if not (m1 or n1) or w_room < 1 or t_room < 0:
-                continue
-            base = (((m1 << S | n1) << S | k1) << S | l1) - one
-            row_f = contraction_row(n1, reach + 1)
-            row_b = contraction_row(m1, reach + 1)
-            for p2, w2, l2, m2, n2, ya, yb, yc, yd in right:
-                if w2 > w_room or l2 > t_room:
-                    continue
-                fwd = row_f[m2]
-                if fwd is None:
-                    fwd = row_f[m2] = contractions(n1, m2)[1:]
-                bwd = row_b[n2]
-                if bwd is None:
-                    bwd = row_b[n2] = contractions(m1, n2)[1:]
-                if not fwd and not bwd:
-                    continue
-                ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-                cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-                cc = xa * yc + xc * ya - xb * yd - xd * yb
-                cd = xa * yd + xd * ya + xb * yc + xc * yb
-                key = base + p2
-                for wf, wb in zip_longest(fwd, bwd, fillvalue=0):
-                    key += step
-                    w = wf - wb
-                    if w:
-                        acc = get(key)
-                        if acc is None:
-                            out[key] = (ca * w, cb * w, cc * w, cd * w)
-                        else:
-                            out[key] = (acc[0] + ca * w, acc[1] + cb * w, acc[2] + cc * w, acc[3] + cd * w)
-            if len(out) > guard:
-                raise MemoryError("term-count guard exceeded")
-    den = den_a * den_b * div
+        left = {}
+        for x, p in split(A, den_a).items():
+            kept = []
+            for (m1, n1, k1, l1), c in p.items():
+                w_room = room2 - (m1 + n1 + 2 * k1)
+                t_room = t_cap - l1
+                if (m1 or n1) and w_room >= 1 and t_room >= 0:
+                    base = (((m1 << S | n1) << S | k1) << S | l1) - one
+                    rows = contraction_row(n1, reach + 1), contraction_row(m1, reach + 1)
+                    kept.append((base, w_room, t_room, n1, m1, *rows, c))
+            if kept:
+                left[x] = kept
+        for z, w, p, q in component_pairs(left, right):
+            z, u = COMPONENT_PRODUCT[1, z]  # the factor i
+            w *= u
+            acc = out.setdefault(z, {})
+            get = acc.get
+            for base, w_room, t_room, n1, m1, row_f, row_b, x in p:
+                x *= w
+                for p2, w2, l2, m2, n2, y in q:
+                    if w2 > w_room or l2 > t_room:
+                        continue
+                    fwd = row_f[m2]
+                    if fwd is None:
+                        fwd = row_f[m2] = contractions(n1, m2)[1:]
+                    bwd = row_b[n2]
+                    if bwd is None:
+                        bwd = row_b[n2] = contractions(m1, n2)[1:]
+                    if not fwd and not bwd:
+                        continue
+                    c = x * y
+                    key = base + p2
+                    for wf, wb in zip_longest(fwd, bwd, fillvalue=0):
+                        key += step
+                        if wf != wb:
+                            acc[key] = get(key, 0) + c * (wf - wb)
+                check_guard(out, guard)
     mask = one - 1
     return {
-        (key >> (s2 + S), (key >> s2) & mask, (key >> S) & mask, key & mask): coeff_make(-b, a, -d, c, den)
-        for key, (a, b, c, d) in out.items()
-        if a or b or c or d
+        (key >> (s2 + S), (key >> s2) & mask, (key >> S) & mask, key & mask): c
+        for key, c in joined(out, den_a * den_b * div).items()
     }
 
 
@@ -386,38 +387,37 @@ def qcompose(C, powers, t_cap, w2_cap, guard):
     ``hbar^k t^l`` is a key shift, and a shifted term is kept when its weight
     is within ``w2_cap`` and its t power within ``t_cap``.  ``C`` is put over
     its common denominator ``den_C`` and the powers over the lcm ``L`` of
-    theirs, so every contribution is an integer numerator over ``den_C * L``
-    and each output term is reduced once.  The powers are scaled one at a
-    time, so no two scaled copies are alive at once.
-    Raises MemoryError when the accumulator exceeds ``guard`` entries.
+    theirs, and each is split by component, so every contribution is an
+    integer product over ``den_C * L``, added into the accumulator of its
+    component, and each output term is reduced once.  The powers are split one
+    at a time, so no two split copies are alive at once.
+    Raises ResourceError when the accumulators exceed ``guard`` entries.
     """
     den_c = common_denominator(C)
     by_power = {}
-    for (j, k, l), x in numerators(C, den_c):
-        by_power.setdefault(j, []).append((k, l, x))
+    for x, p in split(C, den_c).items():
+        for (j, k, l), c in p.items():
+            by_power.setdefault(j, {}).setdefault(x, []).append((k, l, c))
     lcm = 1
     for j in by_power:
         lcm = common_denominator(powers[j], lcm)
     out = {}
-    get = out.get
     for j, central in by_power.items():
-        right = [(m, n, k, l, m + n + 2 * k, y) for (m, n, k, l), y in numerators(powers[j], lcm)]
-        for kc, lc, (xa, xb, xc, xd) in central:
-            w_room = w2_cap - 2 * kc
-            t_room = t_cap - lc
-            for m, n, k, l, w2, (ya, yb, yc, yd) in right:
-                if w2 > w_room or l > t_room:
-                    continue
-                ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-                cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-                cc = xa * yc + xc * ya - xb * yd - xd * yb
-                cd = xa * yd + xd * ya + xb * yc + xc * yb
-                key = (m, n, k + kc, l + lc)
-                acc = get(key)
-                if acc is None:
-                    out[key] = (ca, cb, cc, cd)
-                else:
-                    out[key] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
-            if len(out) > guard:
-                raise MemoryError("term-count guard exceeded")
-    return reduced_over(out, den_c * lcm)
+        right = {
+            y: [(m, n, k, l, m + n + 2 * k, c) for (m, n, k, l), c in q.items()]
+            for y, q in split(powers[j], lcm).items()
+        }
+        for z, w, p, q in component_pairs(central, right):
+            acc = out.setdefault(z, {})
+            get = acc.get
+            for kc, lc, x in p:
+                x *= w
+                w_room = w2_cap - 2 * kc
+                t_room = t_cap - lc
+                for m, n, k, l, w2, y in q:
+                    if w2 > w_room or l > t_room:
+                        continue
+                    key = (m, n, k + kc, l + lc)
+                    acc[key] = get(key, 0) + x * y
+                check_guard(out, guard)
+    return joined(out, den_c * lcm)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _kernel
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .field import Coefficient
 from .series import (
     QSeries,
@@ -59,12 +59,7 @@ def bracket_sum(pairs, div=1) -> QSeries:
     """
     t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
     w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
-    try:
-        terms = _kernel.qbracket(
-            [(f._terms, g._terms) for f, g in pairs], t_cap, w2, term_guard(), div
-        )
-    except MemoryError as exc:
-        raise ResourceError(str(exc)) from None
+    terms = _kernel.qbracket([(f._terms, g._terms) for f, g in pairs], t_cap, w2, term_guard(), div)
     return QSeries._from_raw(terms, t_cap, w2)
 
 

@@ -28,10 +28,13 @@ import sys
 from fractions import Fraction
 
 from . import algebra, flow, gevrey, milnor, normal_form, spectrum
+from ._kernel import COEFF_ONE
 from .errors import DomainError, ParseError, ResourceError
 from .field import Coefficient
 from .parser import elaborate, elaborate_plane, parse_expr
-from .series import QSeries, ScalarSeries, harmonic, t_op, w2_to_str, weight_cap_to_w2
+from .series import (
+    SIG_PLANE, QSeries, ScalarSeries, harmonic, render_terms, t_op, w2_to_str, weight_cap_to_w2,
+)
 
 DEFAULT_T_CAP = 16
 DEFAULT_WEIGHT_CAP = "16"
@@ -289,10 +292,7 @@ def cmd_versal(args):
         {
             "format": "versal-v1",
             "dim": dim,
-            "basis": ["*".join(filter(None, [
-                f"x^{ex}" if ex > 1 else ("x" if ex else ""),
-                f"y^{ey}" if ey > 1 else ("y" if ey else ""),
-            ])) or "1" for ex, ey in basis],
+            "basis": [render_terms({exp: COEFF_ONE}, SIG_PLANE) for exp in basis],
             "versal": versal,
             "stabilized": stabilized,
             "cutoff": args.cutoff,

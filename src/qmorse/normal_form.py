@@ -42,7 +42,7 @@ from fractions import Fraction
 from . import _kernel, flow
 from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int, coeff_neg, coeff_sub
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .field import Coefficient, ONE
 from .series import (
     QSeries,
@@ -315,10 +315,7 @@ def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
         if fpows[j].t_cap > fn.t_cap:
             fpows[j] = fpows[j].with_caps(t_cap=fn.t_cap)
     powers = [p._terms for p in fpows]
-    try:
-        terms = _kernel.qcompose(g_k._terms, powers, fn.t_cap, fn.w2_cap, term_guard())
-    except MemoryError as exc:
-        raise ResourceError(str(exc)) from None
+    terms = _kernel.qcompose(g_k._terms, powers, fn.t_cap, fn.w2_cap, term_guard())
     return QSeries._from_raw(terms, fn.t_cap, fn.w2_cap)
 
 

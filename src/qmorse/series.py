@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _kernel
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .field import Coefficient, ONE, ZERO, parse_rational
 
 DEFAULT_GUARD = 10**6
@@ -357,10 +357,7 @@ class QSeries(_Series):
     def __mul__(self, other):
         if isinstance(other, QSeries):
             t_cap, w2 = self._join_caps(other)
-            try:
-                terms = _kernel.qmul(self._terms, other._terms, t_cap, w2, term_guard())
-            except MemoryError as exc:
-                raise ResourceError(str(exc)) from None
+            terms = _kernel.qmul(self._terms, other._terms, t_cap, w2, term_guard())
             return QSeries._from_raw(terms, t_cap, w2)
         return self.scale(other)
 
@@ -414,16 +411,16 @@ class ScalarSeries(_Series):
     def _from_raw(cls, terms, vars, t_cap, w2_cap):
         return cls._make(_scalar_sig(vars), terms, t_cap, w2_cap)
 
-    def _weighted_terms(self, nums):
-        """Yield (exponent, numerators, doubled weight, t power) for every term.
+    def _weighted_terms(self, part):
+        """Yield (exponent, numerator, doubled weight, t power) for every term.
 
-        ``nums`` yields ``(exponent, numerators)`` pairs of this series over a
-        common denominator (`_kernel.numerators`).  A signature without t
-        reports t power 0, which no t cap drops.
+        ``part`` maps exponents to the integer numerators of one component of
+        this series (`_kernel.split`).  A signature without t reports t power
+        0, which no t cap drops.
         """
         weights = self._weights
         ti = self._ti
-        for e, x in nums:
+        for e, x in part.items():
             yield e, x, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti]
 
     def __mul__(self, other):
@@ -433,29 +430,23 @@ class ScalarSeries(_Series):
             guard = term_guard()
             den_l = _kernel.common_denominator(self._terms)
             den_r = _kernel.common_denominator(other._terms)
-            right = list(other._weighted_terms(_kernel.numerators(other._terms, den_r)))
+            right = {
+                y: list(other._weighted_terms(q))
+                for y, q in _kernel.split(other._terms, den_r).items()
+            }
             out = {}
-            get = out.get
-            for e1, (xa, xb, xc, xd), a1, t1 in self._weighted_terms(
-                _kernel.numerators(self._terms, den_l)
-            ):
-                for e2, (ya, yb, yc, yd), a2, t2 in right:
-                    if a1 + a2 > w2 or t1 + t2 > t_cap:
-                        continue
-                    exp = tuple(map(operator.add, e1, e2))
-                    ca = xa * ya - xb * yb + 2 * (xc * yc - xd * yd)
-                    cb = xa * yb + xb * ya + 2 * (xc * yd + xd * yc)
-                    cc = xa * yc + xc * ya - xb * yd - xd * yb
-                    cd = xa * yd + xd * ya + xb * yc + xc * yb
-                    acc = get(exp)
-                    if acc is None:
-                        out[exp] = (ca, cb, cc, cd)
-                    else:
-                        out[exp] = (acc[0] + ca, acc[1] + cb, acc[2] + cc, acc[3] + cd)
-                if len(out) > guard:
-                    raise ResourceError("term-count guard exceeded")
-            out = _kernel.reduced_over(out, den_l * den_r)
-            return self._like(out, t_cap, w2)
+            for z, w, p, q in _kernel.component_pairs(_kernel.split(self._terms, den_l), right):
+                acc = out.setdefault(z, {})
+                get = acc.get
+                for e1, x, a1, t1 in self._weighted_terms(p):
+                    x *= w
+                    for e2, y, a2, t2 in q:
+                        if a1 + a2 > w2 or t1 + t2 > t_cap:
+                            continue
+                        exp = tuple(map(operator.add, e1, e2))
+                        acc[exp] = get(exp, 0) + x * y
+                    _kernel.check_guard(out, guard)
+            return self._like(_kernel.joined(out, den_l * den_r), t_cap, w2)
         return self.scale(other)
 
     def subs_series(self, var, value):

@@ -9,22 +9,20 @@ normal-form solver, which is what makes the oracle-triangle tests meaningful.
 Perturbation intermediates (the eigenvector corrections) are Laurent in hbar;
 only the eigenvalue series is required to be polynomial, and that is asserted.
 
-The exact operations work fraction-free and split by component.  A
-`FockVector` keeps one integer term map ``{(z power, hbar power): int}`` per
-nonzero basis element ``1, i, sqrt2, i*sqrt2`` (components 0..3), all over a
-single denominator, the lcm of its entries' reduced denominators.
-`apply_rho`, `inner_product` and each order of `rs_perturbation` split their
-operands by component once and loop over the nonzero component pairs
-(`_kernel.component_pairs`): the pair's factor from
-`_kernel.COMPONENT_PRODUCT` is applied once, to the left operand, and each
-term pair is one integer multiply-add into the target component's map.  A
-rational operand, such as every vector and energy of a real perturbation
-like ``q^4``, thus costs one integer product per term pair.  Each output is
-reduced once: a vector by one gcd chain over its denominator and all of its
-numerators (`_reduced`), a scalar series term by term (`_joined`).  Each order
-of `rs_perturbation` puts all of its contributions over one denominator and
-reduces the new eigenvector correction once, as one vector, with the level
-gaps folded into its denominator.
+The exact operations work fraction-free and split by component, as the
+product kernels do (see `_kernel`).  A `FockVector` keeps one integer term map
+``{(z power, hbar power): int}`` per nonzero basis element ``1, i, sqrt2,
+i*sqrt2`` (components 0..3), all over a single denominator, the lcm of its
+entries' reduced denominators.  `apply_rho`, `inner_product` and each order of
+`rs_perturbation` split their operands once (`_kernel.split`) and loop over
+the nonzero component pairs (`_kernel.component_pairs`), one integer
+multiply-add per term pair.  A rational operand, such as every vector and
+energy of a real perturbation like ``q^4``, thus costs one integer product per
+term pair.  Each output is reduced once: a vector by one gcd chain over its
+denominator and all of its numerators (`_reduced`), a scalar series term by
+term (`_kernel.joined`).  Each order of `rs_perturbation` puts all of its
+contributions over one denominator and reduces the new eigenvector correction
+once, as one vector, with the level gaps folded into its denominator.
 
 The dense matrix of `fock_matrix` and `diagonalize` is limited to
 MAX_MATRIX_BYTES; a larger dimension raises ResourceError (CLI exit 4).
@@ -38,22 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from ._kernel import common_denominator, numerators, reduced_over
+from ._kernel import common_denominator, joined, split
 from .algebra import pi_restriction
 from .errors import DomainError, ResourceError
 from .field import Coefficient
 from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one
-
-
-def _split(terms, den):
-    """The term map ``terms`` of coefficient tuples as numerators over ``den``,
-    split by component: ``{component: {key: int}}``, nonzero entries only."""
-    parts = {}
-    for key, num in numerators(terms, den):
-        for x, c in enumerate(num):
-            if c:
-                parts.setdefault(x, {})[key] = c
-    return parts
 
 
 def _reduced(parts, den):
@@ -85,16 +72,6 @@ def _reduced_vector(parts, den) -> "FockVector":
     return v
 
 
-def _joined(parts, den):
-    """``{key: coefficient tuple}`` of the split sums ``parts`` over ``den``,
-    each nonzero entry reduced once."""
-    nums = {}
-    for x, p in parts.items():
-        for key, c in p.items():
-            nums.setdefault(key, [0, 0, 0, 0])[x] = c
-    return reduced_over(nums, den)
-
-
 class FockVector:
     """Finite vector sum_j c_j(hbar) z^j with exact Laurent-hbar coefficients.
 
@@ -118,7 +95,7 @@ class FockVector:
                 for k, c in val.items():
                     coeffs[(j, k)] = c.raw if isinstance(c, Coefficient) else Coefficient(c).raw
         self._den = common_denominator(coeffs)
-        self._parts = _split(coeffs, self._den)
+        self._parts = split(coeffs, self._den)
 
     @classmethod
     def basis(cls, n: int) -> "FockVector":
@@ -129,7 +106,7 @@ class FockVector:
     def component(self, j):
         """Hbar expansion of the z^j coefficient as {exponent: Coefficient}."""
         level = {x: {key: c for key, c in p.items() if key[0] == j} for x, p in self._parts.items()}
-        return {k: Coefficient._raw(c) for (_, k), c in _joined(level, self._den).items()}
+        return {k: Coefficient._raw(c) for (_, k), c in joined(level, self._den).items()}
 
     def add_into(self, acc, den):
         """Add the entries, as numerators over ``den`` (a multiple of ``_den``),
@@ -166,7 +143,7 @@ class FockVector:
         if not self._parts:
             return "0"
         chunks = []
-        for (j, k), c in sorted(_joined(self._parts, self._den).items()):
+        for (j, k), c in sorted(joined(self._parts, self._den).items()):
             h = "" if k == 0 else ("*hbar" if k == 1 else f"*hbar^{k}")
             zs = "" if j == 0 else ("*z" if j == 1 else f"*z^{j}")
             chunks.append(f"({Coefficient._raw(c)}){h}{zs}")
@@ -188,7 +165,7 @@ def apply_rho(f: QSeries, psi: FockVector) -> FockVector:
     den_f = common_denominator(f._terms)
     perm = math.perm
     out = {}
-    for z, w, p, q in _kernel.component_pairs(_split(f._terms, den_f), psi._parts):
+    for z, w, p, q in _kernel.component_pairs(split(f._terms, den_f), psi._parts):
         acc = out.setdefault(z, {})
         get = acc.get
         for (m, n, k, _), c in p.items():
@@ -229,7 +206,7 @@ def inner_product(psi: FockVector, chi: FockVector) -> ScalarSeries:
                 for k2, y in row:
                     key = (k1 + k2 + j,)
                     acc[key] = get(key, 0) + c * y
-    terms = _joined(out, psi._den * chi._den)
+    terms = joined(out, psi._den * chi._den)
     if any(k < 0 for k, in terms):
         raise DomainError("inner product with negative hbar powers")
     w2 = 2 * max((k for k, in terms), default=0)
@@ -310,7 +287,7 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
         psis.append(_reduced_vector(out, den * gap_lcm))
     terms = {}
     for k, (e_parts, e_den) in enumerate(energies):
-        for kh, c in _joined(e_parts, e_den).items():
+        for kh, c in joined(e_parts, e_den).items():
             if kh < 0:
                 raise AssertionError("eigenvalue series picked up negative hbar powers")
             terms[(kh, k)] = c
@@ -333,7 +310,7 @@ class FockOperator:
             cells = []
             for c in range(self.dim):
                 v = self.matrix[r, c]
-                cells.append(f"{v.real!r},{v.imag!r}")
+                cells.append(f"{float(v.real)!r},{float(v.imag)!r}")
             rows.append(",".join(cells))
         return "\n".join(rows) + "\n"
 
@@ -378,7 +355,9 @@ def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
     mat = np.zeros((dim, dim), dtype=complex)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for (m, n, k, l), coef in f._terms.items():
+            # float sums depend on their order: sorting makes the matrix a
+            # function of the operator's value, not of its term order
+            for (m, n, k, l), coef in sorted(f._terms.items()):
                 base = Coefficient._raw(coef).to_complex() * (t**l) * hbar ** (k + n)
                 for col in range(n, dim):
                     row = col - n + m

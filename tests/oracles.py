@@ -11,15 +11,51 @@ by term pair, reducing every pair product with the single-coefficient ops of
 the Fock inner product and the Rayleigh-Schrodinger recursion entry by entry
 in `field.Coefficient` arithmetic, with no common denominators and no split
 by component.
+
+`component_pair_counts` is the work counter of the split products: it counts
+the term pairs that each component pair visits, at `_kernel.component_pairs`.
 """
 
 from fractions import Fraction
 from math import comb, factorial, perm
 import random
 
+from qmorse import _kernel
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
 from qmorse.field import Coefficient, I
 from qmorse.series import QSeries
+
+# A non-hermitian perturbation whose values fill all four components of
+# Q(i, sqrt2).
+COMPLEX_ENERGIES = (
+    "p^2+q^2 + t*(i*(q^2)/2 + sqrt2*(q^3*p+p*q^3)/5 + i*sqrt2*(p^2*q)/3)"
+    " + t^2*(sqrt2*(p^4)/7)"
+)
+
+
+def component_pair_counts(run):
+    """``{(x, y): term pairs}`` visited per component pair while ``run()`` runs.
+
+    Every product of term maps runs through `_kernel.component_pairs`; a
+    product counts ``len(p) * len(q)`` for each part ``p`` of component ``x``
+    of its left operand and ``q`` of component ``y`` of its right one,
+    including the pairs that its caps then skip.
+    """
+    counts = {}
+    original = _kernel.component_pairs
+
+    def counting(left, right):
+        for x, p in left.items():
+            for y, q in right.items():
+                counts[x, y] = counts.get((x, y), 0) + len(p) * len(q)
+        return original(left, right)
+
+    _kernel.component_pairs = counting
+    try:
+        run()
+    finally:
+        _kernel.component_pairs = original
+    return counts
 
 
 def normal_order_word(word: str):

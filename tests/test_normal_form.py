@@ -1,12 +1,14 @@
 """Morse normal forms: splitting, closed-form families, inversion, invariance."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qmorse import flow, normal_form as nf
+from qmorse import flow, normal_form as nf, parser
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
 from qmorse.algebra import compose_scalar
 from qmorse.errors import DomainError
@@ -26,7 +28,7 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import COPRIME
+from oracles import COMPLEX_ENERGIES, COPRIME, component_pair_counts
 
 CAPS = dict(t_cap=8, weight_cap="24")
 
@@ -292,6 +294,56 @@ def test_generator_work_counts(monkeypatch):
     result.H
     assert result.verify()
     assert counts == {"bracket_pairs": 62166, "qbracket_calls": 43, "bracket_steps": 43}
+
+
+def test_component_pair_counts():
+    """Work of the split products, counted per component pair (x, y).
+
+    Components 0..3 are ``1, i, sqrt2, i*sqrt2``.  The quartic solve visits
+    only (0, 0), (0, 1) and, to build ``q^4`` from ``q = (adag - a)/(i sqrt2)``,
+    (3, 3): nearly every term has one component, so a term pair costs one
+    integer product where a 4-int layout pays sixteen.  Its generator and
+    verify() visit three pairs.  ``COMPLEX_ENERGIES`` fills all four
+    components, and its solve, generator and verify() visit all sixteen.
+    """
+    caps = dict(t_cap=12, weight_cap="24")
+    counts = component_pair_counts(lambda: nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 12))
+    assert counts == {(0, 0): 87052, (0, 1): 6534, (3, 3): 4}
+    caps = dict(t_cap=8, weight_cap="16")
+    result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
+    counts = component_pair_counts(lambda: (result.H, result.verify()))
+    assert counts == {(0, 0): 8910, (0, 1): 25556, (1, 1): 35232}
+    f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "64")
+
+    def run():
+        result = nf.quantum_morse(f, 6)
+        result.H
+        assert result.verify()
+
+    assert component_pair_counts(run) == {
+        (0, 0): 31158, (0, 1): 39238, (0, 2): 41497, (0, 3): 18384,
+        (1, 0): 20497, (1, 1): 33732, (1, 2): 34019, (1, 3): 12128,
+        (2, 0): 22277, (2, 1): 33967, (2, 2): 34519, (2, 3): 12712,
+        (3, 0): 17493, (3, 1): 28896, (3, 2): 29288, (3, 3): 10988,
+    }
+
+
+# SHA-256 of the normal-form JSON (g, H, u, u_inv, spectrum) at N=6 of two
+# families whose terms carry several Q(i, sqrt2) components, as the CLI prints
+# it: these bytes were recorded with the 4-int product kernels, before the
+# split by component.
+DENSE_DIGESTS = {
+    "complex-energies": (COMPLEX_ENERGIES, "b40142e040ee15ea9457052ac61ab338d316d20215f14b55e45d7c064fddc381"),
+    "q3+p3+q4": ("p^2+q^2+t*(q^3+p^3+q^4)", "79e701bd50310532e0b922427615ad4dfad0b583f6a75d8720a25e6f0aa0f108"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DENSE_DIGESTS))
+def test_dense_normal_form_golden_digest(label):
+    text, digest = DENSE_DIGESTS[label]
+    f = parser.elaborate(parser.parse_expr(text), 6, "64")
+    payload = json.dumps(nf.quantum_morse(f, 6).to_json(), indent=2)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def _compose_per_pair(g, fpows, t_cap, w2):

@@ -190,6 +190,18 @@ def test_cli_rescale_t():
     assert exps(rescaled) == shifted
 
 
+def test_cli_diag_csv_cells_are_numbers():
+    import numpy as np
+    from qmorse import spectrum
+    from qmorse.series import t_op
+
+    out = _run_cli("diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1", "--dim", "4", "--csv").stdout
+    rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()]
+    f = harmonic(1, "64") + t_op(1, "64") * elaborate(parse_expr("q^4"), 1, "64")
+    matrix = spectrum.fock_matrix(f, 4, 0.1, 1.0).matrix
+    assert rows == [[v for z in row for v in (z.real, z.imag)] for row in matrix.tolist()]
+
+
 def test_cli_diag_and_gevrey_and_versal():
     d = json.loads(
         _run_cli(
@@ -217,6 +229,10 @@ def test_cli_diag_and_gevrey_and_versal():
     )
     assert v["versal"] and v["stabilized"] and v["dim"] == 3
     assert v["basis"] == ["1", "x", "x^2"]
+    v = json.loads(
+        _run_cli("versal", "--symbol", "p^3+q^5*p^2+l1*q", "--params", "l1", "--cutoff", "9").stdout
+    )
+    assert v["basis"][:7] == ["1", "x", "y", "x^2", "x*y", "x^3", "x^2*y"] and len(v["basis"]) == 19
 
     m = json.loads(_run_cli("milnor", "--symbol", "p^2+q^2", "--cutoff", "6").stdout)
     assert m["dim"] == 1 and m["stabilized"]

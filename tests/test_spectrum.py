@@ -14,7 +14,15 @@ from qmorse.errors import DomainError, ResourceError
 from qmorse.field import Coefficient
 from qmorse.series import QSeries, adag, a_op, harmonic, one, q_op, t_op
 
-from oracles import COPRIME, inner_per_entry, random_qseries, rho_per_entry, rs_per_entry
+from oracles import (
+    COMPLEX_ENERGIES,
+    COPRIME,
+    component_pair_counts,
+    inner_per_entry,
+    random_qseries,
+    rho_per_entry,
+    rs_per_entry,
+)
 
 CAPS = dict(t_cap=2, weight_cap="12")
 
@@ -186,37 +194,7 @@ def test_rs_calls_apply_rho_through_the_module(monkeypatch):
     assert len(calls) == 40
 
 
-COMPLEX_ENERGIES = (
-    "p^2+q^2 + t*(i*(q^2)/2 + sqrt2*(q^3*p+p*q^3)/5 + i*sqrt2*(p^2*q)/3)"
-    " + t^2*(sqrt2*(p^4)/7)"
-)
-
-
-def _component_pair_counts(monkeypatch, f, level, order):
-    """The term pairs that RS visits per component pair ``(x, y)``, one per
-    pair of a left and a right entry of a product.
-
-    Every product of the Fock layer runs through `_kernel.component_pairs`,
-    here once per `apply_rho` (the terms of ``f_j`` times the entries of
-    ``psi``, counting the pairs it skips because the entry's z power is
-    below the term's a power) and once per ``E_j psi_{k-j}`` (the entries of
-    ``E_j`` times those of ``psi_{k-j}``).
-    """
-    counts = {}
-    original = _kernel.component_pairs
-
-    def counting(left, right):
-        for x, p in left.items():
-            for y, q in right.items():
-                counts[x, y] = counts.get((x, y), 0) + len(p) * len(q)
-        return original(left, right)
-
-    monkeypatch.setattr(_kernel, "component_pairs", counting)
-    sp.rs_perturbation(f, level, order)
-    return counts
-
-
-def test_rs_component_pair_counts(monkeypatch):
+def test_rs_component_pair_counts():
     """Work counts of the split Fock layer, without timing anything.
 
     Components 0..3 are ``1, i, sqrt2, i*sqrt2``.  For ``q^4`` every vector
@@ -227,9 +205,9 @@ def test_rs_component_pair_counts(monkeypatch):
     """
     caps = dict(t_cap=40, weight_cap="64")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    assert _component_pair_counts(monkeypatch, f, 0, 40) == {(0, 0): 35409}
+    assert component_pair_counts(lambda: sp.rs_perturbation(f, 0, 40)) == {(0, 0): 35409}
     f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "16")
-    assert _component_pair_counts(monkeypatch, f, 0, 6) == {
+    assert component_pair_counts(lambda: sp.rs_perturbation(f, 0, 6)) == {
         (0, 0): 807, (0, 1): 532, (0, 2): 390, (0, 3): 642,
         (1, 0): 551, (1, 1): 381, (1, 2): 266, (1, 3): 460,
         (2, 0): 598, (2, 1): 348, (2, 2): 266, (2, 3): 432,
@@ -284,6 +262,17 @@ def test_diagonalize_quartic_value():
     assert res.hermitian and res.converged
     series3 = 1 + 0.0075 - (21 / 16) * 1e-4 + (333 / 64) * 1e-6
     assert abs(res.values[0] - series3) < 1e-6
+
+
+def test_diag_depends_on_value_not_term_order():
+    f = parser.elaborate(parser.parse_expr("p^2+q^2+t*(q^3+q^4+p*q^2*p)"), 1, "64")
+    items = list(f._terms.items())
+    for seed in range(4):
+        random.Random(seed).shuffle(items)
+        g = QSeries._from_raw(dict(items), f.t_cap, f.w2_cap)
+        assert g == f
+        assert np.array_equal(sp.fock_matrix(g, 60, 0.3, 1.0).matrix, sp.fock_matrix(f, 60, 0.3, 1.0).matrix)
+        assert sp.diagonalize(g, 0.3, 1.0, 60, 3) == sp.diagonalize(f, 0.3, 1.0, 60, 3)
 
 
 def test_diagonalize_t_zero_reproduces_harmonic():
