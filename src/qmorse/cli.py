@@ -1,14 +1,15 @@
 """Command-line entry point: parse expressions, dispatch, print JSON.
 
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
-argument value (a negative order or level, a weight cap that is not a
+argument value (a negative order, level or cutoff, a weight cap that is not a
 non-negative half-integer, a non-positive or non-finite hbar, a non-finite
 t, a Fock matrix that overflows the float range, malformed JSON in a
-coefficient file), 4 resource/cap overflow (an --order or a trace --levels
-above MAX_ORDER, the term-count guard, a Fock matrix over
-spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a --coeffs file
-that cannot be read), 64 usage error (an unknown command or option, a
-missing required option, an option value of the wrong type; EX_USAGE).
+coefficient file), 4 resource/cap overflow (an --order, a trace --levels
+or a milnor/versal --cutoff above MAX_ORDER, the term-count guard, a Fock
+matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a
+--coeffs file that cannot be read), 64 usage error (an unknown command or
+option, a missing required option, an option value of the wrong type;
+EX_USAGE).
 Results go to stdout as JSON; diagnostics to stderr.
 
 Order ceiling: every command that takes --order (flow, normal-form,
@@ -17,7 +18,9 @@ before any work, since the cost of a solve grows steeply with the order.
 The ceiling is well above the orders the benchmark runs (RS at order 60).
 `trace --levels` is an hbar order too (each level widens the weight cap by
 one) and has the same ceiling; `diag --levels` only counts eigenvalues and
-has none, but must lie between 0 and --dim (exit 3 otherwise).
+has none, but must lie between 0 and --dim (exit 3 otherwise).  The
+--cutoff of milnor and versal is a degree, and the cost of their linear
+algebra also grows steeply with it, so it has the same ceiling.
 """
 
 from __future__ import annotations
@@ -251,9 +254,11 @@ def cmd_trace(args):
     return 0
 
 
-def _plane_family(args):
-    params = [s for s in (args.params.split(",") if args.params else []) if s]
-    family = elaborate_plane(parse_expr(args.symbol), params)
+def _plane_family(symbol, params, cutoff):
+    """Base polynomial and parameter tangents of a plane family, elaborated at
+    degree cutoff + 2, the most any check through the cutoff reads; the family
+    must be linear in the parameters through that degree."""
+    family = elaborate_plane(parse_expr(symbol), params, cutoff + 2)
     base = {}
     tangents = [dict() for _ in params]
     for exp, c in family.items():
@@ -270,8 +275,7 @@ def _plane_family(args):
 
 
 def cmd_milnor(args):
-    args.params = None
-    poly, _ = _plane_family(args)
+    poly, _ = _plane_family(args.symbol, (), args.cutoff)
     dim, stabilized = milnor.milnor_number(poly, args.cutoff)
     _emit(
         {
@@ -285,7 +289,8 @@ def cmd_milnor(args):
 
 
 def cmd_versal(args):
-    poly, tangents = _plane_family(args)
+    params = [s for s in (args.params.split(",") if args.params else []) if s]
+    poly, tangents = _plane_family(args.symbol, params, args.cutoff)
     dim, basis, stabilized = milnor.versality_dimension(poly, args.cutoff)
     versal, _ = milnor.check_versal(poly, tangents, args.cutoff)
     _emit(
@@ -397,6 +402,11 @@ def main(argv=None) -> int:
             raise ResourceError(f"--order {order} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
         if args.command == "trace" and args.levels > MAX_ORDER:
             raise ResourceError(f"--levels {args.levels} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
+        cutoff = getattr(args, "cutoff", 0)
+        if cutoff < 0:
+            raise ValueError("--cutoff must be non-negative")
+        if cutoff > MAX_ORDER:
+            raise ResourceError(f"--cutoff {cutoff} is above the order ceiling MAX_ORDER = {MAX_ORDER}")
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

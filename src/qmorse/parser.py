@@ -12,8 +12,9 @@ Division exists only by nonzero rational literals (exact central scaling).
 NUMBER is an integer or a rational literal like 3/4; after '^' only an
 integer literal is read, so a following '/' stays the division operator
 (`q^3/3` is `(q^3)/3`).  SYMBOL is one of
-q p a ad hbar t i sqrt2, plus whitelisted parameter names in symbol-family
-contexts.  Errors carry the byte offset and the expected token set.
+q p a ad hbar t i sqrt2; a plane symbol family (`elaborate_plane`) also reads
+its declared parameter names, the k-th of which maps to the variable
+``lambda<k>``.  Errors carry the byte offset and the expected token set.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import operator
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .field import Coefficient, I, SQRT2
-from .series import QSeries, a_op, adag, const, hbar_op, p_op, q_op, t_op
+from .field import I, SQRT2
+from .series import QSeries, ScalarSeries, a_op, adag, hbar_op, one, p_op, q_op, scalar_var, t_op
 
 _OPERATOR_SYMBOLS = ("q", "p", "a", "ad", "hbar", "t")
 # Deepest nesting of '(' and unary '-' the recursive descent accepts; each
 # '(' level costs four interpreter frames, well inside the default limit.
 MAX_NESTING = 100
 _COEFF_SYMBOLS = {"i": I, "sqrt2": SQRT2}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def _is_digit(ch: str) -> bool:
@@ -207,7 +209,7 @@ def _left_spine(node):
 
     Returns the leftmost operand and the ``(tag, right operand)`` steps in
     evaluation order.  A long ``+`` or ``*`` chain parses into a left spine
-    as deep as the chain, so the evaluators walk it with a loop.  A right
+    as deep as the chain, so the evaluator walks it with a loop.  A right
     operand is a term or a factor: its own spine is walked the same way, and
     its nesting is bounded by `MAX_NESTING`.
     """
@@ -217,6 +219,42 @@ def _left_spine(node):
         node = node[1]
     steps.reverse()
     return node, steps
+
+
+def _evaluate(ast, table, unit):
+    """Evaluate an AST through its values' own operators.
+
+    `table` maps symbol names to values; numbers and the coefficient symbols
+    i, sqrt2 scale `unit`, the value 1.
+    """
+
+    def ev(node):
+        node, steps = _left_spine(node)
+        out = operand(node)
+        for tag, rhs in steps:
+            out = _BINARY[tag](out, ev(rhs))
+        return out
+
+    def operand(node):
+        tag = node[0]
+        if tag == "num":
+            return unit.scale(node[1])
+        if tag == "sym":
+            name = node[1]
+            if name in table:
+                return table[name]
+            if name in _COEFF_SYMBOLS:
+                return unit.scale(_COEFF_SYMBOLS[name])
+            if name in _OPERATOR_SYMBOLS:  # `elaborate`'s table holds them all
+                raise DomainError(f"operator symbol {name!r} not allowed in plane symbols")
+            raise DomainError(f"unknown symbol {name!r}")
+        if tag == "neg":
+            return -ev(node[1])
+        if tag == "pow":
+            return ev(node[1]) ** node[2]
+        raise AssertionError(f"unknown AST node {tag!r}")
+
+    return ev(ast)
 
 
 def elaborate(ast, t_cap, weight_cap) -> QSeries:
@@ -229,112 +267,22 @@ def elaborate(ast, t_cap, weight_cap) -> QSeries:
         "hbar": hbar_op(t_cap, weight_cap),
         "t": t_op(t_cap, weight_cap),
     }
-    binary = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-
-    def ev(node):
-        node, steps = _left_spine(node)
-        out = operand(node)
-        for tag, rhs in steps:
-            out = binary[tag](out, ev(rhs))
-        return out
-
-    def operand(node):
-        tag = node[0]
-        if tag == "num":
-            return const(node[1], t_cap, weight_cap)
-        if tag == "sym":
-            name = node[1]
-            if name in table:
-                return table[name]
-            if name in _COEFF_SYMBOLS:
-                return const(_COEFF_SYMBOLS[name], t_cap, weight_cap)
-            raise DomainError(f"unknown symbol {name!r}")
-        if tag == "neg":
-            return -ev(node[1])
-        if tag == "pow":
-            return ev(node[1]) ** node[2]
-        raise AssertionError(f"unknown AST node {tag!r}")
-
-    return ev(ast)
+    return _evaluate(ast, table, one(t_cap, weight_cap))
 
 
-def elaborate_plane(ast, params=()):
+def elaborate_plane(ast, params, degree) -> ScalarSeries:
     """Evaluate an AST as a commutative plane polynomial family.
 
-    q maps to x and p to y (the classical symbol coordinates); `params` are
-    extra commuting variable names.  Returns {(ex, ey, *param exps):
-    Coefficient}.
+    q maps to x and p to y (the classical symbol coordinates), ahead of a
+    parameter of the same name; the k-th name of `params` maps to
+    ``lambda<k>``.  Returns a `ScalarSeries` over ``("x", "y", "lambda1",
+    ...)`` capped at total (x, y) degree `degree`; the parameters are not
+    capped.
     """
-    params = tuple(params)
-    arity = 2 + len(params)
-
-    def unit(exp_index=None, coef=None):
-        exp = [0] * arity
-        if exp_index is not None:
-            exp[exp_index] = 1
-        return {tuple(exp): coef if coef is not None else Coefficient(1)}
-
-    def neg(A):
-        return {e: -c for e, c in A.items()}
-
-    def add(A, B):
-        out = dict(A)
-        for e, c in B.items():
-            s = out.get(e, Coefficient(0)) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return out
-
-    def mul(A, B):
-        out = {}
-        for e1, c1 in A.items():
-            for e2, c2 in B.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                acc = out.get(e)
-                s = v if acc is None else acc + v
-                if s:
-                    out[e] = s
-                elif acc is not None:
-                    del out[e]
-        return out
-
-    binary = {"add": add, "sub": lambda A, B: add(A, neg(B)), "mul": mul}
-
-    def ev(node):
-        node, steps = _left_spine(node)
-        out = operand(node)
-        for tag, rhs in steps:
-            out = binary[tag](out, ev(rhs))
-        return out
-
-    def operand(node):
-        tag = node[0]
-        if tag == "num":
-            return unit(coef=Coefficient(node[1]))
-        if tag == "sym":
-            name = node[1]
-            if name == "q":
-                return unit(0)
-            if name == "p":
-                return unit(1)
-            if name in params:
-                return unit(2 + params.index(name))
-            if name in _COEFF_SYMBOLS:
-                return unit(coef=_COEFF_SYMBOLS[name])
-            if name in _OPERATOR_SYMBOLS:
-                raise DomainError(f"operator symbol {name!r} not allowed in plane symbols")
-            raise DomainError(f"unknown symbol {name!r}")
-        if tag == "neg":
-            return neg(ev(node[1]))
-        if tag == "pow":
-            out = unit()
-            base = ev(node[1])
-            for _ in range(node[2]):
-                out = mul(out, base)
-            return out
-        raise AssertionError(f"unknown AST node {tag!r}")
-
-    return ev(ast)
+    vars = ("x", "y") + tuple(f"lambda{k}" for k in range(1, len(params) + 1))
+    x = scalar_var("x", vars, 0, Fraction(degree, 2))
+    table = {}
+    for name, var in zip(params, vars[2:]):
+        table.setdefault(name, scalar_var(var, vars, 0, x.weight_cap))
+    table.update(q=x, p=scalar_var("y", vars, 0, x.weight_cap))
+    return _evaluate(ast, table, x.one_like())

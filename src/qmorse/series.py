@@ -12,7 +12,8 @@ differ only in their products:
   (every monomial has all adag powers before all a powers); multiplication
   re-orders with [a, adag] = hbar.
 * `ScalarSeries` is a commutative polynomial over a per-value signature such
-  as (z, hbar, t), (n, hbar, t) or the plane (x, y).
+  as (z, hbar, t), (n, hbar, t), the plane (x, y) or a plane family
+  (x, y, lambda1, lambda2, ...) with weight-0 parameters.
 
 Arithmetic silently drops terms beyond the caps.  Weights are additive under
 multiplication and conserved by re-ordering, so truncation commutes with
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import operator
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -389,9 +391,19 @@ SIG_PRINCIPAL = ("x", "y", "t")
 SIG_PLANE = ("x", "y")
 
 
+def _var_w2(v):
+    """Doubled weight of a scalar variable; the declared parameters lambda1,
+    lambda2, ... weigh 0, so no weight cap truncates them."""
+    if v in _VAR_W2:
+        return _VAR_W2[v]
+    if isinstance(v, str) and re.fullmatch("lambda[1-9][0-9]*", v):
+        return 0
+    raise ValueError(f"unknown scalar variable {v!r}")
+
+
 @lru_cache(maxsize=None)
 def _scalar_sig(vars):
-    return vars, tuple(_VAR_W2[v] for v in vars), vars.index("t") if "t" in vars else None
+    return vars, tuple(map(_var_w2, vars)), vars.index("t") if "t" in vars else None
 
 
 class ScalarSeries(_Series):
@@ -400,11 +412,7 @@ class ScalarSeries(_Series):
     __slots__ = ()
 
     def __init__(self, terms=None, *, vars, t_cap, weight_cap):
-        vars = tuple(vars)
-        for v in vars:
-            if v not in _VAR_W2:
-                raise ValueError(f"unknown scalar variable {v!r}")
-        self.vars, self._weights, self._ti = _scalar_sig(vars)
+        self.vars, self._weights, self._ti = _scalar_sig(tuple(vars))
         self._init(terms, t_cap, weight_cap)
 
     @classmethod

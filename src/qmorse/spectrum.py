@@ -40,7 +40,9 @@ from ._kernel import common_denominator, joined, split
 from .algebra import pi_restriction
 from .errors import DomainError, ResourceError
 from .field import Coefficient
-from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one
+from .series import (
+    QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one, render_terms,
+)
 
 
 def _reduced(parts, den):
@@ -140,14 +142,7 @@ class FockVector:
         return _reduced_vector(out, den)
 
     def __str__(self):
-        if not self._parts:
-            return "0"
-        chunks = []
-        for (j, k), c in sorted(joined(self._parts, self._den).items()):
-            h = "" if k == 0 else ("*hbar" if k == 1 else f"*hbar^{k}")
-            zs = "" if j == 0 else ("*z" if j == 1 else f"*z^{j}")
-            chunks.append(f"({Coefficient._raw(c)}){h}{zs}")
-        return " + ".join(chunks)
+        return render_terms(joined(self._parts, self._den), ("z", "hbar"))
 
     __repr__ = __str__
 

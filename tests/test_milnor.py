@@ -87,3 +87,31 @@ def test_dimensions_nonincreasing_once_stabilized():
     for i in range(1, len(dims)):
         if stab[i - 1]:
             assert dims[i] <= dims[i - 1]
+
+
+# (symbol, parameters, cutoff).  The first three and p^2+q^2 change their
+# output when the family is capped at cutoff + 1 instead of cutoff + 2.
+CAPPED_FAMILIES = [
+    ("q^5+p^2", (), 3),
+    ("q^4+p^2", (), 2),
+    ("q^3+p^2", (), 1),
+    ("p^3+q^5*p^2+l1*q", ("l1",), 9),
+    ("p^2+q^4+l1*q+l2*q^2", ("l1", "l2"), 8),
+    ("(q+p)^5", (), 2),
+    ("q^3+p^3+l1*q*p^4", ("l1",), 4),
+    ("p^2+q^2", (), 0),
+    ("q^2*p^2+q^7+l1*p+l2*q^3", ("l1", "l2"), 3),
+]
+WHOLE = 12  # _plane_family elaborates at degree WHOLE + 2, past every symbol above
+
+
+@pytest.mark.parametrize("symbol, params, cutoff", CAPPED_FAMILIES, ids=[c[0] for c in CAPPED_FAMILIES])
+def test_family_capped_at_cutoff_plus_two_is_exact(symbol, params, cutoff):
+    from qmorse.cli import _plane_family
+
+    poly, tangents = _plane_family(symbol, params, cutoff)
+    whole, whole_tangents = _plane_family(symbol, params, WHOLE)
+    assert whole.max_weight2() < WHOLE
+    assert milnor_number(poly, cutoff) == milnor_number(whole, cutoff)
+    assert versality_dimension(poly, cutoff) == versality_dimension(whole, cutoff)
+    assert check_versal(poly, tangents, cutoff) == check_versal(whole, whole_tangents, cutoff)

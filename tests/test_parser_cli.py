@@ -14,7 +14,7 @@ import qmorse
 from qmorse.errors import DomainError, ParseError
 from qmorse.field import Coefficient, I
 from qmorse.parser import MAX_NESTING, elaborate, elaborate_plane, parse_expr, tokenize
-from qmorse.series import QSeries, harmonic, hbar_op, q_op
+from qmorse.series import SIG_PLANE, QSeries, ScalarSeries, harmonic, hbar_op, q_op
 
 CAPS = (4, "12")
 
@@ -105,16 +105,32 @@ def test_parser_survives_arbitrary_bytes(data):
         pass
 
 
+def _l1_family(terms, degree):
+    """The plane family with one parameter over {(ex, ey, e_lambda1): c}."""
+    return ScalarSeries(terms, vars=("x", "y", "lambda1"), t_cap=0, weight_cap=Fraction(degree, 2))
+
+
 def test_elaborate_plane():
-    fam = elaborate_plane(parse_expr("p^2+q^3+l1*q"), params=("l1",))
-    assert fam[(0, 2, 0)] == Coefficient(1)
-    assert fam[(3, 0, 0)] == Coefficient(1)
-    assert fam[(1, 0, 1)] == Coefficient(1)
+    fam = elaborate_plane(parse_expr("p^2+q^3+l1*q"), ("l1",), 3)
+    assert fam.vars == ("x", "y", "lambda1") and fam.weight_cap == Fraction(3, 2)
+    assert fam == _l1_family({(0, 2, 0): 1, (3, 0, 0): 1, (1, 0, 1): 1}, 3)
     with pytest.raises(DomainError):
-        elaborate_plane(parse_expr("ad*a"), params=())
+        elaborate_plane(parse_expr("ad*a"), (), 2)
 
 
-def _run_cli(*argv, expect=0, module="qmorse.cli"):
+def test_elaborate_plane_caps_degree_not_parameters():
+    # the cap drops q^3 but keeps every power of the parameter
+    fam = elaborate_plane(parse_expr("(l1+q)^3 + p^2"), ("l1",), 2)
+    assert fam == _l1_family({(0, 0, 3): 1, (1, 0, 2): 3, (2, 0, 1): 3, (0, 2, 0): 1}, 2)
+    # q and p stay the plane coordinates ahead of a parameter of the same
+    # name, and a repeated name is the first parameter of that name
+    fam = elaborate_plane(parse_expr("q*l1 + p"), ("q", "l1", "l1"), 2)
+    assert fam.vars == ("x", "y", "lambda1", "lambda2", "lambda3")
+    assert dict(fam.items()) == {(1, 0, 0, 1, 0): Coefficient(1), (0, 1, 0, 0, 0): Coefficient(1)}
+    assert elaborate_plane(parse_expr("(q+p)^100000"), (), 4) == elaborate_plane(parse_expr("0"), (), 4)
+
+
+def _run_cli(*argv, expect=0, module="qmorse.cli", timeout=None):
     # the child imports the same qmorse as this test, installed or not
     src = str(Path(qmorse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -123,6 +139,7 @@ def _run_cli(*argv, expect=0, module="qmorse.cli"):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
     assert proc.returncode == expect, proc.stderr
     return proc
@@ -330,6 +347,41 @@ def test_every_order_option_has_one_ceiling(command, capsys):
     assert f"order ceiling MAX_ORDER = {cli.MAX_ORDER}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["milnor", "versal"])
+def test_cutoff_is_bounded_like_an_order(command, capsys):
+    from qmorse import cli
+
+    argv = [command, "--symbol", "p^2+q^4", "--cutoff"]
+    assert cli.main(argv + ["-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "invalid argument: --cutoff must be non-negative\n"
+    for cutoff in (cli.MAX_ORDER + 1, 100000000):  # refused before any work
+        assert cli.main(argv + [str(cutoff)]) == 4
+        captured = capsys.readouterr()
+        ceiling = f"the order ceiling MAX_ORDER = {cli.MAX_ORDER}"
+        assert captured.out == "" and captured.err == f"resource error: --cutoff {cutoff} is above {ceiling}\n"
+
+
+def test_huge_plane_power_is_capped_at_the_cutoff():
+    # (q+p)^100000 and (q+p)^5 both vanish through degree 4 = cutoff + 2
+    out = _run_cli("milnor", "--symbol", "(q+p)^100000", "--cutoff", "2", timeout=10).stdout
+    assert out == _run_cli("milnor", "--symbol", "(q+p)^5", "--cutoff", "2").stdout
+    assert json.loads(out) == {"format": "milnor-v1", "dim": 6, "stabilized": False, "cutoff": 2}
+
+
+def test_family_linearity_is_checked_through_the_capped_degree(capsys):
+    from qmorse import cli
+
+    def versal(symbol, cutoff):
+        code = cli.main(["versal", "--symbol", symbol, "--params", "l1", "--cutoff", str(cutoff)])
+        return code, capsys.readouterr()
+
+    # l1^2*q^10 lies above degree cutoff + 2 = 4, which no check reads
+    assert versal("p^2+q^3+l1^2*q^10", 2) == versal("p^2+q^3", 2)
+    code, captured = versal("p^2+q^3+l1^2*q^10", 8)
+    assert code == 3 and captured.err == "domain error: family must be linear in the parameters\n"
+
+
 def test_cli_maps_memory_error_to_resource_code(monkeypatch, capsys):
     from qmorse import cli, spectrum
 
@@ -381,9 +433,10 @@ def test_long_chains_elaborate_without_recursion():
     assert elaborate(parse_expr("+".join(["q"] * n)), *CAPS) == q_op(*CAPS).scale(n)
     assert not elaborate(parse_expr("*".join(["q"] * n)), *CAPS)  # q^3000 is past the cap
     assert elaborate(parse_expr("-".join(["q"] * n)), *CAPS) == q_op(*CAPS).scale(2 - n)
-    plane = elaborate_plane(parse_expr("+".join(["l1*q^2"] * n) + "-p"), params=("l1",))
-    assert plane == {(2, 0, 1): Coefficient(n), (0, 1, 0): Coefficient(-1)}
-    assert elaborate_plane(parse_expr("*".join(["q"] * n))) == {(n, 0): Coefficient(1)}
+    plane = elaborate_plane(parse_expr("+".join(["l1*q^2"] * n) + "-p"), ("l1",), 2)
+    assert plane == _l1_family({(2, 0, 1): n, (0, 1, 0): -1}, 2)
+    plane = elaborate_plane(parse_expr("*".join(["q"] * n)), (), n)
+    assert plane == ScalarSeries({(n, 0): 1}, vars=SIG_PLANE, t_cap=0, weight_cap=Fraction(n, 2))
 
 
 def test_cli_long_chain_exits_zero():
@@ -399,8 +452,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 # Fragments for the CLI fuzz: every value is cheap to act on (orders, levels,
-# dims and cutoffs stay at most 3, and a huge dim or order is refused before
-# any work), so a draw either fails fast or runs a small job.
+# dims and cutoffs stay at most 3, a huge dim, order or cutoff is refused
+# before any work, and a huge plane power is capped at the cutoff), so a draw
+# either fails fast or runs a small job.
 _SMALL_INTS = ["-2", "-1", "0", "1", "2", "3"] * 3 + ["1/2", "2.5", "x", "", "1" * 5000]
 _FUZZ_EXPRS = [
     "q", "q^4", "p^2+q^2", "q^3+p^3", "ad*a", "hbar*q^2", "l1*q+q^4", "(q^2*p^2+p^2*q^2)/2",
@@ -411,12 +465,12 @@ _FUZZ_OPTIONS = {
     "--order": _SMALL_INTS + ["101", "100000000", "1" * 40],  # over MAX_ORDER: refused first
     "--level": _SMALL_INTS,
     "--levels": _SMALL_INTS + ["101", "100000000"],  # trace: over MAX_ORDER, refused first
-    "--cutoff": _SMALL_INTS,
+    "--cutoff": _SMALL_INTS + ["101", "100000000"],  # over MAX_ORDER: refused first
     "--dim": _SMALL_INTS + ["1000000", "1" * 40],
     "--t-cap": _SMALL_INTS,
     "--weight-cap": ["auto", "0", "1/2", "3", "8", "-2", "1/3", "x", "1" * 5000],
     "--perturbation": _FUZZ_EXPRS,
-    "--symbol": _FUZZ_EXPRS,
+    "--symbol": _FUZZ_EXPRS + ["(q+p)^100000", "l1*(q+p)^100000"],
     "--hamiltonian": _FUZZ_EXPRS,
     "--observable": _FUZZ_EXPRS,
     "--from-spectrum": _FUZZ_EXPRS,

@@ -26,6 +26,7 @@ from qmorse.series import (
     series_from_json,
     t_op,
 )
+from qmorse.spectrum import FockVector
 
 from oracles import COPRIME, random_qseries
 
@@ -228,7 +229,24 @@ def test_shared_operations(kind):
         f.with_caps(t_cap=-1, weight_cap=-3)
 
 
-@pytest.mark.parametrize("vars", [["adag", "a", "hbar", "t"], ["z", "a"], ["w", "t"]])
+def test_plane_family_parameters_round_trip_json():
+    def family(terms):
+        return ScalarSeries(terms, vars=("x", "y", "lambda1", "lambda12"), t_cap=0, weight_cap=1)
+
+    # the cap keeps total (x, y) degree 2 and every parameter power
+    s = family({(1, 0, 3, 0): Fraction(1, 3), (0, 2, 0, 1): -2, (1, 2, 0, 0): 1})
+    assert s == family({(1, 0, 3, 0): Fraction(1, 3), (0, 2, 0, 1): -2})
+    assert ScalarSeries.from_json(s.to_json()) == s and series_from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize(
+    "vars",
+    [
+        ["adag", "a", "hbar", "t"], ["z", "a"], ["w", "t"],
+        ["x", "lambda"], ["x", "lambda0"], ["x", "lambda01"], ["x", "Lambda1"], ["x", "lambda1y"],
+        ["x", 1],
+    ],
+)
 def test_scalar_from_json_rejects_foreign_variables(vars):
     payload = {"format": "qseries-v1", "vars": vars, "t_cap": 1, "weight_cap": "1", "terms": []}
     with pytest.raises(ValueError):
@@ -291,13 +309,21 @@ def _render_cases():
         (to_ordered(f, "pq"), "1 + (i)*hbar + -q^2 + p*q + (1/2)*p^2*hbar"),
         (plane({(0, 0): -1, (1, 0): -1, (0, 1): 1, (2, 1): Fraction(1, 2)}), "-1 + y + -x + (1/2)*x^2*y"),
         (plane(), "0"),
+        (
+            FockVector({0: {-1: Fraction(1, 2), 0: 1}, 2: {1: Coefficient(0, 1)}, 3: {-2: -1}}),
+            "(1/2)*hbar^-1 + 1 + (i)*z^2*hbar + -z^3*hbar^-2",
+        ),
+        (FockVector(), "0"),
     ]
 
 
 @pytest.mark.parametrize(
     "value, expected",
     _render_cases(),
-    ids=["qseries", "qseries-zero", "scalar", "scalar-zero", "qp", "pq", "plane", "plane-zero"],
+    ids=[
+        "qseries", "qseries-zero", "scalar", "scalar-zero", "qp", "pq", "plane", "plane-zero",
+        "fock", "fock-zero",
+    ],
 )
 def test_term_rendering(value, expected):
     assert str(value) == expected
