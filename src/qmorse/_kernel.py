@@ -40,8 +40,22 @@ reduction.  Callers reach `component_pairs` through the module attribute, as
 they reach the kernels, so a wrapper installed on it sees every component
 pair.  Every product raises ResourceError when its accumulators together hold
 more than ``guard`` entries (`check_guard`).
+
+Hermitian half.  The bracket of two hermitian (or anti-hermitian) operators
+is hermitian or anti-hermitian again: ``dagger((i/hbar)[A, B]) = eps delta
+(i/hbar)[A, B]`` when ``dagger(A) = eps A`` and ``dagger(B) = delta B``.
+`qbracket` reads each operand's sign (`hermitian_sign`: 1, -1, or 0 for
+neither); when every pair of its list has the same nonzero product, it forms
+only the output terms with ``m >= n`` (adag power at least the a power) and
+fills in the others by conjugation (`coeff_conj`).  The cut is exact under
+the caps, which read ``m + n`` and never ``m - n``.  A list with any other
+mix of signs runs the full loop.  For a self-adjoint perturbation, as in
+every benchmark family, the operator, its generator ``H`` and every
+Lie-ladder slice that builds ``H`` or checks ``verify()`` are hermitian, so
+those brackets take the half path.
 """
 
+from bisect import bisect_right
 from itertools import zip_longest
 from math import comb, factorial, gcd
 
@@ -101,6 +115,12 @@ def coeff_neg(x):
 
 def coeff_sub(x, y):
     return coeff_add(x, coeff_neg(y))
+
+
+def coeff_conj(x):
+    """Complex conjugation (i -> -i, sqrt2 fixed)."""
+    a, b, c, d, den = x
+    return (a, -b, c, -d, den)
 
 
 def coeff_mul(x, y):
@@ -276,6 +296,40 @@ def contraction_row(a, size):
     return row
 
 
+def hermitian_sign(terms):
+    """1 if the term map is hermitian, -1 if it is anti-hermitian, 0 if neither.
+
+    ``dagger`` swaps the adag and a powers and conjugates the coefficient, so
+    the map is hermitian when the coefficient at every ``(m, n, k, l)`` is the
+    conjugate of the one at its mirror ``(n, m, k, l)``, and anti-hermitian
+    when it is minus that conjugate.  Coefficient tuples are canonical, so
+    equal values are equal tuples.  The empty map counts as hermitian.
+    """
+    herm = anti = True
+    get = terms.get
+    for (m, n, k, l), c in terms.items():
+        mirror = get((n, m, k, l))
+        if mirror is None:
+            return 0
+        conj = coeff_conj(mirror)
+        herm = herm and conj == c
+        anti = anti and conj == coeff_neg(c)
+        if not (herm or anti):
+            return 0
+    return 1 if herm else -1
+
+
+def _lowering(term):
+    # n2 - m2 of a kept right term of qbracket
+    return term[4] - term[3]
+
+
+def prefix_length(part, bound):
+    """How many terms of a `qbracket` right part, sorted by ``n2 - m2``, have
+    ``n2 - m2 <= bound``: the term pairs one left term forms with the part."""
+    return bisect_right(part, bound, key=_lowering)
+
+
 def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one split accumulator.
 
@@ -290,6 +344,24 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     ``hbar^(j-1)`` (the exact division by hbar); its weight is
     ``w1 + w2 - 2``, and it is kept when that is within ``w2_cap`` and
     ``l1 + l2`` is within ``t_cap``.
+
+    Hermitian half.  ``dagger((i/hbar)[A, B]) = (i/hbar)[dagger(A),
+    dagger(B)]``, so when ``dagger(A) = eps A`` and ``dagger(B) = delta B``
+    the output has ``out(n, m, k, l) = eps delta conj(out(m, n, k, l))``.
+    Each operand's sign is read once (`hermitian_sign`).  When every pair of
+    the list with two nonempty operands has the same nonzero product ``s =
+    eps delta``, only the output terms with ``m >= n`` are formed, and after
+    the one reduction each term with ``m > n`` is copied to ``(n, m, k, l)``
+    as ``s conj(c)``.  A term pair lands only at ``m - n = (m1 - n1) + (m2 -
+    n2)``, since each contraction lowers m and n alike, so a left term needs
+    only the right terms with ``n2 - m2 <= m1 - n1``: each right part is
+    sorted by ``n2 - m2`` and a left term loops over its prefix of length
+    `prefix_length`.  The kernel calls `prefix_length` through the module
+    attribute, so a wrapper installed on it sees every term pair formed.  The
+    cut is exact under truncation: the caps read only ``m + n``, k and l,
+    which the mirror keeps, and ``div`` is rational.  Otherwise ``s = 0``:
+    the right parts stay unsorted, every left term loops over the whole part
+    and every output term is formed.
 
     Packed keys.  The accumulator is keyed by ``((m<<S | n)<<S | k)<<S | l``.
     The key of a pair's product is the sum of the operand keys, and the
@@ -306,14 +378,19 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor to the
     left operand, so a pair of components ``x, y`` adds into component ``x ^
     y ^ 1``; each output term is reduced once, over ``den_A * den_B * div``.
-    Raises ResourceError when the accumulators exceed ``guard`` entries.
+    Raises ResourceError when the accumulators, or the output, exceed
+    ``guard`` entries.
     """
     den_a = den_b = 1
     top = max(w2_cap + 2, t_cap)
+    signs = set()
     for A, B in pairs:
         den_a = common_denominator(A, den_a)
         den_b = common_denominator(B, den_b)
         top = max(top, max(map(max, A), default=0), max(map(max, B), default=0))
+        if A and B:  # an empty operand brackets to zero, whatever the other's sign
+            signs.add(hermitian_sign(A) * hermitian_sign(B))
+    s = signs.pop() if len(signs) == 1 else 0
     S = top.bit_length()
     s2 = 2 * S
     one = 1 << S
@@ -332,6 +409,8 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
                     kept.append((((m2 << S | n2) << S | k2) << S | l2, w2, l2, m2, n2, c))
                     reach = max(reach, m2, n2)
             if kept:
+                if s:
+                    kept.sort(key=_lowering)
                 right[y] = kept
         if not right:
             continue
@@ -344,7 +423,7 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
                 if (m1 or n1) and w_room >= 1 and t_room >= 0:
                     base = (((m1 << S | n1) << S | k1) << S | l1) - one
                     rows = contraction_row(n1, reach + 1), contraction_row(m1, reach + 1)
-                    kept.append((base, w_room, t_room, n1, m1, *rows, c))
+                    kept.append((base, w_room, t_room, n1, m1, *rows, c, m1 - n1))
             if kept:
                 left[x] = kept
         for z, w, p, q in component_pairs(left, right):
@@ -352,9 +431,9 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
             w *= u
             acc = out.setdefault(z, {})
             get = acc.get
-            for base, w_room, t_room, n1, m1, row_f, row_b, x in p:
+            for base, w_room, t_room, n1, m1, row_f, row_b, x, cut in p:
                 x *= w
-                for p2, w2, l2, m2, n2, y in q:
+                for p2, w2, l2, m2, n2, y in q[: prefix_length(q, cut)] if s else q:
                     if w2 > w_room or l2 > t_room:
                         continue
                     fwd = row_f[m2]
@@ -373,10 +452,17 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
                             acc[key] = get(key, 0) + c * (wf - wb)
                 check_guard(out, guard)
     mask = one - 1
-    return {
+    terms = {
         (key >> (s2 + S), (key >> s2) & mask, (key >> S) & mask, key & mask): c
         for key, c in joined(out, den_a * den_b * div).items()
     }
+    if s:
+        for (m, n, k, l), c in list(terms.items()):
+            if m > n:
+                c = coeff_conj(c)
+                terms[n, m, k, l] = c if s > 0 else coeff_neg(c)
+        check_guard({0: terms}, guard)
+    return terms
 
 
 def qcompose(C, powers, t_cap, w2_cap, guard):

@@ -65,10 +65,7 @@ def bracket_sum(pairs, div=1) -> QSeries:
 
 def dagger(f: QSeries) -> QSeries:
     """Hermitian conjugation: swap adag/a powers, conjugate coefficients."""
-    out = {}
-    for (m, n, k, l), c in f._terms.items():
-        a, b, cc, d, den = c
-        out[(n, m, k, l)] = (a, -b, cc, -d, den)
+    out = {(n, m, k, l): _kernel.coeff_conj(c) for (m, n, k, l), c in f._terms.items()}
     return QSeries._from_raw(out, f.t_cap, f.w2_cap)
 
 
@@ -91,9 +88,7 @@ def pairing(f: QSeries, g: QSeries) -> ScalarSeries:
 
 def tau(alpha: ScalarSeries) -> ScalarSeries:
     """Coefficient-wise complex conjugation (i -> -i, sqrt2 fixed)."""
-    out = {}
-    for e, (a, b, c, d, den) in alpha._terms.items():
-        out[e] = (a, -b, c, -d, den)
+    out = {e: _kernel.coeff_conj(c) for e, c in alpha._terms.items()}
     return ScalarSeries._from_raw(out, alpha.vars, alpha.t_cap, alpha.w2_cap)
 
 

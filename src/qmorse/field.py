@@ -16,6 +16,7 @@ from ._kernel import (
     COEFF_ONE,
     COEFF_ZERO,
     coeff_add,
+    coeff_conj,
     coeff_make,
     coeff_mul,
     coeff_neg,
@@ -155,7 +156,7 @@ class Coefficient:
         if not self:
             raise ZeroDivisionError("inverse of zero coefficient")
         a, b, c, d, den = self._t
-        ci = (a, -b, c, -d, den)  # i -> -i
+        ci = coeff_conj(self._t)  # i -> -i
         cr = (a, b, -c, -d, den)  # sqrt2 -> -sqrt2
         cir = (a, -b, -c, d, den)
         prod = coeff_mul(coeff_mul(ci, cr), cir)
@@ -194,8 +195,7 @@ class Coefficient:
 
     def conjugate(self):
         """Complex conjugation (i -> -i, sqrt2 fixed)."""
-        a, b, c, d, den = self._t
-        return Coefficient._raw((a, -b, c, -d, den))
+        return Coefficient._raw(coeff_conj(self._t))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -13,7 +13,12 @@ X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by `ladder_step`.  A bracket
 step is one `algebra.bracket_sum` call: the r+1 brackets go to one
 `_kernel.qbracket` accumulator over packed monomial keys, with the division by
 r+1 folded into the single reduction of each output term, so a step forms no
-per-bracket result, no sum of series and no scaled copy.
+per-bracket result, no sum of series and no scaled copy.  When H and the
+transported observable are hermitian, as for a self-adjoint perturbation,
+every slice of the ladder is hermitian too, since the bracket (i/hbar)[X, S]
+of two hermitian operators is hermitian; the kernel then forms only the output
+terms whose adag power is at least their a power and fills in the rest by
+conjugation (its "hermitian half").
 """
 
 from __future__ import annotations

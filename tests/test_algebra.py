@@ -369,3 +369,123 @@ def test_qbracket_matches_per_pair_reduction():
     assert not algebra.bracket_i_hbar(x, y) and not bracket_per_pair(x, y)
     y = QSeries({(1, 0, 0, 0): Fraction(1, 7), (0, 1, 0, 0): Fraction(2, 21)}, **CAPS)
     assert algebra.bracket_i_hbar(x, y)._terms == {(0, 0, 0, 0): (0, 1, 0, 0, 35)}
+
+
+def _symmetrized(rng, sign):
+    """A nonzero ``f + dagger(f)`` (hermitian) for sign 1, ``f - dagger(f)``
+    (anti-hermitian) for -1, from random operands ``f``."""
+    while True:
+        f = _random_operand(rng)
+        out = f + algebra.dagger(f) if sign > 0 else f - algebra.dagger(f)
+        if out:
+            return out
+
+
+def _bracket_sum_reference(pairs, div):
+    """``(1/div) sum (i/hbar)[f, g]``, each pair formed by `bracket_per_pair` and
+    summed as series, which re-caps the sum at the smallest caps of the list."""
+    out = None
+    for f, g in pairs:
+        term = QSeries._from_raw(bracket_per_pair(f, g), *f._join_caps(g))
+        out = term if out is None else out + term
+    return out.scale(Fraction(1, div))
+
+
+def _record_prefixes(monkeypatch):
+    """A list that receives ``(formed, offered)`` for every prefix `qbracket` visits."""
+    from qmorse import _kernel
+
+    seen = []
+    prefix_length = _kernel.prefix_length
+
+    def recording(part, bound):
+        formed = prefix_length(part, bound)
+        seen.append((formed, len(part)))
+        return formed
+
+    monkeypatch.setattr(_kernel, "prefix_length", recording)
+    return seen
+
+
+def _past_the_caps(pairs):
+    """Whether an operand of the list holds a term beyond the list's smallest caps."""
+    t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
+    w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
+    return any(
+        l > t_cap or m + n + 2 * k > w2 for f, g in pairs for x in (f, g) for m, n, k, l in x._terms
+    )
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_qbracket_hermitian_half_matches_per_pair(monkeypatch, signs):
+    """Pair lists of (anti)hermitian operands take the half path and agree with
+    `bracket_per_pair`, with central terms, terms past the caps and div > 1."""
+    from qmorse import _kernel
+
+    rng = random.Random(41 + 3 * signs[0] + signs[1])
+    seen = _record_prefixes(monkeypatch)
+    past = cut = 0
+    for _ in range(40):
+        pairs = [
+            (_symmetrized(rng, signs[0]), _symmetrized(rng, signs[1]))
+            for _ in range(rng.randint(1, 3))
+        ]
+        div = rng.randint(1, 4)
+        for f, g in pairs:
+            assert (_kernel.hermitian_sign(f._terms), _kernel.hermitian_sign(g._terms)) == signs
+        if len(pairs) == 2:  # a zero operand brackets to zero and leaves the sign alone
+            pairs.append((QSeries({}, t_cap=9, weight_cap=9), _symmetrized(rng, -signs[1])))
+        del seen[:]
+        out = algebra.bracket_sum(pairs, div)
+        assert out.to_json() == _bracket_sum_reference(pairs, div).to_json()
+        assert algebra.dagger(out) == out.scale(signs[0] * signs[1])
+        past += _past_the_caps(pairs)
+        cut += any(formed < offered for formed, offered in seen)
+    assert past > 20 and cut > 10
+
+
+def test_qbracket_forms_the_pairs_that_land_at_m_ge_n(monkeypatch):
+    """A term pair lands at ``m - n = (m1 - n1) + (m2 - n2)``; on the half path
+    a left term forms only the right terms that land at ``m >= n``."""
+    x = QSeries({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, **CAPS)  # adag + a
+    y = QSeries({(1, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 1, 0, 0): 1}, **CAPS)  # adag + adag a + a
+    seen = _record_prefixes(monkeypatch)
+    out = algebra.bracket_i_hbar(x, y)
+    # adag forms all three right terms; a forms adag only (adag a and a land at m < n)
+    assert sorted(seen) == [(1, 3), (3, 3)]
+    assert out.to_json() == _bracket_reference(x, y).to_json()
+
+
+def test_qbracket_mixed_signs_take_the_full_loop(monkeypatch):
+    """A list whose pairs have products +1 and -1, or one operand hermitian but
+    for one term, makes no cut and still matches `bracket_per_pair`."""
+    from qmorse import _kernel
+
+    rng = random.Random(59)
+    seen = _record_prefixes(monkeypatch)
+    for trial in range(30):
+        h = [_symmetrized(rng, 1) for _ in range(3)]
+        a = _symmetrized(rng, -1)
+        if trial % 2:
+            pairs = [(h[0], h[1]), (a, h[2])]  # products +1 and -1
+        else:
+            key = max(h[0]._terms)  # one term changes, its mirror does not
+            broken = h[0] + QSeries({key: COPRIME[trial % 3]}, t_cap=h[0].t_cap, weight_cap=h[0].weight_cap)
+            assert _kernel.hermitian_sign(broken._terms) == 0
+            pairs = [(broken, h[1]), (h[2], h[1])]
+        div = 1 + trial % 3
+        del seen[:]
+        assert algebra.bracket_sum(pairs, div).to_json() == _bracket_sum_reference(pairs, div).to_json()
+        assert not seen
+
+
+def test_hermitian_sign():
+    from qmorse import _kernel
+
+    x = QSeries({(2, 1, 0, 1): Coefficient(1, 2, 3, 4), (1, 2, 0, 1): Coefficient(1, -2, 3, -4)}, **CAPS)
+    assert _kernel.hermitian_sign(x._terms) == 1
+    assert _kernel.hermitian_sign(x.scale(I)._terms) == -1
+    assert _kernel.hermitian_sign({}) == 1
+    assert _kernel.hermitian_sign(QSeries({(1, 1, 0, 0): I}, **CAPS)._terms) == -1
+    assert _kernel.hermitian_sign(QSeries({(1, 1, 0, 0): Coefficient(1, 1)}, **CAPS)._terms) == 0
+    assert _kernel.hermitian_sign(QSeries({(2, 0, 0, 0): 1}, **CAPS)._terms) == 0  # no mirror

@@ -216,10 +216,11 @@ def test_solve_work_counts(monkeypatch):
 
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
-    anything.  Brackets are formed by `_kernel.qbracket`, one visit per pair,
-    and the compositions g_k o fn by `_kernel.qcompose`, one visit per pair of
-    a germ term and a term of the matching power; both are counted apart from
-    the `_kernel.qmul` products (here the powers of fn).  The falling basis
+    anything.  Brackets are formed by `_kernel.qbracket` and counted as
+    len(A) * len(B) per pair, before its hermitian cut, and the compositions
+    g_k o fn by `_kernel.qcompose`, one visit per pair of a germ term and a
+    term of the matching power; both are counted apart from the
+    `_kernel.qmul` products (here the powers of fn).  The falling basis
     P_n of the diagonal split is built once per solve, so its ScalarSeries
     products count once.
     """
@@ -271,29 +272,44 @@ def test_generator_work_counts(monkeypatch):
     Every Lie-ladder step of `_eulerian_generator` and of
     `flow.integrate_heisenberg` is one `_kernel.qbracket` call over all of its
     nonzero pairs, so the kernel calls equal the bracket-ladder steps.  The
-    pairs are counted as len(A) * len(B) summed over each call's pair list.
+    pairs are counted as len(A) * len(B) summed over each call's pair list,
+    before any cut.  H and every ladder slice are hermitian, so the kernel
+    forms only the term pairs that land at ``m >= n`` (its hermitian half);
+    those are counted where the kernel reads them, at
+    `_kernel.prefix_length`, summed over the component pairs.
     """
     from qmorse import _kernel
 
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, 8)
-    counts = {"bracket_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0}
-    qbracket, ladder_step = _kernel.qbracket, flow.ladder_step
+    counts = {"bracket_pairs": 0, "formed_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0}
+    qbracket, prefix_length, ladder_step = _kernel.qbracket, _kernel.prefix_length, flow.ladder_step
 
     def counting_qbracket(pairs, *rest):
         counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
         counts["qbracket_calls"] += 1
         return qbracket(pairs, *rest)
 
+    def counting_prefix_length(part, bound):
+        formed = prefix_length(part, bound)
+        counts["formed_pairs"] += formed
+        return formed
+
     def counting_ladder_step(xs, slices, op=None):
         counts["bracket_steps"] += op is None
         return ladder_step(xs, slices, op)
 
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
+    monkeypatch.setattr(_kernel, "prefix_length", counting_prefix_length)
     monkeypatch.setattr(flow, "ladder_step", counting_ladder_step)
     result.H
     assert result.verify()
-    assert counts == {"bracket_pairs": 62166, "qbracket_calls": 43, "bracket_steps": 43}
+    assert counts == {
+        "bracket_pairs": 62166,
+        "formed_pairs": 34031,
+        "qbracket_calls": 43,
+        "bracket_steps": 43,
+    }
 
 
 def test_component_pair_counts():
