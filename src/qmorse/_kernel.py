@@ -4,22 +4,23 @@ Coefficients of the engine live in the number field Q(i, sqrt2) and are packed
 as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
 d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 
-Three kernels act on term maps: `qmul`, the normal-ordered product,
-`qbracket`, the sum ``(1/div) sum (i/hbar)[A, B]`` over a list of term-map
-pairs formed directly from the contraction terms, and `qcompose`, the sum
-``sum_j c_j(hbar, t) P_j`` of central coefficients times cached powers.  The
-reordering factors come from one table, `contractions`; `qbracket` reads its
-``j >= 1`` factors by row (`contraction_row`), from entries made from
-`contractions` on first use.  `qbracket` keys its accumulator by packed
-monomials, one int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple, so a
-monomial product is an integer add; a Lie-ladder step passes all of its
-brackets in one call.  Callers reach the kernels through the module attributes
-(``_kernel.qmul``, ``_kernel.qbracket``, ``_kernel.qcompose``), so a wrapper
-installed on one sees every call.  The benchmark's ``kernel.qmul`` spans
-therefore count products only: the pairs of a bracket or a composition are
-not seen by ``kernel.qmul``.
+Two kernels act on term maps, each summing over a list of term-map pairs in
+one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
+(`qmul` is its one-pair entry), and `qbracket`, the sum ``(1/div) sum
+(i/hbar)[A, B]`` formed directly from the contraction terms.  A composition
+``sum_j C_j(hbar, t) P^j`` is one `qmul_sum` call whose left operands are
+central.  The reordering factors come from one table: both kernels read the
+``j >= 1`` factors of `contractions` by row (`contraction_row`), from entries
+made on first use.  `qbracket` keys its accumulator by packed monomials, one
+int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple, so a monomial product
+is an integer add; a Lie-ladder step passes all of its brackets in one call.
+Callers reach the kernels through the module attributes (``_kernel.qmul``,
+``_kernel.qmul_sum``, ``_kernel.qbracket``), and `qmul` reaches `qmul_sum` the
+same way, so a wrapper installed on one sees every call.  The benchmark's
+``kernel.qmul`` spans therefore count binary products only: the pairs of a
+bracket or of a composition are not seen by ``kernel.qmul``.
 
-Components and common denominators.  Every product of term maps, the three
+Components and common denominators.  Every product of term maps, the two
 kernels, ``ScalarSeries.__mul__`` and the Fock-space layer of `spectrum`
 (`apply_rho`, `inner_product` and the Rayleigh-Schrodinger step), puts each
 operand over the lcm of its denominators (`common_denominator`) and splits it
@@ -34,10 +35,10 @@ term pair.  The field product is written out once, in `coeff_mul`, the
 reference that `COMPONENT_PRODUCT` and the tests check against; no pair is
 reduced and none calls `coeff_mul` or `coeff_make`.  Each output term is joined
 from its components and reduced once, by ``coeff_make(a, b, c, d, den_A *
-den_B)`` (`joined`); in `qbracket` ``den_A`` and ``den_B`` are the lcms over
-all left and all right operands, and the divisor joins them in that one
-reduction.  Callers reach `component_pairs` through the module attribute, as
-they reach the kernels, so a wrapper installed on it sees every component
+den_B)`` (`joined`); ``den_A`` and ``den_B`` are the lcms over all left and all
+right operands of the pair list, and `qbracket`'s divisor joins them in that
+one reduction.  Callers reach `component_pairs` through the module attribute,
+as they reach the kernels, so a wrapper installed on it sees every component
 pair.  Every product raises ResourceError when its accumulators together hold
 more than ``guard`` entries (`check_guard`).
 
@@ -169,21 +170,14 @@ def component_pairs(left, right):
             yield z, w, p, q
 
 
-_contractions = {}
-
-
 def contractions(n, m):
     """The reordering factors ``C(n,j) C(m,j) j!`` for ``j = 0..min(n, m)``.
 
-    ``a^n adag^m = sum_j c_j hbar^j adag^(m-j) a^(n-j)``; the tuples are kept
-    in `_contractions`, keyed by ``(n, m)``, so the table holds at most one
-    entry per pair of exponents below the weight caps in use.
+    ``a^n adag^m = sum_j c_j hbar^j adag^(m-j) a^(n-j)``.  The kernels keep
+    the ``j >= 1`` factors in the table of `contraction_row`, so this runs
+    once per pair of exponents in use.
     """
-    w = _contractions.get((n, m))
-    if w is None:
-        w = tuple(comb(n, j) * comb(m, j) * factorial(j) for j in range(min(n, m) + 1))
-        _contractions[(n, m)] = w
-    return w
+    return tuple(comb(n, j) * comb(m, j) * factorial(j) for j in range(min(n, m) + 1))
 
 
 def common_denominator(terms, den=1):
@@ -228,64 +222,17 @@ def check_guard(out, guard):
         raise ResourceError("term-count guard exceeded")
 
 
-def qmul(A, B, t_cap, w2_cap, guard):
-    """Normal-ordered product of two term maps.
-
-    ``A`` and ``B`` map exponent tuples ``(m, n, k, l)`` (powers of adag, a,
-    hbar, t) to coefficient tuples.  Reordering ``a^n1 adag^m2`` uses the
-    factors of `contractions`; it conserves the weight ``m + n + 2k``, so the
-    caps are checked once per term pair.  Terms beyond ``t_cap``/``w2_cap``
-    are dropped (silent truncation is part of the series contract).  Each
-    operand is put over its common denominator and split by component once;
-    each term pair of a component pair adds one integer product, times each
-    contraction factor, and each output term is reduced once.  Returns the
-    new term map; raises ResourceError when the accumulators exceed ``guard``
-    entries.
-    """
-    den_a = common_denominator(A)
-    den_b = common_denominator(B)
-    table = _contractions
-    right = {
-        y: [(m, n, k, l, m + n + 2 * k, c) for (m, n, k, l), c in q.items()]
-        for y, q in split(B, den_b).items()
-    }
-    out = {}
-    for z, w, p, q in component_pairs(split(A, den_a), right):
-        acc = out.setdefault(z, {})
-        get = acc.get
-        for (m1, n1, k1, l1), x in p.items():
-            x *= w
-            w_room = w2_cap - (m1 + n1 + 2 * k1)
-            t_room = t_cap - l1
-            for m2, n2, k2, l2, w2, y in q:
-                if w2 > w_room or l2 > t_room:
-                    continue
-                c = x * y
-                m = m1 + m2
-                n = n1 + n2
-                k = k1 + k2
-                l = l1 + l2
-                key = (m, n, k, l)
-                acc[key] = get(key, 0) + c
-                if n1 and m2:
-                    factors = table.get((n1, m2)) or contractions(n1, m2)
-                    for j in range(1, len(factors)):
-                        key = (m - j, n - j, k + j, l)
-                        acc[key] = get(key, 0) + c * factors[j]
-            check_guard(out, guard)
-    return joined(out, den_a * den_b)
-
-
 _rows = []
 
 
 def contraction_row(a, size):
     """Row ``a`` of the table ``rows[a][b] = contractions(a, b)[1:]``, for ``b < size``.
 
-    Only the ``j >= 1`` factors are kept.  The rows are shared by every call;
-    a row is made, and lengthened, only when a call reads it, so the table is
-    bounded by the exponents in use.  An entry is None until the caller fills
-    it on first use.
+    Only the ``j >= 1`` factors are kept.  The rows are shared by every call
+    of `qmul_sum` and `qbracket`; a row is made, and lengthened, only when a
+    call reads it, and a call sizes it by the exponents of its operands, so
+    the table is bounded by the exponents in use, not by the caps.  An entry
+    is None until the caller fills it on first use.
     """
     rows = _rows
     if a >= len(rows):
@@ -294,6 +241,72 @@ def contraction_row(a, size):
     if len(row) < size:
         row.extend([None] * (size - len(row)))
     return row
+
+
+def qmul_sum(pairs, t_cap, w2_cap, guard):
+    """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, in one split accumulator.
+
+    Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
+    t) to coefficient tuples.  Reordering ``a^n1 adag^m2`` conserves the
+    weight ``m + n + 2k`` and adds the ``j >= 1`` terms of ``contractions(n1,
+    m2)``, read as ``rows[n1][m2]`` (`contraction_row`, each row sized by the
+    largest adag power of the pair's kept right terms).  A term pair is kept
+    when its weight is within ``w2_cap`` and its t power within ``t_cap``
+    (silent truncation is part of the series contract).  All left operands go
+    over the lcm ``den_A`` of their denominators and all right ones over the
+    lcm ``den_B`` of theirs, and the pairs are split by component one at a
+    time; each term pair adds one integer product per factor, and each output
+    term is reduced once, over ``den_A * den_B``.  Raises ResourceError when
+    the accumulators exceed ``guard`` entries.
+    """
+    den_a = den_b = 1
+    for A, B in pairs:
+        den_a = common_denominator(A, den_a)
+        den_b = common_denominator(B, den_b)
+    out = {}
+    for A, B in pairs:
+        right = {}
+        for y, q in split(B, den_b).items():
+            kept = []
+            for (m2, n2, k2, l2), c in q.items():
+                w2 = m2 + n2 + 2 * k2
+                if w2 <= w2_cap and l2 <= t_cap:
+                    kept.append((m2, n2, k2, l2, w2, c))
+            if kept:
+                right[y] = kept
+        size = max((term[0] for q in right.values() for term in q), default=0) + 1
+        for z, w, p, q in component_pairs(split(A, den_a), right):
+            acc = out.setdefault(z, {})
+            get = acc.get
+            for (m1, n1, k1, l1), x in p.items():
+                x *= w
+                w_room = w2_cap - (m1 + n1 + 2 * k1)
+                t_room = t_cap - l1
+                row = contraction_row(n1, size)
+                for m2, n2, k2, l2, w2, y in q:
+                    if w2 > w_room or l2 > t_room:
+                        continue
+                    c = x * y
+                    m = m1 + m2
+                    n = n1 + n2
+                    k = k1 + k2
+                    l = l1 + l2
+                    key = (m, n, k, l)
+                    acc[key] = get(key, 0) + c
+                    if n1 and m2:
+                        factors = row[m2]
+                        if factors is None:
+                            factors = row[m2] = contractions(n1, m2)[1:]
+                        for j, f in enumerate(factors, 1):
+                            key = (m - j, n - j, k + j, l)
+                            acc[key] = get(key, 0) + c * f
+                check_guard(out, guard)
+    return joined(out, den_a * den_b)
+
+
+def qmul(A, B, t_cap, w2_cap, guard):
+    """The normal-ordered product of two term maps: `qmul_sum` over the one pair."""
+    return qmul_sum([(A, B)], t_cap, w2_cap, guard)
 
 
 def hermitian_sign(terms):
@@ -374,7 +387,7 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
 
     All numerators go over ``den_A * den_B``, the lcm of the left operands'
     denominators times the lcm of the right ones, and each operand is split by
-    component, as in `qmul`.  The factor ``i`` is the table entry
+    component, as in `qmul_sum`.  The factor ``i`` is the table entry
     ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor to the
     left operand, so a pair of components ``x, y`` adds into component ``x ^
     y ^ 1``; each output term is reduced once, over ``den_A * den_B * div``.
@@ -463,47 +476,3 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
                 terms[n, m, k, l] = c if s > 0 else coeff_neg(c)
         check_guard({0: terms}, guard)
     return terms
-
-
-def qcompose(C, powers, t_cap, w2_cap, guard):
-    """``sum c hbar^k t^l P_j`` over the terms ``(j, k, l) -> c`` of ``C``.
-
-    ``C`` is the term map of a germ in (z, hbar, t) and ``powers[j]`` the term
-    map of ``P^j`` for every z power j of ``C``; the central factor
-    ``hbar^k t^l`` is a key shift, and a shifted term is kept when its weight
-    is within ``w2_cap`` and its t power within ``t_cap``.  ``C`` is put over
-    its common denominator ``den_C`` and the powers over the lcm ``L`` of
-    theirs, and each is split by component, so every contribution is an
-    integer product over ``den_C * L``, added into the accumulator of its
-    component, and each output term is reduced once.  The powers are split one
-    at a time, so no two split copies are alive at once.
-    Raises ResourceError when the accumulators exceed ``guard`` entries.
-    """
-    den_c = common_denominator(C)
-    by_power = {}
-    for x, p in split(C, den_c).items():
-        for (j, k, l), c in p.items():
-            by_power.setdefault(j, {}).setdefault(x, []).append((k, l, c))
-    lcm = 1
-    for j in by_power:
-        lcm = common_denominator(powers[j], lcm)
-    out = {}
-    for j, central in by_power.items():
-        right = {
-            y: [(m, n, k, l, m + n + 2 * k, c) for (m, n, k, l), c in q.items()]
-            for y, q in split(powers[j], lcm).items()
-        }
-        for z, w, p, q in component_pairs(central, right):
-            acc = out.setdefault(z, {})
-            get = acc.get
-            for kc, lc, x in p:
-                x *= w
-                w_room = w2_cap - 2 * kc
-                t_room = t_cap - lc
-                for m, n, k, l, w2, y in q:
-                    if w2 > w_room or l > t_room:
-                        continue
-                    key = (m, n, k + kc, l + lc)
-                    acc[key] = get(key, 0) + x * y
-                check_guard(out, guard)
-    return joined(out, den_c * lcm)

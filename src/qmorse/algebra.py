@@ -156,6 +156,12 @@ def compose_scalar(u: ScalarSeries, f: QSeries) -> QSeries:
 
     Requires every monomial of f to carry weight >= 1/2 or a positive
     t power, so each output coefficient is a finite sum.
+
+    Horner's rule forms no power of f.  The solve instead builds each fn^j once
+    and reuses it over its N steps (`normal_form._compose_cached`); verify()
+    composes once, and its running sum collapses to f0 while the powers stay
+    dense, so Horner is faster there: 0.008 s against 0.024 s for the powers
+    plus one sum (t q^4, N=10), 0.006 s against 0.020 s (t q^6, N=6), 2 vCPUs.
     """
     if "z" not in u.vars:
         raise DomainError("composition germ must be a series in z")
@@ -252,15 +258,15 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
 
 def from_ordered(view: OrderedPQ) -> QSeries:
     """Normal-order an ordered q/p form back into the algebra."""
-    out = QSeries._from_raw({}, view.t_cap, view.w2_cap)
-    monomials = {}
+    central = {}
     for (e1, e2, k, l), c in view.terms.items():
-        if (e1, e2) not in monomials:
-            monomials[(e1, e2)] = ordered_monomial(
-                e1, e2, view.order, view.t_cap, view.w2_cap
-            )
-        out = out + monomials[(e1, e2)].scale(Coefficient._raw(c)).shift(hbar=k, t=l)
-    return out
+        central.setdefault((e1, e2), {})[0, 0, k, l] = c
+    pairs = [
+        (c, ordered_monomial(e1, e2, view.order, view.t_cap, view.w2_cap)._terms)
+        for (e1, e2), c in central.items()
+    ]
+    terms = _kernel.qmul_sum(pairs, view.t_cap, view.w2_cap, term_guard())
+    return QSeries._from_raw(terms, view.t_cap, view.w2_cap)
 
 
 def to_pq(f: QSeries) -> OrderedPQ:

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 expression parse error, 3 domain error or invalid
 argument value (a negative order, level or cutoff, a weight cap that is not a
-non-negative half-integer, a non-positive or non-finite hbar, a non-finite
-t, a Fock matrix that overflows the float range, malformed JSON in a
-coefficient file), 4 resource/cap overflow (an --order, a trace --levels
+non-negative half-integer, a rational option with a zero denominator, a
+non-positive or non-finite hbar, a non-finite t, a Fock matrix that
+overflows the float range, a coefficient file that is not a JSON list of
+numbers and rational strings or holds a coefficient outside the float
+range), 4 resource/cap overflow (an --order, a trace --levels
 or a milnor/versal --cutoff above MAX_ORDER, the term-count guard, a Fock
 matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a
 --coeffs file that cannot be read), 64 usage error (an unknown command or
@@ -33,7 +35,7 @@ from fractions import Fraction
 from . import algebra, flow, gevrey, milnor, normal_form, spectrum
 from ._kernel import COEFF_ONE
 from .errors import DomainError, ParseError, ResourceError
-from .field import Coefficient
+from .field import Coefficient, parse_rational
 from .parser import elaborate, elaborate_plane, parse_expr
 from .series import (
     SIG_PLANE, QSeries, ScalarSeries, harmonic, render_terms, t_op, w2_to_str, weight_cap_to_w2,
@@ -216,7 +218,16 @@ def cmd_gevrey(args):
     if args.coeffs:
         with open(args.coeffs, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        coeffs = [Fraction(str(x)) if isinstance(x, str) else float(x) for x in data]
+        if not isinstance(data, list):
+            raise ValueError("--coeffs: the file must hold a JSON list of numbers and rational strings")
+        coeffs = []
+        for k, x in enumerate(data):
+            if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+                raise ValueError(f"--coeffs: coefficient {k} is not a number or a rational string")
+            try:
+                coeffs.append(parse_rational(x) if isinstance(x, str) else x)
+            except ValueError as exc:
+                raise ValueError(f"--coeffs: coefficient {k}: {exc}") from None
         source = args.coeffs
     else:
         if not args.from_spectrum:
@@ -226,7 +237,7 @@ def cmd_gevrey(args):
         result = normal_form.quantum_morse(f, args.order)
         g = elaborate(parse_expr(args.from_spectrum), 1, "64")
         if args.hbar_weight is not None:
-            w = Fraction(args.hbar_weight)
+            w = parse_rational(args.hbar_weight)
         else:
             w = Fraction(g.max_weight2() - 2, 2)
         coeffs = gevrey.extract_diagonal(result.spectrum, args.level, w)

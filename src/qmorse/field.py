@@ -268,9 +268,13 @@ def rational_str(f: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """``"-3/4"``, an int or a Fraction as a Fraction; ValueError for any other string, "1/0" included."""
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError("rational with a zero denominator") from None
 
 
 ZERO = Coefficient._raw(COEFF_ZERO)

@@ -19,6 +19,11 @@ from .errors import DomainError
 from .field import Coefficient
 from .series import ScalarSeries
 
+# the verdict thresholds of `gevrey_report`
+BAND = 4.0
+SLOPE_THRESHOLD = 0.5
+MIN_NONZERO = 6
+
 
 def homogeneity_check(spectrum: ScalarSeries, degree: int) -> bool:
     """Scaling symmetry of a degree-d perturbation: k = l(d/2 - 1) + 1.
@@ -93,11 +98,20 @@ class BorelReport:
         }
 
 
-def _to_float(value):
-    if isinstance(value, Coefficient):
-        z = value.to_complex()
-        return z.real if abs(z.imag) <= 1e-12 * (1 + abs(z.real)) else abs(z)
-    return float(value)
+def _to_float(k, value):
+    """alpha_k as a float: the real part of a coefficient with a negligible
+    imaginary part, else its modulus.  ValueError when it is not finite."""
+    try:
+        if isinstance(value, Coefficient):
+            z = value.to_complex()
+            x = z.real if abs(z.imag) <= 1e-12 * (1 + abs(z.real)) else abs(z)
+        else:
+            x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"coefficient {k} lies outside the float range")
+    return x
 
 
 def _exact_str(value):
@@ -114,28 +128,21 @@ def _exact_str(value):
     return None
 
 
-def gevrey_report(
-    coeffs,
-    window=None,
-    *,
-    source: str = "coefficients",
-    band: float = 4.0,
-    slope_threshold: float = 0.5,
-    min_nonzero: int = 6,
-) -> BorelReport:
+def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> BorelReport:
     """Borel-transform the sequence and judge its growth over the window.
 
     verdict = violated   iff the least-squares slope of log ratio vs log k
-                          exceeds `slope_threshold` (factorial-type growth
+                          exceeds `SLOPE_THRESHOLD` (factorial-type growth
                           survives the Borel transform);
               gevrey1-consistent iff the ratios stay in a band with
-                          max/min < `band`;
-              inconclusive otherwise (including: too few nonzero terms).
+                          max/min < `BAND`;
+              inconclusive otherwise (including: fewer than `MIN_NONZERO`
+                          nonzero terms in the window).
     The radius estimate is the reciprocal of the median ratio over the upper
-    half of the window.
+    half of the window.  ValueError for a coefficient outside the float range.
     """
     alphas_exact = [_exact_str(c) for c in coeffs]
-    alphas = [_to_float(c) for c in coeffs]
+    alphas = [_to_float(k, c) for k, c in enumerate(coeffs)]
     if window is None:
         window = (0, len(alphas) - 1)
     kmin, kmax = int(window[0]), int(window[1])
@@ -166,11 +173,11 @@ def gevrey_report(
             radius = 1.0 / mid
 
     slope = _loglog_slope(ratios)
-    if nonzero < min_nonzero or len(ratios) < 2:
+    if nonzero < MIN_NONZERO or len(ratios) < 2:
         verdict = "inconclusive"
-    elif slope is not None and slope > slope_threshold:
+    elif slope is not None and slope > SLOPE_THRESHOLD:
         verdict = "violated"
-    elif max(ratios.values()) / min(ratios.values()) < band:
+    elif max(ratios.values()) / min(ratios.values()) < BAND:
         verdict = "gevrey1-consistent"
     else:
         verdict = "inconclusive"

@@ -22,16 +22,16 @@ tests pin this down.
 Precision rule: a product used only through t^L is computed at t_cap=L, which
 is exact because truncation commutes with products.  At step k of the solve,
 g_k o fn and (i/hbar)[fn, h_k] are read through t^(N-1-k) only, so they are
-formed from fn cut to that order.  The composition sums c_{j,k} hbar^k fn^j
-in one `_kernel.qcompose` accumulator over the cached powers of fn, cut to
-that order too, and checks each shifted term against the caps.  Iteration j
-of the reversion fixes t^j and works at t_cap=j.  The residual of step k is
-read at t^k only, so the solve keeps one term map (slot) per t-order: slot j
-starts as the t^j part of df/dt, the t^l terms of step k's capped compose and
-bracket products are subtracted from slot k + l (l >= 1), and step k reads
-slot k as its residual.  No sum of whole series and no slice of one is
-formed.  The falling basis P_n of the diagonal split is built once per solve
-and shared by all steps.
+formed from fn cut to that order.  The composition sums C_j fn^j, the
+central slice C_j of g_k at z^j times the cached power fn^j cut to that order
+too, in one `_kernel.qmul_sum` call, which checks each term pair against the
+caps.  Iteration j of the reversion fixes t^j and works at t_cap=j.  The
+residual of step k is read at t^k only, so the solve keeps one term map
+(slot) per t-order: slot j starts as the t^j part of df/dt, the t^l terms of
+step k's capped compose and bracket products are subtracted from slot k + l
+(l >= 1), and step k reads slot k as its residual.  No sum of whole series
+and no slice of one is formed.  The falling basis P_n of the diagonal split
+is built once per solve and shared by all steps.
 """
 
 from __future__ import annotations
@@ -303,19 +303,23 @@ def _subtract_later(rest, k, product: QSeries) -> None:
 def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
     """g_k o fn at the caps of fn, using cached powers (g_k is a t-free germ in z, hbar).
 
-    ``g_k o fn = sum c_{j,k} hbar^k fn^j`` is formed in one `_kernel.qcompose`
-    accumulator read straight from the cached powers.  A power fpows[j] is
-    built at the t_cap of the first call that needs it and cut down to the
-    current t_cap on use.  Callers pass fn at t caps that do not increase, so
-    a cached power is never short of an order.
+    ``g_k o fn = sum_j C_j fn^j`` is one `_kernel.qmul_sum` over the pairs
+    ``(C_j, fn^j)``, C_j the z^j slice of g_k as a central term map ``{(0, 0,
+    k, l): c}``.  A power fpows[j] is built at the t_cap of the first call
+    that needs it and cut down to the current t_cap on use.  Callers pass fn
+    at t caps that do not increase, so a cached power is never short of an
+    order.
     """
+    central = {}
+    for (j, k, l), c in g_k._terms.items():
+        central.setdefault(j, {})[0, 0, k, l] = c
     for j in range(g_k.var_degree("z") + 1):
         while len(fpows) <= j:
             fpows.append(fpows[-1] * fn)
         if fpows[j].t_cap > fn.t_cap:
             fpows[j] = fpows[j].with_caps(t_cap=fn.t_cap)
-    powers = [p._terms for p in fpows]
-    terms = _kernel.qcompose(g_k._terms, powers, fn.t_cap, fn.w2_cap, term_guard())
+    pairs = [(c, fpows[j]._terms) for j, c in central.items()]
+    terms = _kernel.qmul_sum(pairs, fn.t_cap, fn.w2_cap, term_guard())
     return QSeries._from_raw(terms, fn.t_cap, fn.w2_cap)
 
 
@@ -403,16 +407,12 @@ def linear_symplectic(f: QSeries, matrix) -> QSeries:
     i_unit = Coefficient(0, 1)
     adag_img = (p_img + q_img.scale(i_unit)).scale(inv_sqrt2)
     a_img = (p_img - q_img.scale(i_unit)).scale(inv_sqrt2)
-    ad_pows = [QSeries({(0, 0, 0, 0): ONE}, t_cap=f.t_cap, weight_cap=f.weight_cap)]
-    a_pows = [ad_pows[0]]
-    out = QSeries._from_raw({}, f.t_cap, f.w2_cap)
-    for (m, n, k, l), c in sorted(f._terms.items()):
-        while len(ad_pows) <= m:
-            ad_pows.append(ad_pows[-1] * adag_img)
-        while len(a_pows) <= n:
-            a_pows.append(a_pows[-1] * a_img)
-        out = out + (ad_pows[m] * a_pows[n]).scale(Coefficient._raw(c)).shift(hbar=k, t=l)
-    return out
+    central = {}
+    for (m, n, k, l), c in f._terms.items():
+        central.setdefault((m, n), {})[0, 0, k, l] = c
+    pairs = [(c, (adag_img**m * a_img**n)._terms) for (m, n), c in central.items()]
+    terms = _kernel.qmul_sum(pairs, f.t_cap, f.w2_cap, term_guard())
+    return QSeries._from_raw(terms, f.t_cap, f.w2_cap)
 
 
 def reduce_to_harmonic(f0: QSeries, order: int, *, weight_cap=None) -> NormalFormResult:

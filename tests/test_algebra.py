@@ -320,8 +320,10 @@ def test_bracket_term_guard(monkeypatch):
 def test_bracket_factor_table_follows_exponents_not_caps():
     from qmorse import _kernel
 
-    # [adag, a] = -hbar: one contraction of exponent 1 under a weight cap of 4000
+    # [adag, a] = -hbar and a adag = adag a + hbar: one contraction of exponent 1
+    # each, under a weight cap of 4000
     assert algebra.bracket_i_hbar(adag(0, 4000), a_op(0, 4000)).coeff((0, 0, 0, 0)) == Coefficient(0, -1)
+    assert (a_op(0, 4000) * adag(0, 4000)).coeff((0, 0, 1, 0)) == Coefficient(1)
     assert len(_kernel._rows) < 100 and max(map(len, _kernel._rows)) < 100
 
 
@@ -354,6 +356,22 @@ def test_qmul_matches_per_pair_reduction():
     out = (x * y)._terms
     assert (1, 0, 1, 0) not in out and out == qmul_per_pair(x, y)
     assert out == {(2, 0, 0, 0): (-5, 0, 0, 0, 63), (0, 0, 2, 0): (1, 0, 0, 0, 35)}
+    # the sum over a pair list, each pair over the lcm of its side's denominators,
+    # against the per-pair products summed as series (re-capped at the smallest caps)
+    from qmorse import _kernel
+    from qmorse.errors import ResourceError
+
+    pairs = [(f, g), (g, f), (x, y)]
+    reference = None
+    for a, b in pairs:
+        term = QSeries._from_raw(qmul_per_pair(a, b), *a._join_caps(b))
+        reference = term if reference is None else reference + term
+    raw = [(a._terms, b._terms) for a, b in pairs]
+    for order in (raw, raw[::-1]):  # the sum does not depend on the order of the list
+        out = _kernel.qmul_sum(order, reference.t_cap, reference.w2_cap, 10**6)
+        assert out and out == reference._terms
+    with pytest.raises(ResourceError):
+        _kernel.qmul_sum(raw, reference.t_cap, reference.w2_cap, len(out) - 1)
 
 
 def test_qbracket_matches_per_pair_reduction():

@@ -96,6 +96,9 @@ def test_rational_strings():
     assert rational_str(Fraction(-3, 4)) == "-3/4"
     assert rational_str(Fraction(5)) == "5"
     assert parse_rational("-3/4") == Fraction(-3, 4)
+    for bad in ("1/0", " -2/0 ", "x"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 def test_json_round_trip():

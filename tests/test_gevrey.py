@@ -103,3 +103,13 @@ def test_report_json():
     assert payload["format"] == "borel-report-v1"
     assert payload["verdict"] == "gevrey1-consistent"
     assert payload["alphas_exact"][3] == "6"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.inf, -math.inf, math.nan, 10**401, Fraction(10**401, 3), Coefficient(0, 10**401)],
+    ids=["inf", "-inf", "nan", "big-int", "big-fraction", "big-coefficient"],
+)
+def test_report_refuses_a_coefficient_outside_the_float_range(bad):
+    with pytest.raises(ValueError, match="coefficient 2 "):
+        gevrey.gevrey_report([1, 2, bad, 4])

@@ -217,53 +217,38 @@ def test_solve_work_counts(monkeypatch):
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
     anything.  Brackets are formed by `_kernel.qbracket` and counted as
-    len(A) * len(B) per pair, before its hermitian cut, and the compositions
-    g_k o fn by `_kernel.qcompose`, one visit per pair of a germ term and a
-    term of the matching power; both are counted apart from the
-    `_kernel.qmul` products (here the powers of fn).  The falling basis
-    P_n of the diagonal split is built once per solve, so its ScalarSeries
-    products count once.
+    len(A) * len(B) per pair, before its hermitian cut.  Products are formed
+    by `_kernel.qmul_sum` and counted the same way: the powers of fn, one pair
+    each, and the compositions g_k o fn, one pair (C_j, fn^j) per z power j
+    of g_k, whose central left map C_j holds g_k's terms at z^j.  The falling
+    basis P_n of the diagonal split is built once per solve, so its
+    ScalarSeries products count once.
     """
     from qmorse import _kernel
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    counts = {"smul_pairs": 0, "qmul_pairs": 0, "bracket_pairs": 0, "compose_pairs": 0}
-    smul, qmul, qbracket, qcompose = (
-        ScalarSeries.__mul__,
-        _kernel.qmul,
-        _kernel.qbracket,
-        _kernel.qcompose,
-    )
+    counts = {"smul_pairs": 0, "product_pairs": 0, "bracket_pairs": 0}
+    smul, qmul_sum, qbracket = ScalarSeries.__mul__, _kernel.qmul_sum, _kernel.qbracket
 
     def counting_smul(self, other):
         if isinstance(other, ScalarSeries):
             counts["smul_pairs"] += len(self) * len(other)
         return smul(self, other)
 
-    def counting_qmul(A, B, *rest):
-        counts["qmul_pairs"] += len(A) * len(B)
-        return qmul(A, B, *rest)
+    def counting_qmul_sum(pairs, *rest):
+        counts["product_pairs"] += sum(len(A) * len(B) for A, B in pairs)
+        return qmul_sum(pairs, *rest)
 
     def counting_qbracket(pairs, *rest):
         counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
         return qbracket(pairs, *rest)
 
-    def counting_qcompose(C, powers, *rest):
-        counts["compose_pairs"] += sum(len(powers[j]) for j, _, _ in C)
-        return qcompose(C, powers, *rest)
-
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
-    monkeypatch.setattr(_kernel, "qmul", counting_qmul)
+    monkeypatch.setattr(_kernel, "qmul_sum", counting_qmul_sum)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
-    monkeypatch.setattr(_kernel, "qcompose", counting_qcompose)
     nf.quantum_morse(f, 12)
-    assert counts == {
-        "smul_pairs": 49132,
-        "qmul_pairs": 30646,
-        "bracket_pairs": 7986,
-        "compose_pairs": 7240,
-    }
+    assert counts == {"smul_pairs": 49132, "product_pairs": 37886, "bracket_pairs": 7986}
 
 
 def test_generator_work_counts(monkeypatch):

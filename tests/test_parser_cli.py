@@ -312,13 +312,22 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["diag", "--perturbation", "q^4", "--t", "nan", "--hbar", "1", "--dim", "30"], 3),
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "inf", "--dim", "30",
           "--csv"], 3),
+        (["mul", "q", "p", "--weight-cap", "1/0"], 3),
+        (["spectrum", "--perturbation", "q^4", "--order", "2", "--weight-cap", "1/0"], 3),
+        (["normal-form", "--perturbation", "q^4", "--order", "2", "--weight-cap", "1/0"], 3),
+        (["flow", "--hamiltonian", "ad*a", "--observable", "a", "--order", "2",
+          "--weight-cap", "1/0"], 3),
+        (["trace", "q^4", "--levels", "2", "--weight-cap", "1/0"], 3),
+        (["gevrey", "--from-spectrum", "q^4", "--order", "2", "--hbar-weight", "1/0"], 3),
     ],
     ids=[
         "order", "level", "rs-order", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
         "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "t-nan",
-        "hbar-inf-csv",
+        "hbar-inf-csv", "mul-cap-zero-den", "spectrum-cap-zero-den",
+        "normal-form-cap-zero-den", "flow-cap-zero-den", "trace-cap-zero-den",
+        "gevrey-hbar-weight-zero-den",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
@@ -328,6 +337,41 @@ def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
     assert proc.stdout == ""
     if "100000000" in argv:
         assert "MAX_ORDER = 100" in proc.stderr
+
+
+_BIG = "1" * 401  # overflows a float
+
+
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("5", None),
+        (_BIG, None),
+        ("[1, null]", 1),
+        ("[[2], 1]", 0),
+        ("[1, 2, true]", 2),
+        ('["1/0"]', 0),
+        ('[1, "x"]', 1),
+        (f"[{_BIG}]", 0),
+        (f'[1, "{_BIG}"]', 1),
+        ("[1e400, 2, 3]", 0),
+        ("[1, NaN, 2]", 1),
+    ],
+    ids=[
+        "number", "big-number", "null", "list-entry", "bool", "zero-den",
+        "not-rational", "big-int", "big-string", "float-inf", "nan",
+    ],
+)
+def test_gevrey_refuses_a_malformed_coefficient_file(text, index, tmp_path, capsys):
+    from qmorse import cli
+
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    assert cli.main(["gevrey", "--coeffs", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid argument: ")
+    if index is not None:
+        assert f"coefficient {index} " in captured.err or f"coefficient {index}:" in captured.err
 
 
 @pytest.mark.parametrize("command", ["flow", "normal-form", "spectrum", "rs", "gevrey"])
@@ -468,7 +512,7 @@ _FUZZ_OPTIONS = {
     "--cutoff": _SMALL_INTS + ["101", "100000000"],  # over MAX_ORDER: refused first
     "--dim": _SMALL_INTS + ["1000000", "1" * 40],
     "--t-cap": _SMALL_INTS,
-    "--weight-cap": ["auto", "0", "1/2", "3", "8", "-2", "1/3", "x", "1" * 5000],
+    "--weight-cap": ["auto", "0", "1/2", "3", "8", "-2", "1/3", "1/0", "x", "1" * 5000],
     "--perturbation": _FUZZ_EXPRS,
     "--symbol": _FUZZ_EXPRS + ["(q+p)^100000", "l1*(q+p)^100000"],
     "--hamiltonian": _FUZZ_EXPRS,
@@ -477,9 +521,9 @@ _FUZZ_OPTIONS = {
     "--params": ["l1", "l1,l2", "", "q", ",,"],
     "--t": ["0.1", "0", "-1", "nan", "inf", "1e308", "x"],
     "--hbar": ["1", "0.5", "0", "-1", "nan", "inf", "x"],
-    "--hbar-weight": ["1", "1/2", "0", "-1", "x"],
+    "--hbar-weight": ["1", "1/2", "0", "-1", "1/0", "x"],
     "--window": ["1:3", "3:1", "0:0", "2:", "x"],
-    "--coeffs": ["/nonexistent/coeffs.json"],
+    "--coeffs": ["/nonexistent/coeffs.json", "{coeffs}"],  # {coeffs}: a malformed file
     "--inverse": None,  # flags take no value
     "--principal": None,
     "--rescale-t": None,
@@ -528,13 +572,22 @@ def _cli_argv(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def malformed_coeffs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "coeffs.json"
+    path.write_text('[1, 2, 1e400, "1/0", null]')
+    return str(path)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_cli_argv())
-def test_cli_fuzz_exits_with_a_documented_code(argv):
+@given(argv=_cli_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv, malformed_coeffs):
     import contextlib
     import io
 
     from qmorse import cli
+
+    argv = [malformed_coeffs if a == "{coeffs}" else a for a in argv]
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
