@@ -155,6 +155,8 @@ def cmd_normal_form(args):
 
 
 def cmd_spectrum(args):
+    if args.level is not None and args.level < 0:
+        raise ValueError("--level must be non-negative")
     result = _solve(args)
     spec = result.spectrum
     if args.level is not None:

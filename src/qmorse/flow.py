@@ -7,9 +7,10 @@ phi_0 = id.  A t-dependent observable is transported fiberwise
 t-series ring.  All meromorphic intermediates of the textbook conjugation
 U f U^{-1} are avoided; each order is a polynomial identity.
 
-Every t-order recursion here, and the generator ladder and the transport of
-the normalizing germ u in `normal_form`, is the Lie ladder
-X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j}) run by `ladder_step`.  A bracket
+Every t-order recursion here, and the transport of the normalizing germ u in
+`normal_form`, is the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j})
+run by `ladder_step`.  `transport` runs phi on a t-series, one ladder per slice,
+for `integrate_heisenberg` and for `NormalFormResult.H` = -phi(h).  A bracket
 step is one `algebra.bracket_sum` call: the r+1 brackets go to one
 `_kernel.qbracket` accumulator over packed monomial keys, with the division by
 r+1 folded into the single reduction of each output term, so a step forms no
@@ -54,25 +55,33 @@ def ladder_step(xs: list, slices, op=None) -> None:
         xs.append(acc.scale(Fraction(1, r + 1)))
 
 
+def transport(x_slices, gen_slices):
+    """Yield slice r of phi(X), X = sum_l t^l x_slices[l], for r < len(x_slices).
+
+    phi is generated by S = sum_j t^j gen_slices[j]; slice r sums the t^(r-l) pieces
+    of phi(X_l), l <= r, off one `ladder_step` ladder per nonzero X_l.  It reads S
+    only through S_{r-1}, so the caller may append S_r to `gen_slices` between yields.
+    """
+    ladders = []
+    for r, x in enumerate(x_slices):
+        total = x
+        for l, ladder in ladders:
+            while len(ladder) <= r - l:
+                ladder_step(ladder, gen_slices)
+            total = total + ladder[r - l]
+        if x:
+            ladders.append((r, [x]))
+        yield total
+
+
 def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
     """Transport f along the flow of H through t-order `order`."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    w2 = min(H.w2_cap, f.w2_cap)
-    wc = Fraction(w2, 2)
+    wc = Fraction(min(H.w2_cap, f.w2_cap), 2)
     fw = f.with_caps(t_cap=order, weight_cap=wc)
     hw = H.with_caps(t_cap=order, weight_cap=wc)
-    h_slices = [hw.var_slice("t", j) for j in range(order + 1)]
-    out = QSeries._from_raw({}, order, w2)
-    for l in range(fw.var_degree("t") + 1):
-        phis = [fw.var_slice("t", l)]
-        if not phis[0]:
-            continue
-        while len(phis) <= order - l:
-            ladder_step(phis, h_slices)
-        for k, phi in enumerate(phis):
-            out = out + phi.shift(t=k + l)
-    return out
+    return fw.join_t_slices(transport(fw.t_slices(), hw.t_slices()))
 
 
 def solve_propagator(H: QSeries, order: int) -> QSeries:
@@ -80,11 +89,8 @@ def solve_propagator(H: QSeries, order: int) -> QSeries:
     if order < 0:
         raise ValueError("order must be non-negative")
     hw = H.with_caps(t_cap=order)
-    h_slices = [hw.var_slice("t", j) for j in range(order + 1)]
+    h_slices = hw.t_slices()
     us = [one(order, hw.weight_cap)]
     while len(us) <= order:
         ladder_step(us, h_slices, lambda u, h: h * u)
-    out = QSeries._from_raw({}, order, hw.w2_cap)
-    for k, u in enumerate(us):
-        out = out + u.shift(t=k)
-    return out
+    return hw.join_t_slices(us)

@@ -148,7 +148,8 @@ def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> Borel
     kmin, kmax = int(window[0]), int(window[1])
     if not 0 <= kmin <= kmax < len(alphas):
         raise ValueError("window out of range")
-    borel = [a / math.factorial(k) for k, a in enumerate(alphas)]
+    # exact quotient, rounded once: a float k! overflows from k = 171 on
+    borel = [float(Fraction(a) / math.factorial(k)) for k, a in enumerate(alphas)]
     ratios = {
         k: abs(borel[k + 1]) / abs(borel[k])
         for k in range(kmin, min(kmax, len(borel) - 2) + 1)
@@ -177,7 +178,7 @@ def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> Borel
         verdict = "inconclusive"
     elif slope is not None and slope > SLOPE_THRESHOLD:
         verdict = "violated"
-    elif max(ratios.values()) / min(ratios.values()) < BAND:
+    elif max(ratios.values()) < BAND * min(ratios.values()):  # a ratio may underflow to 0
         verdict = "gevrey1-consistent"
     else:
         verdict = "inconclusive"

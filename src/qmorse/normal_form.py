@@ -13,6 +13,7 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
 * the stored H is the generator of the normalizing automorphism phi in the
   integrate_heisenberg convention, so
   compose_scalar(u, integrate_heisenberg(H, f, N)) == f0 holds literally;
+  it is bootstrapped as H = -phi(h) through `flow.transport`;
 * the spectrum closure is E_n = u^{-1}(t, hbar (2n+1)).
 
 Weight caps are chosen from the perturbation's weight growth per t-order so
@@ -160,10 +161,12 @@ class NormalFormResult:
 
     @property
     def H(self) -> QSeries:
-        """Generator of the normalizing automorphism (integrate_heisenberg convention)."""
+        """Generator of phi (integrate_heisenberg convention): H = -phi(h), via `flow.transport`."""
         if self._H is None:
-            fn = self.normalized_input
-            self._H = _eulerian_generator(self._h_slices, self.order, fn.w2_cap)
+            g_slices = []
+            for total in flow.transport(self._h_slices, g_slices):
+                g_slices.append(-total)
+            self._H = self.normalized_input.join_t_slices(g_slices)
         return self._H
 
     def verify(self) -> bool:
@@ -235,9 +238,7 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     # rest[j] is the t^j part (t power zeroed) of df/dt minus
     # sum_i t^i (g_i o fn + (i/hbar)[fn, h_i]) over the steps i solved so far;
     # step k reads rest[k] as its residual.
-    rest = [{} for _ in range(order)]
-    for (m, n, h, l), c in fn.deriv("t")._terms.items():
-        rest[l][(m, n, h, 0)] = c
+    rest = [dict(x._terms) for x in fn.deriv("t").t_slices()]
     basis = _falling_basis(order, w2)
     fpows = [QSeries({(0, 0, 0, 0): ONE}, t_cap=order, weight_cap=weight_cap), fn]
     g_slices = []
@@ -258,17 +259,10 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     u_slices = [z]
     while len(u_slices) <= order:
         flow.ladder_step(u_slices, g_slices, lambda u, g: -(u.deriv("z") * g))
-    u = z.zero_like()
-    for k, piece in enumerate(u_slices):
-        u = u + piece.shift(t=k)
-
-    g = z.zero_like()
-    for k, piece in enumerate(g_slices):
-        g = g + piece.shift(t=k)
-
+    u = z.join_t_slices(u_slices)
     u_inv = invert_series_z(u)
     return NormalFormResult(
-        g=g,
+        g=z.join_t_slices(g_slices),
         u=u,
         u_inv=u_inv,
         scale=scale,
@@ -321,29 +315,6 @@ def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
     pairs = [(c, fpows[j]._terms) for j, c in central.items()]
     terms = _kernel.qmul_sum(pairs, fn.t_cap, fn.w2_cap, term_guard())
     return QSeries._from_raw(terms, fn.t_cap, fn.w2_cap)
-
-
-def _eulerian_generator(h_slices, order: int, w2: int) -> QSeries:
-    """G = -phi(h) where phi is the flow generated (in the fixed frame) by G.
-
-    Bootstrap: G_k needs phi(h_l) only through order k-l, which uses G through
-    order k-l-1; each h_l starts its own flow ladder.
-    """
-    g_slices = []
-    flows = []  # flows[l][r] = t-order-r piece of phi(h_l)
-    for k in range(order):
-        total = h_slices[k]
-        for l in range(k):
-            ladder = flows[l]
-            while len(ladder) <= k - l:
-                flow.ladder_step(ladder, g_slices)
-            total = total + ladder[k - l]
-        g_slices.append(-total)
-        flows.append([h_slices[k]])
-    H = QSeries._from_raw({}, order, w2)
-    for k, gk in enumerate(g_slices):
-        H = H + gk.shift(t=k)
-    return H
 
 
 def invert_series_z(u: ScalarSeries) -> ScalarSeries:

@@ -277,6 +277,25 @@ class _Series:
             }
         )
 
+    def t_slices(self):
+        """[X_0 .. X_t_cap] with self = sum_l t^l X_l, each X_l with its t power zeroed."""
+        ti, parts = self._ti, [{} for _ in range(self.t_cap + 1)]
+        for e, c in self._terms.items():
+            parts[e[ti]][e[:ti] + (0,) + e[ti + 1 :]] = c
+        return [self._like(p) for p in parts]
+
+    def join_t_slices(self, slices):
+        """The inverse of `t_slices`: sum_l t^l slices[l] at this value's caps (its own
+        terms are not read); slices past the t cap and terms past the weight cap are dropped."""
+        ti, w2 = self._ti, self.w2_cap
+        return self._like(
+            {
+                e[:ti] + (l,) + e[ti + 1 :]: c
+                for l, x in zip(range(self.t_cap + 1), slices)
+                for e, c in x._within(x.t_cap, w2).items()
+            }
+        )
+
     def shift(self, **powers):
         """Multiply by the monomial prod(var**power); terms pushed past the caps are dropped."""
         delta = [0] * len(self.vars)

@@ -231,10 +231,9 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
         raise ValueError("level must be non-negative")
     if order < 0:
         raise ValueError("order must be non-negative")
-    f0 = f.var_slice("t", 0)
-    if f0 != harmonic(f0.t_cap, f0.weight_cap):
+    slices = f.with_caps(t_cap=order).t_slices()
+    if slices[0] != harmonic(f.t_cap, f.weight_cap):
         raise DomainError("base operator must be p^2 + q^2")
-    slices = [f.var_slice("t", j) for j in range(order + 1)]
     psis = [FockVector.basis(level)]
     energies = [({0: {1: 2 * level + 1}}, 1)]  # E_0 = hbar(2n+1)
     for k in range(1, order + 1):

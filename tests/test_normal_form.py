@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from qmorse import flow, normal_form as nf, parser
+from qmorse import flow, normal_form as nf, parser, spectrum as sp
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
-from qmorse.algebra import compose_scalar
+from qmorse.algebra import compose_scalar, dagger
 from qmorse.errors import DomainError
 from qmorse.field import Coefficient, I
 from qmorse.series import (
@@ -28,7 +28,7 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import COMPLEX_ENERGIES, COPRIME, component_pair_counts
+from oracles import COMPLEX_ENERGIES, COPRIME, component_pair_counts, random_coeff
 
 CAPS = dict(t_cap=8, weight_cap="24")
 
@@ -254,8 +254,8 @@ def test_solve_work_counts(monkeypatch):
 def test_generator_work_counts(monkeypatch):
     """Bracket work of the generator H and of verify() for the quartic at N=8.
 
-    Every Lie-ladder step of `_eulerian_generator` and of
-    `flow.integrate_heisenberg` is one `_kernel.qbracket` call over all of its
+    H and `flow.integrate_heisenberg` both run phi through `flow.transport`,
+    whose every Lie-ladder step is one `_kernel.qbracket` call over all of its
     nonzero pairs, so the kernel calls equal the bracket-ladder steps.  The
     pairs are counted as len(A) * len(B) summed over each call's pair list,
     before any cut.  H and every ladder slice are hermitian, so the kernel
@@ -295,6 +295,53 @@ def test_generator_work_counts(monkeypatch):
         "qbracket_calls": 43,
         "bracket_steps": 43,
     }
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("p^2+q^2+t*q^4", 6), (COMPLEX_ENERGIES, 5), ("p^2+q^2+t*(q^3+p^3+q^4)", 5)],
+    ids=["quartic", "complex-energies", "q3+p3+q4"],
+)
+def test_generator_is_minus_phi_of_h(text, order):
+    """H = -phi(h) through t^(N-1), phi the flow of H and h = sum_k t^k h_k."""
+    f = parser.elaborate(parser.parse_expr(text), order, "64")
+    result = nf.quantum_morse(f, order)
+    h = result.normalized_input.join_t_slices(result._h_slices)
+    H = result.H
+    assert flow.integrate_heisenberg(H, h, order - 1) == (-H).with_caps(t_cap=order - 1)
+
+
+def _random_perturbation(rng, hermitian, caps):
+    """1-3 words q^a p^b, a + b <= 4, in shuffled letter order, with
+    coefficients in Q(i, sqrt2); made hermitian by (g + dagger(g))/2."""
+    g = QSeries({}, **caps)
+    for _ in range(rng.randint(1, 3)):
+        letters = list("q" * rng.randint(0, 4))
+        letters += "p" * rng.randint(0 if letters else 1, 4 - len(letters))
+        rng.shuffle(letters)
+        word = one(**caps)
+        for letter in letters:
+            word = word * (q_op(**caps) if letter == "q" else p_op(**caps))
+        g = g + word.scale(random_coeff(rng))
+    if hermitian:
+        g = (g + dagger(g)).scale(Fraction(1, 2))
+    return g
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_family_matches_rs_and_verifies(seed):
+    """Random perturbations, every other one hermitian, so that both loops of
+    `_kernel.qbracket` run: at N=5 and the automatic weight cap, the spectrum
+    equals RS at levels 0..2, every hbar power included, and the master
+    identity holds."""
+    caps = dict(t_cap=5, weight_cap="16")
+    g = _random_perturbation(random.Random(7919 + seed), seed % 2 == 0, caps)
+    f = harmonic(**caps) + t_op(**caps) * g
+    result = nf.quantum_morse(f, 5)
+    assert result.verify()
+    for n in range(3):
+        closure = result.spectrum.eval_var("n", Coefficient(n))
+        assert closure == sp.rs_perturbation(f, n, 5).lift(("n", "hbar", "t"))
 
 
 def test_component_pair_counts():

@@ -292,6 +292,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
     "argv, code",
     [
         (["spectrum", "--perturbation", "q^4", "--order", "-1"], 3),
+        (["spectrum", "--perturbation", "q^4", "--order", "4", "--level", "-1"], 3),
         (["rs", "--perturbation", "q^4", "--level", "-1", "--order", "3"], 3),
         (["rs", "--perturbation", "q^4", "--level", "0", "--order", "-1"], 3),
         (["spectrum", "--perturbation", "q^4", "--order", "3", "--weight-cap", "1/3"], 3),
@@ -321,7 +322,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["gevrey", "--from-spectrum", "q^4", "--order", "2", "--hbar-weight", "1/0"], 3),
     ],
     ids=[
-        "order", "level", "rs-order", "cap-third", "cap-negative",
+        "order", "spectrum-level", "level", "rs-order", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
         "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "t-nan",
@@ -372,6 +373,23 @@ def test_gevrey_refuses_a_malformed_coefficient_file(text, index, tmp_path, caps
     assert captured.out == "" and captured.err.startswith("invalid argument: ")
     if index is not None:
         assert f"coefficient {index} " in captured.err or f"coefficient {index}:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1] * 200, [1e300, 1e-300] + [1] * 8],
+    ids=["k-factorial-past-float", "ratio-underflow"],
+)
+def test_gevrey_reads_any_finite_coefficient_file(coeffs, tmp_path, capsys):
+    """k! passes the float range at k = 171, and a Borel ratio can underflow to 0."""
+    from qmorse import cli
+
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(coeffs))
+    assert cli.main(["gevrey", "--coeffs", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] in ("gevrey1-consistent", "violated", "inconclusive")
+    assert len(report["borel"]) == len(coeffs)
 
 
 @pytest.mark.parametrize("command", ["flow", "normal-form", "spectrum", "rs", "gevrey"])

@@ -220,6 +220,17 @@ def test_shared_operations(kind):
     assert f**0 == f.one_like() and f**3 == f * f * f
     assert type(f).from_json(f.to_json()) == f and series_from_json(f.to_json()) == f
 
+    # one t-free slice per t power through the cap, zero slices included;
+    # joining reads no slice past the template's t cap and drops the terms
+    # past its weight cap, and never reads the template's own terms
+    slices = f.with_caps(t_cap=3).t_slices()
+    assert [len(x) for x in slices] == [2, 1, 1, 0]
+    assert all((x.t_cap, x.w2_cap) == (3, 4) for x in slices)
+    assert slices[1] == series({(1, 0, 0): Fraction(1, 2)}) and slices[2] == series({(0, 1, 0): -3})
+    assert f.join_t_slices(slices) == f and f.scale(0).join_t_slices(slices) == f
+    joined = g.join_t_slices(slices)
+    assert joined == g and (joined.t_cap, joined.w2_cap) == (1, 2)
+
     for caps in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             make({}, *caps)
