@@ -145,6 +145,16 @@ def coeff_mul_int(x, n):
     return coeff_make(a * n, b * n, c * n, d * n, den)
 
 
+def add_term(out, key, c):
+    """``out[key] += c`` on a term map, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    s = c if acc is None else coeff_add(acc, c)
+    if any(s[:4]):
+        out[key] = s
+    elif acc is not None:
+        del out[key]
+
+
 # The product of the basis elements 1, i, sqrt2, i*sqrt2 (components 0..3):
 # ``(x, y) -> (z, w)`` with ``e_x * e_y = w * e_z``.  Bit 0 of a component is
 # its factor i and bit 1 its factor sqrt2, so ``z = x ^ y``, and w is -1 when

@@ -157,11 +157,12 @@ def compose_scalar(u: ScalarSeries, f: QSeries) -> QSeries:
     Requires every monomial of f to carry weight >= 1/2 or a positive
     t power, so each output coefficient is a finite sum.
 
-    Horner's rule forms no power of f.  The solve instead builds each fn^j once
-    and reuses it over its N steps (`normal_form._compose_cached`); verify()
-    composes once, and its running sum collapses to f0 while the powers stay
-    dense, so Horner is faster there: 0.008 s against 0.024 s for the powers
-    plus one sum (t q^4, N=10), 0.006 s against 0.020 s (t q^6, N=6), 2 vCPUs.
+    Horner's rule forms no power of f.  The solve instead builds each fn^j
+    once and reads its t-slices over its N steps (`normal_form.quantum_morse`);
+    verify() composes once, and its running sum collapses to f0 while the
+    powers stay dense, so Horner is faster there: 0.008 s against 0.024 s for
+    the powers plus one sum (t q^4, N=10), 0.006 s against 0.020 s (t q^6,
+    N=6), 2 vCPUs.
     """
     if "z" not in u.vars:
         raise DomainError("composition germ must be a series in z")
@@ -241,13 +242,7 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
                 y_pows.append(y_pows[-1] * y_img)
             for (eq, ep), w in (x_pows[m] * y_pows[n])._terms.items():
                 key = (eq, ep, kmin, l) if order == "qp" else (ep, eq, kmin, l)
-                v = _kernel.coeff_mul(c, w)
-                acc = batch.get(key)
-                s = v if acc is None else _kernel.coeff_add(acc, v)
-                if any(s[:4]):
-                    batch[key] = s
-                elif acc is not None:
-                    del batch[key]
+                _kernel.add_term(batch, key, _kernel.coeff_mul(c, w))
         collected.update(batch)
         new_rem = rem - from_ordered(OrderedPQ(order, batch, rem.t_cap, rem.w2_cap))
         if new_rem and min(k for (_, _, k, _) in new_rem._terms) <= kmin:

@@ -14,6 +14,12 @@ option, a missing required option, an option value of the wrong type;
 EX_USAGE).
 Results go to stdout as JSON; diagnostics to stderr.
 
+Stdout is strict JSON: a payload is serialized whole before it is written,
+and a value that would print as NaN or Infinity is refused with exit 3, so
+no command prints half a payload.  The `terms_float` views of spectrum, rs
+and trace write null for re and im of a coefficient whose value lies
+outside the float range; the exact `series` beside them holds every value.
+
 Order ceiling: every command that takes --order (flow, normal-form,
 spectrum, rs, gevrey) refuses an order above MAX_ORDER = 100 with exit 4
 before any work, since the cost of a solve grows steeply with the order.
@@ -65,16 +71,20 @@ def _expr(text, t_cap, weight_cap) -> QSeries:
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write obj as strict JSON; a NaN or infinity raises ValueError before any output."""
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _float_terms(series: ScalarSeries):
+    """Float views of the terms; re and im are null for a value outside the float range."""
     out = []
     for exp in sorted(series._terms):
-        c = series.coeff(exp)
-        z = c.to_complex()
-        out.append({"exp": list(exp), "re": z.real, "im": z.imag})
+        try:
+            z = series.coeff(exp).to_complex()
+            re, im = z.real, z.imag
+        except OverflowError:
+            re = im = None
+        out.append({"exp": list(exp), "re": re, "im": im})
     return out
 
 

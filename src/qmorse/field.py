@@ -9,7 +9,7 @@ basis change (which needs sqrt2 and i) and hermitian conjugation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from math import sqrt as _fsqrt
 
 from ._kernel import (
@@ -87,10 +87,6 @@ class Coefficient:
     def is_rational(self):
         _, b, c, d, _ = self._t
         return not (b or c or d)
-
-    def is_real(self):
-        _, b, _, d, _ = self._t
-        return not (b or d)
 
     def sign_real(self):
         """Exact sign of a real element a + c*sqrt2 (raises if not real)."""
@@ -213,8 +209,22 @@ class Coefficient:
     # -- conversion / rendering ---------------------------------------------
 
     def to_complex(self) -> complex:
+        """The value as a complex float; OverflowError when a part leaves the float range.
+
+        The float formula runs first.  When a numerator or the denominator does
+        not fit a float, or the formula overflows, each part is formed from
+        Fractions instead (with sqrt2 as the float the formula uses) and
+        rounded once.
+        """
         a, b, c, d, den = self._t
-        return complex((a + c * _SQRT2) / den, (b + d * _SQRT2) / den)
+        try:
+            z = complex((a + c * _SQRT2) / den, (b + d * _SQRT2) / den)
+            if isfinite(z.real) and isfinite(z.imag):
+                return z
+        except OverflowError:
+            pass
+        s = Fraction(_SQRT2)
+        return complex(float((a + c * s) / den), float((b + d * s) / den))
 
     def __repr__(self):
         return f"Coefficient({self})"
@@ -281,5 +291,3 @@ ZERO = Coefficient._raw(COEFF_ZERO)
 ONE = Coefficient._raw(COEFF_ONE)
 I = Coefficient(0, 1)
 SQRT2 = Coefficient(0, 0, 1)
-I_SQRT2 = Coefficient(0, 0, 0, 1)
-HALF = Coefficient(Fraction(1, 2))

@@ -139,7 +139,8 @@ def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> Borel
               inconclusive otherwise (including: fewer than `MIN_NONZERO`
                           nonzero terms in the window).
     The radius estimate is the reciprocal of the median ratio over the upper
-    half of the window.  ValueError for a coefficient outside the float range.
+    half of the window.  ValueError, naming k, for a coefficient, a Borel ratio
+    or the radius outside the float range.
     """
     alphas_exact = [_exact_str(c) for c in coeffs]
     alphas = [_to_float(k, c) for k, c in enumerate(coeffs)]
@@ -155,6 +156,9 @@ def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> Borel
         for k in range(kmin, min(kmax, len(borel) - 2) + 1)
         if borel[k] != 0.0 and borel[k + 1] != 0.0
     }
+    for k, r in ratios.items():
+        if math.isinf(r):
+            raise ValueError(f"Borel ratio {k} lies outside the float range")
     roots = {
         k: abs(borel[k]) ** (1.0 / k)
         for k in range(max(kmin, 1), kmax + 1)
@@ -172,6 +176,9 @@ def gevrey_report(coeffs, window=None, *, source: str = "coefficients") -> Borel
         )
         if mid > 0:
             radius = 1.0 / mid
+            if math.isinf(radius):
+                span = f"{upper[0]}..{upper[-1]}"
+                raise ValueError(f"the Borel radius (ratios k = {span}) lies outside the float range")
 
     slope = _loglog_slope(ratios)
     if nonzero < MIN_NONZERO or len(ratios) < 2:

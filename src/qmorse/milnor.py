@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernel import coeff_add, coeff_mul, coeff_neg
+from ._kernel import add_term, coeff_mul, coeff_neg
 from .errors import DomainError
 from .field import Coefficient
 from .series import SIG_PLANE, ScalarSeries
@@ -73,13 +73,7 @@ def _rank_and_pivots(rows, columns):
             factor = Coefficient._raw(vec[lead]) / Coefficient._raw(other[lead])
             raw = factor.raw
             for i, c in other.items():
-                v = coeff_mul(c, raw)
-                acc = vec.get(i)
-                s = coeff_neg(v) if acc is None else coeff_add(acc, coeff_neg(v))
-                if any(s[:4]):
-                    vec[i] = s
-                elif acc is not None:
-                    del vec[i]
+                add_term(vec, i, coeff_neg(coeff_mul(c, raw)))
     return len(pivots), {columns[i] for i in pivots}
 
 

@@ -21,18 +21,20 @@ that every reported order is exact; the Rayleigh-Schrodinger oracle equality
 tests pin this down.
 
 Precision rule: a product used only through t^L is computed at t_cap=L, which
-is exact because truncation commutes with products.  At step k of the solve,
-g_k o fn and (i/hbar)[fn, h_k] are read through t^(N-1-k) only, so they are
-formed from fn cut to that order.  The composition sums C_j fn^j, the
-central slice C_j of g_k at z^j times the cached power fn^j cut to that order
-too, in one `_kernel.qmul_sum` call, which checks each term pair against the
-caps.  Iteration j of the reversion fixes t^j and works at t_cap=j.  The
-residual of step k is read at t^k only, so the solve keeps one term map
-(slot) per t-order: slot j starts as the t^j part of df/dt, the t^l terms of
-step k's capped compose and bracket products are subtracted from slot k + l
-(l >= 1), and step k reads slot k as its residual.  No sum of whole series
-and no slice of one is formed.  The falling basis P_n of the diagonal split
-is built once per solve and shared by all steps.
+is exact because truncation commutes with products.  Step k of the solve
+pulls its residual from the steps already solved,
+
+    R_k = [t^k] dfn/dt - sum_{i<k} (sum_j C_ij [t^(k-i)] fn^j + (i/hbar)[fn_(k-i), h_i]),
+
+C_ij the central z^j slice of g_i, so nothing is formed ahead of the step
+that reads it.  The powers fn^j are kept as t-slice lists: power j is built
+once, when some g_k first reaches z^j, at t_cap=N-1-k (the last order a later
+step reads), and never cut after that.  The composition part is one
+`_kernel.qmul_sum` call over the pairs (C_ij, [t^(k-i)] fn^j) at t_cap=0,
+since every operand is t-free, and the bracket part is one `bracket_i_hbar`
+per nonzero pair (fn_(k-i), h_i).  Iteration j of the reversion fixes t^j
+and works at t_cap=j.  The falling basis P_n of the diagonal split is built
+once per solve and shared by all steps.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import math
 from fractions import Fraction
 
 from . import _kernel, flow
-from ._kernel import coeff_add, coeff_make, coeff_mul, coeff_mul_int, coeff_neg, coeff_sub
+from ._kernel import coeff_make, coeff_mul, coeff_mul_int
 from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
 from .errors import DomainError
 from .field import Coefficient, ONE
@@ -234,25 +236,31 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     fn = (fw - shift_q).scale(scale.inverse())
     w2 = fn.w2_cap
 
-    # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = P_k.
-    # rest[j] is the t^j part (t power zeroed) of df/dt minus
-    # sum_i t^i (g_i o fn + (i/hbar)[fn, h_i]) over the steps i solved so far;
-    # step k reads rest[k] as its residual.
-    rest = [dict(x._terms) for x in fn.deriv("t").t_slices()]
+    # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = R_k, with
+    # R_k pulled from its formula (module docstring); pows[j] holds the t-slices of fn^j
+    dfn = fn.deriv("t").t_slices()
     basis = _falling_basis(order, w2)
-    fpows = [QSeries({(0, 0, 0, 0): ONE}, t_cap=order, weight_cap=weight_cap), fn]
+    pows = [fn.one_like().t_slices(), fn.t_slices()]
+    central = []  # (i, j, C_ij)
     g_slices = []
     h_slices = []
     for k in range(order):
-        g_k, h_k = split_homological(QSeries._from_raw(rest[k], order, w2), basis)
+        pairs = [(c, pows[j][k - i]._terms) for i, j, c in central if pows[j][k - i]]
+        r = dfn[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2, term_guard()), order, w2)
+        for i, h_i in enumerate(h_slices):
+            if h_i and pows[1][k - i]:
+                r = r - bracket_i_hbar(pows[1][k - i], h_i)
+        g_k, h_k = split_homological(r, basis)
         g_slices.append(g_k)
         h_slices.append(h_k)
-        if k < order - 1:
-            # both products are read only through t^(order-1-k) after the shift
-            fk = fn.with_caps(t_cap=order - 1 - k)
-            _subtract_later(rest, k, _compose_cached(g_k, fk, fpows))
-            if h_k:
-                _subtract_later(rest, k, bracket_i_hbar(fk, h_k))
+        by_power = {}
+        for (j, hb, l), c in g_k._terms.items():
+            by_power.setdefault(j, {})[0, 0, hb, l] = c
+        central += [(k, j, c) for j, c in by_power.items()]
+        # power j is first read at step k + 1, through t^(order-1-k)
+        while k < order - 1 and len(pows) <= g_k.var_degree("z"):
+            fc = fn.with_caps(t_cap=order - 1 - k)
+            pows.append((fc.join_t_slices(pows[-1]) * fc).t_slices())
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -271,50 +279,6 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         order=order,
         h_slices=h_slices,
     )
-
-
-def _subtract_later(rest, k, product: QSeries) -> None:
-    """rest[k + l] -= the t^l part of t^k * product, for every l >= 1.
-
-    The t^0 part would land in rest[k], which step k has already read.
-    """
-    for (m, n, h, l), c in product._terms.items():
-        if not l:
-            continue
-        slot = rest[k + l]
-        key = (m, n, h, 0)
-        acc = slot.get(key)
-        if acc is None:
-            slot[key] = coeff_neg(c)
-            continue
-        s = coeff_sub(acc, c)
-        if any(s[:4]):
-            slot[key] = s
-        else:
-            del slot[key]
-
-
-def _compose_cached(g_k: ScalarSeries, fn: QSeries, fpows) -> QSeries:
-    """g_k o fn at the caps of fn, using cached powers (g_k is a t-free germ in z, hbar).
-
-    ``g_k o fn = sum_j C_j fn^j`` is one `_kernel.qmul_sum` over the pairs
-    ``(C_j, fn^j)``, C_j the z^j slice of g_k as a central term map ``{(0, 0,
-    k, l): c}``.  A power fpows[j] is built at the t_cap of the first call
-    that needs it and cut down to the current t_cap on use.  Callers pass fn
-    at t caps that do not increase, so a cached power is never short of an
-    order.
-    """
-    central = {}
-    for (j, k, l), c in g_k._terms.items():
-        central.setdefault(j, {})[0, 0, k, l] = c
-    for j in range(g_k.var_degree("z") + 1):
-        while len(fpows) <= j:
-            fpows.append(fpows[-1] * fn)
-        if fpows[j].t_cap > fn.t_cap:
-            fpows[j] = fpows[j].with_caps(t_cap=fn.t_cap)
-    pairs = [(c, fpows[j]._terms) for j, c in central.items()]
-    terms = _kernel.qmul_sum(pairs, fn.t_cap, fn.w2_cap, term_guard())
-    return QSeries._from_raw(terms, fn.t_cap, fn.w2_cap)
 
 
 def invert_series_z(u: ScalarSeries) -> ScalarSeries:
@@ -343,15 +307,7 @@ def spectrum_closure(result: NormalFormResult) -> ScalarSeries:
     for (zj, k, l), c in v._terms.items():
         # z^j -> hbar^j (2n+1)^j
         for r in range(zj + 1):
-            factor = math.comb(zj, r) * 2**r
-            key = (r, k + zj, l)
-            val = coeff_mul_int(c, factor)
-            acc = out_terms.get(key)
-            s = val if acc is None else coeff_add(acc, val)
-            if any(s[:4]):
-                out_terms[key] = s
-            elif acc is not None:
-                del out_terms[key]
+            _kernel.add_term(out_terms, (r, k + zj, l), coeff_mul_int(c, math.comb(zj, r) * 2**r))
     e_norm = ScalarSeries._from_raw(out_terms, SIG_NHT, v.t_cap, v.w2_cap)
     e = e_norm.scale(result.scale)
     return e + result.shift.lift(SIG_NHT)

@@ -111,11 +111,8 @@ class _Series:
                 continue
             if ti is not None and exp[ti] > self.t_cap:
                 continue
-            raw = _as_raw(coef)
-            if any(raw[:4]):
-                acc = out.get(exp)
-                out[exp] = raw if acc is None else _kernel.coeff_add(acc, raw)
-        self._terms = {e: c for e, c in out.items() if any(c[:4])}
+            _kernel.add_term(out, exp, _as_raw(coef))
+        self._terms = out
 
     @classmethod
     def _make(cls, sig, terms, t_cap, w2_cap):
@@ -208,17 +205,8 @@ class _Series:
         out = self._within(t_cap, w2)
         if out is self._terms:
             out = dict(out)
-        get = out.get
         for e, c in other._within(t_cap, w2).items():
-            acc = get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                s = _kernel.coeff_add(acc, c)
-                if any(s[:4]):
-                    out[e] = s
-                else:
-                    del out[e]
+            _kernel.add_term(out, e, c)
         return self._like(out, t_cap, w2)
 
     def __sub__(self, other):
@@ -514,13 +502,7 @@ class ScalarSeries(_Series):
         out = {}
         for exp, c in self._terms.items():
             new = exp[:idx] + (0,) + exp[idx + 1 :]
-            v = _kernel.coeff_mul(c, powers[exp[idx]].raw)
-            acc = out.get(new)
-            s = v if acc is None else _kernel.coeff_add(acc, v)
-            if any(s[:4]):
-                out[new] = s
-            elif acc is not None:
-                del out[new]
+            _kernel.add_term(out, new, _kernel.coeff_mul(c, powers[exp[idx]].raw))
         return self._like(out)
 
     @classmethod

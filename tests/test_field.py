@@ -92,6 +92,19 @@ def test_to_complex():
     assert abs(z.imag - (1 + 2**0.5)) < 1e-12
 
 
+def test_to_complex_past_the_float_range():
+    """Numerators and a denominator too big for a float still give an in-range
+    value; a value past the float range raises OverflowError."""
+    big = 10**400
+    z = Coefficient((big, -3 * big, big, 0, 10 * big)).to_complex()
+    assert z == complex((1 + 2**0.5) / 10, -0.3)
+    assert Coefficient((1, 0, 0, 0, big)).to_complex() == 0j
+    with pytest.raises(OverflowError):
+        Coefficient((big, 0, 0, 0, 1)).to_complex()
+    with pytest.raises(OverflowError):
+        Coefficient((1, big, 0, 0, 1)).to_complex()
+
+
 def test_rational_strings():
     assert rational_str(Fraction(-3, 4)) == "-3/4"
     assert rational_str(Fraction(5)) == "5"

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qmorse import flow, normal_form as nf, parser, spectrum as sp
-from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul
-from qmorse.algebra import compose_scalar, dagger
+from qmorse.algebra import bracket_i_hbar, compose_scalar, dagger
 from qmorse.errors import DomainError
 from qmorse.field import Coefficient, I
 from qmorse.series import (
@@ -28,7 +27,7 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import COMPLEX_ENERGIES, COPRIME, component_pair_counts, random_coeff
+from oracles import COMPLEX_ENERGIES, component_pair_counts, random_coeff
 
 CAPS = dict(t_cap=8, weight_cap="24")
 
@@ -219,10 +218,12 @@ def test_solve_work_counts(monkeypatch):
     anything.  Brackets are formed by `_kernel.qbracket` and counted as
     len(A) * len(B) per pair, before its hermitian cut.  Products are formed
     by `_kernel.qmul_sum` and counted the same way: the powers of fn, one pair
-    each, and the compositions g_k o fn, one pair (C_j, fn^j) per z power j
-    of g_k, whose central left map C_j holds g_k's terms at z^j.  The falling
-    basis P_n of the diagonal split is built once per solve, so its
-    ScalarSeries products count once.
+    each, and the composition part of each residual R_k, one pair
+    (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j of g_i, whose
+    central left map C_ij holds g_i's terms at z^j.  Only the t^(k-i) slices
+    that R_k reads are formed, none at t^0.  The falling basis P_n of the
+    diagonal split is built once per solve, so its ScalarSeries products
+    count once.
     """
     from qmorse import _kernel
 
@@ -248,7 +249,7 @@ def test_solve_work_counts(monkeypatch):
     monkeypatch.setattr(_kernel, "qmul_sum", counting_qmul_sum)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     nf.quantum_morse(f, 12)
-    assert counts == {"smul_pairs": 49132, "product_pairs": 37886, "bracket_pairs": 7986}
+    assert counts == {"smul_pairs": 49132, "product_pairs": 37637, "bracket_pairs": 6534}
 
 
 def test_generator_work_counts(monkeypatch):
@@ -356,7 +357,7 @@ def test_component_pair_counts():
     """
     caps = dict(t_cap=12, weight_cap="24")
     counts = component_pair_counts(lambda: nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 12))
-    assert counts == {(0, 0): 87052, (0, 1): 6534, (3, 3): 4}
+    assert counts == {(0, 0): 86803, (0, 1): 5808, (3, 3): 4}
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
     counts = component_pair_counts(lambda: (result.H, result.verify()))
@@ -369,10 +370,10 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 31158, (0, 1): 39238, (0, 2): 41497, (0, 3): 18384,
-        (1, 0): 20497, (1, 1): 33732, (1, 2): 34019, (1, 3): 12128,
-        (2, 0): 22277, (2, 1): 33967, (2, 2): 34519, (2, 3): 12712,
-        (3, 0): 17493, (3, 1): 28896, (3, 2): 29288, (3, 3): 10988,
+        (0, 0): 30979, (0, 1): 38998, (0, 2): 41269, (0, 3): 18266,
+        (1, 0): 20444, (1, 1): 33732, (1, 2): 34019, (1, 3): 12128,
+        (2, 0): 22256, (2, 1): 33967, (2, 2): 34519, (2, 3): 12712,
+        (3, 0): 17448, (3, 1): 28896, (3, 2): 29288, (3, 3): 10988,
     }
 
 
@@ -394,65 +395,29 @@ def test_dense_normal_form_golden_digest(label):
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
-def _compose_per_pair(g, fpows, t_cap, w2):
-    """sum c hbar^k t^l fn^j with every pair product reduced by coeff_mul and
-    summed by coeff_add, cut to the caps of fn afterwards."""
-    out = {}
-    for (j, kc, lc), c in g._terms.items():
-        for (m, n, k, l), p in fpows[j]._terms.items():
-            key = (m, n, k + kc, l + lc)
-            out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul(c, p))
-    return {
-        key: c
-        for key, c in out.items()
-        if any(c[:4]) and key[3] <= t_cap and key[0] + key[1] + 2 * key[2] <= w2
-    }
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("p^2+q^2+t*q^4", 8),
+        ("p^2+q^2+t*(q^3+p^3+q^4)", 5),
+        ("p^2+q^2+t*(q^2*p^2+p^2*q^2)/2", 6),
+        ("p^2+q^2+t*q^6", 6),
+    ],
+    ids=["quartic", "q3+p3+q4", "sym-q2p2", "sextic"],
+)
+def test_homological_equation(text, order):
+    """g o fn + (i/hbar)[fn, h] = dfn/dt through t^(N-1), h = sum_k t^k h_k.
 
-
-def _compose_operands():
-    c0, c1, c2 = COPRIME
-    fn = QSeries(
-        {(1, 1, 0, 0): 2, (0, 0, 1, 0): Fraction(5, 7), (0, 2, 0, 1): c0, (1, 0, 1, 1): c1, (3, 0, 0, 2): c2},
-        t_cap=3,
-        weight_cap="7/2",
-    )
-    g = ScalarSeries(
-        {(0, 1, 0): c1, (1, 0, 0): c0, (1, 1, 0): c2, (2, 0, 0): c1, (3, 0, 0): c2, (1, 0, 1): c0},
-        vars=SIG_ZHT,
-        t_cap=5,
-        weight_cap=6,
-    )
-    return fn, g
-
-
-def test_compose_cached_matches_per_pair_reduction():
-    fn, g = _compose_operands()
-    fpows = [one(t_cap=3, weight_cap="7/2"), fn]
-    fk = fn.with_caps(t_cap=2)  # powers cached at t^3 are cut to t^2 on use
-    out = nf._compose_cached(g, fk, fpows)
-    assert (out.t_cap, out.w2_cap) == (2, 7)
-    assert all(p.t_cap == 2 for p in fpows[1:])
-    assert out._terms == _compose_per_pair(g, fpows, 2, 7)
-    assert any(key[3] == 2 for key in out._terms)  # on the t cap
-    assert any(m + n + 2 * k == 7 for m, n, k, _ in out._terms)  # on the weight cap
-    assert out == compose_scalar(g.with_caps(t_cap=2, weight_cap="7/2"), fk)
-    # z/3 - (5/21) hbar against the hbar coefficient 5/7 of fn: the term vanishes
-    h = ScalarSeries({(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(-5, 21)}, vars=SIG_ZHT, t_cap=3, weight_cap=4)
-    out = nf._compose_cached(h, fk, fpows)
-    assert (0, 0, 1, 0) not in out._terms and out._terms == _compose_per_pair(h, fpows, 2, 7)
-
-
-def test_compose_cached_term_guard(monkeypatch):
-    from qmorse import _kernel
-    from qmorse.errors import ResourceError
-
-    fn, g = _compose_operands()
-    fpows = [one(t_cap=3, weight_cap="7/2"), fn, fn * fn, fn * fn * fn]
-    assert len(nf._compose_cached(g, fn, fpows)) > 1
-    monkeypatch.setattr(_kernel, "qmul", None)  # every power is cached: no product runs
-    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
-    with pytest.raises(ResourceError):
-        nf._compose_cached(g, fn, fpows)
+    The solve pulls each residual from the t-slices of fn and of its powers;
+    here both sides are formed from whole series, by `compose_scalar` (Horner,
+    no powers) and `bracket_i_hbar`.
+    """
+    f = parser.elaborate(parser.parse_expr(text), order, "64")
+    result = nf.quantum_morse(f, order)
+    fn = result.normalized_input
+    h = fn.join_t_slices(result._h_slices)
+    lhs = compose_scalar(result.g, fn) + bracket_i_hbar(fn, h)
+    assert lhs.with_caps(t_cap=order - 1) == fn.deriv("t").with_caps(t_cap=order - 1)
 
 
 def test_spectral_invariance_under_conjugation():

@@ -392,6 +392,44 @@ def test_gevrey_reads_any_finite_coefficient_file(coeffs, tmp_path, capsys):
     assert len(report["borel"]) == len(coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs, where",
+    [([5e-324, 1e300] + [1] * 7, "Borel ratio 0 "), ([1e300, 1e300, 1e-20], "Borel radius (ratios k = 1..1)")],
+    ids=["ratio-overflow", "radius-overflow"],
+)
+def test_gevrey_refuses_a_ratio_outside_the_float_range(coeffs, where, tmp_path, capsys):
+    """A Borel ratio or radius that would print as Infinity exits 3 and prints nothing."""
+    from qmorse import cli
+
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(coeffs))
+    assert cli.main(["gevrey", "--coeffs", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and where in captured.err
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_float_view_outside_the_float_range():
+    """RS for q^10 at order 40 has numerators of about 1,200 bits but values
+    below 1e294, so every float view is a number; at order 45 the top values
+    pass the float range and their float views are null."""
+    argv = ["rs", "--perturbation", "q^10", "--level", "0", "--order"]
+    terms = _strict_json(_run_cli(*argv, "40").stdout)["terms_float"]
+    assert len(terms) == 41 and all(t["re"] is not None and t["im"] is not None for t in terms)
+    terms = _strict_json(_run_cli(*argv, "45").stdout)["terms_float"]
+    nulls = [t["exp"] for t in terms if t["re"] is None]
+    assert nulls == [t["exp"] for t in terms if t["im"] is None]
+    assert nulls and len(nulls) < len(terms)
+
+
 @pytest.mark.parametrize("command", ["flow", "normal-form", "spectrum", "rs", "gevrey"])
 def test_every_order_option_has_one_ceiling(command, capsys):
     from qmorse import cli
@@ -615,3 +653,5 @@ def test_cli_fuzz_exits_with_a_documented_code(argv, malformed_coeffs):
             code = exc.code
     assert code in (0, 2, 3, 4, 5, 64), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0 and "--help" not in argv and "--csv" not in argv:
+        _strict_json(out.getvalue())
