@@ -10,7 +10,8 @@ U f U^{-1} are avoided; each order is a polynomial identity.
 Every t-order recursion here, and the transport of the normalizing germ u in
 `normal_form`, is the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j})
 run by `ladder_step`.  `transport` runs phi on a t-series, one ladder per slice,
-for `integrate_heisenberg` and for `NormalFormResult.H` = -phi(h).  A bracket
+for `integrate_heisenberg` and for Y = phi(dfn/dt) in the fixed-frame recursion
+of `NormalFormResult.H` (one ladder for a perturbation linear in t).  A bracket
 step is one `algebra.bracket_sum` call: the r+1 brackets go to one
 `_kernel.qbracket` accumulator over packed monomial keys, with the division by
 r+1 folded into the single reduction of each output term, so a step forms no

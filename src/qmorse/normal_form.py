@@ -13,7 +13,8 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
 * the stored H is the generator of the normalizing automorphism phi in the
   integrate_heisenberg convention, so
   compose_scalar(u, integrate_heisenberg(H, f, N)) == f0 holds literally;
-  it is bootstrapped as H = -phi(h) through `flow.transport`;
+  H = -phi(h) is solved order by order in the fixed frame, its diagonal
+  from P o phi = phi o P_fn (`NormalFormResult.H`);
 * the spectrum closure is E_n = u^{-1}(t, hbar (2n+1)).
 
 Weight caps are chosen from the perturbation's weight growth per t-order so
@@ -21,8 +22,8 @@ that every reported order is exact; the Rayleigh-Schrodinger oracle equality
 tests pin this down.
 
 Precision rule: a product used only through t^L is computed at t_cap=L, which
-is exact because truncation commutes with products.  Step k of the solve
-pulls its residual from the steps already solved,
+is exact because truncation commutes with products.  Step k of the solve (and
+of the split of h for H) pulls its residual from the steps already solved,
 
     R_k = [t^k] dfn/dt - sum_{i<k} (sum_j C_ij [t^(k-i)] fn^j + (i/hbar)[fn_(k-i), h_i]),
 
@@ -34,7 +35,7 @@ step reads), and never cut after that.  The composition part is one
 since every operand is t-free, and the bracket part is one `bracket_i_hbar`
 per nonzero pair (fn_(k-i), h_i).  Iteration j of the reversion fixes t^j
 and works at t_cap=j.  The falling basis P_n of the diagonal split is built
-once per solve and shared by all steps.
+once per solve and shared by all steps and by H.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from . import _kernel, flow
 from ._kernel import coeff_make, coeff_mul, coeff_mul_int
-from .algebra import bracket_i_hbar, compose_scalar, scalar_to_qseries
+from .algebra import bracket_i_hbar, bracket_sum, compose_scalar, scalar_to_qseries
 from .errors import DomainError
 from .field import Coefficient, ONE
 from .series import (
@@ -146,10 +147,10 @@ class NormalFormResult:
     E_n = scale * u_inv(t, hbar(2n+1)) + shift.
 
     `H` (the flow generator) is assembled on first access; spectrum-only
-    callers never pay for the flow ladders behind it.
+    callers never pay for the brackets behind it.
     """
 
-    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h_slices):
+    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h_slices, basis):
         self.g: ScalarSeries = g
         self.u: ScalarSeries = u
         self.u_inv: ScalarSeries = u_inv
@@ -158,17 +159,38 @@ class NormalFormResult:
         self.normalized_input: QSeries = normalized_input
         self.order: int = order
         self._h_slices = h_slices
+        self._basis = basis
         self._H: QSeries | None = None
         self.spectrum: ScalarSeries = spectrum_closure(self)
 
     @property
     def H(self) -> QSeries:
-        """Generator of phi (integrate_heisenberg convention): H = -phi(h), via `flow.transport`."""
+        """Generator of phi (integrate_heisenberg convention), H = -phi(h), in O(N^2) brackets.
+
+        P o phi = phi o P_fn (P the diagonal part, P_fn the projection on ker ad(fn)
+        along im ad(fn)), so splitting h = F(t, fn) + (i/hbar)[fn, K] gives
+        diag(H) = -F(t, V), V = phi(fn) = u_inv(f0).  The rest solves, at t^r,
+        (i/hbar)[f0, H_r] = (r+1) V_{r+1} - Y_r - sum_{j=1..r} (i/hbar)[V_j, H_{r-j}],
+        Y = phi(dfn/dt) by `flow.transport`; a diagonal right side is a DomainError.
+        """
         if self._H is None:
-            g_slices = []
-            for total in flow.transport(self._h_slices, g_slices):
-                g_slices.append(-total)
-            self._H = self.normalized_input.join_t_slices(g_slices)
+            fn = self.normalized_input
+            f0 = harmonic(fn.t_cap, fn.weight_cap)
+            F, _ = _homological_solve(fn, self._h_slices, self._basis)
+            F = self.u_inv.join_t_slices(F).subs_series("z", self.u_inv)
+            diag = compose_scalar(F, f0).t_slices()
+            V = compose_scalar(self.u_inv, f0).t_slices()
+            H = []
+            for r, y in zip(range(self.order), flow.transport(fn.deriv("t").t_slices(), H)):
+                rhs = V[r + 1].scale(r + 1) - y
+                pairs = [(V[j], H[r - j]) for j in range(1, r + 1) if V[j] and H[r - j]]
+                if pairs:
+                    rhs = rhs - bracket_sum(pairs)
+                s, K = split_homological(rhs, self._basis)
+                if s:
+                    raise DomainError(f"generator equation has a diagonal part at t^{r}")
+                H.append(K - diag[r])
+            self._H = fn.join_t_slices(H)
         return self._H
 
     def verify(self) -> bool:
@@ -219,6 +241,36 @@ def _normalize_input(f: QSeries):
     return scale, shift
 
 
+def _homological_solve(fn: QSeries, rhs, basis):
+    """Slices of (g, h) with g o fn + (i/hbar)[fn, h] = sum_k t^k rhs[k] below t^(fn.t_cap).
+
+    Step k splits R_k (module docstring); pows[j] holds the t-slices of fn^j.
+    """
+    order, w2 = fn.t_cap, fn.w2_cap
+    pows = [fn.one_like().t_slices(), fn.t_slices()]
+    central = []  # (i, j, C_ij)
+    g_slices = []
+    h_slices = []
+    for k in range(order):
+        pairs = [(c, pows[j][k - i]._terms) for i, j, c in central if pows[j][k - i]]
+        r = rhs[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2, term_guard()), order, w2)
+        for i, h_i in enumerate(h_slices):
+            if h_i and pows[1][k - i]:
+                r = r - bracket_i_hbar(pows[1][k - i], h_i)
+        g_k, h_k = split_homological(r, basis)
+        g_slices.append(g_k)
+        h_slices.append(h_k)
+        by_power = {}
+        for (j, hb, l), c in g_k._terms.items():
+            by_power.setdefault(j, {})[0, 0, hb, l] = c
+        central += [(k, j, c) for j, c in by_power.items()]
+        # power j is first read at step k + 1, through t^(order-1-k)
+        while k < order - 1 and len(pows) <= g_k.var_degree("z"):
+            fc = fn.with_caps(t_cap=order - 1 - k)
+            pows.append((fc.join_t_slices(pows[-1]) * fc).t_slices())
+    return g_slices, h_slices
+
+
 def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResult:
     """Normalize a deformation of the harmonic oscillator through t-order N.
 
@@ -236,31 +288,8 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     fn = (fw - shift_q).scale(scale.inverse())
     w2 = fn.w2_cap
 
-    # order-by-order homological solve: g_k o f0 + (i/hbar)[f0, h_k] = R_k, with
-    # R_k pulled from its formula (module docstring); pows[j] holds the t-slices of fn^j
-    dfn = fn.deriv("t").t_slices()
     basis = _falling_basis(order, w2)
-    pows = [fn.one_like().t_slices(), fn.t_slices()]
-    central = []  # (i, j, C_ij)
-    g_slices = []
-    h_slices = []
-    for k in range(order):
-        pairs = [(c, pows[j][k - i]._terms) for i, j, c in central if pows[j][k - i]]
-        r = dfn[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2, term_guard()), order, w2)
-        for i, h_i in enumerate(h_slices):
-            if h_i and pows[1][k - i]:
-                r = r - bracket_i_hbar(pows[1][k - i], h_i)
-        g_k, h_k = split_homological(r, basis)
-        g_slices.append(g_k)
-        h_slices.append(h_k)
-        by_power = {}
-        for (j, hb, l), c in g_k._terms.items():
-            by_power.setdefault(j, {})[0, 0, hb, l] = c
-        central += [(k, j, c) for j, c in by_power.items()]
-        # power j is first read at step k + 1, through t^(order-1-k)
-        while k < order - 1 and len(pows) <= g_k.var_degree("z"):
-            fc = fn.with_caps(t_cap=order - 1 - k)
-            pows.append((fc.join_t_slices(pows[-1]) * fc).t_slices())
+    g_slices, h_slices = _homological_solve(fn, fn.deriv("t").t_slices(), basis)
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -278,6 +307,7 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         normalized_input=fn,
         order=order,
         h_slices=h_slices,
+        basis=basis,
     )
 
 

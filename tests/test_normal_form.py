@@ -255,13 +255,16 @@ def test_solve_work_counts(monkeypatch):
 def test_generator_work_counts(monkeypatch):
     """Bracket work of the generator H and of verify() for the quartic at N=8.
 
-    H and `flow.integrate_heisenberg` both run phi through `flow.transport`,
-    whose every Lie-ladder step is one `_kernel.qbracket` call over all of its
-    nonzero pairs, so the kernel calls equal the bracket-ladder steps.  The
-    pairs are counted as len(A) * len(B) summed over each call's pair list,
-    before any cut.  H and every ladder slice are hermitian, so the kernel
-    forms only the term pairs that land at ``m >= n`` (its hermitian half);
-    those are counted where the kernel reads them, at
+    H splits h in the body frame (one `bracket_i_hbar` per step) and solves
+    its fixed-frame recursion with one `bracket_sum` over the pairs
+    (V_j, H_(r-j)) per step r; Y = phi(dfn/dt) is one `flow.transport`
+    ladder, as dfn/dt = q^4 has one t-slice.  verify() transports fn under H
+    with `flow.integrate_heisenberg`, one ladder per nonzero slice of fn.
+    Every ladder step is one `_kernel.qbracket` call over all of its nonzero
+    pairs.  The pairs are counted as len(A) * len(B) summed over each call's
+    pair list, before any cut.  H, V and every ladder slice are hermitian, so
+    the kernel forms only the term pairs that land at ``m >= n`` (its
+    hermitian half); those are counted where the kernel reads them, at
     `_kernel.prefix_length`, summed over the component pairs.
     """
     from qmorse import _kernel
@@ -290,26 +293,61 @@ def test_generator_work_counts(monkeypatch):
     monkeypatch.setattr(flow, "ladder_step", counting_ladder_step)
     result.H
     assert result.verify()
+    assert counts["formed_pairs"] < counts["bracket_pairs"]
     assert counts == {
-        "bracket_pairs": 62166,
-        "formed_pairs": 34031,
-        "qbracket_calls": 43,
-        "bracket_steps": 43,
+        "bracket_pairs": 45372,
+        "formed_pairs": 23438,
+        "qbracket_calls": 36,
+        "bracket_steps": 22,
     }
+
+
+def _assert_generator_is_minus_phi_of_h(result):
+    """H = -phi(h) through t^(N-1), phi the flow of H and h = sum_k t^k h_k."""
+    h = result.normalized_input.join_t_slices(result._h_slices)
+    top = max(result.order - 1, 0)
+    assert flow.integrate_heisenberg(result.H, h, top) == (-result.H).with_caps(t_cap=top)
 
 
 @pytest.mark.parametrize(
     "text, order",
-    [("p^2+q^2+t*q^4", 6), (COMPLEX_ENERGIES, 5), ("p^2+q^2+t*(q^3+p^3+q^4)", 5)],
-    ids=["quartic", "complex-energies", "q3+p3+q4"],
+    [
+        ("p^2+q^2+t*q^4", 6),
+        (COMPLEX_ENERGIES, 5),
+        ("p^2+q^2+t*(q^3+p^3+q^4)", 5),
+        ("p^2+q^2+t*q^6", 6),
+        ("p^2+q^2+t*(q^2*p^2+p^2*q^2)/2", 6),
+        ("p^2+q^2+t*q", 6),
+        ("p^2+q^2+t*q^3", 6),
+        ("p^2+q^2+t*q*p*q", 6),
+        ("p^2+q^2+t*q^4", 0),
+        ("p^2+q^2+t*q^4", 1),
+        ("p^2+q^2", 4),
+        ("p^2+q^2+t*hbar", 4),
+    ],
+    ids=[
+        "quartic", "complex-energies", "q3+p3+q4", "sextic", "sym-q2p2", "linear", "cubic",
+        "qpq", "order-0", "order-1", "zero", "hbar",
+    ],
 )
 def test_generator_is_minus_phi_of_h(text, order):
-    """H = -phi(h) through t^(N-1), phi the flow of H and h = sum_k t^k h_k."""
+    """The fixed-frame H equals -phi(h), its diagonal -F(t, V) included; the
+    random families of `test_random_family_matches_rs_and_verifies` check it too."""
     f = parser.elaborate(parser.parse_expr(text), order, "64")
-    result = nf.quantum_morse(f, order)
-    h = result.normalized_input.join_t_slices(result._h_slices)
-    H = result.H
-    assert flow.integrate_heisenberg(H, h, order - 1) == (-H).with_caps(t_cap=order - 1)
+    _assert_generator_is_minus_phi_of_h(nf.quantum_morse(f, order))
+
+
+def test_generator_refuses_a_diagonal_right_side():
+    """One corrupt coefficient of u_inv at t^3 puts a diagonal term on the right
+    side of the fixed-frame equation at t^2, which H reports instead of dropping."""
+    caps = dict(t_cap=6, weight_cap="16")
+    result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 6)
+    terms = dict(result.u_inv.items())
+    exp = min(e for e in terms if e[2] == 3)
+    terms[exp] = terms[exp] + 1
+    result.u_inv = ScalarSeries(terms, vars=SIG_ZHT, t_cap=6, weight_cap=result.u_inv.weight_cap)
+    with pytest.raises(DomainError, match=r"t\^2\b"):
+        result.H
 
 
 def _random_perturbation(rng, hermitian, caps):
@@ -333,13 +371,14 @@ def _random_perturbation(rng, hermitian, caps):
 def test_random_family_matches_rs_and_verifies(seed):
     """Random perturbations, every other one hermitian, so that both loops of
     `_kernel.qbracket` run: at N=5 and the automatic weight cap, the spectrum
-    equals RS at levels 0..2, every hbar power included, and the master
-    identity holds."""
+    equals RS at levels 0..2, every hbar power included, the master identity
+    holds, and H = -phi(h)."""
     caps = dict(t_cap=5, weight_cap="16")
     g = _random_perturbation(random.Random(7919 + seed), seed % 2 == 0, caps)
     f = harmonic(**caps) + t_op(**caps) * g
     result = nf.quantum_morse(f, 5)
     assert result.verify()
+    _assert_generator_is_minus_phi_of_h(result)
     for n in range(3):
         closure = result.spectrum.eval_var("n", Coefficient(n))
         assert closure == sp.rs_perturbation(f, n, 5).lift(("n", "hbar", "t"))
@@ -352,7 +391,7 @@ def test_component_pair_counts():
     only (0, 0), (0, 1) and, to build ``q^4`` from ``q = (adag - a)/(i sqrt2)``,
     (3, 3): nearly every term has one component, so a term pair costs one
     integer product where a 4-int layout pays sixteen.  Its generator and
-    verify() visit three pairs.  ``COMPLEX_ENERGIES`` fills all four
+    verify() visit two pairs.  ``COMPLEX_ENERGIES`` fills all four
     components, and its solve, generator and verify() visit all sixteen.
     """
     caps = dict(t_cap=12, weight_cap="24")
@@ -361,7 +400,7 @@ def test_component_pair_counts():
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
     counts = component_pair_counts(lambda: (result.H, result.verify()))
-    assert counts == {(0, 0): 8910, (0, 1): 25556, (1, 1): 35232}
+    assert counts == {(0, 0): 11144, (0, 1): 40564}
     f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "64")
 
     def run():
@@ -370,10 +409,10 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 30979, (0, 1): 38998, (0, 2): 41269, (0, 3): 18266,
-        (1, 0): 20444, (1, 1): 33732, (1, 2): 34019, (1, 3): 12128,
-        (2, 0): 22256, (2, 1): 33967, (2, 2): 34519, (2, 3): 12712,
-        (3, 0): 17448, (3, 1): 28896, (3, 2): 29288, (3, 3): 10988,
+        (0, 0): 39044, (0, 1): 42438, (0, 2): 46496, (0, 3): 24332,
+        (1, 0): 18564, (1, 1): 21560, (1, 2): 23721, (1, 3): 11060,
+        (2, 0): 22532, (2, 1): 22666, (2, 2): 24811, (2, 3): 13126,
+        (3, 0): 24123, (3, 1): 31844, (3, 2): 34200, (3, 3): 15718,
     }
 
 
