@@ -10,10 +10,11 @@ one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
 (i/hbar)[A, B]`` formed directly from the contraction terms.  A composition
 ``sum_j C_j(hbar, t) P^j`` is one `qmul_sum` call whose left operands are
 central.  The reordering factors come from one table: both kernels read the
-``j >= 1`` factors of `contractions` by row (`contraction_row`), from entries
-made on first use.  `qbracket` keys its accumulator by packed monomials, one
-int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple, so a monomial product
-is an integer add; a Lie-ladder step passes all of its brackets in one call.
+``j >= 1`` factors of `contractions` by row (`contraction_row`), each row
+filled when it is made or lengthened.  `qbracket` keys its accumulator by
+packed monomials, one int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple,
+so a monomial product is an integer add; a Lie-ladder step passes all of its
+brackets in one call.
 Callers reach the kernels through the module attributes (``_kernel.qmul``,
 ``_kernel.qmul_sum``, ``_kernel.qbracket``), and `qmul` reaches `qmul_sum` the
 same way, so a wrapper installed on one sees every call.  The benchmark's
@@ -40,7 +41,7 @@ right operands of the pair list, and `qbracket`'s divisor joins them in that
 one reduction.  Callers reach `component_pairs` through the module attribute,
 as they reach the kernels, so a wrapper installed on it sees every component
 pair.  Every product raises ResourceError when its accumulators together hold
-more than ``guard`` entries (`check_guard`).
+more than `term_guard` entries (`check_guard`), read once per call.
 
 Hermitian half.  The bracket of two hermitian (or anti-hermitian) operators
 is hermitian or anti-hermitian again: ``dagger((i/hbar)[A, B]) = eps delta
@@ -56,6 +57,7 @@ Lie-ladder slice that builds ``H`` or checks ``verify()`` are hermitian, so
 those brackets take the half path.
 """
 
+import os
 from bisect import bisect_right
 from itertools import zip_longest
 from math import comb, factorial, gcd
@@ -226,6 +228,15 @@ def joined(parts, den):
     return {key: coeff_make(a, b, c, d, den) for key, (a, b, c, d) in nums.items()}
 
 
+def term_guard():
+    """The accumulator size limit, ``QMORSE_TERM_GUARD`` or 10^6; read per product, not at import."""
+    value = os.environ.get("QMORSE_TERM_GUARD")
+    try:
+        return int(value) if value else 10**6
+    except ValueError:
+        raise ValueError(f"QMORSE_TERM_GUARD must be an integer, not {value!r}") from None
+
+
 def check_guard(out, guard):
     """Raise ResourceError when the split accumulators ``out`` hold more than ``guard`` entries."""
     if sum(map(len, out.values())) > guard:
@@ -241,19 +252,19 @@ def contraction_row(a, size):
     Only the ``j >= 1`` factors are kept.  The rows are shared by every call
     of `qmul_sum` and `qbracket`; a row is made, and lengthened, only when a
     call reads it, and a call sizes it by the exponents of its operands, so
-    the table is bounded by the exponents in use, not by the caps.  An entry
-    is None until the caller fills it on first use.
+    the table is bounded by the exponents in use, not by the caps.  The
+    entries are filled when the row is made or lengthened.
     """
     rows = _rows
     if a >= len(rows):
         rows.extend([] for _ in range(a + 1 - len(rows)))
     row = rows[a]
     if len(row) < size:
-        row.extend([None] * (size - len(row)))
+        row.extend(contractions(a, b)[1:] for b in range(len(row), size))
     return row
 
 
-def qmul_sum(pairs, t_cap, w2_cap, guard):
+def qmul_sum(pairs, t_cap, w2_cap):
     """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, in one split accumulator.
 
     Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
@@ -267,8 +278,9 @@ def qmul_sum(pairs, t_cap, w2_cap, guard):
     lcm ``den_B`` of theirs, and the pairs are split by component one at a
     time; each term pair adds one integer product per factor, and each output
     term is reduced once, over ``den_A * den_B``.  Raises ResourceError when
-    the accumulators exceed ``guard`` entries.
+    the accumulators exceed `term_guard` entries.
     """
+    guard = term_guard()
     den_a = den_b = 1
     for A, B in pairs:
         den_a = common_denominator(A, den_a)
@@ -304,19 +316,16 @@ def qmul_sum(pairs, t_cap, w2_cap, guard):
                     key = (m, n, k, l)
                     acc[key] = get(key, 0) + c
                     if n1 and m2:
-                        factors = row[m2]
-                        if factors is None:
-                            factors = row[m2] = contractions(n1, m2)[1:]
-                        for j, f in enumerate(factors, 1):
+                        for j, f in enumerate(row[m2], 1):
                             key = (m - j, n - j, k + j, l)
                             acc[key] = get(key, 0) + c * f
                 check_guard(out, guard)
     return joined(out, den_a * den_b)
 
 
-def qmul(A, B, t_cap, w2_cap, guard):
+def qmul(A, B, t_cap, w2_cap):
     """The normal-ordered product of two term maps: `qmul_sum` over the one pair."""
-    return qmul_sum([(A, B)], t_cap, w2_cap, guard)
+    return qmul_sum([(A, B)], t_cap, w2_cap)
 
 
 def hermitian_sign(terms):
@@ -353,7 +362,7 @@ def prefix_length(part, bound):
     return bisect_right(part, bound, key=_lowering)
 
 
-def qbracket(pairs, t_cap, w2_cap, guard, div=1):
+def qbracket(pairs, t_cap, w2_cap, div=1):
     """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one split accumulator.
 
     For a pair of terms with coefficients c1, c2, the ``hbar^j`` part of
@@ -361,12 +370,11 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     contractions(n2, m1)[j]`` (a missing entry counts as 0).  The ``j = 0``
     parts cancel exactly, so they are never formed; the ``j >= 1`` factors are
     read by row from the table of `contraction_row`, as ``rows[n1][m2]`` and
-    ``rows[m1][n2]``, each entry made on its first use.  A term with
-    ``m = n = 0`` commutes with everything and is skipped, and so is a pair
-    with no contraction in either order.  The ``hbar^j`` part is written at
-    ``hbar^(j-1)`` (the exact division by hbar); its weight is
-    ``w1 + w2 - 2``, and it is kept when that is within ``w2_cap`` and
-    ``l1 + l2`` is within ``t_cap``.
+    ``rows[m1][n2]``.  A term with ``m = n = 0`` commutes with everything
+    and is skipped, and so is a pair with no contraction in either order.
+    The ``hbar^j`` part is written at ``hbar^(j-1)`` (the exact division by
+    hbar); its weight is ``w1 + w2 - 2``, and it is kept when that is within
+    ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.
 
     Hermitian half.  ``dagger((i/hbar)[A, B]) = (i/hbar)[dagger(A),
     dagger(B)]``, so when ``dagger(A) = eps A`` and ``dagger(B) = delta B``
@@ -402,8 +410,9 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
     left operand, so a pair of components ``x, y`` adds into component ``x ^
     y ^ 1``; each output term is reduced once, over ``den_A * den_B * div``.
     Raises ResourceError when the accumulators, or the output, exceed
-    ``guard`` entries.
+    `term_guard` entries.
     """
+    guard = term_guard()
     den_a = den_b = 1
     top = max(w2_cap + 2, t_cap)
     signs = set()
@@ -460,11 +469,7 @@ def qbracket(pairs, t_cap, w2_cap, guard, div=1):
                     if w2 > w_room or l2 > t_room:
                         continue
                     fwd = row_f[m2]
-                    if fwd is None:
-                        fwd = row_f[m2] = contractions(n1, m2)[1:]
                     bwd = row_b[n2]
-                    if bwd is None:
-                        bwd = row_b[n2] = contractions(m1, n2)[1:]
                     if not fwd and not bwd:
                         continue
                     c = x * y

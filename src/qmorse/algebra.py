@@ -24,7 +24,6 @@ from .series import (
     p_op,
     q_op,
     render_terms,
-    term_guard,
     weight_cap_to_w2,
 )
 
@@ -59,7 +58,7 @@ def bracket_sum(pairs, div=1) -> QSeries:
     """
     t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
     w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
-    terms = _kernel.qbracket([(f._terms, g._terms) for f, g in pairs], t_cap, w2, term_guard(), div)
+    terms = _kernel.qbracket([(f._terms, g._terms) for f, g in pairs], t_cap, w2, div)
     return QSeries._from_raw(terms, t_cap, w2)
 
 
@@ -260,7 +259,7 @@ def from_ordered(view: OrderedPQ) -> QSeries:
         (c, ordered_monomial(e1, e2, view.order, view.t_cap, view.w2_cap)._terms)
         for (e1, e2), c in central.items()
     ]
-    terms = _kernel.qmul_sum(pairs, view.t_cap, view.w2_cap, term_guard())
+    terms = _kernel.qmul_sum(pairs, view.t_cap, view.w2_cap)
     return QSeries._from_raw(terms, view.t_cap, view.w2_cap)
 
 

@@ -6,8 +6,10 @@ non-negative half-integer, a rational option with a zero denominator, a
 non-positive or non-finite hbar, a non-finite t, a Fock matrix that
 overflows the float range, a coefficient file that is not a JSON list of
 numbers and rational strings or holds a coefficient outside the float
-range), 4 resource/cap overflow (an --order, a trace --levels
-or a milnor/versal --cutoff above MAX_ORDER, the term-count guard, a Fock
+range, a gevrey --window that is not K1:K2, a QMORSE_TERM_GUARD that is not
+an integer), 4 resource/cap overflow (an --order, a trace --levels or a
+milnor/versal --cutoff above MAX_ORDER, a product whose accumulators exceed
+the term-count guard QMORSE_TERM_GUARD, 10^6 entries when unset, a Fock
 matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a
 --coeffs file that cannot be read), 64 usage error (an unknown command or
 option, a missing required option, an option value of the wrong type;
@@ -257,7 +259,10 @@ def cmd_gevrey(args):
     window = None
     if args.window:
         k1, _, k2 = args.window.partition(":")
-        window = (int(k1), int(k2))
+        try:
+            window = (int(k1), int(k2))
+        except ValueError:
+            raise ValueError(f"--window must be two integers K1:K2, not {args.window!r}") from None
     report = gevrey.gevrey_report(coeffs, window, source=source)
     _emit(report.to_json())
     return 0

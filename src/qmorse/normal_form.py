@@ -34,8 +34,8 @@ step reads), and never cut after that.  The composition part is one
 `_kernel.qmul_sum` call over the pairs (C_ij, [t^(k-i)] fn^j) at t_cap=0,
 since every operand is t-free, and the bracket part is one `bracket_i_hbar`
 per nonzero pair (fn_(k-i), h_i).  Iteration j of the reversion fixes t^j
-and works at t_cap=j.  The falling basis P_n of the diagonal split is built
-once per solve and shared by all steps and by H.
+and works at t_cap=j.  The diagonal split reads the falling products P_n
+from one integer table (`_falling_row`), filled on first use, not per solve.
 """
 
 from __future__ import annotations
@@ -58,54 +58,46 @@ from .series import (
     p_op,
     q_op,
     scalar_var,
-    term_guard,
 )
 
 
-def diagonal_to_scalar(d: QSeries, basis=None) -> ScalarSeries:
+_falling = [(1,)]
+
+
+def _falling_row(n):
+    """Row n of the integers e(n, m) with 2^n P_n = sum_m e(n, m) z^m hbar^(n-m),
+    P_n = prod_{j<n} (z - (2j+1) hbar)/2; rows are made on first use, by
+    e(j+1, m) = e(j, m-1) - (2j+1) e(j, m)."""
+    rows = _falling
+    while len(rows) <= n:
+        j, prev = len(rows) - 1, rows[-1]
+        rows.append(tuple(a - (2 * j + 1) * b for a, b in zip((0,) + prev, prev + (0,))))
+    return rows[n]
+
+
+def diagonal_to_scalar(d: QSeries) -> ScalarSeries:
     """Express a diagonal series as a scalar germ s with s o f0 = d.
 
-    Uses adag^n a^n = prod_{j<n} (N - j hbar) with N = (z - hbar)/2 under
-    z <-> f0 = 2N + hbar; the conversion is triangular and exact.  `basis` is
-    a `_falling_basis` at the caps of d, made here when not given.
+    Under z <-> f0 = 2 adag a + hbar, adag^n a^n = P_n(z, hbar), so the term
+    c hbar^k t^l adag^n a^n maps to sum_m (c e(n, m)/2^n) z^m hbar^(k+n-m)
+    t^l (`_falling_row`), each image term of weight 2n + 2k: exact at d's caps.
     """
-    if basis is None:
-        basis = _falling_basis(d.t_cap, d.w2_cap)
-    out = ScalarSeries._from_raw({}, SIG_ZHT, d.t_cap, d.w2_cap)
+    out = {}
     for (m, n, k, l), c in d._terms.items():
         if m != n:
             raise DomainError("off-diagonal monomial present")
-        piece = basis(m).map_coeff(lambda raw: coeff_mul(raw, c))
-        out = out + piece.shift(hbar=k, t=l)
-    return out
+        a, b, r, ir, den = c
+        for j, e in enumerate(_falling_row(n)):
+            _kernel.add_term(out, (j, k + n - j, l), coeff_make(a * e, b * e, r * e, ir * e, den << n))
+    return ScalarSeries._from_raw(out, SIG_ZHT, d.t_cap, d.w2_cap)
 
 
-def _falling_basis(t_cap, w2_cap):
-    """Cache of P_n(z, hbar) = prod_{j<n} (z - (2j+1) hbar)/2."""
-    cache = [ScalarSeries({(0, 0, 0): 1}, vars=SIG_ZHT, t_cap=t_cap, weight_cap=Fraction(w2_cap, 2))]
-
-    def get(n):
-        while len(cache) <= n:
-            j = len(cache) - 1
-            factor = ScalarSeries(
-                {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-(2 * j + 1), 2)},
-                vars=SIG_ZHT,
-                t_cap=t_cap,
-                weight_cap=Fraction(w2_cap, 2),
-            )
-            cache.append(cache[-1] * factor)
-        return cache[n]
-
-    return get
-
-
-def split_homological(r: QSeries, basis=None):
+def split_homological(r: QSeries):
     """Split r = s o f0 + (i/hbar)[f0, K] with K normalized to zero diagonal.
 
     The splitting is total at the harmonic base point: ad(f0) is semisimple
     with (i/hbar)[f0, adag^m a^n] = 2i(m-n) adag^m a^n, so each off-diagonal
-    monomial divides by 2i(m-n) and the diagonal goes through
-    `diagonal_to_scalar` (with `basis`, a `_falling_basis` at the caps of r).
+    monomial divides by 2i(m-n) and the diagonal goes to `diagonal_to_scalar`.
     """
     diag = {}
     off = {}
@@ -114,7 +106,7 @@ def split_homological(r: QSeries, basis=None):
             diag[(m, n, k, l)] = c
         else:
             off[(m, n, k, l)] = coeff_mul(coeff_make(0, -1, 0, 0, 2 * (m - n)), c)  # c/(2i(m-n))
-    s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap), basis)
+    s = diagonal_to_scalar(QSeries._from_raw(diag, r.t_cap, r.w2_cap))
     return s, QSeries._from_raw(off, r.t_cap, r.w2_cap)
 
 
@@ -150,7 +142,7 @@ class NormalFormResult:
     callers never pay for the brackets behind it.
     """
 
-    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h_slices, basis):
+    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h_slices):
         self.g: ScalarSeries = g
         self.u: ScalarSeries = u
         self.u_inv: ScalarSeries = u_inv
@@ -159,7 +151,6 @@ class NormalFormResult:
         self.normalized_input: QSeries = normalized_input
         self.order: int = order
         self._h_slices = h_slices
-        self._basis = basis
         self._H: QSeries | None = None
         self.spectrum: ScalarSeries = spectrum_closure(self)
 
@@ -176,7 +167,7 @@ class NormalFormResult:
         if self._H is None:
             fn = self.normalized_input
             f0 = harmonic(fn.t_cap, fn.weight_cap)
-            F, _ = _homological_solve(fn, self._h_slices, self._basis)
+            F, _ = _homological_solve(fn, self._h_slices)
             F = self.u_inv.join_t_slices(F).subs_series("z", self.u_inv)
             diag = compose_scalar(F, f0).t_slices()
             V = compose_scalar(self.u_inv, f0).t_slices()
@@ -186,7 +177,7 @@ class NormalFormResult:
                 pairs = [(V[j], H[r - j]) for j in range(1, r + 1) if V[j] and H[r - j]]
                 if pairs:
                     rhs = rhs - bracket_sum(pairs)
-                s, K = split_homological(rhs, self._basis)
+                s, K = split_homological(rhs)
                 if s:
                     raise DomainError(f"generator equation has a diagonal part at t^{r}")
                 H.append(K - diag[r])
@@ -241,7 +232,7 @@ def _normalize_input(f: QSeries):
     return scale, shift
 
 
-def _homological_solve(fn: QSeries, rhs, basis):
+def _homological_solve(fn: QSeries, rhs):
     """Slices of (g, h) with g o fn + (i/hbar)[fn, h] = sum_k t^k rhs[k] below t^(fn.t_cap).
 
     Step k splits R_k (module docstring); pows[j] holds the t-slices of fn^j.
@@ -253,11 +244,11 @@ def _homological_solve(fn: QSeries, rhs, basis):
     h_slices = []
     for k in range(order):
         pairs = [(c, pows[j][k - i]._terms) for i, j, c in central if pows[j][k - i]]
-        r = rhs[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2, term_guard()), order, w2)
+        r = rhs[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2), order, w2)
         for i, h_i in enumerate(h_slices):
             if h_i and pows[1][k - i]:
                 r = r - bracket_i_hbar(pows[1][k - i], h_i)
-        g_k, h_k = split_homological(r, basis)
+        g_k, h_k = split_homological(r)
         g_slices.append(g_k)
         h_slices.append(h_k)
         by_power = {}
@@ -286,10 +277,8 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
     fw = f.with_caps(t_cap=order, weight_cap=weight_cap)
     shift_q = scalar_to_qseries(shift, fw.t_cap, fw.w2_cap)
     fn = (fw - shift_q).scale(scale.inverse())
-    w2 = fn.w2_cap
 
-    basis = _falling_basis(order, w2)
-    g_slices, h_slices = _homological_solve(fn, fn.deriv("t").t_slices(), basis)
+    g_slices, h_slices = _homological_solve(fn, fn.deriv("t").t_slices())
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
@@ -307,7 +296,6 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         normalized_input=fn,
         order=order,
         h_slices=h_slices,
-        basis=basis,
     )
 
 
@@ -368,7 +356,7 @@ def linear_symplectic(f: QSeries, matrix) -> QSeries:
     for (m, n, k, l), c in f._terms.items():
         central.setdefault((m, n), {})[0, 0, k, l] = c
     pairs = [(c, (adag_img**m * a_img**n)._terms) for (m, n), c in central.items()]
-    terms = _kernel.qmul_sum(pairs, f.t_cap, f.w2_cap, term_guard())
+    terms = _kernel.qmul_sum(pairs, f.t_cap, f.w2_cap)
     return QSeries._from_raw(terms, f.t_cap, f.w2_cap)
 
 

@@ -26,7 +26,6 @@ never changed after construction, so values may share one.
 from __future__ import annotations
 
 import operator
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -34,15 +33,6 @@ from functools import lru_cache
 from . import _kernel
 from .errors import DomainError
 from .field import Coefficient, ONE, ZERO, parse_rational
-
-DEFAULT_GUARD = 10**6
-
-
-def term_guard():
-    """Accumulator size limit; override with QMORSE_TERM_GUARD."""
-    value = os.environ.get("QMORSE_TERM_GUARD")
-    return int(value) if value else DEFAULT_GUARD
-
 
 def weight_cap_to_w2(weight_cap) -> int:
     """Accept a weight cap as int, Fraction, float-free str 'p/2'; return 2*W."""
@@ -246,14 +236,6 @@ class _Series:
 
     # -- structural maps ------------------------------------------------------------
 
-    def map_coeff(self, fn):
-        out = {}
-        for e, c in self._terms.items():
-            v = fn(c)
-            if any(v[:4]):
-                out[e] = v
-        return self._like(out)
-
     def var_slice(self, var, power):
         """Coefficient of var^power, same signature with that exponent zeroed."""
         idx = self.vars.index(var)
@@ -366,7 +348,7 @@ class QSeries(_Series):
     def __mul__(self, other):
         if isinstance(other, QSeries):
             t_cap, w2 = self._join_caps(other)
-            terms = _kernel.qmul(self._terms, other._terms, t_cap, w2, term_guard())
+            terms = _kernel.qmul(self._terms, other._terms, t_cap, w2)
             return QSeries._from_raw(terms, t_cap, w2)
         return self.scale(other)
 
@@ -442,7 +424,7 @@ class ScalarSeries(_Series):
         if isinstance(other, ScalarSeries):
             self._check_sig(other)
             t_cap, w2 = self._join_caps(other)
-            guard = term_guard()
+            guard = _kernel.term_guard()
             den_l = _kernel.common_denominator(self._terms)
             den_r = _kernel.common_denominator(other._terms)
             right = {

@@ -325,6 +325,12 @@ def test_bracket_factor_table_follows_exponents_not_caps():
     assert algebra.bracket_i_hbar(adag(0, 4000), a_op(0, 4000)).coeff((0, 0, 0, 0)) == Coefficient(0, -1)
     assert (a_op(0, 4000) * adag(0, 4000)).coeff((0, 0, 1, 0)) == Coefficient(1)
     assert len(_kernel._rows) < 100 and max(map(len, _kernel._rows)) < 100
+    # every row is filled when it is made or lengthened
+    f, g = q_op(2, 12) ** 3, p_op(2, 12) ** 3
+    assert f * g and algebra.bracket_i_hbar(f, g)
+    for a, row in enumerate(_kernel._rows):
+        assert row == [_kernel.contractions(a, b)[1:] for b in range(len(row))]
+    assert len(_kernel._rows) < 100 and max(map(len, _kernel._rows)) < 100
 
 
 def _coprime_operands():
@@ -343,7 +349,7 @@ def _coprime_operands():
     return f, g
 
 
-def test_qmul_matches_per_pair_reduction():
+def test_qmul_matches_per_pair_reduction(monkeypatch):
     f, g = _coprime_operands()
     for x, y in ((f, g), (g, f)):
         out = (x * y)._terms
@@ -368,10 +374,11 @@ def test_qmul_matches_per_pair_reduction():
         reference = term if reference is None else reference + term
     raw = [(a._terms, b._terms) for a, b in pairs]
     for order in (raw, raw[::-1]):  # the sum does not depend on the order of the list
-        out = _kernel.qmul_sum(order, reference.t_cap, reference.w2_cap, 10**6)
+        out = _kernel.qmul_sum(order, reference.t_cap, reference.w2_cap)
         assert out and out == reference._terms
+    monkeypatch.setenv("QMORSE_TERM_GUARD", str(len(out) - 1))
     with pytest.raises(ResourceError):
-        _kernel.qmul_sum(raw, reference.t_cap, reference.w2_cap, len(out) - 1)
+        _kernel.qmul_sum(raw, reference.t_cap, reference.w2_cap)
 
 
 def test_qbracket_matches_per_pair_reduction():

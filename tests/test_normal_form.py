@@ -54,6 +54,26 @@ def test_diagonal_to_scalar_examples():
     for d in (n_op, d2, n_op * n_op):
         s = nf.diagonal_to_scalar(d)
         assert compose_scalar(s, harmonic(**caps)) == d
+    # the falling table against P_n = prod_{j<n} (z - (2j+1) hbar)/2 built as ScalarSeries products
+    z = scalar_var("z", SIG_ZHT, 0, "12")
+    hb = scalar_var("hbar", SIG_ZHT, 0, "12")
+    falling = z.one_like()
+    for n in range(13):
+        assert nf.diagonal_to_scalar(QSeries({(n, n, 0, 0): 1}, t_cap=0, weight_cap="12")) == falling
+        falling = falling * (z - hb.scale(2 * n + 1)).scale(Fraction(1, 2))
+    # seeded diagonals with Q(i, sqrt2) coefficients and hbar^k t^l factors, the
+    # first term on the weight cap 10 (2n + 2k = 20)
+    caps = dict(t_cap=3, weight_cap="10")
+    for seed in range(12):
+        rng = random.Random(seed)
+        top = rng.randint(0, 10)
+        terms = {(top, top, 10 - top, rng.randint(0, 3)): random_coeff(rng)}
+        for _ in range(rng.randint(1, 5)):
+            n = rng.randint(0, 10)
+            terms[n, n, rng.randint(0, 10 - n), rng.randint(0, 3)] = random_coeff(rng)
+        d = QSeries(terms, **caps)
+        assert d.max_weight2() == 20
+        assert compose_scalar(nf.diagonal_to_scalar(d), harmonic(**caps)) == d
 
 
 def test_diagonal_to_scalar_rejects_offdiagonal():
@@ -221,9 +241,9 @@ def test_solve_work_counts(monkeypatch):
     each, and the composition part of each residual R_k, one pair
     (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j of g_i, whose
     central left map C_ij holds g_i's terms at z^j.  Only the t^(k-i) slices
-    that R_k reads are formed, none at t^0.  The falling basis P_n of the
-    diagonal split is built once per solve, so its ScalarSeries products
-    count once.
+    that R_k reads are formed, none at t^0.  The diagonal split reads the
+    falling products P_n from an integer table, so it forms no ScalarSeries
+    product.
     """
     from qmorse import _kernel
 
@@ -249,7 +269,7 @@ def test_solve_work_counts(monkeypatch):
     monkeypatch.setattr(_kernel, "qmul_sum", counting_qmul_sum)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     nf.quantum_morse(f, 12)
-    assert counts == {"smul_pairs": 49132, "product_pairs": 37637, "bracket_pairs": 6534}
+    assert counts == {"smul_pairs": 48950, "product_pairs": 37637, "bracket_pairs": 6534}
 
 
 def test_generator_work_counts(monkeypatch):
@@ -396,7 +416,7 @@ def test_component_pair_counts():
     """
     caps = dict(t_cap=12, weight_cap="24")
     counts = component_pair_counts(lambda: nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 12))
-    assert counts == {(0, 0): 86803, (0, 1): 5808, (3, 3): 4}
+    assert counts == {(0, 0): 86621, (0, 1): 5808, (3, 3): 4}
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
     counts = component_pair_counts(lambda: (result.H, result.verify()))
@@ -409,7 +429,7 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 39044, (0, 1): 42438, (0, 2): 46496, (0, 3): 24332,
+        (0, 0): 38988, (0, 1): 42438, (0, 2): 46496, (0, 3): 24332,
         (1, 0): 18564, (1, 1): 21560, (1, 2): 23721, (1, 3): 11060,
         (2, 0): 22532, (2, 1): 22666, (2, 2): 24811, (2, 3): 13126,
         (3, 0): 24123, (3, 1): 31844, (3, 2): 34200, (3, 3): 15718,

@@ -320,6 +320,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
           "--weight-cap", "1/0"], 3),
         (["trace", "q^4", "--levels", "2", "--weight-cap", "1/0"], 3),
         (["gevrey", "--from-spectrum", "q^4", "--order", "2", "--hbar-weight", "1/0"], 3),
+        (["gevrey", "--from-spectrum", "q^4", "--order", "2", "--window", "3"], 3),
     ],
     ids=[
         "order", "spectrum-level", "level", "rs-order", "cap-third", "cap-negative",
@@ -328,7 +329,7 @@ def test_tokenizer_overlong_literal_is_parse_error():
         "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "t-nan",
         "hbar-inf-csv", "mul-cap-zero-den", "spectrum-cap-zero-den",
         "normal-form-cap-zero-den", "flow-cap-zero-den", "trace-cap-zero-den",
-        "gevrey-hbar-weight-zero-den",
+        "gevrey-hbar-weight-zero-den", "gevrey-window-one-int",
     ],
 )
 def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
@@ -338,6 +339,33 @@ def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
     assert proc.stdout == ""
     if "100000000" in argv:
         assert "MAX_ORDER = 100" in proc.stderr
+    if "--window" in argv:
+        assert "K1:K2" in proc.stderr
+
+
+def test_cli_term_guard_variable(monkeypatch, capsys):
+    """QMORSE_TERM_GUARD caps every product's accumulators; a value that is not
+    an integer is an invalid argument that names the variable."""
+    from qmorse import cli
+
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "abc")
+    assert cli.main(["mul", "q", "p"]) == 3
+    assert "QMORSE_TERM_GUARD" in capsys.readouterr().err
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "3")
+    assert cli.main(["mul", "q^3", "p^3"]) == 4
+    assert "term-count guard" in capsys.readouterr().err
+
+
+def test_import_fills_no_table():
+    """Importing the CLI does no kernel work: the contraction rows and the
+    falling table are filled on first use only."""
+    src = str(Path(qmorse.__file__).resolve().parents[1])
+    code = "import qmorse.cli; from qmorse import _kernel, normal_form; print(_kernel._rows, normal_form._falling)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] [(1,)]\n"
 
 
 _BIG = "1" * 401  # overflows a float
