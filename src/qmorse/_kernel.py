@@ -229,12 +229,20 @@ def joined(parts, den):
 
 
 def term_guard():
-    """The accumulator size limit, ``QMORSE_TERM_GUARD`` or 10^6; read per product, not at import."""
+    """The accumulator size limit, ``QMORSE_TERM_GUARD`` or 10^6; read per product, not at import.
+
+    A value that is not an integer of at least 1 is a ValueError that names the variable.
+    """
     value = os.environ.get("QMORSE_TERM_GUARD")
+    if not value:
+        return 10**6
     try:
-        return int(value) if value else 10**6
+        guard = int(value)
     except ValueError:
-        raise ValueError(f"QMORSE_TERM_GUARD must be an integer, not {value!r}") from None
+        guard = 0
+    if guard < 1:
+        raise ValueError(f"QMORSE_TERM_GUARD must be an integer of at least 1, not {value!r}")
+    return guard
 
 
 def check_guard(out, guard):

@@ -7,7 +7,7 @@ non-positive or non-finite hbar, a non-finite t, a Fock matrix that
 overflows the float range, a coefficient file that is not a JSON list of
 numbers and rational strings or holds a coefficient outside the float
 range, a gevrey --window that is not K1:K2, a QMORSE_TERM_GUARD that is not
-an integer), 4 resource/cap overflow (an --order, a trace --levels or a
+an integer of at least 1), 4 resource/cap overflow (an --order, a trace --levels or a
 milnor/versal --cutoff above MAX_ORDER, a product whose accumulators exceed
 the term-count guard QMORSE_TERM_GUARD, 10^6 entries when unset, a Fock
 matrix over spectrum.MAX_MATRIX_BYTES, memory exhausted), 5 file error (a

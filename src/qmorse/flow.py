@@ -9,18 +9,22 @@ U f U^{-1} are avoided; each order is a polynomial identity.
 
 Every t-order recursion here, and the transport of the normalizing germ u in
 `normal_form`, is the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j})
-run by `ladder_step`.  `transport` runs phi on a t-series, one ladder per slice,
-for `integrate_heisenberg` and for Y = phi(dfn/dt) in the fixed-frame recursion
-of `NormalFormResult.H` (one ladder for a perturbation linear in t).  A bracket
-step is one `algebra.bracket_sum` call: the r+1 brackets go to one
-`_kernel.qbracket` accumulator over packed monomial keys, with the division by
-r+1 folded into the single reduction of each output term, so a step forms no
-per-bracket result, no sum of series and no scaled copy.  When H and the
-transported observable are hermitian, as for a self-adjoint perturbation,
-every slice of the ladder is hermitian too, since the bracket (i/hbar)[X, S]
-of two hermitian operators is hermitian; the kernel then forms only the output
-terms whose adag power is at least their a power and fills in the rest by
-conjugation (its "hermitian half").
+run by `ladder_step`.  phi of a t-series sum_l t^l X_l is read off one ladder
+per nonzero slice X_l by `ladder_sum`, which steps each ladder on demand.  A
+ladder is linear in its start, so it is kept per unscaled slice and weighted
+where it is read: `integrate_heisenberg` reads with weight 1, and
+`NormalFormResult.H` reads Y = phi(dfn/dt) off the ladders of fn_l, l >= 1,
+with weight l, and keeps them for `verify()`, whose one new ladder is that of
+fn_0, run by `integrate_heisenberg` (one ladder each for a perturbation linear
+in t).  A bracket step is one `algebra.bracket_sum` call: the r+1 brackets go
+to one `_kernel.qbracket` accumulator over packed monomial keys, with the
+division by r+1 folded into the single reduction of each output term, so a
+step forms no per-bracket result, no sum of series and no scaled copy.  When H
+and the transported observable are hermitian, as for a self-adjoint
+perturbation, every slice of the ladder is hermitian too, since the bracket
+(i/hbar)[X, S] of two hermitian operators is hermitian; the kernel then forms
+only the output terms whose adag power is at least their a power and fills in
+the rest by conjugation (its "hermitian half").
 """
 
 from __future__ import annotations
@@ -56,23 +60,23 @@ def ladder_step(xs: list, slices, op=None) -> None:
         xs.append(acc.scale(Fraction(1, r + 1)))
 
 
-def transport(x_slices, gen_slices):
-    """Yield slice r of phi(X), X = sum_l t^l x_slices[l], for r < len(x_slices).
+def ladder_sum(ladders, gen_slices, r, start, weight=None):
+    """start + slice r of sum_l weight(l) t^l phi(X_l), phi generated by S = sum_j t^j gen_slices[j].
 
-    phi is generated by S = sum_j t^j gen_slices[j]; slice r sums the t^(r-l) pieces
-    of phi(X_l), l <= r, off one `ladder_step` ladder per nonzero X_l.  It reads S
-    only through S_{r-1}, so the caller may append S_r to `gen_slices` between yields.
+    `ladders` holds (l, [X_l, ...]) pairs in increasing l, one `ladder_step` ladder per
+    nonzero start X_l; slice r adds weight(l) times X_l's ladder at r - l (weight 1 when
+    `weight` is None), stepping each ladder with l <= r on demand.  It reads S only
+    through S_{r-1}, so the caller may append S_r to `gen_slices` between calls.
     """
-    ladders = []
-    for r, x in enumerate(x_slices):
-        total = x
-        for l, ladder in ladders:
-            while len(ladder) <= r - l:
-                ladder_step(ladder, gen_slices)
-            total = total + ladder[r - l]
-        if x:
-            ladders.append((r, [x]))
-        yield total
+    total = start
+    for l, ladder in ladders:
+        if l > r:
+            break
+        while len(ladder) <= r - l:
+            ladder_step(ladder, gen_slices)
+        w = 1 if weight is None else weight(l)
+        total = total + (ladder[r - l] if w == 1 else ladder[r - l].scale(w))
+    return total
 
 
 def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
@@ -82,7 +86,9 @@ def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
     wc = Fraction(min(H.w2_cap, f.w2_cap), 2)
     fw = f.with_caps(t_cap=order, weight_cap=wc)
     hw = H.with_caps(t_cap=order, weight_cap=wc)
-    return fw.join_t_slices(transport(fw.t_slices(), hw.t_slices()))
+    ladders = [(l, [x]) for l, x in enumerate(fw.t_slices()) if x]
+    h_slices, zero = hw.t_slices(), fw.zero_like()
+    return fw.join_t_slices(ladder_sum(ladders, h_slices, r, zero) for r in range(order + 1))
 
 
 def solve_propagator(H: QSeries, order: int) -> QSeries:

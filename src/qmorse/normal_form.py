@@ -14,7 +14,10 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
   integrate_heisenberg convention, so
   compose_scalar(u, integrate_heisenberg(H, f, N)) == f0 holds literally;
   H = -phi(h) is solved order by order in the fixed frame, its diagonal
-  from P o phi = phi o P_fn (`NormalFormResult.H`);
+  from P o phi = phi o P_fn (`NormalFormResult.H`); H keeps the Lie ladders
+  of the slices fn_l, l >= 1, that its recursion ran for phi(dfn/dt), and
+  `verify()` reads phi(fn) off them plus one new ladder, phi(fn_0) by
+  `flow.integrate_heisenberg`;
 * the spectrum closure is E_n = u^{-1}(t, hbar (2n+1)).
 
 Weight caps are chosen from the perturbation's weight growth per t-order so
@@ -152,6 +155,8 @@ class NormalFormResult:
         self.order: int = order
         self._h_slices = h_slices
         self._H: QSeries | None = None
+        self._ladders = None
+        self._verified: bool | None = None
         self.spectrum: ScalarSeries = spectrum_closure(self)
 
     @property
@@ -162,7 +167,9 @@ class NormalFormResult:
         along im ad(fn)), so splitting h = F(t, fn) + (i/hbar)[fn, K] gives
         diag(H) = -F(t, V), V = phi(fn) = u_inv(f0).  The rest solves, at t^r,
         (i/hbar)[f0, H_r] = (r+1) V_{r+1} - Y_r - sum_{j=1..r} (i/hbar)[V_j, H_{r-j}],
-        Y = phi(dfn/dt) by `flow.transport`; a diagonal right side is a DomainError.
+        Y = phi(dfn/dt); a diagonal right side is a DomainError.  Y_r = sum_l l L_l[r+1-l]
+        is read by `flow.ladder_sum` off the Lie ladders L_l of the unscaled slices fn_l,
+        l >= 1, which step r runs only as far as H_0..H_(r-1); they are kept for `verify()`.
         """
         if self._H is None:
             fn = self.normalized_input
@@ -171,8 +178,11 @@ class NormalFormResult:
             F = self.u_inv.join_t_slices(F).subs_series("z", self.u_inv)
             diag = compose_scalar(F, f0).t_slices()
             V = compose_scalar(self.u_inv, f0).t_slices()
+            ladders = [(l, [x]) for l, x in enumerate(fn.t_slices()) if l and x]
+            zero = fn.zero_like()
             H = []
-            for r, y in zip(range(self.order), flow.transport(fn.deriv("t").t_slices(), H)):
+            for r in range(self.order):
+                y = flow.ladder_sum(ladders, H, r + 1, zero, weight=lambda l: l)
                 rhs = V[r + 1].scale(r + 1) - y
                 pairs = [(V[j], H[r - j]) for j in range(1, r + 1) if V[j] and H[r - j]]
                 if pairs:
@@ -181,16 +191,31 @@ class NormalFormResult:
                 if s:
                     raise DomainError(f"generator equation has a diagonal part at t^{r}")
                 H.append(K - diag[r])
-            self._H = fn.join_t_slices(H)
+            self._H, self._ladders = fn.join_t_slices(H), ladders
         return self._H
 
     def verify(self) -> bool:
-        """Master identity: compose_scalar(u, phi(fn)) == f0 through the caps."""
-        fn = self.normalized_input
-        transported = flow.integrate_heisenberg(self.H, fn, self.order)
-        lhs = compose_scalar(self.u, transported)
-        f0 = harmonic(lhs.t_cap, lhs.weight_cap)
-        return lhs == f0
+        """Master identity: compose_scalar(u, phi(fn)) == f0 through the caps.
+
+        Like H, the verdict is formed once; the ladders H kept are then released,
+        as nothing else reads them.
+        """
+        if self._verified is None:
+            lhs = compose_scalar(self.u, self._transported())
+            self._verified = lhs == harmonic(lhs.t_cap, lhs.weight_cap)
+            self._ladders = None
+        return self._verified
+
+    def _transported(self) -> QSeries:
+        """phi(fn) = phi(fn_0) + sum_l t^l phi(fn_l) through t^N.
+
+        The ladders of fn_l, l >= 1, are the ones `H` ran, and already as long as
+        this reads them, so none takes a step here; the only new ladder is that of
+        fn_0, run by `flow.integrate_heisenberg`, and it alone reads H_(N-1).
+        """
+        fn, H = self.normalized_input, self.H
+        phi0 = flow.integrate_heisenberg(H, fn.var_slice("t", 0), self.order).t_slices()
+        return fn.join_t_slices(flow.ladder_sum(self._ladders, (), r, x) for r, x in enumerate(phi0))
 
     def to_json(self):
         return {

@@ -277,9 +277,9 @@ def test_generator_work_counts(monkeypatch):
 
     H splits h in the body frame (one `bracket_i_hbar` per step) and solves
     its fixed-frame recursion with one `bracket_sum` over the pairs
-    (V_j, H_(r-j)) per step r; Y = phi(dfn/dt) is one `flow.transport`
-    ladder, as dfn/dt = q^4 has one t-slice.  verify() transports fn under H
-    with `flow.integrate_heisenberg`, one ladder per nonzero slice of fn.
+    (V_j, H_(r-j)) per step r; Y = phi(dfn/dt) is read off the ladder of
+    fn_1 = q^4, the one nonzero slice of fn past t^0.  verify() reuses that
+    ladder, already as long as it needs, and runs one new ladder, that of fn_0.
     Every ladder step is one `_kernel.qbracket` call over all of its nonzero
     pairs.  The pairs are counted as len(A) * len(B) summed over each call's
     pair list, before any cut.  H, V and every ladder slice are hermitian, so
@@ -315,10 +315,10 @@ def test_generator_work_counts(monkeypatch):
     assert result.verify()
     assert counts["formed_pairs"] < counts["bracket_pairs"]
     assert counts == {
-        "bracket_pairs": 45372,
-        "formed_pairs": 23438,
-        "qbracket_calls": 36,
-        "bracket_steps": 22,
+        "bracket_pairs": 31876,
+        "formed_pairs": 16310,
+        "qbracket_calls": 29,
+        "bracket_steps": 15,
     }
 
 
@@ -368,6 +368,59 @@ def test_generator_refuses_a_diagonal_right_side():
     result.u_inv = ScalarSeries(terms, vars=SIG_ZHT, t_cap=6, weight_cap=result.u_inv.weight_cap)
     with pytest.raises(DomainError, match=r"t\^2\b"):
         result.H
+
+
+@pytest.mark.parametrize("step", range(8))
+def test_a_wrong_generator_slice_is_caught(monkeypatch, step):
+    """q^2 - p^2 (hermitian and off the diagonal, as K is) added to H_r puts a
+    diagonal part on the right side at t^(2r+2), so H refuses it while
+    2r+2 < N; past that no step of the recursion sees it, and verify() must be
+    False.  H_(N-1) is read only by the ladder of fn_0 that verify() runs.
+    One H build calls `split_homological` N times for the body-frame split of
+    h, then N times for the recursion, so step r is call N + r + 1."""
+    caps = dict(t_cap=8, weight_cap="16")
+    result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
+    split, calls = nf.split_homological, []
+
+    def corrupt(r):
+        s, K = split(r)
+        calls.append(r)
+        if len(calls) == 8 + step + 1:
+            at = dict(t_cap=K.t_cap, weight_cap=K.weight_cap)
+            K = K + q_op(**at) ** 2 - p_op(**at) ** 2
+        return s, K
+
+    monkeypatch.setattr(nf, "split_homological", corrupt)
+    if 2 * step + 2 < 8:
+        with pytest.raises(DomainError, match=rf"generator equation has a diagonal part at t\^{2 * step + 2}\b"):
+            result.H
+    else:
+        assert result.verify() is False
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("p^2+q^2+t*q^4", 8), ("p^2+q^2+t*(q^3+p^3+q^4)", 5), (COMPLEX_ENERGIES, 6)],
+    ids=["quartic", "q3+p3+q4", "complex-energies"],
+)
+def test_verify_ladders_equal_an_independent_transport(monkeypatch, text, order):
+    """The phi(fn) that verify() composes with u, read off the ladders H kept
+    plus the ladder of fn_0, equals `flow.integrate_heisenberg` run afresh.
+    The verdict is formed once and the ladders are then released."""
+    result = nf.quantum_morse(parser.elaborate(parser.parse_expr(text), order, "64"), order)
+    result.H
+    composed = []
+
+    def spy(u, x):
+        composed.append(x)
+        return compose_scalar(u, x)
+
+    monkeypatch.setattr(nf, "compose_scalar", spy)
+    assert result.verify()
+    fn = result.normalized_input
+    assert composed == [flow.integrate_heisenberg(result.H, fn, order)]
+    assert result._ladders is None
+    assert result.verify() and len(composed) == 1
 
 
 def _random_perturbation(rng, hermitian, caps):
@@ -420,7 +473,7 @@ def test_component_pair_counts():
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
     counts = component_pair_counts(lambda: (result.H, result.verify()))
-    assert counts == {(0, 0): 11144, (0, 1): 40564}
+    assert counts == {(0, 0): 11144, (0, 1): 27712}
     f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "64")
 
     def run():
@@ -429,10 +482,10 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 38988, (0, 1): 42438, (0, 2): 46496, (0, 3): 24332,
-        (1, 0): 18564, (1, 1): 21560, (1, 2): 23721, (1, 3): 11060,
-        (2, 0): 22532, (2, 1): 22666, (2, 2): 24811, (2, 3): 13126,
-        (3, 0): 24123, (3, 1): 31844, (3, 2): 34200, (3, 3): 15718,
+        (0, 0): 34338, (0, 1): 32858, (0, 2): 37288, (0, 3): 20904,
+        (1, 0): 15919, (1, 1): 15961, (1, 2): 18212, (1, 3): 9383,
+        (2, 0): 20084, (2, 1): 17160, (2, 2): 19691, (2, 3): 11388,
+        (3, 0): 19901, (3, 1): 23262, (3, 2): 25700, (3, 3): 12868,
     }
 
 

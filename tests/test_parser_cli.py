@@ -345,12 +345,13 @@ def test_cli_bad_input_exits_without_traceback(argv, code, tmp_path):
 
 def test_cli_term_guard_variable(monkeypatch, capsys):
     """QMORSE_TERM_GUARD caps every product's accumulators; a value that is not
-    an integer is an invalid argument that names the variable."""
+    an integer of at least 1 is an invalid argument that names the variable."""
     from qmorse import cli
 
-    monkeypatch.setenv("QMORSE_TERM_GUARD", "abc")
-    assert cli.main(["mul", "q", "p"]) == 3
-    assert "QMORSE_TERM_GUARD" in capsys.readouterr().err
+    for value in ("abc", "-5", "0"):
+        monkeypatch.setenv("QMORSE_TERM_GUARD", value)
+        assert cli.main(["mul", "q", "p"]) == 3
+        assert "QMORSE_TERM_GUARD" in capsys.readouterr().err
     monkeypatch.setenv("QMORSE_TERM_GUARD", "3")
     assert cli.main(["mul", "q^3", "p^3"]) == 4
     assert "term-count guard" in capsys.readouterr().err
