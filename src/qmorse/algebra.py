@@ -202,15 +202,6 @@ class OrderedPQ:
         return render_terms(self.terms, names + ("hbar", "t"))
 
 
-def ordered_monomial(e1: int, e2: int, order: str, t_cap, w2_cap) -> QSeries:
-    """Normal-ordered image of q^e1 p^e2 (or p^e1 q^e2 for order="pq")."""
-    wc = Fraction(w2_cap, 2)
-    qs = q_op(t_cap, wc)
-    ps = p_op(t_cap, wc)
-    first, second = (qs, ps) if order == "qp" else (ps, qs)
-    return first**e1 * second**e2
-
-
 def to_ordered(f: QSeries, order: str) -> OrderedPQ:
     """Rewrite into the q-before-p (or p-before-q) ordered basis.
 
@@ -250,17 +241,32 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
     return OrderedPQ(order, collected, f.t_cap, f.w2_cap)
 
 
-def from_ordered(view: OrderedPQ) -> QSeries:
-    """Normal-order an ordered q/p form back into the algebra."""
+def substitute(terms, x: QSeries, y: QSeries) -> QSeries:
+    """sum c hbar^k t^l x^e1 y^e2 over ``terms`` {(e1, e2, k, l): c}, normal-ordered, at x's caps.
+
+    One central coefficient map per (e1, e2), each power of x and of y formed
+    once, and one `_kernel.qmul_sum` call over the products.
+    """
     central = {}
-    for (e1, e2, k, l), c in view.terms.items():
+    for (e1, e2, k, l), c in terms.items():
         central.setdefault((e1, e2), {})[0, 0, k, l] = c
-    pairs = [
-        (c, ordered_monomial(e1, e2, view.order, view.t_cap, view.w2_cap)._terms)
-        for (e1, e2), c in central.items()
-    ]
-    terms = _kernel.qmul_sum(pairs, view.t_cap, view.w2_cap)
-    return QSeries._from_raw(terms, view.t_cap, view.w2_cap)
+    xs, ys = [x.one_like()], [y.one_like()]
+    for e1, e2 in central:
+        while len(xs) <= e1:
+            xs.append(xs[-1] * x)
+        while len(ys) <= e2:
+            ys.append(ys[-1] * y)
+    pairs = [(c, (xs[e1] * ys[e2])._terms) for (e1, e2), c in central.items()]
+    return QSeries._from_raw(_kernel.qmul_sum(pairs, x.t_cap, x.w2_cap), x.t_cap, x.w2_cap)
+
+
+def from_ordered(view: OrderedPQ) -> QSeries:
+    """Normal-order an ordered q/p form back into the algebra: `substitute`
+    with x, y = q, p (or p, q for order="pq") at the view's caps."""
+    wc = Fraction(view.w2_cap, 2)
+    qs, ps = q_op(view.t_cap, wc), p_op(view.t_cap, wc)
+    x, y = (qs, ps) if view.order == "qp" else (ps, qs)
+    return substitute(view.terms, x, y)
 
 
 def to_pq(f: QSeries) -> OrderedPQ:

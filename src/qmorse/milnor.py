@@ -7,10 +7,10 @@ exact linear algebra over the coefficient field: the local quotient
 C[x,y]/(ideal) is modelled on monomials of degree <= D, and a stabilization
 flag (dim at D equals dim at D+1) reports whether the cutoff already resolved
 the germ-level answer.  Each check lifts F to a working cap that holds it and
-every generator exactly, and the rows come out capped at degree D; truncation
-commutes with products, so they are the untruncated rows cut at D.  No
-Groebner machinery; the quasi-homogeneous examples this backs stabilize at
-small D.
+every generator exactly.  A monomial times a series is a `shift`, which drops
+nothing at that cap, so those rows are exact and may keep terms of degree
+above D; the elimination reads only the columns of degree <= D.  No Groebner
+machinery; the quasi-homogeneous examples this backs stabilize at small D.
 """
 
 from __future__ import annotations
@@ -80,12 +80,7 @@ def _rank_and_pivots(rows, columns):
 def _jacobian_rows(F, degree):
     work = _working(F, degree)
     fx, fy = work.deriv("x"), work.deriv("y")
-    rows = []
-    for mono in _monomials(degree):
-        m = plane({mono: 1}, degree)
-        rows.append(m * fx)
-        rows.append(m * fy)
-    return rows
+    return [g.shift(x=ex, y=ey) for ex, ey in _monomials(degree) for g in (fx, fy)]
 
 
 def milnor_number(F: ScalarSeries, degree: int):
@@ -111,11 +106,7 @@ def _versality_rows(F, degree):
         br = poisson(g, work).with_caps(weight_cap=Fraction(degree, 2))
         if br:
             rows.append(br)
-    for mono in _monomials(degree):
-        prod = plane({mono: 1}, degree) * work
-        if prod:
-            rows.append(prod)
-    return rows
+    return rows + [work.shift(x=ex, y=ey) for ex, ey in _monomials(degree)]
 
 
 def versality_dimension(F: ScalarSeries, degree: int):

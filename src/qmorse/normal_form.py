@@ -48,7 +48,9 @@ from fractions import Fraction
 
 from . import _kernel, flow
 from ._kernel import coeff_make, coeff_mul, coeff_mul_int
-from .algebra import bracket_i_hbar, bracket_sum, compose_scalar, scalar_to_qseries
+from .algebra import (
+    HALF_I_SQRT2, HALF_SQRT2, bracket_i_hbar, bracket_sum, compose_scalar, scalar_to_qseries, substitute,
+)
 from .errors import DomainError
 from .field import Coefficient, ONE
 from .series import (
@@ -170,6 +172,7 @@ class NormalFormResult:
         Y = phi(dfn/dt); a diagonal right side is a DomainError.  Y_r = sum_l l L_l[r+1-l]
         is read by `flow.ladder_sum` off the Lie ladders L_l of the unscaled slices fn_l,
         l >= 1, which step r runs only as far as H_0..H_(r-1); they are kept for `verify()`.
+        The slices of h are read by this build only, and released after it.
         """
         if self._H is None:
             fn = self.normalized_input
@@ -192,6 +195,7 @@ class NormalFormResult:
                     raise DomainError(f"generator equation has a diagonal part at t^{r}")
                 H.append(K - diag[r])
             self._H, self._ladders = fn.join_t_slices(H), ladders
+            self._h_slices = None
         return self._H
 
     def verify(self) -> bool:
@@ -373,16 +377,9 @@ def linear_symplectic(f: QSeries, matrix) -> QSeries:
     ps = p_op(f.t_cap, f.weight_cap)
     q_img = qs.scale(m11) + ps.scale(m12)
     p_img = qs.scale(m21) + ps.scale(m22)
-    inv_sqrt2 = Coefficient(0, 0, Fraction(1, 2))
-    i_unit = Coefficient(0, 1)
-    adag_img = (p_img + q_img.scale(i_unit)).scale(inv_sqrt2)
-    a_img = (p_img - q_img.scale(i_unit)).scale(inv_sqrt2)
-    central = {}
-    for (m, n, k, l), c in f._terms.items():
-        central.setdefault((m, n), {})[0, 0, k, l] = c
-    pairs = [(c, (adag_img**m * a_img**n)._terms) for (m, n), c in central.items()]
-    terms = _kernel.qmul_sum(pairs, f.t_cap, f.w2_cap)
-    return QSeries._from_raw(terms, f.t_cap, f.w2_cap)
+    adag_img = p_img.scale(HALF_SQRT2) + q_img.scale(HALF_I_SQRT2)  # (p + i q)/sqrt2
+    a_img = p_img.scale(HALF_SQRT2) - q_img.scale(HALF_I_SQRT2)  # (p - i q)/sqrt2
+    return substitute(f._terms, adag_img, a_img)
 
 
 def reduce_to_harmonic(f0: QSeries, order: int, *, weight_cap=None) -> NormalFormResult:

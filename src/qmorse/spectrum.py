@@ -2,9 +2,11 @@
 
 adag acts as multiplication by z and a as hbar d/dz on the polynomial module
 spanned by the unnormalized vectors |n> = z^n (so <n|n> = n! hbar^n).  On top
-of it sit an exact Rayleigh-Schrodinger recursion (symbolic hbar) and a
-floating-point Fock-matrix diagonalization; the two never share code with the
-normal-form solver, which is what makes the oracle-triangle tests meaningful.
+of it sit an exact Rayleigh-Schrodinger recursion (symbolic hbar), the partial
+hbar-trace (read off the same action) and a floating-point Fock-matrix
+diagonalization; none of them shares code with the normal-form solver, which
+is what makes the oracle-triangle tests meaningful.  Only the float
+diagonalizer (`fock_matrix`, `diagonalize`) imports numpy.
 
 Perturbation intermediates (the eigenvector corrections) are Laurent in hbar;
 only the eigenvalue series is required to be polynomial, and that is asserted.
@@ -33,16 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernel
 from ._kernel import common_denominator, joined, split
-from .algebra import pi_restriction
 from .errors import DomainError, ResourceError
 from .field import Coefficient
-from .series import (
-    QSeries, ScalarSeries, SIG_H, SIG_HT, adag, a_op, harmonic, one, render_terms,
-)
+from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, harmonic, render_terms
 
 
 def _reduced(parts, den):
@@ -344,6 +341,8 @@ def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
     and ValueError for a non-finite ``t`` or ``hbar``, a non-positive
     ``hbar``, or an entry that overflows the float range.
     """
+    import numpy as np
+
     _check_dim(dim)
     _check_params(t, hbar)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -398,6 +397,8 @@ def diagonalize(f: QSeries, t: float, hbar: float, dim: int, levels: int) -> Dia
     with ``hbar > 0``, and ValueError when a matrix, or a step of the
     eigenvalue check, overflows the float range.
     """
+    import numpy as np
+
     _check_dim(dim + 10)
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -431,23 +432,18 @@ def diagonalize(f: QSeries, t: float, hbar: float, dim: int, levels: int) -> Dia
 def trace_hbar(f: QSeries, cutoff: int) -> ScalarSeries:
     """Partial hbar-trace sum_{n<=cutoff} <n|f|n> over unnormalized levels.
 
-    <n|f|n> = pi(a^n f adag^n); level n first contributes at hbar-order n,
-    so coefficients through hbar^cutoff are final.
+    Read off the Fock action: the t^l coefficient sums
+    inner_product(z^n, apply_rho(f_l, z^n)) over n.  Level n first contributes
+    at hbar-order n, so coefficients through hbar^cutoff are final.  The
+    weight cap, f's highest weight plus cutoff + 1, holds every term.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    from fractions import Fraction
-
-    w2 = f.max_weight2() + 2 * cutoff + 2
-    work = f.with_caps(weight_cap=Fraction(w2, 2))
-    ad = adag(work.t_cap, work.weight_cap)
-    an = a_op(work.t_cap, work.weight_cap)
-    left = one(work.t_cap, work.weight_cap)
-    right = left
-    total = ScalarSeries._from_raw({}, SIG_HT, work.t_cap, work.w2_cap)
-    for n in range(cutoff + 1):
-        if n:
-            left = an * left
-            right = right * ad
-        total = total + pi_restriction(left * work * right)
-    return total
+    terms = {}
+    for l, fl in enumerate(f.t_slices()):
+        if fl:
+            for n in range(cutoff + 1):
+                zn = FockVector.basis(n)
+                for (kh,), c in inner_product(zn, apply_rho(fl, zn))._terms.items():
+                    _kernel.add_term(terms, (kh, l), c)
+    return ScalarSeries._from_raw(terms, SIG_HT, f.t_cap, f.max_weight2() + 2 * cutoff + 2)

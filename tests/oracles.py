@@ -14,6 +14,14 @@ by component.
 
 `component_pair_counts` is the work counter of the split products: it counts
 the term pairs that each component pair visits, at `_kernel.component_pairs`.
+
+`trace_by_products`, `substitute_per_monomial` and `jacobian_rows_by_products`
+/ `versality_rows_by_products` are second routes, through engine products, to
+values the engine forms another way: the hbar-trace as ``pi(a^n f adag^n)``
+rather than from the Fock action, normal ordering one monomial ``x^e1 y^e2``
+at a time by binary powers rather than by `algebra.substitute`, and the
+Milnor rows as ``plane(...) *`` products capped at degree D rather than as
+shifts.
 """
 
 from fractions import Fraction
@@ -22,8 +30,10 @@ import random
 
 from qmorse import _kernel
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
+from qmorse.algebra import pi_restriction
 from qmorse.field import Coefficient, I
-from qmorse.series import QSeries
+from qmorse.milnor import _monomials, _working, plane, poisson
+from qmorse.series import QSeries, ScalarSeries, SIG_HT, a_op, adag, one
 
 # A non-hermitian perturbation whose values fill all four components of
 # Q(i, sqrt2).
@@ -228,3 +238,45 @@ def rs_per_entry(f, level, order):
                 psi[(m, kh - 1)] = -c / (2 * (m - level))
         psis.append(psi)
     return {(kh, k): c for k, e in enumerate(energies) for kh, c in e.items()}
+
+
+def trace_by_products(f, cutoff):
+    """sum_{n<=cutoff} pi(a^n f adag^n), each level by two operator products,
+    with f's weight cap set to its highest weight plus cutoff + 1."""
+    w2 = f.max_weight2() + 2 * cutoff + 2
+    work = f.with_caps(weight_cap=Fraction(w2, 2))
+    ad, an = adag(work.t_cap, work.weight_cap), a_op(work.t_cap, work.weight_cap)
+    left = right = one(work.t_cap, work.weight_cap)
+    total = ScalarSeries({}, vars=SIG_HT, t_cap=work.t_cap, weight_cap=work.weight_cap)
+    for n in range(cutoff + 1):
+        if n:
+            left, right = an * left, right * ad
+        total = total + pi_restriction(left * work * right)
+    return total
+
+
+def substitute_per_monomial(terms, x, y):
+    """sum c hbar^k t^l x^e1 y^e2 over {(e1, e2, k, l): c}, one monomial at a time."""
+    out = x.zero_like()
+    for (e1, e2, k, l), c in terms.items():
+        out = out + (x**e1 * y**e2).shift(hbar=k, t=l).scale(c)
+    return out
+
+
+def jacobian_rows_by_products(F, degree):
+    """The rows m F_x, m F_y over the monomials m of degree <= D, as products capped at D."""
+    work = _working(F, degree)
+    fx, fy = work.deriv("x"), work.deriv("y")
+    rows = []
+    for mono in _monomials(degree):
+        m = plane({mono: 1}, degree)
+        rows += [m * fx, m * fy]
+    return rows
+
+
+def versality_rows_by_products(F, degree):
+    """The rows {g, F} (capped at D) and m F, the latter as products capped at D."""
+    work = _working(F, degree)
+    top = work.w2_cap
+    rows = [poisson(plane({mono: 1}, top), work).with_caps(weight_cap=Fraction(degree, 2)) for mono in _monomials(top)]
+    return rows + [plane({mono: 1}, degree) * work for mono in _monomials(degree)]

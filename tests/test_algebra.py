@@ -32,6 +32,7 @@ from oracles import (
     qmul_per_pair,
     random_coeff,
     random_qseries,
+    substitute_per_monomial,
     word_to_qseries,
 )
 
@@ -108,6 +109,25 @@ def test_to_pq_round_trip_and_ordering():
         assert algebra.from_pq(view) == f
         view2 = algebra.to_ordered(f, "pq")
         assert algebra.from_ordered(view2) == f
+
+
+@pytest.mark.parametrize("order", ["qp", "pq"])
+def test_from_ordered_equals_per_monomial_ordering(order):
+    """One `substitute` call over all monomials equals ordering each monomial
+    by its own binary powers, in value and caps, with exponents up to 5, hbar
+    and t powers, Q(i, sqrt2) coefficients and terms past the weight cap."""
+    rng = random.Random(41 if order == "qp" else 43)
+    for _ in range(12):
+        w2 = rng.randint(7, 20)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            key = (rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 2), rng.randint(0, 2))
+            terms[key] = rng.choice(COPRIME + [random_coeff(rng)]).raw
+        qs, ps = q_op(2, Fraction(w2, 2)), p_op(2, Fraction(w2, 2))
+        x, y = (qs, ps) if order == "qp" else (ps, qs)
+        got = algebra.from_ordered(algebra.OrderedPQ(order, terms, 2, w2))
+        assert got == substitute_per_monomial(terms, x, y)
+        assert (got.t_cap, got.w2_cap) == (2, w2)
 
 
 def test_to_pq_of_qp():

@@ -1,9 +1,15 @@
 """Milnor numbers and versality dimensions by truncated exact linear algebra."""
 
+import random
+
 import pytest
 
+from qmorse import milnor
 from qmorse.errors import DomainError
 from qmorse.milnor import check_versal, milnor_number, plane, poisson, versality_dimension
+from qmorse.series import ScalarSeries
+
+from oracles import COPRIME, jacobian_rows_by_products, random_coeff, versality_rows_by_products
 
 
 def _akpoly(k):
@@ -115,3 +121,45 @@ def test_family_capped_at_cutoff_plus_two_is_exact(symbol, params, cutoff):
     assert milnor_number(poly, cutoff) == milnor_number(whole, cutoff)
     assert versality_dimension(poly, cutoff) == versality_dimension(whole, cutoff)
     assert check_versal(poly, tangents, cutoff) == check_versal(whole, whole_tangents, cutoff)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shifted_rows_eliminate_like_product_rows(seed):
+    """The rows a monomial times a series makes by `shift` keep terms above
+    degree D; the elimination reads only columns of degree <= D, so rank and
+    pivots equal those of the rows formed as products capped at D."""
+    rng = random.Random(500 + seed)
+    if seed < 3:
+        F = _akpoly(2 * seed + 1)
+    else:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            ex, ey = rng.randint(0, 5), rng.randint(0, 5)
+            if ex + ey:
+                terms[(ex, ey)] = rng.choice(COPRIME + [random_coeff(rng)])
+        F = plane(terms)
+    for d in range(7):
+        cols = milnor._monomials(d)
+        for rows, by_products in (
+            (milnor._jacobian_rows, jacobian_rows_by_products),
+            (milnor._versality_rows, versality_rows_by_products),
+        ):
+            assert milnor._rank_and_pivots(rows(F, d), cols) == milnor._rank_and_pivots(by_products(F, d), cols)
+
+
+def test_monomial_rows_form_no_series_product(monkeypatch):
+    """The Jacobian rows form no `ScalarSeries` product; the versality rows
+    form only the two of each Poisson bracket {m, F}."""
+    products = []
+    multiply = ScalarSeries.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    F = plane({(3, 0): 1, (0, 2): 1, (1, 1): 2})
+    monkeypatch.setattr(ScalarSeries, "__mul__", counting)
+    milnor._jacobian_rows(F, 5)
+    assert products == []
+    milnor._versality_rows(F, 5)
+    assert len(products) == 2 * len(milnor._monomials(5 + 3))

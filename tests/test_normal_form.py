@@ -27,7 +27,9 @@ from qmorse.series import (
     t_op,
 )
 
-from oracles import COMPLEX_ENERGIES, component_pair_counts, random_coeff
+from oracles import (
+    COMPLEX_ENERGIES, component_pair_counts, random_coeff, random_qseries, substitute_per_monomial,
+)
 
 CAPS = dict(t_cap=8, weight_cap="24")
 
@@ -323,8 +325,12 @@ def test_generator_work_counts(monkeypatch):
 
 
 def _assert_generator_is_minus_phi_of_h(result):
-    """H = -phi(h) through t^(N-1), phi the flow of H and h = sum_k t^k h_k."""
-    h = result.normalized_input.join_t_slices(result._h_slices)
+    """H = -phi(h) through t^(N-1), phi the flow of H and h = sum_k t^k h_k.
+
+    Building H releases the slices of h that the solve kept, so h is solved
+    afresh here."""
+    fn = result.normalized_input
+    h = fn.join_t_slices(nf._homological_solve(fn, fn.deriv("t").t_slices())[1])
     top = max(result.order - 1, 0)
     assert flow.integrate_heisenberg(result.H, h, top) == (-result.H).with_caps(t_cap=top)
 
@@ -419,7 +425,7 @@ def test_verify_ladders_equal_an_independent_transport(monkeypatch, text, order)
     assert result.verify()
     fn = result.normalized_input
     assert composed == [flow.integrate_heisenberg(result.H, fn, order)]
-    assert result._ladders is None
+    assert result._ladders is None and result._h_slices is None
     assert result.verify() and len(composed) == 1
 
 
@@ -629,3 +635,32 @@ def test_p2_minus_q2_after_complex_symplectic():
     res = nf.reduce_to_harmonic(mapped, 3)
     assert res.scale == I
     assert res.verify()
+
+
+SYMPLECTIC = [
+    ((1, 0), (0, 1)),
+    ((0, 1), (-1, 0)),
+    ((1, 2), (0, 1)),
+    ((2, 1), (1, 1)),
+    ((Coefficient(0, 0, 1), 0), (0, Coefficient(0, 0, Fraction(1, 2)))),
+]
+
+
+def test_linear_symplectic_equals_per_monomial_substitution():
+    """adag, a -> (p' + i q')/sqrt2, (p' - i q')/sqrt2 for the images q', p'
+    under M, normal-ordered one monomial at a time, equals `linear_symplectic`
+    in value and caps; the identity matrix gives f back."""
+    rng = random.Random(61)
+    i_unit, inv_sqrt2 = Coefficient(0, 1), Coefficient(0, 0, Fraction(1, 2))
+    for _ in range(8):
+        f = random_qseries(rng, t_cap=2, weight_cap=rng.choice(["7/2", "5", "8"]), max_terms=5, max_exp=3)
+        qs, ps = q_op(f.t_cap, f.weight_cap), p_op(f.t_cap, f.weight_cap)
+        for (m11, m12), (m21, m22) in SYMPLECTIC:
+            q_img = qs.scale(m11) + ps.scale(m12)
+            p_img = qs.scale(m21) + ps.scale(m22)
+            adag_img = (p_img + q_img.scale(i_unit)).scale(inv_sqrt2)
+            a_img = (p_img - q_img.scale(i_unit)).scale(inv_sqrt2)
+            got = nf.linear_symplectic(f, ((m11, m12), (m21, m22)))
+            assert got == substitute_per_monomial(f._terms, adag_img, a_img)
+            assert (got.t_cap, got.w2_cap) == (f.t_cap, f.w2_cap)
+        assert nf.linear_symplectic(f, SYMPLECTIC[0]) == f

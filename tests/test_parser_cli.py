@@ -359,14 +359,20 @@ def test_cli_term_guard_variable(monkeypatch, capsys):
 
 def test_import_fills_no_table():
     """Importing the CLI does no kernel work: the contraction rows and the
-    falling table are filled on first use only."""
+    falling table are filled on first use only.  numpy is read only by the
+    float diagonalizer, so neither the import nor an exact solve loads it."""
     src = str(Path(qmorse.__file__).resolve().parents[1])
-    code = "import qmorse.cli; from qmorse import _kernel, normal_form; print(_kernel._rows, normal_form._falling)"
+    code = (
+        "import sys, qmorse.cli; from qmorse import _kernel, normal_form, parser\n"
+        "print(_kernel._rows, normal_form._falling, 'numpy' in sys.modules)\n"
+        "normal_form.quantum_morse(parser.elaborate(parser.parse_expr('p^2+q^2+t*q^4'), 4, '16'), 4)\n"
+        "print('numpy' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[] [(1,)]\n"
+    assert proc.stdout == "[] [(1,)] False\nFalse\n"
 
 
 _BIG = "1" * 401  # overflows a float

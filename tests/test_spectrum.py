@@ -1,10 +1,12 @@
 """Representation, RS oracle, Fock matrices, trace, inner products."""
 
+import ast
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from oracles import (
     random_qseries,
     rho_per_entry,
     rs_per_entry,
+    trace_by_products,
 )
 
 CAPS = dict(t_cap=2, weight_cap="12")
@@ -280,6 +283,42 @@ def test_diagonalize_t_zero_reproduces_harmonic():
     f = harmonic(**caps) + t_op(**caps) * (q_op(**caps) ** 4)
     res = sp.diagonalize(f, 0.0, 1.0, 40, 3)
     assert np.allclose(res.values, [1, 3, 5], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_hbar_equals_the_trace_by_products(monkeypatch, seed):
+    """The trace read off the Fock action equals sum_n pi(a^n f adag^n), in
+    value and caps, on operators with t-slices and Q(i, sqrt2) coefficients,
+    and it forms no operator product."""
+    rng = random.Random(300 + seed)
+    caps = dict(t_cap=2, weight_cap=rng.choice(["7/2", "6", "12"]))
+    f = random_qseries(rng, max_terms=5, max_exp=4, **caps)
+    f = f + QSeries({(rng.randint(0, 3), rng.randint(0, 3), 0, 2): rng.choice(COPRIME)}, **caps)
+    expected = [trace_by_products(f, cutoff) for cutoff in range(7)]
+
+    def refuse(*args):
+        raise AssertionError("trace_hbar formed an operator product")
+
+    monkeypatch.setattr(_kernel, "qmul_sum", refuse)
+    for cutoff, ref in enumerate(expected):
+        got = sp.trace_hbar(f, cutoff)
+        assert got == ref
+        assert (got.t_cap, got.w2_cap) == (ref.t_cap, ref.w2_cap)
+
+
+def test_spectrum_imports_only_the_value_layers():
+    """The oracles share no code with the solver: `spectrum` imports, from its
+    own package, only `_kernel`, `errors`, `field` and `series`."""
+    tree = ast.parse(Path(sp.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("qmorse")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("qmorse") for alias in node.names)
+    assert local == {"_kernel", "errors", "field", "series"}
 
 
 def test_trace_examples():
