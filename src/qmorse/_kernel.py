@@ -11,10 +11,24 @@ one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
 ``sum_j C_j(hbar, t) P^j`` is one `qmul_sum` call whose left operands are
 central.  The reordering factors come from one table: both kernels read the
 ``j >= 1`` factors of `contractions` by row (`contraction_row`), each row
-filled when it is made or lengthened.  `qbracket` keys its accumulator by
-packed monomials, one int ``((m<<S | n)<<S | k)<<S | l`` per exponent tuple,
-so a monomial product is an integer add; a Lie-ladder step passes all of its
-brackets in one call.
+filled when it is made or lengthened.  A Lie-ladder step passes all of its
+brackets to `qbracket` in one call.
+
+Packed keys.  Every product of monomials, in the two kernels and in
+``ScalarSeries.__mul__``, adds integer keys.  An exponent tuple ``(e_0, ...,
+e_r)`` is packed once into ``sum e_i << S (r - i)`` (`pack`; the operator
+kernels write it out as ``(m << 3S) + (n << 2S) + (k << S) + l``), so the key
+of a product is the sum of its factors' keys, and a contraction (m and n
+down by one, k up by one) or the division by hbar adds a constant
+(`contraction_step`, ``1 << S``).  The fields are added, not or-ed, so the
+sum is exact even where an operand's field overflows; each output key is
+unpacked once, after the reduction (`unpacked`).  That needs only the fields
+of the output keys to fit in ``S`` bits, so the width comes from the caps
+(`key_width`): a field of a variable of positive weight holds at most
+``w2_cap`` and the t field at most ``t_cap``.  Only a variable of weight 0
+other than t (n and the plane parameters lambda_j, which the operator
+kernels never see) is bounded by the operands' largest exponents instead.
+
 Callers reach the kernels through the module attributes (``_kernel.qmul``,
 ``_kernel.qmul_sum``, ``_kernel.qbracket``), and `qmul` reaches `qmul_sum` the
 same way, so a wrapper installed on one sees every call.  The benchmark's
@@ -251,6 +265,36 @@ def check_guard(out, guard):
         raise ResourceError("term-count guard exceeded")
 
 
+def key_width(top):
+    """Bits per field of a packed key whose fields hold integers up to ``top`` (at least 1)."""
+    return max(top, 1).bit_length()
+
+
+def pack(exp, S):
+    """The packed key ``sum e_i << S (r - i)`` of an exponent tuple ``(e_0, ..., e_r)``.
+
+    The fields are added, so the key is linear in the exponents even when
+    one overflows its ``S`` bits (module docstring).
+    """
+    key = 0
+    for e in exp:
+        key = (key << S) + e
+    return key
+
+
+def unpacked(terms, arity, S):
+    """``{exponent tuple: c}`` of a map keyed by packed keys of ``arity`` fields of ``S`` bits."""
+    mask = (1 << S) - 1
+    fields = [[key >> s & mask for key in terms] for s in range(S * (arity - 1), -1, -S)]
+    return dict(zip(zip(*fields), terms.values()))
+
+
+def contraction_step(S):
+    """The packed ``(m, n, k, l)`` step of one contraction: m and n down by one, k up by one."""
+    one = 1 << S
+    return one - (one << S) - (one << 2 * S)
+
+
 _rows = []
 
 
@@ -281,18 +325,25 @@ def qmul_sum(pairs, t_cap, w2_cap):
     m2)``, read as ``rows[n1][m2]`` (`contraction_row`, each row sized by the
     largest adag power of the pair's kept right terms).  A term pair is kept
     when its weight is within ``w2_cap`` and its t power within ``t_cap``
-    (silent truncation is part of the series contract).  All left operands go
-    over the lcm ``den_A`` of their denominators and all right ones over the
-    lcm ``den_B`` of theirs, and the pairs are split by component one at a
-    time; each term pair adds one integer product per factor, and each output
-    term is reduced once, over ``den_A * den_B``.  Raises ResourceError when
-    the accumulators exceed `term_guard` entries.
+    (silent truncation is part of the series contract).  Each term is packed
+    once, in fields of `key_width` bits (module docstring), so a term pair's
+    key is the sum of its operands' keys and each contraction adds
+    `contraction_step`; the output keys are unpacked once, after the
+    reduction.  All left operands go over the lcm ``den_A`` of their
+    denominators and all right ones over the lcm ``den_B`` of theirs, and the
+    pairs are split by component one at a time; each term pair adds one
+    integer product per factor, and each output term is reduced once, over
+    ``den_A * den_B``.  Raises ResourceError when the accumulators exceed
+    `term_guard` entries.
     """
     guard = term_guard()
     den_a = den_b = 1
     for A, B in pairs:
         den_a = common_denominator(A, den_a)
         den_b = common_denominator(B, den_b)
+    S = key_width(max(w2_cap, t_cap))
+    s2, s3 = 2 * S, 3 * S
+    step = contraction_step(S)
     out = {}
     for A, B in pairs:
         right = {}
@@ -301,34 +352,34 @@ def qmul_sum(pairs, t_cap, w2_cap):
             for (m2, n2, k2, l2), c in q.items():
                 w2 = m2 + n2 + 2 * k2
                 if w2 <= w2_cap and l2 <= t_cap:
-                    kept.append((m2, n2, k2, l2, w2, c))
+                    kept.append(((m2 << s3) + (n2 << s2) + (k2 << S) + l2, w2, l2, m2, c))
             if kept:
                 right[y] = kept
-        size = max((term[0] for q in right.values() for term in q), default=0) + 1
-        for z, w, p, q in component_pairs(split(A, den_a), right):
+        size = max((term[3] for q in right.values() for term in q), default=0) + 1
+        left = {}
+        for x, p in split(A, den_a).items():
+            kept = left[x] = []
+            for (m1, n1, k1, l1), c in p.items():
+                key = (m1 << s3) + (n1 << s2) + (k1 << S) + l1
+                row = contraction_row(n1, size) if n1 else None
+                kept.append((key, w2_cap - (m1 + n1 + 2 * k1), t_cap - l1, row, c))
+        for z, w, p, q in component_pairs(left, right):
             acc = out.setdefault(z, {})
             get = acc.get
-            for (m1, n1, k1, l1), x in p.items():
+            for p1, w_room, t_room, row, x in p:
                 x *= w
-                w_room = w2_cap - (m1 + n1 + 2 * k1)
-                t_room = t_cap - l1
-                row = contraction_row(n1, size)
-                for m2, n2, k2, l2, w2, y in q:
+                for p2, w2, l2, m2, y in q:
                     if w2 > w_room or l2 > t_room:
                         continue
                     c = x * y
-                    m = m1 + m2
-                    n = n1 + n2
-                    k = k1 + k2
-                    l = l1 + l2
-                    key = (m, n, k, l)
+                    key = p1 + p2
                     acc[key] = get(key, 0) + c
-                    if n1 and m2:
-                        for j, f in enumerate(row[m2], 1):
-                            key = (m - j, n - j, k + j, l)
+                    if row:
+                        for f in row[m2]:
+                            key += step
                             acc[key] = get(key, 0) + c * f
                 check_guard(out, guard)
-    return joined(out, den_a * den_b)
+    return unpacked(joined(out, den_a * den_b), 4, S)
 
 
 def qmul(A, B, t_cap, w2_cap):
@@ -402,14 +453,10 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
     the right parts stay unsorted, every left term loops over the whole part
     and every output term is formed.
 
-    Packed keys.  The accumulator is keyed by ``((m<<S | n)<<S | k)<<S | l``.
-    The key of a pair's product is the sum of the operand keys, and the
-    division by hbar and each contraction (m and n down by one, k up by one)
-    add a constant, so a monomial product is an integer add.  The field width
-    ``S`` holds the largest exponent present in the operands, ``w2_cap + 2``
-    and ``t_cap``: every field of an operand key (an operand may hold terms
-    beyond the caps), of a contributing pair's sum and of an output key fits
-    in ``S`` bits, so the output keys unpack exactly.
+    Packed keys (module docstring): the key of a pair's product is the sum
+    of the operand keys, and the division by hbar and each contraction add a
+    constant, so a monomial product is an integer add.  Every output term
+    lies within the caps, so its fields fit the caps' `key_width`.
 
     All numerators go over ``den_A * den_B``, the lcm of the left operands'
     denominators times the lcm of the right ones, and each operand is split by
@@ -422,19 +469,17 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
     """
     guard = term_guard()
     den_a = den_b = 1
-    top = max(w2_cap + 2, t_cap)
     signs = set()
     for A, B in pairs:
         den_a = common_denominator(A, den_a)
         den_b = common_denominator(B, den_b)
-        top = max(top, max(map(max, A), default=0), max(map(max, B), default=0))
         if A and B:  # an empty operand brackets to zero, whatever the other's sign
             signs.add(hermitian_sign(A) * hermitian_sign(B))
     s = signs.pop() if len(signs) == 1 else 0
-    S = top.bit_length()
-    s2 = 2 * S
-    one = 1 << S
-    step = one - (one << S) - (one << s2)
+    S = key_width(max(w2_cap, t_cap))
+    s2, s3 = 2 * S, 3 * S
+    one = 1 << S  # the packed hbar
+    step = contraction_step(S)
     room2 = w2_cap + 2
     out = {}
     for A, B in pairs:
@@ -446,7 +491,7 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
             for (m2, n2, k2, l2), c in q.items():
                 w2 = m2 + n2 + 2 * k2
                 if (m2 or n2) and w2 < room2 and l2 <= t_cap:
-                    kept.append((((m2 << S | n2) << S | k2) << S | l2, w2, l2, m2, n2, c))
+                    kept.append(((m2 << s3) + (n2 << s2) + (k2 << S) + l2, w2, l2, m2, n2, c))
                     reach = max(reach, m2, n2)
             if kept:
                 if s:
@@ -461,7 +506,7 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
                 w_room = room2 - (m1 + n1 + 2 * k1)
                 t_room = t_cap - l1
                 if (m1 or n1) and w_room >= 1 and t_room >= 0:
-                    base = (((m1 << S | n1) << S | k1) << S | l1) - one
+                    base = (m1 << s3) + (n1 << s2) + (k1 << S) + l1 - one
                     rows = contraction_row(n1, reach + 1), contraction_row(m1, reach + 1)
                     kept.append((base, w_room, t_room, n1, m1, *rows, c, m1 - n1))
             if kept:
@@ -487,11 +532,7 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
                         if wf != wb:
                             acc[key] = get(key, 0) + c * (wf - wb)
                 check_guard(out, guard)
-    mask = one - 1
-    terms = {
-        (key >> (s2 + S), (key >> s2) & mask, (key >> S) & mask, key & mask): c
-        for key, c in joined(out, den_a * den_b * div).items()
-    }
+    terms = unpacked(joined(out, den_a * den_b * div), 4, S)
     if s:
         for (m, n, k, l), c in list(terms.items()):
             if m > n:

@@ -217,6 +217,7 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
     y_img = ScalarSeries({(1, 0): -HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)
     x_pows = [x_img.one_like()]
     y_pows = [y_img.one_like()]
+    images = {}  # (m, n): the terms of x^m y^n, formed once for every t and hbar power
 
     rem = f
     collected = {}
@@ -226,11 +227,14 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
         for (m, n, k, l), c in rem._terms.items():
             if k != kmin:
                 continue
-            while len(x_pows) <= m:
-                x_pows.append(x_pows[-1] * x_img)
-            while len(y_pows) <= n:
-                y_pows.append(y_pows[-1] * y_img)
-            for (eq, ep), w in (x_pows[m] * y_pows[n])._terms.items():
+            image = images.get((m, n))
+            if image is None:
+                while len(x_pows) <= m:
+                    x_pows.append(x_pows[-1] * x_img)
+                while len(y_pows) <= n:
+                    y_pows.append(y_pows[-1] * y_img)
+                image = images[m, n] = (x_pows[m] * y_pows[n])._terms
+            for (eq, ep), w in image.items():
                 key = (eq, ep, kmin, l) if order == "qp" else (ep, eq, kmin, l)
                 _kernel.add_term(batch, key, _kernel.coeff_mul(c, w))
         collected.update(batch)

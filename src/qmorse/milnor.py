@@ -9,7 +9,9 @@ flag (dim at D equals dim at D+1) reports whether the cutoff already resolved
 the germ-level answer.  Each check lifts F to a working cap that holds it and
 every generator exactly.  A monomial times a series is a `shift`, which drops
 nothing at that cap, so those rows are exact and may keep terms of degree
-above D; the elimination reads only the columns of degree <= D.  No Groebner
+above D; the elimination reads only the columns of degree <= D.  The Poisson
+bracket of a monomial with F is two scaled shifts of F's derivatives, so no
+row is a series product.  No Groebner
 machinery; the quasi-homogeneous examples this backs stabilize at small D.
 """
 
@@ -98,15 +100,35 @@ def milnor_number(F: ScalarSeries, degree: int):
 
 
 def _versality_rows(F, degree):
+    """The rows {m, F} (capped at D) over the monomials m of degree <= D + deg F,
+    and m F over those of degree <= D.
+
+    With m = x^a y^b, {m, F} = a x^(a-1) y^b F_y - b x^a y^(b-1) F_x: two
+    scaled shifts of the derivatives of F, no product.
+    """
     work = _working(F, degree)
     top = work.w2_cap  # D + deg F: no generator above it has a bracket of degree <= D
+    cap = Fraction(degree, 2)
+    fx, fy = work.deriv("x").with_caps(weight_cap=cap), work.deriv("y").with_caps(weight_cap=cap)
     rows = []
-    for mono in _monomials(top):
-        g = plane({mono: 1}, top)
-        br = poisson(g, work).with_caps(weight_cap=Fraction(degree, 2))
+    for a, b in _monomials(top):
+        br = fx.zero_like()
+        if a:
+            br = br + fy.shift(x=a - 1, y=b).scale(a)
+        if b:
+            br = br - fx.shift(x=a, y=b - 1).scale(b)
         if br:
             rows.append(br)
     return rows + [work.shift(x=ex, y=ey) for ex, ey in _monomials(degree)]
+
+
+def _quotient(F, degree):
+    """(dim, basis monomials, rows) of the quotient truncated at D; `rows` are
+    its `_versality_rows`, for a caller that extends them."""
+    cols = _monomials(degree)
+    rows = _versality_rows(F, degree)
+    rank, pivots = _rank_and_pivots(rows, cols)
+    return len(cols) - rank, [c for c in cols if c not in pivots], rows
 
 
 def versality_dimension(F: ScalarSeries, degree: int):
@@ -116,33 +138,21 @@ def versality_dimension(F: ScalarSeries, degree: int):
     """
     if F.coeff((0, 0)):
         raise DomainError("polynomial must vanish at the origin")
-
-    def quotient(d):
-        cols = _monomials(d)
-        rank, pivots = _rank_and_pivots(_versality_rows(F, d), cols)
-        basis = [c for c in cols if c not in pivots]
-        return len(cols) - rank, basis
-
-    dim, basis = quotient(degree)
-    dim_next, _ = quotient(degree + 1)
-    return dim, basis, dim == dim_next
+    dim, basis, _ = _quotient(F, degree)
+    return dim, basis, dim == _quotient(F, degree + 1)[0]
 
 
 def check_versal(F: ScalarSeries, tangents, degree: int):
     """Versal iff the classes of 1 and the parameter tangents span the quotient.
 
     Returns (versal, stabilized); `tangents` are d/d(lambda_j) of the family at
-    lambda = 0.
+    lambda = 0.  The rows at D are built once, for the dimension and the span.
     """
     if F.coeff((0, 0)):
         raise DomainError("polynomial must vanish at the origin")
-
-    def spans(d):
-        cols = _monomials(d)
-        rows = _versality_rows(F, d)
-        extra = [plane({(0, 0): 1})] + [t.with_caps(weight_cap=Fraction(d, 2)) for t in tangents]
-        rank, _ = _rank_and_pivots(rows + extra, cols)
-        return rank == len(cols)
-
-    _, _, stabilized = versality_dimension(F, degree)
-    return spans(degree), stabilized
+    dim, _, rows = _quotient(F, degree)
+    cap = Fraction(degree, 2)
+    extra = [plane({(0, 0): 1})] + [t.with_caps(weight_cap=cap) for t in tangents]
+    cols = _monomials(degree)
+    rank, _ = _rank_and_pivots(rows + extra, cols)
+    return rank == len(cols), dim == _quotient(F, degree + 1)[0]

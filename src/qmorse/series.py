@@ -21,6 +21,15 @@ products: anything dropped early could never contribute below the caps
 later.  Every term of a value lies within its caps, so an operation checks
 only a cap that it shrinks or an exponent that it raises.  Term maps are
 never changed after construction, so values may share one.
+
+The packed form.  A `ScalarSeries` product reads each operand as packed
+integer keys (`_kernel` module docstring) split by component over one
+denominator, and a value keeps that form, made on first use, for the key
+width it was made at (`_packed`).  Horner's ``out * value`` in
+`subs_series`, a transport's ``u.deriv("z") * g`` and every other product
+that reads one value again at one width thus pack it once.  Since the term
+map never changes, the kept form can never go stale; it is derived data
+only, so it takes no part in ``__eq__`` or JSON.
 """
 
 from __future__ import annotations
@@ -84,7 +93,7 @@ class _Series:
     weights) and ``_ti`` (the position of t, None when there is no t).
     """
 
-    __slots__ = ("_terms", "t_cap", "w2_cap", "vars", "_weights", "_ti")
+    __slots__ = ("_terms", "t_cap", "w2_cap", "vars", "_weights", "_ti", "_pack")
 
     def _init(self, terms, t_cap, weight_cap):
         """Validate and canonicalize `terms` once the signature is set."""
@@ -103,12 +112,14 @@ class _Series:
                 continue
             _kernel.add_term(out, exp, _as_raw(coef))
         self._terms = out
+        self._pack = None
 
     @classmethod
     def _make(cls, sig, terms, t_cap, w2_cap):
         obj = object.__new__(cls)
         obj.vars, obj._weights, obj._ti = sig
         obj._terms = terms
+        obj._pack = None
         obj.t_cap = t_cap
         obj.w2_cap = w2_cap
         return obj
@@ -390,6 +401,9 @@ def _var_w2(v):
     raise ValueError(f"unknown scalar variable {v!r}")
 
 
+_t_power = operator.itemgetter(2)  # of a packed term (key, doubled weight, t power, numerator)
+
+
 @lru_cache(maxsize=None)
 def _scalar_sig(vars):
     return vars, tuple(map(_var_w2, vars)), vars.index("t") if "t" in vars else None
@@ -408,42 +422,76 @@ class ScalarSeries(_Series):
     def _from_raw(cls, terms, vars, t_cap, w2_cap):
         return cls._make(_scalar_sig(vars), terms, t_cap, w2_cap)
 
-    def _weighted_terms(self, part):
-        """Yield (exponent, numerator, doubled weight, t power) for every term.
+    def _key_width(self, other, t_cap, w2_cap):
+        """Field width of the packed keys of ``self * other`` at the joined caps.
 
-        ``part`` maps exponents to the integer numerators of one component of
-        this series (`_kernel.split`).  A signature without t reports t power
-        0, which no t cap drops.
+        A field of the product holds at most ``w2_cap`` for a variable of
+        positive weight and ``t_cap`` for t; only a variable of weight 0
+        other than t (n, lambda_j) is bounded by the operands' largest
+        exponents, so over a signature without one the width is the caps'.
         """
-        weights = self._weights
+        top = max(w2_cap, t_cap)
         ti = self._ti
-        for e, x in part.items():
-            yield e, x, sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti]
+        free = [i for i, wt in enumerate(self._weights) if not wt and i != ti]
+        if free:
+            top = max(top, sum(max((e[i] for e in s._terms for i in free), default=0) for s in (self, other)))
+        return _kernel.key_width(top)
+
+    def _packed(self, S):
+        """``(den, {component: [(key, doubled weight, t power, numerator)]})``.
+
+        The term map over the lcm ``den`` of its denominators, split by
+        component (`_kernel.split`), each exponent packed in fields of ``S``
+        bits (`_kernel.pack`), each part sorted by t power, so that a product
+        stops at the first term past its t cap.  A signature without t
+        reports t power 0, which no t cap drops.  The form of the last width
+        asked is kept, so an operand that several products read at one
+        width, such as the value of a Horner loop, is packed once.
+        """
+        cached = self._pack
+        if cached is not None and cached[0] == S:
+            return cached[1]
+        weights, ti = self._weights, self._ti
+        den = _kernel.common_denominator(self._terms)
+        parts = {
+            x: sorted(
+                [
+                    (_kernel.pack(e, S), sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti], v)
+                    for e, v in p.items()
+                ],
+                key=_t_power,
+            )
+            for x, p in _kernel.split(self._terms, den).items()
+        }
+        self._pack = S, (den, parts)
+        return den, parts
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
             self._check_sig(other)
             t_cap, w2 = self._join_caps(other)
+            S = self._key_width(other, t_cap, w2)
             guard = _kernel.term_guard()
-            den_l = _kernel.common_denominator(self._terms)
-            den_r = _kernel.common_denominator(other._terms)
-            right = {
-                y: list(other._weighted_terms(q))
-                for y, q in _kernel.split(other._terms, den_r).items()
-            }
+            den_l, left = self._packed(S)
+            den_r, right = other._packed(S)
             out = {}
-            for z, w, p, q in _kernel.component_pairs(_kernel.split(self._terms, den_l), right):
+            for z, w, p, q in _kernel.component_pairs(left, right):
                 acc = out.setdefault(z, {})
                 get = acc.get
-                for e1, x, a1, t1 in self._weighted_terms(p):
+                for k1, a1, t1, x in p:
                     x *= w
-                    for e2, y, a2, t2 in q:
-                        if a1 + a2 > w2 or t1 + t2 > t_cap:
+                    w_room = w2 - a1
+                    t_room = t_cap - t1
+                    for k2, a2, t2, y in q:
+                        if t2 > t_room:
+                            break
+                        if a2 > w_room:
                             continue
-                        exp = tuple(map(operator.add, e1, e2))
-                        acc[exp] = get(exp, 0) + x * y
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + x * y
                     _kernel.check_guard(out, guard)
-            return self._like(_kernel.joined(out, den_l * den_r), t_cap, w2)
+            terms = _kernel.unpacked(_kernel.joined(out, den_l * den_r), len(self.vars), S)
+            return self._like(terms, t_cap, w2)
         return self.scale(other)
 
     def subs_series(self, var, value):

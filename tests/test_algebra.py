@@ -401,6 +401,59 @@ def test_qmul_matches_per_pair_reduction(monkeypatch):
         _kernel.qmul_sum(raw, reference.t_cap, reference.w2_cap)
 
 
+def test_kernels_read_operand_terms_past_the_joined_caps():
+    """Operands that hold terms far past the joined caps (t^1, weight 3/2,
+    a key width of 2 bits): every kept pair still unpacks exactly, in a
+    product and in a bracket, in both orders.  A bracket keeps terms of
+    weight 4, whose adag or a power overflows its field in the operand key."""
+    from qmorse import _kernel
+
+    c0, c1, c2 = COPRIME
+    f = QSeries(
+        {
+            (40, 0, 0, 0): c0,
+            (0, 39, 1, 9): c1,
+            (1, 0, 0, 0): c2,
+            (0, 1, 0, 1): c0,
+            (2, 1, 0, 0): c1,
+            (0, 0, 0, 1): c2,
+            (4, 0, 0, 0): c1,
+            (0, 4, 0, 0): c2,
+        },
+        t_cap=9,
+        weight_cap=30,
+    )
+    g = QSeries({(0, 1, 0, 0): c1, (2, 1, 0, 0): c2, (0, 0, 0, 1): c0, (1, 0, 0, 1): c1}, t_cap=1, weight_cap="3/2")
+    for x, y in ((f, g), (g, f)):
+        out = _kernel.qmul_sum([(x._terms, y._terms)], 1, 3)
+        assert out and out == qmul_per_pair(x, y)
+        assert any(m + n + 2 * k == 3 for m, n, k, _ in out)
+        assert algebra.bracket_i_hbar(x, y)._terms == bracket_per_pair(x, y)
+
+
+def test_to_ordered_forms_each_image_once(monkeypatch):
+    """`to_ordered` forms the commutative image x^m y^n once per (m, n), so
+    the t-slices of an operator that repeat one set of monomials cost no
+    further products."""
+    products = []
+    multiply = ScalarSeries.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    caps = dict(t_cap=3, weight_cap=6)
+    q6, t = q_op(**caps) ** 6, t_op(**caps)
+    repeated = q6 + t * q6 + t * t * q6 + t * t * t * q6
+    monkeypatch.setattr(ScalarSeries, "__mul__", counting)
+    counts = []
+    for f, view in ((q6, {(6, 0, 0, 0): 1}), (repeated, {(6, 0, 0, l): 1 for l in range(4)})):
+        products.clear()
+        assert algebra.to_pq(f) == algebra.OrderedPQ("qp", {e: Coefficient(c).raw for e, c in view.items()}, 3, 12)
+        counts.append(len(products))
+    assert counts == [19, 19]
+
+
 def test_qbracket_matches_per_pair_reduction():
     f, g = _coprime_operands()
     for x, y in ((f, g), (g, f)):

@@ -148,8 +148,8 @@ def test_shifted_rows_eliminate_like_product_rows(seed):
 
 
 def test_monomial_rows_form_no_series_product(monkeypatch):
-    """The Jacobian rows form no `ScalarSeries` product; the versality rows
-    form only the two of each Poisson bracket {m, F}."""
+    """Neither the Jacobian rows nor the versality rows form a `ScalarSeries`
+    product: a Poisson bracket {m, F} of a monomial is two scaled shifts."""
     products = []
     multiply = ScalarSeries.__mul__
 
@@ -161,5 +161,33 @@ def test_monomial_rows_form_no_series_product(monkeypatch):
     monkeypatch.setattr(ScalarSeries, "__mul__", counting)
     milnor._jacobian_rows(F, 5)
     assert products == []
-    milnor._versality_rows(F, 5)
-    assert len(products) == 2 * len(milnor._monomials(5 + 3))
+    rows = milnor._versality_rows(F, 5)
+    assert products == []
+    monkeypatch.undo()
+    # the brackets equal those formed by `poisson`, the first rows of the oracle
+    brackets = [r for r in versality_rows_by_products(F, 5)[: len(milnor._monomials(5 + 3))] if r]
+    assert rows[: len(brackets)] == brackets
+
+
+def test_check_versal_builds_each_degree_once(monkeypatch):
+    """check_versal builds the rows at D once, for the quotient dimension and
+    the span, and at D + 1 once, for the stabilization flag."""
+    from qmorse.cli import _plane_family
+
+    poly, tangents = _plane_family("p^3+q^5+q^2*p", (), 9)
+    expected = check_versal(poly, tangents, 9)
+    builds, products = [], []
+    rows, multiply = milnor._versality_rows, ScalarSeries.__mul__
+
+    def counting_rows(F, degree):
+        builds.append(degree)
+        return rows(F, degree)
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(milnor, "_versality_rows", counting_rows)
+    monkeypatch.setattr(ScalarSeries, "__mul__", counting)
+    assert check_versal(poly, tangents, 9) == expected
+    assert sorted(builds) == [9, 10] and products == []

@@ -232,6 +232,44 @@ def test_invert_series_matches_full_precision_loop(family, t_cap):
     assert nf.invert_series_z(u).to_json() == _invert_full_precision(u).to_json()
 
 
+def test_reversion_packs_each_horner_value_once(monkeypatch):
+    """Each `subs_series` of the quartic reversion at N=12 splits its Horner
+    value once, for all of the products that read it.
+
+    `ScalarSeries.__mul__` keeps each operand's packed form at the key width
+    it was asked for, and the caps of a Horner loop are fixed, so only the
+    first product ``out * value`` splits ``value``.  A change that splits a
+    reused operand again fails here without timing anything.
+    """
+    from qmorse import _kernel
+
+    u = _reversion_input("quartic", 12)
+    split, subs_series, smul = _kernel.split, ScalarSeries.subs_series, ScalarSeries.__mul__
+    split_terms, operands, calls = [], [], []
+
+    def counting_split(terms, den):
+        split_terms.append(terms)
+        return split(terms, den)
+
+    def counting_smul(self, other):
+        operands.append(other)
+        return smul(self, other)
+
+    def counting_subs_series(self, var, value):
+        first_split, first_product = len(split_terms), len(operands)
+        out = subs_series(self, var, value)
+        splits = sum(terms is value._terms for terms in split_terms[first_split:])
+        calls.append((splits, sum(other is value for other in operands[first_product:])))
+        return out
+
+    monkeypatch.setattr(_kernel, "split", counting_split)
+    monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
+    monkeypatch.setattr(ScalarSeries, "subs_series", counting_subs_series)
+    nf.invert_series_z(u)
+    assert [splits for splits, _ in calls] == [1] * 13  # 12 steps and the final check
+    assert sum(reads for _, reads in calls) == 116
+
+
 def test_solve_work_counts(monkeypatch):
     """Pair visits of the quartic solve at N=12, counted where the products run.
 

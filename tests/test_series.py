@@ -382,3 +382,54 @@ def test_scalar_product_term_guard(monkeypatch):
     monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
     with pytest.raises(ResourceError):
         _ = s * s
+
+
+def _horner(s, var, value):
+    """``s(var = value)`` by Horner steps, each product by `_naive_product`."""
+    out = s.zero_like()
+    for power in range(s.var_degree(var), -1, -1):
+        out = _naive_product(out, value) + s.var_slice(var, power)
+    return out
+
+
+def test_packed_product_at_the_width_edges():
+    """Products whose packed keys sit at the edges of their field width.
+
+    The width comes from the joined caps, except for a variable of weight 0
+    other than t, which is bounded by the operands' largest exponents: here
+    n^300 * n^300 and a plane family's lambda1^1000, far past the caps.
+    """
+    c0, c1, c2 = COPRIME
+    a = ScalarSeries({(300, 1, 0): c0, (2, 0, 1): c1, (300, 0, 2): c2}, vars=SIG_NHT, t_cap=2, weight_cap=2)
+    b = ScalarSeries({(300, 0, 1): c2, (0, 1, 0): c0, (1, 1, 1): c1}, vars=SIG_NHT, t_cap=3, weight_cap=1)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert (x * y).to_json() == _naive_product(x, y).to_json()
+    assert (a * a).coeff((600, 0, 0)) == Coefficient(0) and (a * b).coeff((600, 1, 1)) == c0 * c2
+    family = ("x", "y", "lambda1")
+    f = ScalarSeries({(1, 0, 1000): c0, (0, 2, 0): c1, (1, 1, 1): c2}, vars=family, t_cap=0, weight_cap=2)
+    g = ScalarSeries({(0, 1, 1000): c1, (0, 0, 1): c2, (3, 0, 0): 1}, vars=family, t_cap=0, weight_cap="3/2")
+    for x, y in ((f, g), (g, f), (f, f)):
+        assert (x * y).to_json() == _naive_product(x, y).to_json()
+    assert (f * g).coeff((1, 1, 2000)) == c0 * c1
+
+
+def test_subs_series_after_a_product_at_other_caps():
+    """A value packed by a product at other caps is packed afresh when its key
+    width changes, and read as kept when only the caps differ: the result
+    equals the Horner loop over `_naive_product` either way."""
+    c0, c1, c2 = COPRIME
+
+    def value():
+        return ScalarSeries(
+            {(1, 0, 0): 1, (2, 0, 1): c0, (0, 1, 1): c1, (3, 1, 2): c2, (9, 0, 3): c0}, vars=SIG_ZHT, t_cap=6, weight_cap=15
+        )
+
+    s = ScalarSeries({(1, 0, 0): c1, (2, 0, 1): c2, (4, 1, 0): c0, (0, 0, 2): 1}, vars=SIG_ZHT, t_cap=6, weight_cap=15)
+    expected = _horner(s, "z", value())
+    assert s.subs_series("z", value()) == expected and expected
+    for other_caps in ((2, 2), (6, 14)):  # a key width of 3 bits, then the same 5 bits as s
+        v = value()
+        other = ScalarSeries({(1, 1, 0): c2, (0, 0, 1): c1}, vars=SIG_ZHT, t_cap=other_caps[0], weight_cap=other_caps[1])
+        assert (other * v).to_json() == _naive_product(other, v).to_json()
+        assert s.subs_series("z", v) == expected
+        assert (other * v).to_json() == _naive_product(other, v).to_json()
