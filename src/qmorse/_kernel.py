@@ -7,8 +7,9 @@ d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 Two kernels act on term maps, each summing over a list of term-map pairs in
 one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
 (`qmul` is its one-pair entry), and `qbracket`, the sum ``(1/div) sum
-(i/hbar)[A, B]`` formed directly from the contraction terms.  A composition
-``sum_j C_j(hbar, t) P^j`` is one `qmul_sum` call whose left operands are
+(i/hbar)[A, B]`` formed directly from the contraction terms.  Every operator
+product runs one loop, `qmul_packed`, over packed operands (below); a
+composition ``sum_j C_j(hbar, t) P^j`` is one call whose left operands are
 central.  The reordering factors come from one table: both kernels read the
 ``j >= 1`` factors of `contractions` by row (`contraction_row`), each row
 filled when it is made or lengthened.  A Lie-ladder step passes all of its
@@ -29,11 +30,29 @@ of the output keys to fit in ``S`` bits, so the width comes from the caps
 other than t (n and the plane parameters lambda_j, which the operator
 kernels never see) is bounded by the operands' largest exponents instead.
 
+Packed operands.  The product loop `qmul_packed` reads each operand as
+``(den, {component: [(key, w2, l, m, n, numerator)]})``: the terms over one
+denominator, split by component, each with its packed key, doubled weight
+``w2 = m + n + 2k``, t power and the adag and a powers the contractions
+read, each part sorted by t power (`pack_terms`), so that a left term stops
+at the first right term past its t room.  It is the operator twin of the
+form ``ScalarSeries._packed`` keeps.  The loop returns the split sums over
+``den_A * den_B``, and has two endings.  `qmul_sum`, for term-map callers,
+packs its operands, runs the loop, then joins and reduces each output term
+(`joined`) and unpacks its key (`unpacked`).  A caller that reads the
+product as an operand again, as the Morse solve does with the powers fn^j,
+takes the sums as a packed operand instead (`pack_sums`): reduced once as a
+whole, by one gcd chain (`reduced`), its keys never unpacked into tuples.
+Such an operand can be cut to a t cap (`cut_t`) and split into t-slices
+read off the key (`t_slices`) without being split or packed again.
+
 Callers reach the kernels through the module attributes (``_kernel.qmul``,
-``_kernel.qmul_sum``, ``_kernel.qbracket``), and `qmul` reaches `qmul_sum` the
-same way, so a wrapper installed on one sees every call.  The benchmark's
-``kernel.qmul`` spans therefore count binary products only: the pairs of a
-bracket or of a composition are not seen by ``kernel.qmul``.
+``_kernel.qmul_sum``, ``_kernel.qmul_packed``, ``_kernel.qbracket``), and
+`qmul` reaches `qmul_sum`, and `qmul_sum` `qmul_packed`, the same way, so a
+wrapper installed on one sees every call.  The benchmark's ``kernel.qmul``
+spans therefore count binary term-map products only: the pairs of a bracket,
+and the powers and compositions of the Morse solve, which call
+`qmul_packed` directly, are not seen by ``kernel.qmul``.
 
 Components and common denominators.  Every product of term maps, the two
 kernels, ``ScalarSeries.__mul__`` and the Fock-space layer of `spectrum`
@@ -50,9 +69,11 @@ term pair.  The field product is written out once, in `coeff_mul`, the
 reference that `COMPONENT_PRODUCT` and the tests check against; no pair is
 reduced and none calls `coeff_mul` or `coeff_make`.  Each output term is joined
 from its components and reduced once, by ``coeff_make(a, b, c, d, den_A *
-den_B)`` (`joined`); ``den_A`` and ``den_B`` are the lcms over all left and all
-right operands of the pair list, and `qbracket`'s divisor joins them in that
-one reduction.  Callers reach `component_pairs` through the module attribute,
+den_B)`` (`joined`), unless the product is kept packed (`pack_sums`);
+``den_A`` and ``den_B`` are the lcms over all left and all right operands of
+the pair list (`qmul_packed` lifts a pair's own denominators to them by one
+factor on its left terms), and `qbracket`'s divisor joins them in that one
+reduction.  Callers reach `component_pairs` through the module attribute,
 as they reach the kernels, so a wrapper installed on it sees every component
 pair.  Every product raises ResourceError when its accumulators together hold
 more than `term_guard` entries (`check_guard`), read once per call.
@@ -74,7 +95,8 @@ those brackets take the half path.
 import os
 from bisect import bisect_right
 from itertools import zip_longest
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
+from operator import itemgetter
 
 from .errors import ResourceError
 
@@ -316,60 +338,141 @@ def contraction_row(a, size):
     return row
 
 
-def qmul_sum(pairs, t_cap, w2_cap):
-    """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, in one split accumulator.
+t_power = itemgetter(2)  # of a packed term: (key, doubled weight, t power, ...)
 
-    Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
-    t) to coefficient tuples.  Reordering ``a^n1 adag^m2`` conserves the
-    weight ``m + n + 2k`` and adds the ``j >= 1`` terms of ``contractions(n1,
-    m2)``, read as ``rows[n1][m2]`` (`contraction_row`, each row sized by the
-    largest adag power of the pair's kept right terms).  A term pair is kept
-    when its weight is within ``w2_cap`` and its t power within ``t_cap``
-    (silent truncation is part of the series contract).  Each term is packed
-    once, in fields of `key_width` bits (module docstring), so a term pair's
-    key is the sum of its operands' keys and each contraction adds
-    `contraction_step`; the output keys are unpacked once, after the
-    reduction.  All left operands go over the lcm ``den_A`` of their
-    denominators and all right ones over the lcm ``den_B`` of theirs, and the
-    pairs are split by component one at a time; each term pair adds one
-    integer product per factor, and each output term is reduced once, over
-    ``den_A * den_B``.  Raises ResourceError when the accumulators exceed
-    `term_guard` entries.
+
+def reduced(parts, den):
+    """The split sums ``parts`` over ``den`` in canonical form, as ``(parts, den)``.
+
+    Zero sums and empty parts are dropped and every numerator and ``den`` are
+    divided by ``g = gcd(den, all numerators)``.  An entry ``x/den`` reduces to
+    the denominator ``den / gcd(den, x)``, so ``den / g`` is the lcm of the
+    entries' reduced denominators.  The chain stops at the first ``g == 1``.
+    """
+    kept = {}
+    g = den
+    for x, p in parts.items():
+        p = {key: c for key, c in p.items() if c}
+        if p:
+            kept[x] = p
+            if g != 1:
+                g = gcd(g, *p.values())
+    if g != 1:
+        kept = {x: {key: c // g for key, c in p.items()} for x, p in kept.items()}
+        den //= g
+    return kept, den
+
+
+def pack_terms(terms, S, t_cap, w2_cap):
+    """The packed operand of the terms of a term map within the caps.
+
+    A packed operand is ``(den, {component: [(key, w2, l, m, n,
+    numerator)]})``: the terms over the lcm ``den`` of the map's
+    denominators, split by component (`split`), each exponent ``(m, n, k,
+    l)`` packed in fields of ``S`` bits with its doubled weight ``w2 = m + n +
+    2k``, each part sorted by t power (`t_power`), so that a product stops at
+    the first right term past its t room.
+    """
+    den = common_denominator(terms)
+    s2, s3 = 2 * S, 3 * S
+    parts = {}
+    for x, p in split(terms, den).items():
+        kept = []
+        for (m, n, k, l), c in p.items():
+            w2 = m + n + 2 * k
+            if w2 <= w2_cap and l <= t_cap:
+                kept.append(((m << s3) + (n << s2) + (k << S) + l, w2, l, m, n, c))
+        if kept:
+            kept.sort(key=t_power)
+            parts[x] = kept
+    return den, parts
+
+
+def pack_sums(parts, den, S):
+    """The packed operand of a product's split sums ``parts`` over ``den``.
+
+    The sums are reduced once as a whole (`reduced`), not term by term, and
+    each key's fields are read once; the key itself is kept as it is.
+    """
+    parts, den = reduced(parts, den)
+    mask = (1 << S) - 1
+    s2, s3 = 2 * S, 3 * S
+    out = {}
+    for x, p in parts.items():
+        terms = []
+        for key, c in p.items():
+            m, n, k, l = key >> s3, key >> s2 & mask, key >> S & mask, key & mask
+            terms.append((key, m + n + 2 * k, l, m, n, c))
+        terms.sort(key=t_power)
+        out[x] = terms
+    return den, out
+
+
+def cut_t(operand, t_cap):
+    """A packed operand cut to its terms of t power at most ``t_cap``."""
+    den, parts = operand
+    out = {}
+    for x, p in parts.items():
+        end = bisect_right(p, t_cap, key=t_power)
+        if end:
+            out[x] = p if end == len(p) else p[:end]
+    return den, out
+
+
+def t_slices(operand, t_cap):
+    """``[X_0 .. X_t_cap]`` of a packed operand with no term past ``t_cap``.
+
+    Each ``X_l`` holds the terms at ``t^l`` with the t field of the key and
+    the t power set to 0, over the operand's ``den``.
+    """
+    den, parts = operand
+    slices = [{} for _ in range(t_cap + 1)]
+    for x, p in parts.items():
+        for key, w2, l, m, n, c in p:
+            slices[l].setdefault(x, []).append((key - l, w2, 0, m, n, c))
+    return [(den, s) for s in slices]
+
+
+def qmul_packed(pairs, t_cap, w2_cap, S):
+    """``sum A B`` over pairs of packed operands (`pack_terms`), as split sums ``(parts, den)``.
+
+    Reordering ``a^n1 adag^m2`` conserves the weight ``m + n + 2k`` and adds
+    the ``j >= 1`` terms of ``contractions(n1, m2)``, read as
+    ``rows[n1][m2]`` (`contraction_row`, each row sized by the largest adag
+    power of the pair's right terms).  A term pair is formed when its
+    weight is within ``w2_cap`` and its t power within ``t_cap``; each right
+    part is sorted by t power, so a left term stops at the first right term
+    past its t room.  The key of a term pair is the sum of its operands'
+    keys, of ``S`` bits per field, and each contraction adds
+    `contraction_step`.  The sums are numerators over ``den = den_A *
+    den_B``, the lcms of the left and of the right operands' denominators:
+    a pair's own denominators are lifted to those by one factor on its left
+    terms.  Raises ResourceError when the sums exceed `term_guard` entries.
     """
     guard = term_guard()
     den_a = den_b = 1
-    for A, B in pairs:
-        den_a = common_denominator(A, den_a)
-        den_b = common_denominator(B, den_b)
-    S = key_width(max(w2_cap, t_cap))
-    s2, s3 = 2 * S, 3 * S
+    for (da, _), (db, _) in pairs:
+        den_a, den_b = lcm(den_a, da), lcm(den_b, db)
     step = contraction_step(S)
     out = {}
-    for A, B in pairs:
-        right = {}
-        for y, q in split(B, den_b).items():
-            kept = []
-            for (m2, n2, k2, l2), c in q.items():
-                w2 = m2 + n2 + 2 * k2
-                if w2 <= w2_cap and l2 <= t_cap:
-                    kept.append(((m2 << s3) + (n2 << s2) + (k2 << S) + l2, w2, l2, m2, c))
-            if kept:
-                right[y] = kept
-        size = max((term[3] for q in right.values() for term in q), default=0) + 1
-        left = {}
-        for x, p in split(A, den_a).items():
-            kept = left[x] = []
-            for (m1, n1, k1, l1), c in p.items():
-                key = (m1 << s3) + (n1 << s2) + (k1 << S) + l1
-                row = contraction_row(n1, size) if n1 else None
-                kept.append((key, w2_cap - (m1 + n1 + 2 * k1), t_cap - l1, row, c))
+    for (da, left), (db, right) in pairs:
+        lift = den_a // da * (den_b // db)
+        size = 0
+        if any(term[4] for p in left.values() for term in p):
+            size = max((term[3] for q in right.values() for term in q), default=0) + 1
         for z, w, p, q in component_pairs(left, right):
             acc = out.setdefault(z, {})
             get = acc.get
-            for p1, w_room, t_room, row, x in p:
+            w *= lift
+            for p1, w1, l1, _, n1, x in p:
                 x *= w
-                for p2, w2, l2, m2, y in q:
-                    if w2 > w_room or l2 > t_room:
+                w_room = w2_cap - w1
+                t_room = t_cap - l1
+                row = contraction_row(n1, size) if n1 else None
+                for p2, w2, l2, m2, _, y in q:
+                    if l2 > t_room:
+                        break
+                    if w2 > w_room:
                         continue
                     c = x * y
                     key = p1 + p2
@@ -379,7 +482,23 @@ def qmul_sum(pairs, t_cap, w2_cap):
                             key += step
                             acc[key] = get(key, 0) + c * f
                 check_guard(out, guard)
-    return unpacked(joined(out, den_a * den_b), 4, S)
+    return out, den_a * den_b
+
+
+def qmul_sum(pairs, t_cap, w2_cap):
+    """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, as a term map.
+
+    Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
+    t) to coefficient tuples.  Each operand is packed (`pack_terms`) in
+    fields of `key_width` bits for the caps, keeping only its terms within
+    the caps (silent truncation is part of the series contract); the product
+    is `qmul_packed`, and each output term is reduced once (`joined`) and its
+    key unpacked once (`unpacked`).
+    """
+    S = key_width(max(w2_cap, t_cap))
+    packed = [(pack_terms(A, S, t_cap, w2_cap), pack_terms(B, S, t_cap, w2_cap)) for A, B in pairs]
+    out, den = qmul_packed(packed, t_cap, w2_cap, S)
+    return unpacked(joined(out, den), 4, S)
 
 
 def qmul(A, B, t_cap, w2_cap):

@@ -31,14 +31,23 @@ of the split of h for H) pulls its residual from the steps already solved,
     R_k = [t^k] dfn/dt - sum_{i<k} (sum_j C_ij [t^(k-i)] fn^j + (i/hbar)[fn_(k-i), h_i]),
 
 C_ij the central z^j slice of g_i, so nothing is formed ahead of the step
-that reads it.  The powers fn^j are kept as t-slice lists: power j is built
-once, when some g_k first reaches z^j, at t_cap=N-1-k (the last order a later
-step reads), and never cut after that.  The composition part is one
-`_kernel.qmul_sum` call over the pairs (C_ij, [t^(k-i)] fn^j) at t_cap=0,
-since every operand is t-free, and the bracket part is one `bracket_i_hbar`
-per nonzero pair (fn_(k-i), h_i).  Iteration j of the reversion fixes t^j
-and works at t_cap=j.  The diagonal split reads the falling products P_n
-from one integer table (`_falling_row`), filled on first use, not per solve.
+that reads it.  The powers fn^j never become series: they stay in the
+product kernel's packed, split form (`_kernel.pack_terms`), at one key width
+for the whole solve.  fn is packed once, and each C_ij, j >= 1, when g_i is
+split (fn^0 = 1 has no slice that a step reads).  Power j is built once, when
+some g_k first reaches z^j, at t_cap=N-1-k (the last order a later step
+reads), as one `_kernel.qmul_packed` call over fn and fn^(j-1), both cut to
+that cap (fn commutes with its powers, and on the left its few terms carry
+the per-term work of the loop); its sums are reduced once as a whole
+(`_kernel.pack_sums`), its t-slices read off the key once
+(`_kernel.t_slices`), and only the last power is kept whole, for the next.
+The composition part is one `_kernel.qmul_packed` call over the packed pairs
+(C_ij, [t^(k-i)] fn^j) at t_cap=0, since every operand is t-free; only its
+sum, the residual, becomes a series.  The bracket part is one
+`bracket_i_hbar` per nonzero pair (fn_(k-i), h_i).  Iteration j of the
+reversion fixes t^j and works at t_cap=j.  The diagonal split reads the
+falling products P_n from one integer table (`_falling_row`), filled on
+first use, not per solve.
 """
 
 from __future__ import annotations
@@ -264,30 +273,40 @@ def _normalize_input(f: QSeries):
 def _homological_solve(fn: QSeries, rhs):
     """Slices of (g, h) with g o fn + (i/hbar)[fn, h] = sum_k t^k rhs[k] below t^(fn.t_cap).
 
-    Step k splits R_k (module docstring); pows[j] holds the t-slices of fn^j.
+    Step k splits R_k (module docstring).  pows[j] holds the packed t-slices
+    of fn^j and last the packed fn^j they were read off, the right factor of
+    the next power; every packed operand has the key width S of the solve's
+    caps.
     """
     order, w2 = fn.t_cap, fn.w2_cap
-    pows = [fn.one_like().t_slices(), fn.t_slices()]
-    central = []  # (i, j, C_ij)
+    S = _kernel.key_width(max(w2, order))
+    last = fn_form = _kernel.pack_terms(fn._terms, S, order, w2)
+    pows = [None, _kernel.t_slices(fn_form, order)]  # no C_i0 is kept, so fn^0 is never read
+    fn_slices = fn.t_slices()
+    central = []  # (i, j, packed C_ij), j >= 1
     g_slices = []
     h_slices = []
     for k in range(order):
-        pairs = [(c, pows[j][k - i]._terms) for i, j, c in central if pows[j][k - i]]
-        r = rhs[k] - QSeries._from_raw(_kernel.qmul_sum(pairs, 0, w2), order, w2)
+        pairs = [(c, pows[j][k - i]) for i, j, c in central if pows[j][k - i][1]]
+        parts, den = _kernel.qmul_packed(pairs, 0, w2, S)
+        r = rhs[k] - QSeries._from_raw(_kernel.unpacked(_kernel.joined(parts, den), 4, S), order, w2)
         for i, h_i in enumerate(h_slices):
-            if h_i and pows[1][k - i]:
-                r = r - bracket_i_hbar(pows[1][k - i], h_i)
+            if h_i and fn_slices[k - i]:
+                r = r - bracket_i_hbar(fn_slices[k - i], h_i)
         g_k, h_k = split_homological(r)
         g_slices.append(g_k)
         h_slices.append(h_k)
         by_power = {}
         for (j, hb, l), c in g_k._terms.items():
-            by_power.setdefault(j, {})[0, 0, hb, l] = c
-        central += [(k, j, c) for j, c in by_power.items()]
+            if j:  # a step reads only slices past t^0, and fn^0 = 1 has none
+                by_power.setdefault(j, {})[0, 0, hb, l] = c
+        central += [(k, j, _kernel.pack_terms(c, S, 0, w2)) for j, c in by_power.items()]
         # power j is first read at step k + 1, through t^(order-1-k)
         while k < order - 1 and len(pows) <= g_k.var_degree("z"):
-            fc = fn.with_caps(t_cap=order - 1 - k)
-            pows.append((fc.join_t_slices(pows[-1]) * fc).t_slices())
+            cap = order - 1 - k
+            pair = (_kernel.cut_t(fn_form, cap), _kernel.cut_t(last, cap))
+            last = _kernel.pack_sums(*_kernel.qmul_packed([pair], cap, w2, S), S)
+            pows.append(_kernel.t_slices(last, cap))
     return g_slices, h_slices
 
 

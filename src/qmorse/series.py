@@ -228,8 +228,21 @@ class _Series:
         return self._like({e: _kernel.coeff_mul(v, raw) for e, v in self._terms.items()})
 
     def __pow__(self, n):
+        """``self ** n`` by binary powers; zero at once when every term of the power lies past a cap.
+
+        Weights and t powers add under products and contractions conserve
+        weight, so each term of ``self ** n`` weighs at least ``n`` times the
+        lightest term of ``self``, and carries at least ``n`` times its lowest
+        t power.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be non-negative integers")
+        if n and self._terms:
+            weights, ti = self._weights, self._ti
+            light = min(sum(map(operator.mul, e, weights)) for e in self._terms)
+            low = 0 if ti is None else min(e[ti] for e in self._terms)
+            if n * light > self.w2_cap or n * low > self.t_cap:
+                return self.zero_like()
         out = self.one_like()
         base = self
         while n:
@@ -401,9 +414,6 @@ def _var_w2(v):
     raise ValueError(f"unknown scalar variable {v!r}")
 
 
-_t_power = operator.itemgetter(2)  # of a packed term (key, doubled weight, t power, numerator)
-
-
 @lru_cache(maxsize=None)
 def _scalar_sig(vars):
     return vars, tuple(map(_var_w2, vars)), vars.index("t") if "t" in vars else None
@@ -459,7 +469,7 @@ class ScalarSeries(_Series):
                     (_kernel.pack(e, S), sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti], v)
                     for e, v in p.items()
                 ],
-                key=_t_power,
+                key=_kernel.t_power,
             )
             for x, p in _kernel.split(self._terms, den).items()
         }

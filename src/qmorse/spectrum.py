@@ -21,7 +21,7 @@ the nonzero component pairs (`_kernel.component_pairs`), one integer
 multiply-add per term pair.  A rational operand, such as every vector and
 energy of a real perturbation like ``q^4``, thus costs one integer product per
 term pair.  Each output is reduced once: a vector by one gcd chain over its
-denominator and all of its numerators (`_reduced`), a scalar series term by
+denominator and all of its numerators (`_kernel.reduced`), a scalar series term by
 term (`_kernel.joined`).  Each order of `rs_perturbation` puts all of its
 contributions over one denominator and reduces the new eigenvector correction
 once, as one vector, with the level gaps folded into its denominator.
@@ -36,38 +36,16 @@ import math
 from dataclasses import dataclass, field
 
 from . import _kernel
-from ._kernel import common_denominator, joined, split
+from ._kernel import common_denominator, joined, reduced, split
 from .errors import DomainError, ResourceError
 from .field import Coefficient
 from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, harmonic, render_terms
 
 
-def _reduced(parts, den):
-    """The split sums ``parts`` over ``den`` in canonical form, as ``(parts, den)``.
-
-    Zero sums and empty parts are dropped and every numerator and ``den`` are
-    divided by ``g = gcd(den, all numerators)``.  An entry ``x/den`` reduces to
-    the denominator ``den / gcd(den, x)``, so ``den / g`` is the lcm of the
-    entries' reduced denominators.  The chain stops at the first ``g == 1``.
-    """
-    kept = {}
-    g = den
-    for x, p in parts.items():
-        p = {key: c for key, c in p.items() if c}
-        if p:
-            kept[x] = p
-            if g != 1:
-                g = math.gcd(g, *p.values())
-    if g != 1:
-        kept = {x: {key: c // g for key, c in p.items()} for x, p in kept.items()}
-        den //= g
-    return kept, den
-
-
 def _reduced_vector(parts, den) -> "FockVector":
     """The FockVector of the split sums ``parts`` over ``den``, in canonical form."""
     v = FockVector()
-    v._parts, v._den = _reduced(parts, den)
+    v._parts, v._den = reduced(parts, den)
     return v
 
 
@@ -246,7 +224,7 @@ def rs_perturbation(f: QSeries, level: int, order: int) -> ScalarSeries:
         for v in sources:
             v.add_into(acc, den)
         energies.append(
-            _reduced({x: {kh: c for (m, kh), c in p.items() if m == level} for x, p in acc.items()}, den)
+            reduced({x: {kh: c for (m, kh), c in p.items() if m == level} for x, p in acc.items()}, den)
         )
         # acc -= E_j psi_{k-j}; E_k psi_0 cancels the level component, and
         # then (f0 - E_0) psi_k = -R fixes psi_k off the level

@@ -270,6 +270,115 @@ def test_reversion_packs_each_horner_value_once(monkeypatch):
     assert sum(reads for _, reads in calls) == 116
 
 
+def _operand_terms(operand, S):
+    """The term map of a packed operand, each coefficient reduced and each key
+    unpacked from its own fields, not from the fields kept beside it."""
+    from qmorse import _kernel
+
+    den, parts = operand
+    sums = {x: {term[0]: term[-1] for term in p} for x, p in parts.items()}
+    return _kernel.unpacked(_kernel.joined(sums, den), 4, S)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("p^2+q^2+t*q^4", 8),
+        ("p^2+q^2+t*(q^2*p^2+p^2*q^2)/2", 6),
+        (COMPLEX_ENERGIES, 6),
+        ("p^2+q^2+t*(q^3+p^3+q^4)", 5),
+    ],
+    ids=["quartic", "sym-q2p2", "complex-energies", "q3+p3+q4"],
+)
+def test_packed_powers_equal_the_series_powers(monkeypatch, text, order):
+    """Each packed power fn^j of the solve equals ``fn.with_caps(t_cap=c) ** j``
+    slice by slice, at the cap c it is built at: ``N - 1 - k`` for the first
+    step k < N - 1 whose g_k reaches z^j (fn itself at N).  The slices are
+    read where the solve reads them, at `_kernel.t_slices`."""
+    from qmorse import _kernel
+
+    seen = []
+    t_slices = _kernel.t_slices
+
+    def spy(operand, t_cap):
+        out = t_slices(operand, t_cap)
+        seen.append((t_cap, out))
+        return out
+
+    monkeypatch.setattr(_kernel, "t_slices", spy)
+    result = nf.quantum_morse(parser.elaborate(parser.parse_expr(text), order, "64"), order)
+    fn = result.normalized_input
+    degrees = [g.var_degree("z") for g in result.g.t_slices()[: order - 1]]
+    caps = [order] + [order - 1 - min(k for k, d in enumerate(degrees) if d >= j) for j in range(2, max(degrees) + 1)]
+    assert [t_cap for t_cap, _ in seen] == caps and len(caps) > 2
+    S = _kernel.key_width(max(fn.w2_cap, fn.t_cap))
+    for j, (t_cap, slices) in enumerate(seen, 1):
+        expected = (fn.with_caps(t_cap=t_cap) ** j).t_slices()
+        assert len(slices) == len(expected) == t_cap + 1
+        for operand, x in zip(slices, expected):
+            assert _operand_terms(operand, S) == x._terms
+
+
+def test_solve_packs_each_operand_once(monkeypatch):
+    """The packing work of the quartic solve at N=12.
+
+    fn is packed once (`_kernel.pack_terms`), and so is each central C_ij of
+    z power j >= 1, when g_i is split; those are the only operands split by
+    component outside the brackets.  Each power fn^j, j >= 2, is packed once,
+    from the sums of its product (`_kernel.pack_sums`), and its t-slices are
+    read off once (`_kernel.t_slices`); no power and no slice is split or
+    packed again.
+    """
+    from qmorse import _kernel
+
+    caps = dict(t_cap=12, weight_cap="24")
+    f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
+    calls = {"split": 0, "pack_terms": [], "pack_sums": 0, "t_slices": 0}
+    in_solve, in_bracket = [], []
+    split, pack_terms, pack_sums, t_slices = _kernel.split, _kernel.pack_terms, _kernel.pack_sums, _kernel.t_slices
+    qbracket, solve = _kernel.qbracket, nf._homological_solve
+
+    def counting_split(terms, den):
+        calls["split"] += bool(in_solve) and not in_bracket
+        return split(terms, den)
+
+    def counting_pack_terms(terms, *rest):
+        calls["pack_terms"].append(terms)
+        return pack_terms(terms, *rest)
+
+    def counting_pack_sums(*args):
+        calls["pack_sums"] += 1
+        return pack_sums(*args)
+
+    def counting_t_slices(*args):
+        calls["t_slices"] += 1
+        return t_slices(*args)
+
+    def marked(flag, run):
+        def call(*args):
+            flag.append(1)
+            try:
+                return run(*args)
+            finally:
+                flag.pop()
+        return call
+
+    for name, wrapper in [
+        ("split", counting_split), ("pack_terms", counting_pack_terms), ("pack_sums", counting_pack_sums),
+        ("t_slices", counting_t_slices), ("qbracket", marked(in_bracket, qbracket)),
+    ]:
+        monkeypatch.setattr(_kernel, name, wrapper)
+    monkeypatch.setattr(nf, "_homological_solve", marked(in_solve, solve))
+    result = nf.quantum_morse(f, 12)
+    fn = result.normalized_input
+    packed = calls.pop("pack_terms")
+    assert packed[0] is fn._terms
+    assert all(m == n == 0 for terms in packed[1:] for m, n, _, _ in terms)
+    powers = max(g.var_degree("z") for g in result.g.t_slices()[:11]) - 1
+    assert calls == {"split": len(packed), "pack_sums": powers, "t_slices": powers + 1}
+    assert (len(packed), powers) == (49, 11)
+
+
 def test_solve_work_counts(monkeypatch):
     """Pair visits of the quartic solve at N=12, counted where the products run.
 
@@ -277,36 +386,41 @@ def test_solve_work_counts(monkeypatch):
     of the reversion raises these totals and fails here without timing
     anything.  Brackets are formed by `_kernel.qbracket` and counted as
     len(A) * len(B) per pair, before its hermitian cut.  Products are formed
-    by `_kernel.qmul_sum` and counted the same way: the powers of fn, one pair
+    by `_kernel.qmul_packed`, over packed operands, and counted as the
+    product of the operands' entries (a term has one entry per nonzero
+    component; every term of this solve has one): the powers of fn, one pair
     each, and the composition part of each residual R_k, one pair
-    (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j of g_i, whose
-    central left map C_ij holds g_i's terms at z^j.  Only the t^(k-i) slices
-    that R_k reads are formed, none at t^0.  The diagonal split reads the
-    falling products P_n from an integer table, so it forms no ScalarSeries
-    product.
+    (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j >= 1 of g_i,
+    whose central left operand C_ij holds g_i's terms at z^j.  Only the
+    t^(k-i) slices that R_k reads are formed, none at t^0.  The diagonal
+    split reads the falling products P_n from an integer table, so it forms
+    no ScalarSeries product.
     """
     from qmorse import _kernel
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
     counts = {"smul_pairs": 0, "product_pairs": 0, "bracket_pairs": 0}
-    smul, qmul_sum, qbracket = ScalarSeries.__mul__, _kernel.qmul_sum, _kernel.qbracket
+    smul, qmul_packed, qbracket = ScalarSeries.__mul__, _kernel.qmul_packed, _kernel.qbracket
+
+    def entries(operand):
+        return sum(map(len, operand[1].values()))
 
     def counting_smul(self, other):
         if isinstance(other, ScalarSeries):
             counts["smul_pairs"] += len(self) * len(other)
         return smul(self, other)
 
-    def counting_qmul_sum(pairs, *rest):
-        counts["product_pairs"] += sum(len(A) * len(B) for A, B in pairs)
-        return qmul_sum(pairs, *rest)
+    def counting_qmul_packed(pairs, *rest):
+        counts["product_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
+        return qmul_packed(pairs, *rest)
 
     def counting_qbracket(pairs, *rest):
         counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
         return qbracket(pairs, *rest)
 
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
-    monkeypatch.setattr(_kernel, "qmul_sum", counting_qmul_sum)
+    monkeypatch.setattr(_kernel, "qmul_packed", counting_qmul_packed)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     nf.quantum_morse(f, 12)
     assert counts == {"smul_pairs": 48950, "product_pairs": 37637, "bracket_pairs": 6534}
@@ -510,6 +624,8 @@ def test_component_pair_counts():
     integer product where a 4-int layout pays sixteen.  Its generator and
     verify() visit two pairs.  ``COMPLEX_ENERGIES`` fills all four
     components, and its solve, generator and verify() visit all sixteen.
+    A power fn^(j+1) is formed as fn fn^j, fn on the left, so its term pairs
+    are counted at (component of fn, component of fn^j).
     """
     caps = dict(t_cap=12, weight_cap="24")
     counts = component_pair_counts(lambda: nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 12))
@@ -526,10 +642,10 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 34338, (0, 1): 32858, (0, 2): 37288, (0, 3): 20904,
-        (1, 0): 15919, (1, 1): 15961, (1, 2): 18212, (1, 3): 9383,
-        (2, 0): 20084, (2, 1): 17160, (2, 2): 19691, (2, 3): 11388,
-        (3, 0): 19901, (3, 1): 23262, (3, 2): 25700, (3, 3): 12868,
+        (0, 0): 34338, (0, 1): 32686, (0, 2): 33906, (0, 3): 20338,
+        (1, 0): 16091, (1, 1): 15961, (1, 2): 16746, (1, 3): 9229,
+        (2, 0): 23466, (2, 1): 18626, (2, 2): 19691, (2, 3): 13272,
+        (3, 0): 20467, (3, 1): 23416, (3, 2): 23816, (3, 3): 12868,
     }
 
 

@@ -433,3 +433,80 @@ def test_subs_series_after_a_product_at_other_caps():
         assert (other * v).to_json() == _naive_product(other, v).to_json()
         assert s.subs_series("z", v) == expected
         assert (other * v).to_json() == _naive_product(other, v).to_json()
+
+
+def test_power_past_the_weight_cap_forms_no_product(monkeypatch, capsys):
+    """``(q+p)^99999`` at weight cap 64 is zero: each of its terms weighs at
+    least 99999/2, so no product is formed, and `qmorse spectrum` prints
+    what it prints for the perturbation 0."""
+    from qmorse import _kernel, cli
+    from qmorse.parser import elaborate, parse_expr
+
+    calls = []
+    qmul_sum = _kernel.qmul_sum
+
+    def counting(pairs, *rest):
+        calls.append(len(pairs))
+        return qmul_sum(pairs, *rest)
+
+    monkeypatch.setattr(_kernel, "qmul_sum", counting)
+    g = elaborate(parse_expr("(q+p)^99999"), 2, "64")
+    assert not g and (g.t_cap, g.w2_cap) == (2, 128) and calls == []
+    outputs = []
+    for text in ("(q+p)^99999", "0"):
+        assert cli.main(["spectrum", "--perturbation", text, "--order", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def _random_power_base(rng, kind):
+    """A QSeries, or a ScalarSeries over (z, hbar, t) or (n, hbar, t), of 1-3
+    terms; every third one carries a term of weight 0 (t^l, or n^j t^l)."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        l = rng.randint(0, 2)
+        if kind == "q":
+            exp = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), l)
+        else:
+            exp = (rng.randint(0 if kind == "n" else 1, 2), rng.randint(0, 1), l)
+        terms[exp] = rng.choice(COPRIME)
+    if rng.randrange(3) == 0:
+        terms[(0, 0, 0, rng.randint(0, 1)) if kind == "q" else (rng.randint(0, 2) if kind == "n" else 0, 0, 1)] = 1
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["q", "z", "n"])
+def test_power_equals_repeated_products_around_the_floor(kind):
+    """``x ** n`` equals ``x * x * ... * x`` on both sides of the floor ``n *
+    (lightest doubled weight) > w2_cap`` or ``n * (lowest t power) > t_cap``,
+    where the power is zero without a product; a term of weight 0 puts the
+    weight floor at 0, so only the caps truncate."""
+    vars = {"z": SIG_ZHT, "n": SIG_NHT}.get(kind)
+    weights = (1, 1, 2, 0) if kind == "q" else ((0 if kind == "n" else 2), 2, 0)
+    rng = random.Random(4099)
+    sides = set()
+    for _ in range(60):
+        terms = _random_power_base(rng, kind)
+        n = rng.randint(1, 4)
+        light = min(sum(e * w for e, w in zip(exp, weights)) for exp in terms)
+        low = min(exp[-1] for exp in terms)
+        w2_cap = max(n * light + rng.randint(-1, 1), 0)
+        t_cap = max(n * low + rng.randint(-1, 1), 0)
+        if kind == "q":
+            x = QSeries(terms, t_cap=t_cap, weight_cap=Fraction(w2_cap, 2))
+        else:
+            x = ScalarSeries(terms, vars=vars, t_cap=t_cap, weight_cap=Fraction(w2_cap, 2))
+        if not x:
+            continue
+        expected = x.one_like()
+        for _ in range(n):
+            expected = expected * x
+        got = x ** n
+        assert got == expected and (got.t_cap, got.w2_cap) == (expected.t_cap, expected.w2_cap)
+        floor = n * min(sum(e * w for e, w in zip(exp, weights)) for exp in x._terms) > x.w2_cap
+        floor = floor or n * min(exp[-1] for exp in x._terms) > x.t_cap
+        light0 = any(sum(e * w for e, w in zip(exp, weights)) == 0 for exp in x._terms)
+        sides.add((floor, bool(expected), light0))
+        if floor:
+            assert not got
+    assert {(True, False, False), (False, True, False), (False, True, True)} <= sides
