@@ -7,76 +7,80 @@ d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 Two kernels act on term maps, each summing over a list of term-map pairs in
 one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
 (`qmul` is its one-pair entry), and `qbracket`, the sum ``(1/div) sum
-(i/hbar)[A, B]`` formed directly from the contraction terms.  Every operator
-product runs one loop, `qmul_packed`, over packed operands (below); a
-composition ``sum_j C_j(hbar, t) P^j`` is one call whose left operands are
-central.  The reordering factors come from one table: both kernels read the
-``j >= 1`` factors of `contractions` by row (`contraction_row`), each row
-filled when it is made or lengthened.  A Lie-ladder step passes all of its
-brackets to `qbracket` in one call.
+(i/hbar)[A, B]`` formed directly from the contraction terms.  Every product,
+of operators and of scalars, runs one loop, `qmul_packed`, over packed
+operands (below): a composition ``sum_j C_j(hbar, t) P^j`` is one call whose
+left operands are central, a ``ScalarSeries`` product one call whose terms
+never contract.  The reordering factors come from one table: both kernels
+read the ``j >= 1`` factors of `contractions` by row (`contraction_row`),
+each row filled when it is made or lengthened.  A Lie-ladder step passes all
+of its brackets to `qbracket` in one call.
 
-Packed keys.  Every product of monomials, in the two kernels and in
-``ScalarSeries.__mul__``, adds integer keys.  An exponent tuple ``(e_0, ...,
-e_r)`` is packed once into ``sum e_i << S (r - i)`` (`pack`; the operator
-kernels write it out as ``(m << 3S) + (n << 2S) + (k << S) + l``), so the key
-of a product is the sum of its factors' keys, and a contraction (m and n
-down by one, k up by one) or the division by hbar adds a constant
-(`contraction_step`, ``1 << S``).  The fields are added, not or-ed, so the
-sum is exact even where an operand's field overflows; each output key is
-unpacked once, after the reduction (`unpacked`).  That needs only the fields
-of the output keys to fit in ``S`` bits, so the width comes from the caps
-(`key_width`): a field of a variable of positive weight holds at most
-``w2_cap`` and the t field at most ``t_cap``.  Only a variable of weight 0
-other than t (n and the plane parameters lambda_j, which the operator
-kernels never see) is bounded by the operands' largest exponents instead.
+Packed keys.  Every product of monomials, in `qmul_packed` and `qbracket`,
+adds integer keys.  An exponent tuple ``(e_0, ..., e_r)`` is packed once into
+``sum e_i << S (r - i)`` (`pack`; `pack_terms` writes it out as ``(m << 3S) +
+(n << 2S) + (k << S) + l``), so the key of a product is the sum of its
+factors' keys, and a contraction (m and n down by one, k up by one) or the
+division by hbar adds a constant (`contraction_step`, ``1 << S``).  The
+fields are added, not or-ed, so the sum is exact even where an operand's
+field overflows; each output key is unpacked once, after the reduction
+(`unpacked`).  That needs only the fields of the output keys to fit in ``S``
+bits, so the width comes from the caps (`key_width`): a field of a variable
+of positive weight holds at most ``w2_cap`` and the t field at most
+``t_cap``.  Only a variable of weight 0 other than t (n and the plane
+parameters lambda_j, which operators never carry) is bounded by the
+operands' largest exponents instead.
 
-Packed operands.  The product loop `qmul_packed` reads each operand as
-``(den, {component: [(key, w2, l, m, n, numerator)]})``: the terms over one
-denominator, split by component, each with its packed key, doubled weight
-``w2 = m + n + 2k``, t power and the adag and a powers the contractions
-read, each part sorted by t power (`pack_terms`), so that a left term stops
-at the first right term past its t room.  It is the operator twin of the
-form ``ScalarSeries._packed`` keeps.  The loop returns the split sums over
-``den_A * den_B``, and has two endings.  `qmul_sum`, for term-map callers,
-packs its operands, runs the loop, then joins and reduces each output term
-(`joined`) and unpacks its key (`unpacked`).  A caller that reads the
-product as an operand again, as the Morse solve does with the powers fn^j,
-takes the sums as a packed operand instead (`pack_sums`): reduced once as a
-whole, by one gcd chain (`reduced`), its keys never unpacked into tuples.
-Such an operand can be cut to a t cap (`cut_t`) and split into t-slices
-read off the key (`t_slices`) without being split or packed again.
+Packed operands.  Both kernels read every operand in one form, ``(den,
+{component: [(key, w2, l, m, n, numerator)]})``: the terms over one
+denominator, split by component, each with its packed key, doubled weight,
+t power and the adag and a powers the contractions read, each part sorted by
+t power, so that a left term stops at the first right term past its t room.
+Operators are packed by `pack_terms`; a ``ScalarSeries`` packs itself, one
+field per variable, with ``m = n = 0`` (``ScalarSeries._packed``).
+`qbracket` drops the central terms of its operands (`noncentral`).
+`qmul_packed` returns the split sums over ``den_A * den_B``, and has two
+endings.  `qmul_sum`, for term-map callers, packs its operands, runs the
+loop, then joins and reduces each output term (`joined`) and unpacks its key
+(`unpacked`).  A caller that reads the product as an operand again, as the
+Morse solve does with the powers fn^j, takes the sums as a packed operand
+instead (`pack_sums`): reduced once as a whole, by one gcd chain
+(`reduced`), its keys never unpacked into tuples.  Such an operand can be
+cut to a t cap (`cut_t`) and split into t-slices read off the key
+(`t_slices`) without being split or packed again.
 
 Callers reach the kernels through the module attributes (``_kernel.qmul``,
 ``_kernel.qmul_sum``, ``_kernel.qmul_packed``, ``_kernel.qbracket``), and
 `qmul` reaches `qmul_sum`, and `qmul_sum` `qmul_packed`, the same way, so a
 wrapper installed on one sees every call.  The benchmark's ``kernel.qmul``
 spans therefore count binary term-map products only: the pairs of a bracket,
-and the powers and compositions of the Morse solve, which call
-`qmul_packed` directly, are not seen by ``kernel.qmul``.
+the powers and compositions of the Morse solve and the ``ScalarSeries``
+products, which call `qmul_packed` directly, are not seen by them.
 
 Components and common denominators.  Every product of term maps, the two
-kernels, ``ScalarSeries.__mul__`` and the Fock-space layer of `spectrum`
-(`apply_rho`, `inner_product` and the Rayleigh-Schrodinger step), puts each
-operand over the lcm of its denominators (`common_denominator`) and splits it
-once by component (`split`): up to four integer term maps, one per basis
-element ``1, i, sqrt2, i*sqrt2`` (components 0..3, the positions of ``(a, b,
-c, d)``), only the nonzero ones kept.  A product loops over the nonzero
-component pairs of its operands (`component_pairs`); the pair's entry ``(z,
-w)`` of `COMPONENT_PRODUCT` is applied once, to the left operand, and each term
-pair is then one integer multiply-add into the accumulator of component
-``z``.  An operand with only rational terms thus costs one integer product per
-term pair.  The field product is written out once, in `coeff_mul`, the
-reference that `COMPONENT_PRODUCT` and the tests check against; no pair is
-reduced and none calls `coeff_mul` or `coeff_make`.  Each output term is joined
-from its components and reduced once, by ``coeff_make(a, b, c, d, den_A *
-den_B)`` (`joined`), unless the product is kept packed (`pack_sums`);
-``den_A`` and ``den_B`` are the lcms over all left and all right operands of
-the pair list (`qmul_packed` lifts a pair's own denominators to them by one
-factor on its left terms), and `qbracket`'s divisor joins them in that one
-reduction.  Callers reach `component_pairs` through the module attribute,
-as they reach the kernels, so a wrapper installed on it sees every component
-pair.  Every product raises ResourceError when its accumulators together hold
-more than `term_guard` entries (`check_guard`), read once per call.
+kernels and the Fock-space layer of `spectrum` (`apply_rho`, `inner_product`
+and the Rayleigh-Schrodinger step), puts each operand over the lcm of its
+denominators (`common_denominator`) and splits it once by component
+(`split`): up to four integer term maps, one per basis element ``1, i,
+sqrt2, i*sqrt2`` (components 0..3, the positions of ``(a, b, c, d)``), only
+the nonzero ones kept.  A product loops over the nonzero component pairs of
+its operands (`component_pairs`); the pair's entry ``(z, w)`` of
+`COMPONENT_PRODUCT` is applied once, to the left operand, and each term pair
+is then one integer multiply-add into the accumulator of component ``z``.
+An operand with only rational terms thus costs one integer product per term
+pair.  The field product is written out once, in `coeff_mul`, the reference
+that `COMPONENT_PRODUCT` and the tests check against; no pair is reduced and
+none calls `coeff_mul` or `coeff_make`.  Each output term is joined from its
+components and reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
+(`joined`), unless the product is kept packed (`pack_sums`); ``den_A`` and
+``den_B`` are the lcms over all left and all right operands of the pair list
+(`denominator_lcms`; both kernels lift a pair's own denominators to them by
+one factor on its left terms), and `qbracket`'s divisor joins them in that
+one reduction.  Callers reach `component_pairs` through the module
+attribute, as they reach the kernels, so a wrapper installed on it sees
+every component pair.  Every product raises ResourceError when its
+accumulators together hold more than `term_guard` entries (`check_guard`),
+read once per call.
 
 Hermitian half.  The bracket of two hermitian (or anti-hermitian) operators
 is hermitian or anti-hermitian again: ``dagger((i/hbar)[A, B]) = eps delta
@@ -433,26 +437,30 @@ def t_slices(operand, t_cap):
     return [(den, s) for s in slices]
 
 
-def qmul_packed(pairs, t_cap, w2_cap, S):
-    """``sum A B`` over pairs of packed operands (`pack_terms`), as split sums ``(parts, den)``.
+def denominator_lcms(pairs):
+    """``(den_A, den_B)``: the lcms of the left and of the right packed operands' denominators."""
+    return lcm(*(da for (da, _), _ in pairs)), lcm(*(db for _, (db, _) in pairs))
 
-    Reordering ``a^n1 adag^m2`` conserves the weight ``m + n + 2k`` and adds
-    the ``j >= 1`` terms of ``contractions(n1, m2)``, read as
-    ``rows[n1][m2]`` (`contraction_row`, each row sized by the largest adag
-    power of the pair's right terms).  A term pair is formed when its
-    weight is within ``w2_cap`` and its t power within ``t_cap``; each right
-    part is sorted by t power, so a left term stops at the first right term
-    past its t room.  The key of a term pair is the sum of its operands'
-    keys, of ``S`` bits per field, and each contraction adds
-    `contraction_step`.  The sums are numerators over ``den = den_A *
-    den_B``, the lcms of the left and of the right operands' denominators:
-    a pair's own denominators are lifted to those by one factor on its left
-    terms.  Raises ResourceError when the sums exceed `term_guard` entries.
+
+def qmul_packed(pairs, t_cap, w2_cap, S):
+    """``sum A B`` over pairs of packed operands, as split sums ``(parts, den)``.
+
+    The one product loop of the engine, for operators (`pack_terms`,
+    `pack_sums`) and scalars (``ScalarSeries._packed``, whose terms carry
+    ``m = n = 0`` and never contract).  Reordering ``a^n1 adag^m2`` conserves
+    the weight ``m + n + 2k`` and adds the ``j >= 1`` terms of
+    ``contractions(n1, m2)``, read as ``rows[n1][m2]`` (`contraction_row`,
+    each row sized by the largest adag power of the pair's right terms; a
+    left term with ``n1 = 0`` has no row).  A term pair is formed when its
+    weight is within ``w2_cap`` and its t power within ``t_cap``; a left
+    term stops at the first right term past its t room.  The key of a term pair is the sum of its operands' keys, and each
+    contraction adds `contraction_step`.  The sums are numerators over ``den
+    = den_A * den_B`` (`denominator_lcms`): a pair's own denominators are
+    lifted to those by one factor on its left terms.  Raises ResourceError
+    when the sums exceed `term_guard` entries.
     """
     guard = term_guard()
-    den_a = den_b = 1
-    for (da, _), (db, _) in pairs:
-        den_a, den_b = lcm(den_a, da), lcm(den_b, db)
+    den_a, den_b = denominator_lcms(pairs)
     step = contraction_step(S)
     out = {}
     for (da, left), (db, right) in pairs:
@@ -534,6 +542,12 @@ def _lowering(term):
     return term[4] - term[3]
 
 
+def noncentral(parts):
+    """The parts of a packed operand without their central terms (``m = n = 0``), empty parts dropped."""
+    kept = {x: [term for term in p if term[3] or term[4]] for x, p in parts.items()}
+    return {x: p for x, p in kept.items() if p}
+
+
 def prefix_length(part, bound):
     """How many terms of a `qbracket` right part, sorted by ``n2 - m2``, have
     ``n2 - m2 <= bound``: the term pairs one left term forms with the part."""
@@ -569,73 +583,59 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
     attribute, so a wrapper installed on it sees every term pair formed.  The
     cut is exact under truncation: the caps read only ``m + n``, k and l,
     which the mirror keeps, and ``div`` is rational.  Otherwise ``s = 0``:
-    the right parts stay unsorted, every left term loops over the whole part
-    and every output term is formed.
+    the right parts stay in t order, every left term loops over the whole
+    part and every output term is formed.
 
-    Packed keys (module docstring): the key of a pair's product is the sum
-    of the operand keys, and the division by hbar and each contraction add a
-    constant, so a monomial product is an integer add.  Every output term
-    lies within the caps, so its fields fit the caps' `key_width`.
-
-    All numerators go over ``den_A * den_B``, the lcm of the left operands'
-    denominators times the lcm of the right ones, and each operand is split by
-    component, as in `qmul_sum`.  The factor ``i`` is the table entry
-    ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor to the
-    left operand, so a pair of components ``x, y`` adds into component ``x ^
-    y ^ 1``; each output term is reduced once, over ``den_A * den_B * div``.
-    Raises ResourceError when the accumulators, or the output, exceed
+    Each operand is packed by `pack_terms`, as in `qmul_sum`, at the weight
+    cap ``w2_cap + 1`` (a contributing term's partner weighs at least 1), and
+    its central terms are dropped (`noncentral`).  The key of a pair's
+    product is the sum of the operand keys, and the division by hbar and each
+    contraction add a constant; every output term lies within the caps, so
+    its fields fit the caps' `key_width`.  All numerators go over ``den_A *
+    den_B`` (`denominator_lcms`), each pair lifted by one factor on its left
+    terms, as in `qmul_packed`.  The factor ``i`` is the table entry
+    ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor and lift
+    to the left operand, so a pair of components ``x, y`` adds into component
+    ``x ^ y ^ 1``; each output term is reduced once, over ``den_A * den_B *
+    div``.  Raises ResourceError when the accumulators, or the output, exceed
     `term_guard` entries.
     """
     guard = term_guard()
-    den_a = den_b = 1
     signs = set()
     for A, B in pairs:
-        den_a = common_denominator(A, den_a)
-        den_b = common_denominator(B, den_b)
         if A and B:  # an empty operand brackets to zero, whatever the other's sign
             signs.add(hermitian_sign(A) * hermitian_sign(B))
     s = signs.pop() if len(signs) == 1 else 0
     S = key_width(max(w2_cap, t_cap))
-    s2, s3 = 2 * S, 3 * S
+    packed = [(pack_terms(A, S, t_cap, w2_cap + 1), pack_terms(B, S, t_cap, w2_cap + 1)) for A, B in pairs]
+    den_a, den_b = denominator_lcms(packed)
     one = 1 << S  # the packed hbar
     step = contraction_step(S)
     room2 = w2_cap + 2
     out = {}
-    for A, B in pairs:
-        # a contributing term has weight <= w2_cap + 1, since its partner's is >= 1
-        right = {}
-        reach = 0
-        for y, q in split(B, den_b).items():
-            kept = []
-            for (m2, n2, k2, l2), c in q.items():
-                w2 = m2 + n2 + 2 * k2
-                if (m2 or n2) and w2 < room2 and l2 <= t_cap:
-                    kept.append(((m2 << s3) + (n2 << s2) + (k2 << S) + l2, w2, l2, m2, n2, c))
-                    reach = max(reach, m2, n2)
-            if kept:
-                if s:
-                    kept.sort(key=_lowering)
-                right[y] = kept
-        if not right:
+    for (da, left), (db, right) in packed:
+        left, right = noncentral(left), noncentral(right)
+        if not (left and right):
             continue
-        left = {}
-        for x, p in split(A, den_a).items():
-            kept = []
-            for (m1, n1, k1, l1), c in p.items():
-                w_room = room2 - (m1 + n1 + 2 * k1)
-                t_room = t_cap - l1
-                if (m1 or n1) and w_room >= 1 and t_room >= 0:
-                    base = (m1 << s3) + (n1 << s2) + (k1 << S) + l1 - one
-                    rows = contraction_row(n1, reach + 1), contraction_row(m1, reach + 1)
-                    kept.append((base, w_room, t_room, n1, m1, *rows, c, m1 - n1))
-            if kept:
-                left[x] = kept
+        if s:
+            for q in right.values():
+                q.sort(key=_lowering)
+        reach = max(max(term[3], term[4]) for q in right.values() for term in q) + 1
+        left = {
+            x: [
+                (key - one, room2 - w1, t_cap - l1, contraction_row(n1, reach), contraction_row(m1, reach),
+                 c, m1 - n1)
+                for key, w1, l1, m1, n1, c in p
+            ]
+            for x, p in left.items()
+        }
+        lift = den_a // da * (den_b // db)
         for z, w, p, q in component_pairs(left, right):
             z, u = COMPONENT_PRODUCT[1, z]  # the factor i
-            w *= u
+            w *= u * lift
             acc = out.setdefault(z, {})
             get = acc.get
-            for base, w_room, t_room, n1, m1, row_f, row_b, x, cut in p:
+            for base, w_room, t_room, row_f, row_b, x, cut in p:
                 x *= w
                 for p2, w2, l2, m2, n2, y in q[: prefix_length(q, cut)] if s else q:
                     if w2 > w_room or l2 > t_room:

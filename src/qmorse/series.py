@@ -1,19 +1,21 @@
-"""Truncated sparse series: one term-map core, two products.
+"""Truncated sparse series: one term-map core, one product loop.
 
 Every value is a map {exponent tuple: packed coefficient} over a variable
 signature, truncated by a t-order cap and a weight cap (doubled weights: 1
 for adag, a, x and y, 2 for hbar and z, 0 for t and n).  `_Series` holds the
 map, the caps and the signature, and implements everything that does not
 depend on how monomials multiply: construction, re-capping, sums, scaling,
-powers, slices, shifts, derivatives, rendering and JSON.  The two value types
-differ only in their products:
+powers, slices, shifts, derivatives, rendering and JSON.  Both value types
+multiply in one loop, `_kernel.qmul_packed`, and differ only in whether
+their monomials contract:
 
 * `QSeries` is a polynomial in (adag, a, hbar, t) stored in normal order
   (every monomial has all adag powers before all a powers); multiplication
   re-orders with [a, adag] = hbar.
 * `ScalarSeries` is a commutative polynomial over a per-value signature such
   as (z, hbar, t), (n, hbar, t), the plane (x, y) or a plane family
-  (x, y, lambda1, lambda2, ...) with weight-0 parameters.
+  (x, y, lambda1, lambda2, ...) with weight-0 parameters.  Its terms enter
+  the loop with adag and a powers 0, so none contracts.
 
 Arithmetic silently drops terms beyond the caps.  Weights are additive under
 multiplication and conserved by re-ordering, so truncation commutes with
@@ -22,14 +24,14 @@ later.  Every term of a value lies within its caps, so an operation checks
 only a cap that it shrinks or an exponent that it raises.  Term maps are
 never changed after construction, so values may share one.
 
-The packed form.  A `ScalarSeries` product reads each operand as packed
-integer keys (`_kernel` module docstring) split by component over one
-denominator, and a value keeps that form, made on first use, for the key
-width it was made at (`_packed`).  Horner's ``out * value`` in
-`subs_series`, a transport's ``u.deriv("z") * g`` and every other product
-that reads one value again at one width thus pack it once.  Since the term
-map never changes, the kept form can never go stale; it is derived data
-only, so it takes no part in ``__eq__`` or JSON.
+The packed form.  A `ScalarSeries` product reads each operand as a packed
+operand of `_kernel.qmul_packed` (`_kernel` module docstring), and a value
+keeps that form, made on first use, for the key width it was made at
+(`_packed`).  Horner's ``out * value`` in `subs_series`, a transport's
+``u.deriv("z") * g`` and every other product that reads one value again at
+one width thus pack it once.  Since the term map never changes, the kept
+form can never go stale; it is derived data only, so it takes no part in
+``__eq__`` or JSON.
 """
 
 from __future__ import annotations
@@ -448,15 +450,16 @@ class ScalarSeries(_Series):
         return _kernel.key_width(top)
 
     def _packed(self, S):
-        """``(den, {component: [(key, doubled weight, t power, numerator)]})``.
+        """``(den, {component: [(key, w2, l, 0, 0, numerator)]})``, an operand of `_kernel.qmul_packed`.
 
         The term map over the lcm ``den`` of its denominators, split by
         component (`_kernel.split`), each exponent packed in fields of ``S``
-        bits (`_kernel.pack`), each part sorted by t power, so that a product
-        stops at the first term past its t cap.  A signature without t
-        reports t power 0, which no t cap drops.  The form of the last width
-        asked is kept, so an operand that several products read at one
-        width, such as the value of a Horner loop, is packed once.
+        bits (`_kernel.pack`) with its doubled weight and t power (0 without
+        t, which no t cap drops), each part sorted by t power.  The adag and
+        a powers are ``m = n = 0``, so the loop never contracts a scalar
+        term.  The form of the last width asked is kept, so an operand that
+        several products read at one width, such as the value of a Horner
+        loop, is packed once.
         """
         cached = self._pack
         if cached is not None and cached[0] == S:
@@ -466,7 +469,7 @@ class ScalarSeries(_Series):
         parts = {
             x: sorted(
                 [
-                    (_kernel.pack(e, S), sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti], v)
+                    (_kernel.pack(e, S), sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti], 0, 0, v)
                     for e, v in p.items()
                 ],
                 key=_kernel.t_power,
@@ -481,27 +484,8 @@ class ScalarSeries(_Series):
             self._check_sig(other)
             t_cap, w2 = self._join_caps(other)
             S = self._key_width(other, t_cap, w2)
-            guard = _kernel.term_guard()
-            den_l, left = self._packed(S)
-            den_r, right = other._packed(S)
-            out = {}
-            for z, w, p, q in _kernel.component_pairs(left, right):
-                acc = out.setdefault(z, {})
-                get = acc.get
-                for k1, a1, t1, x in p:
-                    x *= w
-                    w_room = w2 - a1
-                    t_room = t_cap - t1
-                    for k2, a2, t2, y in q:
-                        if t2 > t_room:
-                            break
-                        if a2 > w_room:
-                            continue
-                        key = k1 + k2
-                        acc[key] = get(key, 0) + x * y
-                    _kernel.check_guard(out, guard)
-            terms = _kernel.unpacked(_kernel.joined(out, den_l * den_r), len(self.vars), S)
-            return self._like(terms, t_cap, w2)
+            out, den = _kernel.qmul_packed([(self._packed(S), other._packed(S))], t_cap, w2, S)
+            return self._like(_kernel.unpacked(_kernel.joined(out, den), len(self.vars), S), t_cap, w2)
         return self.scale(other)
 
     def subs_series(self, var, value):

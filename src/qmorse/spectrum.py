@@ -34,12 +34,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import _kernel
 from ._kernel import common_denominator, joined, reduced, split
 from .errors import DomainError, ResourceError
 from .field import Coefficient
 from .series import QSeries, ScalarSeries, SIG_H, SIG_HT, harmonic, render_terms
+
+if TYPE_CHECKING:  # numpy is imported where the float diagonalizer runs
+    import numpy as np
 
 
 def _reduced_vector(parts, den) -> "FockVector":
@@ -413,12 +417,13 @@ def trace_hbar(f: QSeries, cutoff: int) -> ScalarSeries:
     Read off the Fock action: the t^l coefficient sums
     inner_product(z^n, apply_rho(f_l, z^n)) over n.  Level n first contributes
     at hbar-order n, so coefficients through hbar^cutoff are final.  The
-    weight cap, f's highest weight plus cutoff + 1, holds every term.
+    weight cap, f's highest weight plus cutoff + 1, holds every term.  f is
+    sliced through its t degree, so the cost does not grow with its t cap.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     terms = {}
-    for l, fl in enumerate(f.t_slices()):
+    for l, fl in enumerate(f.with_caps(t_cap=f.var_degree("t")).t_slices()):
         if fl:
             for n in range(cutoff + 1):
                 zn = FockVector.basis(n)

@@ -577,6 +577,54 @@ def test_qbracket_mixed_signs_take_the_full_loop(monkeypatch):
         assert not seen
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_qbracket_reads_its_operands_from_pack_terms(monkeypatch, hermitian):
+    """A bracket packs each operand once, by `_kernel.pack_terms`, and loops
+    over the packed terms that do not commute (m or n nonzero), with the
+    numerators as packed: each pair's lift to the list's denominators rides
+    on the factor of its left terms."""
+    from qmorse import _kernel
+
+    c0, _, c2 = COPRIME
+    central = {(0, 0, 1, 0): Fraction(1, 11), (0, 0, 0, 1): Fraction(2, 13)}
+    x = QSeries({(1, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): Fraction(1, 3), **central}, **CAPS)
+    y = QSeries({(2, 1, 0, 0): c0, (1, 1, 0, 1): Fraction(1, 5), **central}, **CAPS)
+    y = y + algebra.dagger(y)
+    if not hermitian:
+        y = y + QSeries({(0, 2, 0, 0): c2}, **CAPS)
+    pairs = [(x, y), (y.scale(Fraction(1, 7)), x.scale(5))]
+    signs = {_kernel.hermitian_sign(z._terms) for pair in pairs for z in pair}
+    assert signs == ({1} if hermitian else {0, 1})
+    packs, seen = [], []
+    pack_terms, component_pairs = _kernel.pack_terms, _kernel.component_pairs
+
+    def recording_pack(terms, *rest):
+        out = pack_terms(terms, *rest)
+        packs.append((terms, out))
+        return out
+
+    def recording_pairs(left, right):
+        seen.append((left, right))
+        return component_pairs(left, right)
+
+    monkeypatch.setattr(_kernel, "pack_terms", recording_pack)
+    monkeypatch.setattr(_kernel, "component_pairs", recording_pairs)
+    out = algebra.bracket_sum(pairs, 2)
+    assert out.to_json() == _bracket_sum_reference(pairs, 2).to_json()
+    assert [terms for terms, _ in packs] == [z._terms for pair in pairs for z in pair]
+    assert len(seen) == len(pairs)
+    for (left, right), (_, (_, packed_left)), (_, (_, packed_right)) in zip(seen, packs[::2], packs[1::2]):
+        if not hermitian:  # the half path sorts the right parts by n2 - m2
+            assert right == _kernel.noncentral(packed_right)
+        assert {x: sorted(q) for x, q in right.items()} == {
+            x: sorted(q) for x, q in _kernel.noncentral(packed_right).items()
+        }
+        moving = _kernel.noncentral(packed_left)
+        assert {x: [term[-2] for term in p] for x, p in left.items()} == {
+            x: [term[-1] for term in p] for x, p in moving.items()
+        }
+
+
 def test_hermitian_sign():
     from qmorse import _kernel
 

@@ -324,10 +324,10 @@ def test_solve_packs_each_operand_once(monkeypatch):
 
     fn is packed once (`_kernel.pack_terms`), and so is each central C_ij of
     z power j >= 1, when g_i is split; those are the only operands split by
-    component outside the brackets.  Each power fn^j, j >= 2, is packed once,
-    from the sums of its product (`_kernel.pack_sums`), and its t-slices are
-    read off once (`_kernel.t_slices`); no power and no slice is split or
-    packed again.
+    component, or packed, outside the brackets.  Each power fn^j, j >= 2, is
+    packed once, from the sums of its product (`_kernel.pack_sums`), and its
+    t-slices are read off once (`_kernel.t_slices`); no power and no slice
+    is split or packed again.
     """
     from qmorse import _kernel
 
@@ -343,7 +343,8 @@ def test_solve_packs_each_operand_once(monkeypatch):
         return split(terms, den)
 
     def counting_pack_terms(terms, *rest):
-        calls["pack_terms"].append(terms)
+        if not in_bracket:
+            calls["pack_terms"].append(terms)
         return pack_terms(terms, *rest)
 
     def counting_pack_sums(*args):
@@ -385,16 +386,19 @@ def test_solve_work_counts(monkeypatch):
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
     anything.  Brackets are formed by `_kernel.qbracket` and counted as
-    len(A) * len(B) per pair, before its hermitian cut.  Products are formed
-    by `_kernel.qmul_packed`, over packed operands, and counted as the
-    product of the operands' entries (a term has one entry per nonzero
-    component; every term of this solve has one): the powers of fn, one pair
-    each, and the composition part of each residual R_k, one pair
-    (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j >= 1 of g_i,
-    whose central left operand C_ij holds g_i's terms at z^j.  Only the
-    t^(k-i) slices that R_k reads are formed, none at t^0.  The diagonal
-    split reads the falling products P_n from an integer table, so it forms
-    no ScalarSeries product.
+    len(A) * len(B) per pair, before its hermitian cut.  Every other product,
+    of operators and of scalars, is formed by `_kernel.qmul_packed`, over
+    packed operands, and counted there as the product of the operands'
+    entries (a term has one entry per nonzero component; every term of this
+    solve has one), by operand kind.  The operator products are the powers
+    of fn, one pair each, and the composition part of each residual R_k, one
+    pair (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j >= 1 of
+    g_i, whose central left operand C_ij holds g_i's terms at z^j.  Only the
+    t^(k-i) slices that R_k reads are formed, none at t^0.  The scalar
+    products are those of `ScalarSeries.__mul__`, one pair each, in the
+    transport of u and its reversion.  The diagonal split reads the
+    falling products P_n from an integer table, so it forms no
+    ScalarSeries product.
     """
     from qmorse import _kernel
 
@@ -406,13 +410,17 @@ def test_solve_work_counts(monkeypatch):
     def entries(operand):
         return sum(map(len, operand[1].values()))
 
+    in_smul = []
+
     def counting_smul(self, other):
-        if isinstance(other, ScalarSeries):
-            counts["smul_pairs"] += len(self) * len(other)
-        return smul(self, other)
+        in_smul.append(1)
+        try:
+            return smul(self, other)
+        finally:
+            in_smul.pop()
 
     def counting_qmul_packed(pairs, *rest):
-        counts["product_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
+        counts["smul_pairs" if in_smul else "product_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
         return qmul_packed(pairs, *rest)
 
     def counting_qbracket(pairs, *rest):

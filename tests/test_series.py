@@ -375,6 +375,35 @@ def test_scalar_product_matches_per_pair_reduction():
     assert out == {(2, 0, 0): (-5, 0, 0, 0, 63), (0, 2, 0): (1, 0, 0, 0, 35)}
 
 
+@pytest.mark.parametrize("sig", [SIG_ZHT, SIG_NHT, ("x", "y", "lambda1", "lambda2")])
+def test_scalar_product_is_one_run_of_the_operator_loop(monkeypatch, sig):
+    """Each `ScalarSeries` product is one `_kernel.qmul_packed` call over one
+    pair, whose every term carries adag and a powers 0, so no term contracts;
+    the product equals the naive double loop."""
+    from qmorse import _kernel
+
+    rng = random.Random(len(sig))
+    calls = []
+    qmul_packed = _kernel.qmul_packed
+
+    def recording(pairs, *rest):
+        calls.append(pairs)
+        return qmul_packed(pairs, *rest)
+
+    def operand():
+        terms = {tuple(rng.randint(0, 2) for _ in sig): rng.choice(COPRIME) for _ in range(5)}
+        return ScalarSeries(terms, vars=sig, t_cap=3, weight_cap=4)
+
+    monkeypatch.setattr(_kernel, "qmul_packed", recording)
+    for _ in range(4):
+        a, b = operand(), operand()
+        del calls[:]
+        assert (a * b).to_json() == _naive_product(a, b).to_json()
+        assert len(calls) == 1 and len(calls[0]) == 1
+        terms = [term for operand in calls[0][0] for p in operand[1].values() for term in p]
+        assert terms and all(term[3] == term[4] == 0 for term in terms)
+
+
 def test_scalar_product_term_guard(monkeypatch):
     z, hb = (ScalarSeries({e: 1}, vars=SIG_ZHT, t_cap=0, weight_cap=8) for e in ((1, 0, 0), (0, 1, 0)))
     s = z + hb

@@ -337,6 +337,42 @@ def test_trace_examples():
         assert tr2.coeff((n + 1, 0)) == expected
 
 
+def test_trace_hbar_slices_through_the_highest_t_power(monkeypatch):
+    """The cost of the trace follows the operator, not its t cap: an operator
+    of t-degree 3 at t cap 10^4 is cut into 4 slices, and its trace equals
+    the one at t cap 3 (series compare by terms, not by caps)."""
+    lengths = []
+    t_slices = QSeries.t_slices
+
+    def counting(self):
+        out = t_slices(self)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(QSeries, "t_slices", counting)
+
+    def operator(t_cap):
+        caps = dict(t_cap=t_cap, weight_cap="8")
+        t = t_op(**caps)
+        return harmonic(**caps) + t * q_op(**caps) ** 4 + t * t * t * adag(**caps) * a_op(**caps)
+
+    wide = sp.trace_hbar(operator(10**4), 4)
+    assert lengths == [4] and wide.t_cap == 10**4
+    assert wide == sp.trace_hbar(operator(3), 4) and wide.var_degree("t") == 3
+
+
+def test_fock_operator_type_hints_resolve():
+    """The annotations of `FockOperator` serve static type checkers: numpy is
+    imported only under ``TYPE_CHECKING``, so the module never binds ``np``
+    and importing it does not load numpy (`test_import_fills_no_table`).  At
+    run time `typing.get_type_hints` resolves them once ``np`` is supplied."""
+    import typing
+
+    hints = typing.get_type_hints(sp.FockOperator, localns={"np": np})
+    assert hints == {"dim": int, "t": float, "hbar": float, "matrix": np.ndarray}
+    assert "np" not in vars(sp)
+
+
 def test_oracle_triangle_small():
     # solver == RS exactly; both near diagonalize at small t
     order = 4
