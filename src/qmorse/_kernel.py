@@ -4,41 +4,44 @@ Coefficients of the engine live in the number field Q(i, sqrt2) and are packed
 as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
 d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 
-Two kernels act on term maps, each summing over a list of term-map pairs in
-one accumulator: `qmul_sum`, the sum ``sum A B`` of normal-ordered products
+Two kernels each sum over a list of operand pairs in one accumulator:
+`qmul_sum`, the sum ``sum A B`` of normal-ordered products of term maps
 (`qmul` is its one-pair entry), and `qbracket`, the sum ``(1/div) sum
-(i/hbar)[A, B]`` formed directly from the contraction terms.  Every product,
-of operators and of scalars, runs one loop, `qmul_packed`, over packed
-operands (below): a composition ``sum_j C_j(hbar, t) P^j`` is one call whose
-left operands are central, a ``ScalarSeries`` product one call whose terms
-never contract.  The reordering factors come from one table: both kernels
-read the ``j >= 1`` factors of `contractions` by row (`contraction_row`),
-each row filled when it is made or lengthened.  A Lie-ladder step passes all
-of its brackets to `qbracket` in one call.
+(i/hbar)[A, B]`` of packed operands, formed directly from the contraction
+terms.  Every product, of operators and of scalars, runs one loop,
+`qmul_packed`, over packed operands (below): a composition ``sum_j C_j(hbar,
+t) P^j`` is one call whose left operands are central, a ``ScalarSeries``
+product one call whose terms never contract.  The reordering factors come
+from one table: both kernels read the ``j >= 1`` factors of `contractions` by
+row (`contraction_row`), each row filled when it is made or lengthened.  A
+Lie-ladder step passes all of its brackets to `qbracket` in one call.
 
 Packed keys.  Every product of monomials, in `qmul_packed` and `qbracket`,
 adds integer keys.  An exponent tuple ``(e_0, ..., e_r)`` is packed once into
-``sum e_i << S (r - i)`` (`pack`; `pack_terms` writes it out as ``(m << 3S) +
-(n << 2S) + (k << S) + l``), so the key of a product is the sum of its
-factors' keys, and a contraction (m and n down by one, k up by one) or the
-division by hbar adds a constant (`contraction_step`, ``1 << S``).  The
-fields are added, not or-ed, so the sum is exact even where an operand's
-field overflows; each output key is unpacked once, after the reduction
-(`unpacked`).  That needs only the fields of the output keys to fit in ``S``
-bits, so the width comes from the caps (`key_width`): a field of a variable
-of positive weight holds at most ``w2_cap`` and the t field at most
-``t_cap``.  Only a variable of weight 0 other than t (n and the plane
-parameters lambda_j, which operators never carry) is bounded by the
-operands' largest exponents instead.
+``sum e_i << S (r - i)`` (`pack_terms`; for an operator ``(m << 3S) + (n <<
+2S) + (k << S) + l``), so the key of a product is the sum of its factors'
+keys, and a contraction (m and n down by one, k up by one) or the division
+by hbar adds a constant (`contraction_step`, ``1 << S``).  The fields are
+added, not or-ed, so the sum is exact even where an operand's field is wider
+than ``S`` bits, as a term past the caps may be; each output key is unpacked
+once, after the reduction (`unpacked`).  That needs only the fields of the
+output keys to fit in ``S`` bits, so the width comes from the caps
+(`key_width`): a field of a variable of positive weight holds at most
+``w2_cap`` and the t field at most ``t_cap``.  Only a variable of weight 0
+other than t (n and the plane parameters lambda_j, which operators never
+carry) is bounded by the operands' largest exponents instead.
 
 Packed operands.  Both kernels read every operand in one form, ``(den,
 {component: [(key, w2, l, m, n, numerator)]})``: the terms over one
 denominator, split by component, each with its packed key, doubled weight,
 t power and the adag and a powers the contractions read, each part sorted by
 t power, so that a left term stops at the first right term past its t room.
-Operators are packed by `pack_terms`; a ``ScalarSeries`` packs itself, one
-field per variable, with ``m = n = 0`` (``ScalarSeries._packed``).
-`qbracket` drops the central terms of its operands (`noncentral`).
+One function writes it, `pack_terms`, for any signature (a commutative
+term has ``m = n = 0``, so it never contracts), and drops no term: the
+loops check every term pair against their caps, so a series keeps one form
+per key width (``series._Series._packed``) for every product and bracket.
+No kernel changes an operand: `qbracket` drops the central terms of copies
+(`noncentral`) and sorts those.
 `qmul_packed` returns the split sums over ``den_A * den_B``, and has two
 endings.  `qmul_sum`, for term-map callers, packs its operands, runs the
 loop, then joins and reduces each output term (`joined`) and unpacks its key
@@ -61,46 +64,46 @@ Components and common denominators.  Every product of term maps, the two
 kernels and the Fock-space layer of `spectrum` (`apply_rho`, `inner_product`
 and the Rayleigh-Schrodinger step), puts each operand over the lcm of its
 denominators (`common_denominator`) and splits it once by component
-(`split`): up to four integer term maps, one per basis element ``1, i,
-sqrt2, i*sqrt2`` (components 0..3, the positions of ``(a, b, c, d)``), only
-the nonzero ones kept.  A product loops over the nonzero component pairs of
-its operands (`component_pairs`); the pair's entry ``(z, w)`` of
-`COMPONENT_PRODUCT` is applied once, to the left operand, and each term pair
-is then one integer multiply-add into the accumulator of component ``z``.
-An operand with only rational terms thus costs one integer product per term
-pair.  The field product is written out once, in `coeff_mul`, the reference
-that `COMPONENT_PRODUCT` and the tests check against; no pair is reduced and
-none calls `coeff_mul` or `coeff_make`.  Each output term is joined from its
-components and reduced once, by ``coeff_make(a, b, c, d, den_A * den_B)``
-(`joined`), unless the product is kept packed (`pack_sums`); ``den_A`` and
-``den_B`` are the lcms over all left and all right operands of the pair list
-(`denominator_lcms`; both kernels lift a pair's own denominators to them by
-one factor on its left terms), and `qbracket`'s divisor joins them in that
-one reduction.  Callers reach `component_pairs` through the module
-attribute, as they reach the kernels, so a wrapper installed on it sees
-every component pair.  Every product raises ResourceError when its
-accumulators together hold more than `term_guard` entries (`check_guard`),
-read once per call.
+(`pack_terms`; `split` in `spectrum`): up to four integer term maps, one per
+basis element ``1, i, sqrt2, i*sqrt2`` (components 0..3, the positions of
+``(a, b, c, d)``), only the nonzero ones kept.  A product loops over the
+nonzero component pairs of its operands (`component_pairs`); the pair's entry
+``(z, w)`` of `COMPONENT_PRODUCT` is applied once, to the left operand, and
+each term pair is then one integer multiply-add into the accumulator of
+component ``z``.  An operand with only rational terms thus costs one integer
+product per term pair.  The field product is written out once, in
+`coeff_mul`, the reference that `COMPONENT_PRODUCT` and the tests check
+against; no pair is reduced and none calls `coeff_mul` or `coeff_make`.  Each
+output term is joined from its components and reduced once, by
+``coeff_make(a, b, c, d, den_A * den_B)`` (`joined`), unless the product is
+kept packed (`pack_sums`); ``den_A`` and ``den_B`` are the lcms over all left
+and all right operands of the pair list (`denominator_lcms`; both kernels
+lift a pair's own denominators to them by one factor on its left terms), and
+`qbracket`'s divisor joins them in that one reduction.  Callers reach
+`component_pairs` through the module attribute, as they reach the kernels, so
+a wrapper installed on it sees every component pair.  Every product raises
+ResourceError when its accumulators together hold more than `term_guard`
+entries (`check_guard`), read once per call.
 
 Hermitian half.  The bracket of two hermitian (or anti-hermitian) operators
 is hermitian or anti-hermitian again: ``dagger((i/hbar)[A, B]) = eps delta
 (i/hbar)[A, B]`` when ``dagger(A) = eps A`` and ``dagger(B) = delta B``.
-`qbracket` reads each operand's sign (`hermitian_sign`: 1, -1, or 0 for
-neither); when every pair of its list has the same nonzero product, it forms
-only the output terms with ``m >= n`` (adag power at least the a power) and
-fills in the others by conjugation (`coeff_conj`).  The cut is exact under
-the caps, which read ``m + n`` and never ``m - n``.  A list with any other
-mix of signs runs the full loop.  For a self-adjoint perturbation, as in
-every benchmark family, the operator, its generator ``H`` and every
-Lie-ladder slice that builds ``H`` or checks ``verify()`` are hermitian, so
-those brackets take the half path.
+``algebra.bracket_sum`` reads each operand's sign (`hermitian_sign`: 1, -1,
+or 0 for neither); when every pair of its list has the same nonzero product,
+`qbracket` is passed it and forms only the output terms with ``m >= n`` (adag
+power at least the a power) and fills in the others by conjugation
+(`coeff_conj`).  The cut is exact under the caps, which read ``m + n`` and
+never ``m - n``.  A list with any other mix of signs runs the full loop.  For
+a self-adjoint perturbation, as in every benchmark family, the operator, its
+generator ``H`` and every Lie-ladder slice that builds ``H`` or checks
+``verify()`` are hermitian, so those brackets take the half path.
 """
 
 import os
 from bisect import bisect_right
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import ResourceError
 
@@ -296,18 +299,6 @@ def key_width(top):
     return max(top, 1).bit_length()
 
 
-def pack(exp, S):
-    """The packed key ``sum e_i << S (r - i)`` of an exponent tuple ``(e_0, ..., e_r)``.
-
-    The fields are added, so the key is linear in the exponents even when
-    one overflows its ``S`` bits (module docstring).
-    """
-    key = 0
-    for e in exp:
-        key = (key << S) + e
-    return key
-
-
 def unpacked(terms, arity, S):
     """``{exponent tuple: c}`` of a map keyed by packed keys of ``arity`` fields of ``S`` bits."""
     mask = (1 << S) - 1
@@ -367,29 +358,37 @@ def reduced(parts, den):
     return kept, den
 
 
-def pack_terms(terms, S, t_cap, w2_cap):
-    """The packed operand of the terms of a term map within the caps.
+# The operator signature (adag, a, hbar, t) for `pack_terms`: doubled weights, t index, contracts
+OPERATOR = ((1, 1, 2, 0), 3, True)
 
-    A packed operand is ``(den, {component: [(key, w2, l, m, n,
-    numerator)]})``: the terms over the lcm ``den`` of the map's
-    denominators, split by component (`split`), each exponent ``(m, n, k,
-    l)`` packed in fields of ``S`` bits with its doubled weight ``w2 = m + n +
-    2k``, each part sorted by t power (`t_power`), so that a product stops at
-    the first right term past its t room.
+
+def pack_terms(terms, S, weights, ti, contracts):
+    """The packed operand (module docstring) of a term map over a signature, no term cut.
+
+    Each exponent tuple is packed in fields of ``S`` bits, with its doubled
+    weight by ``weights`` and its t power at position ``ti`` (0 when None);
+    ``m, n`` are the adag and a powers when the signature ``contracts``
+    (`OPERATOR`), and 0 otherwise.  The loops check every term pair against
+    their caps, so one form serves products and brackets at any caps.
     """
     den = common_denominator(terms)
-    s2, s3 = 2 * S, 3 * S
-    parts = {}
-    for x, p in split(terms, den).items():
-        kept = []
-        for (m, n, k, l), c in p.items():
-            w2 = m + n + 2 * k
-            if w2 <= w2_cap and l <= t_cap:
-                kept.append(((m << s3) + (n << s2) + (k << S) + l, w2, l, m, n, c))
-        if kept:
-            kept.sort(key=t_power)
-            parts[x] = kept
-    return den, parts
+    fields = [1 << s for s in range(S * (len(weights) - 1), -1, -S)]
+    parts = ([], [], [], [])
+    for e, (a, b, c, d, q) in terms.items():
+        s = den // q
+        key = sum(map(mul, e, fields))
+        w2 = sum(map(mul, e, weights))
+        l = 0 if ti is None else e[ti]
+        m, n = (e[0], e[1]) if contracts else (0, 0)
+        for p, v in zip(parts, (a, b, c, d)):
+            if v:
+                p.append((key, w2, l, m, n, v * s))
+    out = {}
+    for x, p in enumerate(parts):
+        if p:
+            p.sort(key=t_power)
+            out[x] = p
+    return den, out
 
 
 def pack_sums(parts, den, S):
@@ -445,16 +444,17 @@ def denominator_lcms(pairs):
 def qmul_packed(pairs, t_cap, w2_cap, S):
     """``sum A B`` over pairs of packed operands, as split sums ``(parts, den)``.
 
-    The one product loop of the engine, for operators (`pack_terms`,
-    `pack_sums`) and scalars (``ScalarSeries._packed``, whose terms carry
-    ``m = n = 0`` and never contract).  Reordering ``a^n1 adag^m2`` conserves
+    The one product loop of the engine, for operators and scalars alike
+    (`pack_terms`, `pack_sums`; a scalar term carries ``m = n = 0`` and
+    never contracts).  Reordering ``a^n1 adag^m2`` conserves
     the weight ``m + n + 2k`` and adds the ``j >= 1`` terms of
     ``contractions(n1, m2)``, read as ``rows[n1][m2]`` (`contraction_row`,
     each row sized by the largest adag power of the pair's right terms; a
     left term with ``n1 = 0`` has no row).  A term pair is formed when its
     weight is within ``w2_cap`` and its t power within ``t_cap``; a left
-    term stops at the first right term past its t room.  The key of a term pair is the sum of its operands' keys, and each
-    contraction adds `contraction_step`.  The sums are numerators over ``den
+    term stops at the first right term past its t room, so an operand's
+    terms past the caps form nothing.  The key of a term pair is the sum of
+    its operands' keys, and each contraction adds `contraction_step`.  The sums are numerators over ``den
     = den_A * den_B`` (`denominator_lcms`): a pair's own denominators are
     lifted to those by one factor on its left terms.  Raises ResourceError
     when the sums exceed `term_guard` entries.
@@ -497,14 +497,14 @@ def qmul_sum(pairs, t_cap, w2_cap):
     """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, as a term map.
 
     Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
-    t) to coefficient tuples.  Each operand is packed (`pack_terms`) in
-    fields of `key_width` bits for the caps, keeping only its terms within
-    the caps (silent truncation is part of the series contract); the product
-    is `qmul_packed`, and each output term is reduced once (`joined`) and its
-    key unpacked once (`unpacked`).
+    t) to coefficient tuples.  Each operand is packed whole (`pack_terms`,
+    `OPERATOR`) in fields of `key_width` bits for the caps; the product is
+    `qmul_packed`, which forms only the term pairs within the caps (silent
+    truncation is part of the series contract), and each output term is
+    reduced once (`joined`) and its key unpacked once (`unpacked`).
     """
     S = key_width(max(w2_cap, t_cap))
-    packed = [(pack_terms(A, S, t_cap, w2_cap), pack_terms(B, S, t_cap, w2_cap)) for A, B in pairs]
+    packed = [(pack_terms(A, S, *OPERATOR), pack_terms(B, S, *OPERATOR)) for A, B in pairs]
     out, den = qmul_packed(packed, t_cap, w2_cap, S)
     return unpacked(joined(out, den), 4, S)
 
@@ -554,8 +554,8 @@ def prefix_length(part, bound):
     return bisect_right(part, bound, key=_lowering)
 
 
-def qbracket(pairs, t_cap, w2_cap, div=1):
-    """``(1/div) sum (i/hbar)[A, B]`` over the term-map pairs ``(A, B)``, in one split accumulator.
+def qbracket(pairs, s, S, t_cap, w2_cap, div=1):
+    """``(1/div) sum (i/hbar)[A, B]`` over pairs of packed operands, as a term map.
 
     For a pair of terms with coefficients c1, c2, the ``hbar^j`` part of
     ``AB - BA`` is ``c1 c2`` times ``contractions(n1, m2)[j] -
@@ -571,29 +571,28 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
     Hermitian half.  ``dagger((i/hbar)[A, B]) = (i/hbar)[dagger(A),
     dagger(B)]``, so when ``dagger(A) = eps A`` and ``dagger(B) = delta B``
     the output has ``out(n, m, k, l) = eps delta conj(out(m, n, k, l))``.
-    Each operand's sign is read once (`hermitian_sign`).  When every pair of
-    the list with two nonempty operands has the same nonzero product ``s =
-    eps delta``, only the output terms with ``m >= n`` are formed, and after
-    the one reduction each term with ``m > n`` is copied to ``(n, m, k, l)``
-    as ``s conj(c)``.  A term pair lands only at ``m - n = (m1 - n1) + (m2 -
-    n2)``, since each contraction lowers m and n alike, so a left term needs
-    only the right terms with ``n2 - m2 <= m1 - n1``: each right part is
-    sorted by ``n2 - m2`` and a left term loops over its prefix of length
-    `prefix_length`.  The kernel calls `prefix_length` through the module
-    attribute, so a wrapper installed on it sees every term pair formed.  The
-    cut is exact under truncation: the caps read only ``m + n``, k and l,
-    which the mirror keeps, and ``div`` is rational.  Otherwise ``s = 0``:
-    the right parts stay in t order, every left term loops over the whole
-    part and every output term is formed.
+    ``s`` is that product ``eps delta`` when every pair of the list with two
+    nonempty operands has the same nonzero one, else 0 (`hermitian_sign`).
+    When ``s`` is nonzero only the output terms with ``m >= n`` are formed,
+    and after the one reduction each term with ``m > n`` is copied to ``(n,
+    m, k, l)`` as ``s conj(c)``.  A term pair lands only at ``m - n = (m1 -
+    n1) + (m2 - n2)``, since each contraction lowers m and n alike, so a left
+    term needs only the right terms with ``n2 - m2 <= m1 - n1``: each right
+    part is sorted by ``n2 - m2`` and a left term loops over its prefix of
+    length `prefix_length`.  The kernel calls `prefix_length` through the
+    module attribute, so a wrapper installed on it sees every term pair
+    formed.  The cut is exact under truncation: the caps read only ``m +
+    n``, k and l, which the mirror keeps, and ``div`` is rational.  When ``s
+    = 0`` the right parts stay in t order, every left term loops over the
+    whole part and every output term is formed.
 
-    Each operand is packed by `pack_terms`, as in `qmul_sum`, at the weight
-    cap ``w2_cap + 1`` (a contributing term's partner weighs at least 1), and
-    its central terms are dropped (`noncentral`).  The key of a pair's
-    product is the sum of the operand keys, and the division by hbar and each
-    contraction add a constant; every output term lies within the caps, so
-    its fields fit the caps' `key_width`.  All numerators go over ``den_A *
-    den_B`` (`denominator_lcms`), each pair lifted by one factor on its left
-    terms, as in `qmul_packed`.  The factor ``i`` is the table entry
+    The operands are packed whole (`pack_terms`), keys of ``S`` bits a field
+    (the caps' `key_width`); a term pair past the caps is skipped, and the
+    central terms are dropped from copies (`noncentral`), so an operand is
+    never changed.  The key of a pair's product is the sum of the operand
+    keys, and the division by hbar and each contraction add a constant.  All numerators go over ``den_A * den_B``
+    (`denominator_lcms`), each pair lifted by one factor on its left terms,
+    as in `qmul_packed`.  The factor ``i`` is the table entry
     ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor and lift
     to the left operand, so a pair of components ``x, y`` adds into component
     ``x ^ y ^ 1``; each output term is reduced once, over ``den_A * den_B *
@@ -601,19 +600,12 @@ def qbracket(pairs, t_cap, w2_cap, div=1):
     `term_guard` entries.
     """
     guard = term_guard()
-    signs = set()
-    for A, B in pairs:
-        if A and B:  # an empty operand brackets to zero, whatever the other's sign
-            signs.add(hermitian_sign(A) * hermitian_sign(B))
-    s = signs.pop() if len(signs) == 1 else 0
-    S = key_width(max(w2_cap, t_cap))
-    packed = [(pack_terms(A, S, t_cap, w2_cap + 1), pack_terms(B, S, t_cap, w2_cap + 1)) for A, B in pairs]
-    den_a, den_b = denominator_lcms(packed)
+    den_a, den_b = denominator_lcms(pairs)
     one = 1 << S  # the packed hbar
     step = contraction_step(S)
     room2 = w2_cap + 2
     out = {}
-    for (da, left), (db, right) in packed:
+    for (da, left), (db, right) in pairs:
         left, right = noncentral(left), noncentral(right)
         if not (left and right):
             continue

@@ -55,10 +55,15 @@ def bracket_sum(pairs, div=1) -> QSeries:
     One `_kernel.qbracket` call sums every pair in one accumulator and reduces
     each output term once.  The result takes the smallest t cap and weight cap
     of all the operands, which is what summing the brackets one by one gives.
+    Each operand is read in its kept packed form (`_packed`) at the caps' key
+    width; the sign product of the kernel's hermitian half skips empty operands.
     """
     t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
     w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
-    terms = _kernel.qbracket([(f._terms, g._terms) for f, g in pairs], t_cap, w2, div)
+    S = _kernel.key_width(max(w2, t_cap))
+    signs = {_kernel.hermitian_sign(f._terms) * _kernel.hermitian_sign(g._terms) for f, g in pairs if f and g}
+    s = signs.pop() if len(signs) == 1 else 0
+    terms = _kernel.qbracket([(f._packed(S), g._packed(S)) for f, g in pairs], s, S, t_cap, w2, div)
     return QSeries._from_raw(terms, t_cap, w2)
 
 

@@ -19,7 +19,9 @@ fn_0, run by `integrate_heisenberg` (one ladder each for a perturbation linear
 in t).  A bracket step is one `algebra.bracket_sum` call: the r+1 brackets go
 to one `_kernel.qbracket` accumulator over packed monomial keys, with the
 division by r+1 folded into the single reduction of each output term, so a
-step forms no per-bracket result, no sum of series and no scaled copy.  When H
+step forms no per-bracket result, no sum of series and no scaled copy.  Each
+slice X_j and S_k is read in the packed form it keeps, so it is packed once,
+however many steps read it.  When H
 and the transported observable are hermitian, as for a self-adjoint
 perturbation, every slice of the ladder is hermitian too, since the bracket
 (i/hbar)[X, S] of two hermitian operators is hermitian; the kernel then forms

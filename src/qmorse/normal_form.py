@@ -31,23 +31,25 @@ of the split of h for H) pulls its residual from the steps already solved,
     R_k = [t^k] dfn/dt - sum_{i<k} (sum_j C_ij [t^(k-i)] fn^j + (i/hbar)[fn_(k-i), h_i]),
 
 C_ij the central z^j slice of g_i, so nothing is formed ahead of the step
-that reads it.  The powers fn^j never become series: they stay in the
-product kernel's packed, split form (`_kernel.pack_terms`), at one key width
-for the whole solve.  fn is packed once, and each C_ij, j >= 1, when g_i is
-split (fn^0 = 1 has no slice that a step reads).  Power j is built once, when
-some g_k first reaches z^j, at t_cap=N-1-k (the last order a later step
-reads), as one `_kernel.qmul_packed` call over fn and fn^(j-1), both cut to
-that cap (fn commutes with its powers, and on the left its few terms carry
-the per-term work of the loop); its sums are reduced once as a whole
+that reads it.  The powers fn^j never become series: they stay in the product
+kernel's packed, split form, at one key width for the whole solve.  fn is read
+in its kept form (`_Series._packed`, written by `_kernel.pack_terms`, the one
+packer), and each C_ij, j >= 1, is packed once, when g_i is split (fn^0 = 1
+has no slice that a step reads).  Power j is built once, when some g_k first
+reaches z^j, at t_cap=N-1-k (the last order a later step reads), as one
+`_kernel.qmul_packed` call over fn and fn^(j-1), both cut to that cap (fn
+commutes with its powers, and on the left its few terms carry the per-term
+work of the loop); its sums are reduced once as a whole
 (`_kernel.pack_sums`), its t-slices read off the key once
 (`_kernel.t_slices`), and only the last power is kept whole, for the next.
 The composition part is one `_kernel.qmul_packed` call over the packed pairs
 (C_ij, [t^(k-i)] fn^j) at t_cap=0, since every operand is t-free; only its
 sum, the residual, becomes a series.  The bracket part is one
-`bracket_i_hbar` per nonzero pair (fn_(k-i), h_i).  Iteration j of the
-reversion fixes t^j and works at t_cap=j.  The diagonal split reads the
-falling products P_n from one integer table (`_falling_row`), filled on
-first use, not per solve.
+`bracket_i_hbar` per nonzero pair (fn_(k-i), h_i), each operand read in its
+kept form, so each slice fn_l and each h_i is packed once for all the steps
+that read it.  Iteration j of the reversion fixes t^j and works at t_cap=j.
+The diagonal split reads the falling products P_n from one integer table
+(`_falling_row`), filled on first use, not per solve.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def _homological_solve(fn: QSeries, rhs):
     """
     order, w2 = fn.t_cap, fn.w2_cap
     S = _kernel.key_width(max(w2, order))
-    last = fn_form = _kernel.pack_terms(fn._terms, S, order, w2)
+    last = fn_form = fn._packed(S)
     pows = [None, _kernel.t_slices(fn_form, order)]  # no C_i0 is kept, so fn^0 is never read
     fn_slices = fn.t_slices()
     central = []  # (i, j, packed C_ij), j >= 1
@@ -300,7 +302,7 @@ def _homological_solve(fn: QSeries, rhs):
         for (j, hb, l), c in g_k._terms.items():
             if j:  # a step reads only slices past t^0, and fn^0 = 1 has none
                 by_power.setdefault(j, {})[0, 0, hb, l] = c
-        central += [(k, j, _kernel.pack_terms(c, S, 0, w2)) for j, c in by_power.items()]
+        central += [(k, j, _kernel.pack_terms(c, S, *_kernel.OPERATOR)) for j, c in by_power.items()]
         # power j is first read at step k + 1, through t^(order-1-k)
         while k < order - 1 and len(pows) <= g_k.var_degree("z"):
             cap = order - 1 - k

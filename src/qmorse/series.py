@@ -24,14 +24,15 @@ later.  Every term of a value lies within its caps, so an operation checks
 only a cap that it shrinks or an exponent that it raises.  Term maps are
 never changed after construction, so values may share one.
 
-The packed form.  A `ScalarSeries` product reads each operand as a packed
-operand of `_kernel.qmul_packed` (`_kernel` module docstring), and a value
-keeps that form, made on first use, for the key width it was made at
-(`_packed`).  Horner's ``out * value`` in `subs_series`, a transport's
-``u.deriv("z") * g`` and every other product that reads one value again at
-one width thus pack it once.  Since the term map never changes, the kept
-form can never go stale; it is derived data only, so it takes no part in
-``__eq__`` or JSON.
+The packed form.  The kernels read every operand in the one form that
+`_kernel.pack_terms` writes from the term map and the signature (`_kernel`
+module docstring); only `QSeries` terms carry the adag and a powers that
+contract (the class constant ``_contracts``).  A value keeps its form, made
+whole on first use, for the key width it was made at (`_packed`), so
+Horner's ``out * value`` in `subs_series`, the brackets of a Lie ladder and
+every other reader of one value at one width pack it once.  The term map
+never changes, so the kept form never goes stale, and no reader changes it;
+it is derived data only, and takes no part in ``__eq__`` or JSON.
 """
 
 from __future__ import annotations
@@ -150,6 +151,14 @@ class _Series:
             return {e: c for e, c in self._terms.items() if e[ti] <= t_cap}
         return self._terms
 
+    def _packed(self, S):
+        """The value as a packed operand (`_kernel.pack_terms`), keys of ``S`` bits a field;
+        the form of the last width asked is kept (module docstring)."""
+        kept = self._pack
+        if kept is None or kept[0] != S:
+            kept = self._pack = S, _kernel.pack_terms(self._terms, S, self._weights, self._ti, self._contracts)
+        return kept[1]
+
     def _join_caps(self, other):
         return min(self.t_cap, other.t_cap), min(self.w2_cap, other.w2_cap)
 
@@ -186,8 +195,13 @@ class _Series:
         weights = self._weights
         return max((sum(map(operator.mul, e, weights)) for e in self._terms), default=0)
 
+    def _index(self, var):
+        if var not in self.vars:
+            raise ValueError(f"unknown variable {var!r} for the signature {self.vars}")
+        return self.vars.index(var)
+
     def var_degree(self, var):
-        idx = self.vars.index(var)
+        idx = self._index(var)
         return max((e[idx] for e in self._terms), default=0)
 
     # -- caps and sums -----------------------------------------------------------
@@ -264,7 +278,7 @@ class _Series:
 
     def var_slice(self, var, power):
         """Coefficient of var^power, same signature with that exponent zeroed."""
-        idx = self.vars.index(var)
+        idx = self._index(var)
         return self._like(
             {
                 exp[:idx] + (0,) + exp[idx + 1 :]: c
@@ -293,10 +307,12 @@ class _Series:
         )
 
     def shift(self, **powers):
-        """Multiply by the monomial prod(var**power); terms pushed past the caps are dropped."""
+        """Multiply by the monomial prod(var**power), powers >= 0; terms pushed past the caps are dropped."""
         delta = [0] * len(self.vars)
         for var, power in powers.items():
-            delta[self.vars.index(var)] = power
+            if power < 0:
+                raise ValueError(f"negative power {var}^{power} in a shift")
+            delta[self._index(var)] = power
         if not any(delta):
             return self
         weights, ti = self._weights, self._ti
@@ -315,7 +331,7 @@ class _Series:
 
     def deriv(self, var):
         """Derivative with respect to one variable."""
-        idx = self.vars.index(var)
+        idx = self._index(var)
         out = {}
         for exp, c in self._terms.items():
             e = exp[idx]
@@ -352,13 +368,14 @@ class _Series:
         }
 
 
-_Q_SIG = (("adag", "a", "hbar", "t"), (1, 1, 2, 0), 3)
+_Q_SIG = (("adag", "a", "hbar", "t"), *_kernel.OPERATOR[:2])
 
 
 class QSeries(_Series):
     """Normal-ordered element of the truncated operator algebra."""
 
     __slots__ = ()
+    _contracts = True
 
     def __init__(self, terms=None, *, t_cap, weight_cap):
         self.vars, self._weights, self._ti = _Q_SIG
@@ -425,6 +442,7 @@ class ScalarSeries(_Series):
     """Commutative truncated polynomial over a fixed variable signature."""
 
     __slots__ = ()
+    _contracts = False
 
     def __init__(self, terms=None, *, vars, t_cap, weight_cap):
         self.vars, self._weights, self._ti = _scalar_sig(tuple(vars))
@@ -448,36 +466,6 @@ class ScalarSeries(_Series):
         if free:
             top = max(top, sum(max((e[i] for e in s._terms for i in free), default=0) for s in (self, other)))
         return _kernel.key_width(top)
-
-    def _packed(self, S):
-        """``(den, {component: [(key, w2, l, 0, 0, numerator)]})``, an operand of `_kernel.qmul_packed`.
-
-        The term map over the lcm ``den`` of its denominators, split by
-        component (`_kernel.split`), each exponent packed in fields of ``S``
-        bits (`_kernel.pack`) with its doubled weight and t power (0 without
-        t, which no t cap drops), each part sorted by t power.  The adag and
-        a powers are ``m = n = 0``, so the loop never contracts a scalar
-        term.  The form of the last width asked is kept, so an operand that
-        several products read at one width, such as the value of a Horner
-        loop, is packed once.
-        """
-        cached = self._pack
-        if cached is not None and cached[0] == S:
-            return cached[1]
-        weights, ti = self._weights, self._ti
-        den = _kernel.common_denominator(self._terms)
-        parts = {
-            x: sorted(
-                [
-                    (_kernel.pack(e, S), sum(map(operator.mul, e, weights)), 0 if ti is None else e[ti], 0, 0, v)
-                    for e, v in p.items()
-                ],
-                key=_kernel.t_power,
-            )
-            for x, p in _kernel.split(self._terms, den).items()
-        }
-        self._pack = S, (den, parts)
-        return den, parts
 
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
@@ -518,7 +506,7 @@ class ScalarSeries(_Series):
 
     def eval_var(self, var, value: Coefficient):
         """Substitute an exact scalar for one variable (signature keeps the slot)."""
-        idx = self.vars.index(var)
+        idx = self._index(var)
         degree = self.var_degree(var)
         powers = [ONE]
         for _ in range(degree):

@@ -321,7 +321,7 @@ def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
 
     Raises ResourceError when the dense matrix would exceed MAX_MATRIX_BYTES,
     and ValueError for a non-finite ``t`` or ``hbar``, a non-positive
-    ``hbar``, or an entry that overflows the float range.
+    ``hbar``, or an entry that overflows the float range (or underflows in a norm ratio).
     """
     import numpy as np
 
@@ -340,7 +340,7 @@ def fock_matrix(f: QSeries, dim: int, t: float, hbar: float) -> FockOperator:
                         continue
                     amp = base * math.perm(col, n) * _norm_ratio(row, col, hbar)
                     mat[row, col] += amp
-    except (OverflowError, FloatingPointError) as exc:
+    except (OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         raise _overflow(dim, t, hbar) from exc
     # float products that overflow give inf or nan without raising
     if not np.isfinite(mat).all():

@@ -577,43 +577,60 @@ def test_qbracket_mixed_signs_take_the_full_loop(monkeypatch):
         assert not seen
 
 
+def _fresh_form(value, S):
+    """A packed form of ``value`` made afresh by the one packer, `_kernel.pack_terms`."""
+    from qmorse import _kernel
+
+    return _kernel.pack_terms(value._terms, S, value._weights, value._ti, value._contracts)
+
+
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_qbracket_reads_its_operands_from_pack_terms(monkeypatch, hermitian):
-    """A bracket packs each operand once, by `_kernel.pack_terms`, and loops
-    over the packed terms that do not commute (m or n nonzero), with the
-    numerators as packed: each pair's lift to the list's denominators rides
-    on the factor of its left terms."""
+    """A bracket reads each operand's kept packed form (`_Series._packed`,
+    written once by `_kernel.pack_terms`), and loops over the packed terms
+    that do not commute (m or n nonzero), with the numerators as packed:
+    each pair's lift to the list's denominators rides on the factor of its
+    left terms.  A second bracket over the same operands packs nothing, and
+    neither leaves a kept form changed: the half path sorts copies."""
     from qmorse import _kernel
 
     c0, _, c2 = COPRIME
     central = {(0, 0, 1, 0): Fraction(1, 11), (0, 0, 0, 1): Fraction(2, 13)}
     x = QSeries({(1, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): Fraction(1, 3), **central}, **CAPS)
-    y = QSeries({(2, 1, 0, 0): c0, (1, 1, 0, 1): Fraction(1, 5), **central}, **CAPS)
+    y = QSeries({(2, 1, 0, 0): c0, (1, 1, 0, 1): Fraction(1, 5), (0, 1, 0, 2): Fraction(1, 7), **central}, **CAPS)
     y = y + algebra.dagger(y)
     if not hermitian:
         y = y + QSeries({(0, 2, 0, 0): c2}, **CAPS)
     pairs = [(x, y), (y.scale(Fraction(1, 7)), x.scale(5))]
     signs = {_kernel.hermitian_sign(z._terms) for pair in pairs for z in pair}
     assert signs == ({1} if hermitian else {0, 1})
-    packs, seen = [], []
-    pack_terms, component_pairs = _kernel.pack_terms, _kernel.component_pairs
+    S = _kernel.key_width(max(y.w2_cap, y.t_cap))
+    packs, seen, read = [], [], []
+    pack_terms, component_pairs, qbracket = _kernel.pack_terms, _kernel.component_pairs, _kernel.qbracket
 
     def recording_pack(terms, *rest):
-        out = pack_terms(terms, *rest)
-        packs.append((terms, out))
-        return out
+        packs.append(terms)
+        return pack_terms(terms, *rest)
 
     def recording_pairs(left, right):
         seen.append((left, right))
         return component_pairs(left, right)
 
+    def recording_qbracket(operands, s, *rest):
+        read.append((operands, s))
+        return qbracket(operands, s, *rest)
+
     monkeypatch.setattr(_kernel, "pack_terms", recording_pack)
     monkeypatch.setattr(_kernel, "component_pairs", recording_pairs)
-    out = algebra.bracket_sum(pairs, 2)
-    assert out.to_json() == _bracket_sum_reference(pairs, 2).to_json()
-    assert [terms for terms, _ in packs] == [z._terms for pair in pairs for z in pair]
+    monkeypatch.setattr(_kernel, "qbracket", recording_qbracket)
+    expected = _bracket_sum_reference(pairs, 2).to_json()
+    assert algebra.bracket_sum(pairs, 2).to_json() == expected
+    assert packs == [z._terms for pair in pairs for z in pair]
+    (operands, s), = read
+    assert s == (1 if hermitian else 0)
+    assert all(a is f._pack[1] and b is g._pack[1] for (a, b), (f, g) in zip(operands, pairs))
     assert len(seen) == len(pairs)
-    for (left, right), (_, (_, packed_left)), (_, (_, packed_right)) in zip(seen, packs[::2], packs[1::2]):
+    for (left, right), ((_, packed_left), (_, packed_right)) in zip(seen, operands):
         if not hermitian:  # the half path sorts the right parts by n2 - m2
             assert right == _kernel.noncentral(packed_right)
         assert {x: sorted(q) for x, q in right.items()} == {
@@ -623,6 +640,39 @@ def test_qbracket_reads_its_operands_from_pack_terms(monkeypatch, hermitian):
         assert {x: [term[-2] for term in p] for x, p in left.items()} == {
             x: [term[-1] for term in p] for x, p in moving.items()
         }
+    del packs[:]
+    assert algebra.bracket_sum(pairs, 2).to_json() == expected
+    assert packs == [] and read[1][0] == operands
+    for z in {id(z): z for pair in pairs for z in pair}.values():
+        assert z._pack == (S, _fresh_form(z, S))
+
+
+def test_kept_form_serves_any_partner_caps():
+    """A form is kept whole, whatever the caps of the partner beside which it
+    was first packed: a value packed for a bracket or product with a
+    narrow-cap partner (t cap 1, weight 5/2) gives exact brackets and
+    products later with a wide-cap partner (t cap 3, weight 7/2), at the
+    same key width of 3 bits, in either order."""
+    from qmorse import _kernel
+
+    c0, c1, c2 = COPRIME
+    terms = {(2, 1, 0, 0): c0, (1, 2, 0, 2): c1, (3, 0, 0, 1): c2, (1, 1, 1, 3): c0, (0, 1, 0, 0): c1}
+    narrow = QSeries({(1, 0, 0, 0): c2, (0, 2, 0, 0): c1, (1, 0, 0, 1): 1}, t_cap=1, weight_cap="5/2")
+    wide = QSeries({(1, 1, 0, 0): c1, (0, 2, 0, 1): c0, (2, 0, 0, 2): 1, (0, 1, 0, 0): c2}, t_cap=3, weight_cap="7/2")
+    assert _kernel.key_width(5) == _kernel.key_width(7)
+    for first in ("bracket", "product"):
+        for swap in (False, True):
+            value = QSeries(terms, t_cap=3, weight_cap="7/2")
+            if first == "bracket":
+                algebra.bracket_sum([(value, narrow)])
+            else:
+                _kernel.qmul_packed([(narrow._packed(3), value._packed(3))], 1, 5, 3)
+            assert value._pack == (3, _fresh_form(value, 3))
+            x, y = (wide, value) if swap else (value, wide)
+            out = algebra.bracket_i_hbar(x, y)
+            assert out and out._terms == bracket_per_pair(x, y)
+            out, den = _kernel.qmul_packed([(x._packed(3), y._packed(3))], 3, 7, 3)
+            assert _kernel.unpacked(_kernel.joined(out, den), 4, 3) == qmul_per_pair(x, y)
 
 
 def test_hermitian_sign():

@@ -233,40 +233,41 @@ def test_invert_series_matches_full_precision_loop(family, t_cap):
 
 
 def test_reversion_packs_each_horner_value_once(monkeypatch):
-    """Each `subs_series` of the quartic reversion at N=12 splits its Horner
+    """Each `subs_series` of the quartic reversion at N=12 packs its Horner
     value once, for all of the products that read it.
 
-    `ScalarSeries.__mul__` keeps each operand's packed form at the key width
-    it was asked for, and the caps of a Horner loop are fixed, so only the
-    first product ``out * value`` splits ``value``.  A change that splits a
-    reused operand again fails here without timing anything.
+    Every series keeps its packed form at the key width it was asked for
+    (`_Series._packed`, written by `_kernel.pack_terms`, the one packer), and
+    the caps of a Horner loop are fixed, so only the first product ``out *
+    value`` packs ``value``.  A change that packs a reused operand again
+    fails here without timing anything.
     """
     from qmorse import _kernel
 
     u = _reversion_input("quartic", 12)
-    split, subs_series, smul = _kernel.split, ScalarSeries.subs_series, ScalarSeries.__mul__
-    split_terms, operands, calls = [], [], []
+    pack_terms, subs_series, smul = _kernel.pack_terms, ScalarSeries.subs_series, ScalarSeries.__mul__
+    packed_terms, operands, calls = [], [], []
 
-    def counting_split(terms, den):
-        split_terms.append(terms)
-        return split(terms, den)
+    def counting_pack_terms(terms, *rest):
+        packed_terms.append(terms)
+        return pack_terms(terms, *rest)
 
     def counting_smul(self, other):
         operands.append(other)
         return smul(self, other)
 
     def counting_subs_series(self, var, value):
-        first_split, first_product = len(split_terms), len(operands)
+        first_pack, first_product = len(packed_terms), len(operands)
         out = subs_series(self, var, value)
-        splits = sum(terms is value._terms for terms in split_terms[first_split:])
-        calls.append((splits, sum(other is value for other in operands[first_product:])))
+        packs = sum(terms is value._terms for terms in packed_terms[first_pack:])
+        calls.append((packs, sum(other is value for other in operands[first_product:])))
         return out
 
-    monkeypatch.setattr(_kernel, "split", counting_split)
+    monkeypatch.setattr(_kernel, "pack_terms", counting_pack_terms)
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
     monkeypatch.setattr(ScalarSeries, "subs_series", counting_subs_series)
     nf.invert_series_z(u)
-    assert [splits for splits, _ in calls] == [1] * 13  # 12 steps and the final check
+    assert [packs for packs, _ in calls] == [1] * 13  # 12 steps and the final check
     assert sum(reads for _, reads in calls) == 116
 
 
@@ -319,33 +320,62 @@ def test_packed_powers_equal_the_series_powers(monkeypatch, text, order):
             assert _operand_terms(operand, S) == x._terms
 
 
+def _record_packs(monkeypatch, active=None):
+    """Lists that receive ``(terms, S, contracts, kept)`` for every call of
+    `_kernel.pack_terms`, the one packer (``kept`` when `_Series._packed`
+    made it, for a value's kept form), and ``(value, S)`` for every call of
+    `_Series._packed`, while ``active`` (a list) is nonempty, or always when
+    it is None."""
+    from qmorse import _kernel
+    from qmorse.series import _Series
+
+    packs, asked, inside = [], [], []
+    pack_terms, packed = _kernel.pack_terms, _Series._packed
+
+    def recording_pack_terms(terms, S, weights, ti, contracts):
+        if active is None or active:
+            packs.append((terms, S, contracts, bool(inside)))
+        return pack_terms(terms, S, weights, ti, contracts)
+
+    def recording_packed(self, S):
+        if active is None or active:
+            asked.append((self, S))
+        inside.append(1)
+        try:
+            return packed(self, S)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_kernel, "pack_terms", recording_pack_terms)
+    monkeypatch.setattr(_Series, "_packed", recording_packed)
+    return packs, asked
+
+
+def _distinct_kept_forms(asked):
+    """The number of distinct ``(value, width)`` pairs asked of `_Series._packed`."""
+    return len({(id(value), S) for value, S in asked})
+
+
 def test_solve_packs_each_operand_once(monkeypatch):
     """The packing work of the quartic solve at N=12.
 
-    fn is packed once (`_kernel.pack_terms`), and so is each central C_ij of
-    z power j >= 1, when g_i is split; those are the only operands split by
-    component, or packed, outside the brackets.  Each power fn^j, j >= 2, is
+    Every operand is packed by `_kernel.pack_terms`, at the one key width of
+    the solve, and once.  fn and the operands of the brackets (the slice
+    fn_1 and the h_i) are read in their kept forms (`_Series._packed`), each
+    packed on its first read; the only other packs are the central C_ij of
+    z power j >= 1, each when g_i is split.  Each power fn^j, j >= 2, is
     packed once, from the sums of its product (`_kernel.pack_sums`), and its
     t-slices are read off once (`_kernel.t_slices`); no power and no slice
-    is split or packed again.
+    is packed again.
     """
     from qmorse import _kernel
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    calls = {"split": 0, "pack_terms": [], "pack_sums": 0, "t_slices": 0}
-    in_solve, in_bracket = [], []
-    split, pack_terms, pack_sums, t_slices = _kernel.split, _kernel.pack_terms, _kernel.pack_sums, _kernel.t_slices
-    qbracket, solve = _kernel.qbracket, nf._homological_solve
-
-    def counting_split(terms, den):
-        calls["split"] += bool(in_solve) and not in_bracket
-        return split(terms, den)
-
-    def counting_pack_terms(terms, *rest):
-        if not in_bracket:
-            calls["pack_terms"].append(terms)
-        return pack_terms(terms, *rest)
+    calls = {"pack_sums": 0, "t_slices": 0}
+    in_solve = []
+    pack_sums, t_slices, solve = _kernel.pack_sums, _kernel.t_slices, nf._homological_solve
+    packs, asked = _record_packs(monkeypatch, in_solve)
 
     def counting_pack_sums(*args):
         calls["pack_sums"] += 1
@@ -355,29 +385,71 @@ def test_solve_packs_each_operand_once(monkeypatch):
         calls["t_slices"] += 1
         return t_slices(*args)
 
-    def marked(flag, run):
-        def call(*args):
-            flag.append(1)
-            try:
-                return run(*args)
-            finally:
-                flag.pop()
-        return call
+    def solving(*args):
+        in_solve.append(1)
+        try:
+            return solve(*args)
+        finally:
+            in_solve.pop()
 
-    for name, wrapper in [
-        ("split", counting_split), ("pack_terms", counting_pack_terms), ("pack_sums", counting_pack_sums),
-        ("t_slices", counting_t_slices), ("qbracket", marked(in_bracket, qbracket)),
-    ]:
-        monkeypatch.setattr(_kernel, name, wrapper)
-    monkeypatch.setattr(nf, "_homological_solve", marked(in_solve, solve))
+    monkeypatch.setattr(_kernel, "pack_sums", counting_pack_sums)
+    monkeypatch.setattr(_kernel, "t_slices", counting_t_slices)
+    monkeypatch.setattr(nf, "_homological_solve", solving)
     result = nf.quantum_morse(f, 12)
     fn = result.normalized_input
-    packed = calls.pop("pack_terms")
-    assert packed[0] is fn._terms
-    assert all(m == n == 0 for terms in packed[1:] for m, n, _, _ in terms)
+    S = _kernel.key_width(max(fn.w2_cap, fn.t_cap))
+    assert {(width, contracts) for _, width, contracts, _ in packs} == {(S, True)}
+    own = [terms for terms, _, _, kept in packs if kept]
+    central = [terms for terms, _, _, kept in packs if not kept]
+    assert packs[0][0] is fn._terms and packs[0][3] and fn._pack[0] == S
+    assert len(own) == _distinct_kept_forms(asked) == len({id(terms) for terms in own})
+    assert all(m == n == 0 for terms in central for m, n, _, _ in terms)
     powers = max(g.var_degree("z") for g in result.g.t_slices()[:11]) - 1
-    assert calls == {"split": len(packed), "pack_sums": powers, "t_slices": powers + 1}
-    assert (len(packed), powers) == (49, 11)
+    assert calls == {"pack_sums": powers, "t_slices": powers + 1}
+    assert (len(own), len(central), powers) == (13, 48, 11)
+
+
+def test_generator_packs_each_value_once_per_width(monkeypatch):
+    """The solve, H and verify() of the quartic pack each value once per key width.
+
+    Every bracket reads its operands in their kept forms (`_Series._packed`),
+    so a Lie-ladder slice X_j, or a slice H_k or V_j, that several steps read
+    is packed once, and so is every ScalarSeries operand.  The other
+    operator packs are the central C_ij of the solve (`_homological_solve`)
+    and the operands of the term-map products (`_kernel.qmul_sum`, which
+    `compose_scalar` reaches through ``QSeries.__mul__``).  The layout
+    before the kept forms packed both operands of every bracket pair on
+    every call: 280 operator packs (5,503 terms) at N=8 and 968 (51,951
+    terms) at N=16, where the kept forms make 120 and 264.
+    """
+    from qmorse import _kernel
+
+    for order, expected in ((8, (54, 24, 42)), (16, (110, 80, 74))):
+        caps = dict(t_cap=order, weight_cap=str(2 * order))
+        f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
+        packs, asked = _record_packs(monkeypatch)
+        qmul_sum, in_products = _kernel.qmul_sum, []
+
+        def marked_qmul_sum(pairs, *rest):
+            in_products.append(1)
+            try:
+                return qmul_sum(pairs, *rest)
+            finally:
+                in_products.pop()
+
+        monkeypatch.setattr(_kernel, "qmul_sum", marked_qmul_sum)
+        product_packs = _record_packs(monkeypatch, in_products)[0]
+        result = nf.quantum_morse(f, order)
+        result.H
+        assert result.verify()
+        assert sum(kept for *_, kept in packs) == _distinct_kept_forms(asked)
+        kept_operators = sum(contracts and kept for _, _, contracts, kept in packs)
+        assert all(contracts and not kept for _, _, contracts, kept in product_packs)
+        central = [terms for terms, _, _, kept in packs if not (kept or any(terms is p[0] for p in product_packs))]
+        assert all(m == n == 0 for terms in central for m, n, _, _ in terms)
+        assert (kept_operators, len(central), len(product_packs)) == expected
+        assert sum(expected) == sum(contracts for _, _, contracts, _ in packs)
+        monkeypatch.undo()
 
 
 def test_solve_work_counts(monkeypatch):
@@ -385,15 +457,16 @@ def test_solve_work_counts(monkeypatch):
 
     A change that widens the working precision of the homological solve or
     of the reversion raises these totals and fails here without timing
-    anything.  Brackets are formed by `_kernel.qbracket` and counted as
-    len(A) * len(B) per pair, before its hermitian cut.  Every other product,
-    of operators and of scalars, is formed by `_kernel.qmul_packed`, over
-    packed operands, and counted there as the product of the operands'
-    entries (a term has one entry per nonzero component; every term of this
-    solve has one), by operand kind.  The operator products are the powers
-    of fn, one pair each, and the composition part of each residual R_k, one
-    pair (C_ij, [t^(k-i)] fn^j) per earlier step i and z power j >= 1 of
-    g_i, whose central left operand C_ij holds g_i's terms at z^j.  Only the
+    anything.  Every product, of operators and of scalars, and every
+    bracket runs over packed operands, and is counted where it runs as the
+    product of the operands' entries (a term has one entry per nonzero
+    component; every term of this solve has one), by operand kind.  Brackets
+    are formed by `_kernel.qbracket` and counted before its hermitian cut.
+    Every other product is formed by `_kernel.qmul_packed`.  The operator
+    products are the powers of fn, one pair each, and the composition part
+    of each residual R_k, one pair (C_ij, [t^(k-i)] fn^j) per earlier step i
+    and z power j >= 1 of g_i, whose central left operand C_ij holds g_i's
+    terms at z^j.  Only the
     t^(k-i) slices that R_k reads are formed, none at t^0.  The scalar
     products are those of `ScalarSeries.__mul__`, one pair each, in the
     transport of u and its reversion.  The diagonal split reads the
@@ -424,7 +497,7 @@ def test_solve_work_counts(monkeypatch):
         return qmul_packed(pairs, *rest)
 
     def counting_qbracket(pairs, *rest):
-        counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
+        counts["bracket_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
         return qbracket(pairs, *rest)
 
     monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
@@ -443,8 +516,9 @@ def test_generator_work_counts(monkeypatch):
     fn_1 = q^4, the one nonzero slice of fn past t^0.  verify() reuses that
     ladder, already as long as it needs, and runs one new ladder, that of fn_0.
     Every ladder step is one `_kernel.qbracket` call over all of its nonzero
-    pairs.  The pairs are counted as len(A) * len(B) summed over each call's
-    pair list, before any cut.  H, V and every ladder slice are hermitian, so
+    pairs.  The pairs are counted as the product of the packed operands'
+    entries (one per nonzero component of a term; every term here has one),
+    summed over each call's pair list, before any cut.  H, V and every ladder slice are hermitian, so
     the kernel forms only the term pairs that land at ``m >= n`` (its
     hermitian half); those are counted where the kernel reads them, at
     `_kernel.prefix_length`, summed over the component pairs.
@@ -456,8 +530,11 @@ def test_generator_work_counts(monkeypatch):
     counts = {"bracket_pairs": 0, "formed_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0}
     qbracket, prefix_length, ladder_step = _kernel.qbracket, _kernel.prefix_length, flow.ladder_step
 
+    def entries(operand):
+        return sum(map(len, operand[1].values()))
+
     def counting_qbracket(pairs, *rest):
-        counts["bracket_pairs"] += sum(len(A) * len(B) for A, B in pairs)
+        counts["bracket_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
         counts["qbracket_calls"] += 1
         return qbracket(pairs, *rest)
 

@@ -310,6 +310,8 @@ def test_tokenizer_overlong_literal_is_parse_error():
         (["trace", "q^4", "--levels", "100000000"], 4),
         (["diag", "--perturbation", "q^4", "--t", "1e308", "--hbar", "1", "--dim", "30"], 3),
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1e200", "--dim", "30"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1e-100", "--dim", "5"], 3),
+        (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "1e-200", "--dim", "5"], 3),
         (["diag", "--perturbation", "q^4", "--t", "nan", "--hbar", "1", "--dim", "30"], 3),
         (["diag", "--perturbation", "q^4", "--t", "0.1", "--hbar", "inf", "--dim", "30",
           "--csv"], 3),
@@ -326,7 +328,8 @@ def test_tokenizer_overlong_literal_is_parse_error():
         "order", "spectrum-level", "level", "rs-order", "cap-third", "cap-negative",
         "hbar-zero", "missing-file", "levels", "long-literal",
         "deep-nesting", "usage-missing-order", "dim-huge", "dim-csv-over-limit",
-        "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "t-nan",
+        "order-huge", "levels-huge", "t-overflow", "hbar-overflow", "hbar-underflow",
+        "hbar-underflow-square", "t-nan",
         "hbar-inf-csv", "mul-cap-zero-den", "spectrum-cap-zero-den",
         "normal-form-cap-zero-den", "flow-cap-zero-den", "trace-cap-zero-den",
         "gevrey-hbar-weight-zero-den", "gevrey-window-one-int",

@@ -70,6 +70,24 @@ def test_negative_exponent_rejected():
         QSeries({(-1, 0, 0, 0): 1}, t_cap=1, weight_cap=2)
 
 
+def test_shift_refuses_negative_powers_and_names_unknown_variables():
+    """A shift by a negative power would hold negative exponents, which no
+    value may (construction refuses them); an unknown variable is named."""
+    f = q_op(4, 4) + t_op(4, 4)
+    with pytest.raises(ValueError, match="negative power t"):
+        f.shift(t=-1)
+    with pytest.raises(ValueError, match="negative power"):
+        f.shift(hbar=1, adag=-2)
+    s = ScalarSeries({(1, 0, 1): 1}, vars=SIG_ZHT, t_cap=2, weight_cap=4)
+    for value in (f, s):
+        for call in (
+            lambda: value.shift(x=1), lambda: value.var_slice("x", 0),
+            lambda: value.deriv("x"), lambda: value.var_degree("x"),
+        ):
+            with pytest.raises(ValueError, match="unknown variable 'x'"):
+                call()
+
+
 def test_term_guard(monkeypatch):
     monkeypatch.setenv("QMORSE_TERM_GUARD", "3")
     f = QSeries({(i, 0, 0, 0): 1 for i in range(6)}, t_cap=0, weight_cap=12)
@@ -462,6 +480,33 @@ def test_subs_series_after_a_product_at_other_caps():
         assert (other * v).to_json() == _naive_product(other, v).to_json()
         assert s.subs_series("z", v) == expected
         assert (other * v).to_json() == _naive_product(other, v).to_json()
+
+
+def test_scalar_kept_form_serves_any_partner_caps():
+    """A value first multiplied by a narrow-cap partner (t cap 1, weight
+    5/2) keeps its whole packed form, and multiplies exactly, in either
+    order, by a wide-cap partner (t cap 3, weight 7/2) at the same key width
+    of 3 bits; a plane family with a weight-0 parameter does the same."""
+    from qmorse import _kernel
+
+    c0, c1, c2 = COPRIME
+    for vars, terms, narrow, wide in (
+        (SIG_ZHT, {(1, 0, 0): c0, (2, 0, 2): c1, (0, 1, 3): c2, (3, 0, 1): 1},
+         {(1, 0, 0): c1, (0, 1, 1): c2}, {(1, 0, 1): c0, (0, 1, 2): c1, (2, 0, 0): 1}),
+        (("x", "y", "lambda1"), {(1, 0, 1): c0, (2, 3, 0): c1, (0, 5, 2): c2},
+         {(1, 0, 1): c2, (0, 1, 0): 1}, {(0, 2, 1): c1, (1, 0, 2): c0}),
+    ):
+        t_cap = 3 if "t" in vars else 0
+        narrow = ScalarSeries(narrow, vars=vars, t_cap=min(t_cap, 1), weight_cap="5/2")
+        wide = ScalarSeries(wide, vars=vars, t_cap=t_cap, weight_cap="7/2")
+        value = ScalarSeries(terms, vars=vars, t_cap=t_cap, weight_cap="7/2")
+        assert (narrow * value).to_json() == _naive_product(narrow, value).to_json()
+        S = value._pack[0]
+        assert value._pack[1] == _kernel.pack_terms(value._terms, S, value._weights, value._ti, False)
+        for x, y in ((value, wide), (wide, value)):
+            out = x * y
+            assert value._pack[0] == S and out.to_json() == _naive_product(x, y).to_json()
+            assert out != out.with_caps(t_cap=narrow.t_cap, weight_cap="5/2")  # terms past the narrow caps
 
 
 def test_power_past_the_weight_cap_forms_no_product(monkeypatch, capsys):

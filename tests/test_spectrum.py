@@ -469,6 +469,8 @@ def test_rs_complex_energies_golden_digest(level):
         (0.1, float("-inf"), "hbar must be finite"),
         (1e308, 1.0, "overflows"),
         (0.1, 1e200, "overflows"),
+        (0.1, 1e-100, "overflows"),  # the norm ratio's product underflows to 0
+        (0.1, 1e-200, "overflows"),
     ],
 )
 def test_fock_matrix_refuses_non_finite_input(t, hbar, message):
