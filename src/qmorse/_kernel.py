@@ -4,16 +4,15 @@ Coefficients of the engine live in the number field Q(i, sqrt2) and are packed
 as 5-tuples of ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 +
 d*i*sqrt2) / den`` with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``.
 
-Two kernels each sum over a list of operand pairs in one accumulator:
-`qmul_sum`, the sum ``sum A B`` of normal-ordered products of term maps
-(`qmul` is its one-pair entry), and `qbracket`, the sum ``(1/div) sum
-(i/hbar)[A, B]`` of packed operands, formed directly from the contraction
-terms.  Every product, of operators and of scalars, runs one loop,
-`qmul_packed`, over packed operands (below): a composition ``sum_j C_j(hbar,
-t) P^j`` is one call whose left operands are central, a ``ScalarSeries``
-product one call whose terms never contract.  The reordering factors come
-from one table: both kernels read the ``j >= 1`` factors of `contractions` by
-row (`contraction_row`), each row filled when it is made or lengthened.  A
+Two kernels each sum over a list of packed operand pairs (below) in one
+accumulator: `qmul_packed`, the sum ``sum A B`` of normal-ordered products,
+and `qbracket`, the sum ``(1/div) sum (i/hbar)[A, B]``, formed directly from
+the contraction terms.  Every product runs `qmul_packed`: a composition
+``sum_j C_j(hbar, t) P^j`` is one call whose left operands are central, and
+``series.product_sum`` (a ``ScalarSeries`` product is its one-pair case)
+one call over kept forms.  The reordering factors come from one table: both
+kernels read the ``j >= 1`` factors of `contractions` by row
+(`contraction_row`), each row filled when it is made or lengthened.  A
 Lie-ladder step passes all of its brackets to `qbracket` in one call.
 
 Packed keys.  Every product of monomials, in `qmul_packed` and `qbracket`,
@@ -43,22 +42,23 @@ per key width (``series._Series._packed``) for every product and bracket.
 No kernel changes an operand: `qbracket` drops the central terms of copies
 (`noncentral`) and sorts those.
 `qmul_packed` returns the split sums over ``den_A * den_B``, and has two
-endings.  `qmul_sum`, for term-map callers, packs its operands, runs the
-loop, then joins and reduces each output term (`joined`) and unpacks its key
-(`unpacked`).  A caller that reads the product as an operand again, as the
-Morse solve does with the powers fn^j, takes the sums as a packed operand
-instead (`pack_sums`): reduced once as a whole, by one gcd chain
-(`reduced`), its keys never unpacked into tuples.  Such an operand can be
-cut to a t cap (`cut_t`) and split into t-slices read off the key
-(`t_slices`) without being split or packed again.
+endings.  A caller that reads the product as a series (`qmul`, which packs
+its two term maps, and ``series.product_sum``, which reads kept forms) joins
+and reduces each output term (`joined`) and unpacks its key (`unpacked`).
+A caller that reads the product as an operand again, as the Morse solve
+does with the powers fn^j, takes the sums as a packed operand instead
+(`pack_sums`): reduced once as a whole, by one gcd chain (`reduced`), its
+keys never unpacked into tuples.  Such an operand can be cut to a t cap
+(`cut_t`) and split into t-slices read off the key (`t_slices`) without
+being split or packed again.
 
 Callers reach the kernels through the module attributes (``_kernel.qmul``,
-``_kernel.qmul_sum``, ``_kernel.qmul_packed``, ``_kernel.qbracket``), and
-`qmul` reaches `qmul_sum`, and `qmul_sum` `qmul_packed`, the same way, so a
-wrapper installed on one sees every call.  The benchmark's ``kernel.qmul``
-spans therefore count binary term-map products only: the pairs of a bracket,
-the powers and compositions of the Morse solve and the ``ScalarSeries``
-products, which call `qmul_packed` directly, are not seen by them.
+``_kernel.qmul_packed``, ``_kernel.qbracket``), and `qmul` reaches
+`qmul_packed` the same way, so a wrapper installed on one sees every call.
+The benchmark's ``kernel.qmul`` spans therefore count binary term-map
+products (``QSeries.__mul__``) only: the pairs of a bracket, the powers and
+compositions of the Morse solve and every ``series.product_sum`` (so every
+``ScalarSeries`` product), which call `qmul_packed` directly, are unseen.
 
 Components and common denominators.  Every product of term maps, the two
 kernels and the Fock-space layer of `spectrum` (`apply_rho`, `inner_product`
@@ -319,7 +319,7 @@ def contraction_row(a, size):
     """Row ``a`` of the table ``rows[a][b] = contractions(a, b)[1:]``, for ``b < size``.
 
     Only the ``j >= 1`` factors are kept.  The rows are shared by every call
-    of `qmul_sum` and `qbracket`; a row is made, and lengthened, only when a
+    of `qmul_packed` and `qbracket`; a row is made, and lengthened, only when a
     call reads it, and a call sizes it by the exponents of its operands, so
     the table is bounded by the exponents in use, not by the caps.  The
     entries are filled when the row is made or lengthened.
@@ -493,25 +493,13 @@ def qmul_packed(pairs, t_cap, w2_cap, S):
     return out, den_a * den_b
 
 
-def qmul_sum(pairs, t_cap, w2_cap):
-    """``sum A B`` over the term-map pairs ``(A, B)``, normal-ordered, as a term map.
-
-    Term maps take exponent tuples ``(m, n, k, l)`` (powers of adag, a, hbar,
-    t) to coefficient tuples.  Each operand is packed whole (`pack_terms`,
-    `OPERATOR`) in fields of `key_width` bits for the caps; the product is
-    `qmul_packed`, which forms only the term pairs within the caps (silent
-    truncation is part of the series contract), and each output term is
-    reduced once (`joined`) and its key unpacked once (`unpacked`).
-    """
-    S = key_width(max(w2_cap, t_cap))
-    packed = [(pack_terms(A, S, *OPERATOR), pack_terms(B, S, *OPERATOR)) for A, B in pairs]
-    out, den = qmul_packed(packed, t_cap, w2_cap, S)
-    return unpacked(joined(out, den), 4, S)
-
-
 def qmul(A, B, t_cap, w2_cap):
-    """The normal-ordered product of two term maps: `qmul_sum` over the one pair."""
-    return qmul_sum([(A, B)], t_cap, w2_cap)
+    """The normal-ordered product of two term maps {(m, n, k, l): coefficient}, truncated
+    to the caps: both packed whole (`pack_terms`, `OPERATOR`) at the caps' `key_width`,
+    one `qmul_packed` call, each output term reduced (`joined`) and unpacked once."""
+    S = key_width(max(w2_cap, t_cap))
+    out, den = qmul_packed([(pack_terms(A, S, *OPERATOR), pack_terms(B, S, *OPERATOR))], t_cap, w2_cap, S)
+    return unpacked(joined(out, den), 4, S)
 
 
 def hermitian_sign(terms):

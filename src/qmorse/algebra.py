@@ -22,6 +22,8 @@ from .series import (
     SIG_PRINCIPAL,
     SIG_SYMBOL,
     p_op,
+    pair_caps,
+    product_sum,
     q_op,
     render_terms,
     weight_cap_to_w2,
@@ -53,14 +55,12 @@ def bracket_sum(pairs, div=1) -> QSeries:
     """(1/div) sum (i/hbar)[f, g] over a non-empty list of QSeries pairs (f, g).
 
     One `_kernel.qbracket` call sums every pair in one accumulator and reduces
-    each output term once.  The result takes the smallest t cap and weight cap
-    of all the operands, which is what summing the brackets one by one gives.
-    Each operand is read in its kept packed form (`_packed`) at the caps' key
-    width; the sign product of the kernel's hermitian half skips empty operands.
+    each output term once, at the caps and key width of `series.pair_caps`
+    (the smallest caps of all the operands), as `series.product_sum` does.
+    Each operand is read in its kept packed form (`_packed`) at that width;
+    the sign product of the kernel's hermitian half skips empty operands.
     """
-    t_cap = min(min(f.t_cap, g.t_cap) for f, g in pairs)
-    w2 = min(min(f.w2_cap, g.w2_cap) for f, g in pairs)
-    S = _kernel.key_width(max(w2, t_cap))
+    t_cap, w2, S = pair_caps(pairs)
     signs = {_kernel.hermitian_sign(f._terms) * _kernel.hermitian_sign(g._terms) for f, g in pairs if f and g}
     s = signs.pop() if len(signs) == 1 else 0
     terms = _kernel.qbracket([(f._packed(S), g._packed(S)) for f, g in pairs], s, S, t_cap, w2, div)
@@ -253,10 +253,11 @@ def to_ordered(f: QSeries, order: str) -> OrderedPQ:
 
 
 def substitute(terms, x: QSeries, y: QSeries) -> QSeries:
-    """sum c hbar^k t^l x^e1 y^e2 over ``terms`` {(e1, e2, k, l): c}, normal-ordered, at x's caps.
+    """sum c hbar^k t^l x^e1 y^e2 over ``terms`` {(e1, e2, k, l): c}, normal-ordered.
 
-    One central coefficient map per (e1, e2), each power of x and of y formed
-    once, and one `_kernel.qmul_sum` call over the products.
+    One central coefficient series per (e1, e2), each power of x and of y
+    formed once, and one `series.product_sum` over the pairs (central
+    series, x^e1 y^e2), so the result takes the smaller caps of x and y.
     """
     central = {}
     for (e1, e2, k, l), c in terms.items():
@@ -267,8 +268,8 @@ def substitute(terms, x: QSeries, y: QSeries) -> QSeries:
             xs.append(xs[-1] * x)
         while len(ys) <= e2:
             ys.append(ys[-1] * y)
-    pairs = [(c, (xs[e1] * ys[e2])._terms) for (e1, e2), c in central.items()]
-    return QSeries._from_raw(_kernel.qmul_sum(pairs, x.t_cap, x.w2_cap), x.t_cap, x.w2_cap)
+    pairs = [(QSeries(c, t_cap=x.t_cap, weight_cap=x.weight_cap), xs[e1] * ys[e2]) for (e1, e2), c in central.items()]
+    return product_sum(pairs or [(x.zero_like(), y)])  # an empty sum: zero at the same caps
 
 
 def from_ordered(view: OrderedPQ) -> QSeries:

@@ -7,26 +7,27 @@ phi_0 = id.  A t-dependent observable is transported fiberwise
 t-series ring.  All meromorphic intermediates of the textbook conjugation
 U f U^{-1} are avoided; each order is a polynomial identity.
 
-Every t-order recursion here, and the transport of the normalizing germ u in
-`normal_form`, is the Lie ladder X_{r+1} = (1/(r+1)) sum_j op(X_j, S_{r-j})
-run by `ladder_step`.  phi of a t-series sum_l t^l X_l is read off one ladder
-per nonzero slice X_l by `ladder_sum`, which steps each ladder on demand.  A
-ladder is linear in its start, so it is kept per unscaled slice and weighted
-where it is read: `integrate_heisenberg` reads with weight 1, and
-`NormalFormResult.H` reads Y = phi(dfn/dt) off the ladders of fn_l, l >= 1,
-with weight l, and keeps them for `verify()`, whose one new ladder is that of
-fn_0, run by `integrate_heisenberg` (one ladder each for a perturbation linear
-in t).  A bracket step is one `algebra.bracket_sum` call: the r+1 brackets go
-to one `_kernel.qbracket` accumulator over packed monomial keys, with the
-division by r+1 folded into the single reduction of each output term, so a
-step forms no per-bracket result, no sum of series and no scaled copy.  Each
-slice X_j and S_k is read in the packed form it keeps, so it is packed once,
-however many steps read it.  When H
-and the transported observable are hermitian, as for a self-adjoint
-perturbation, every slice of the ladder is hermitian too, since the bracket
-(i/hbar)[X, S] of two hermitian operators is hermitian; the kernel then forms
-only the output terms whose adag power is at least their a power and fills in
-the rest by conjugation (its "hermitian half").
+Every Lie-series recursion of the engine is a ladder X_{r+1} = (1/(r+1))
+sum_j op(X_j, S_{r-j}) whose step r is one kernel call over its nonzero
+pairs, the division by r+1 folded into the single reduction of each output
+term, so a step forms no per-pair result, no sum of series and no scaled
+copy.  A bracket step, op = (i/hbar)[X, S], is `ladder_step`, one
+`algebra.bracket_sum` call; a product step, in `solve_propagator` and the
+transport of the normalizing germ u in `normal_form`, is one
+`series.product_sum` call.  phi of a t-series sum_l t^l X_l is read off one
+bracket ladder per nonzero slice X_l by `ladder_sum`, which steps each
+ladder on demand.  A ladder is linear in its start, so it is kept per
+unscaled slice and weighted where it is read: `integrate_heisenberg` reads
+with weight 1, and `NormalFormResult.H` reads Y = phi(dfn/dt) off the
+ladders of fn_l, l >= 1, with weight l, and keeps them for `verify()`, whose
+one new ladder is that of fn_0, run by `integrate_heisenberg` (one ladder
+each for a perturbation linear in t).  Each slice X_j and S_k is read in the
+packed form it keeps, so it is packed once, however many steps read it.
+When H and the transported observable are hermitian, as for a self-adjoint
+perturbation, every slice of a bracket ladder is hermitian too, since the
+bracket (i/hbar)[X, S] of two hermitian operators is hermitian; the kernel
+then forms only the output terms whose adag power is at least their a power
+and fills in the rest by conjugation (its "hermitian half").
 """
 
 from __future__ import annotations
@@ -36,30 +37,19 @@ from fractions import Fraction
 # The ladder calls bracket_sum only; flow.bracket_i_hbar stays importable
 # because the traced benchmark run (qbench/spans.py) wraps it by that name.
 from .algebra import bracket_i_hbar, bracket_sum  # noqa: F401
-from .series import QSeries, one
+from .series import QSeries, one, product_sum
 
 
-def ladder_step(xs: list, slices, op=None) -> None:
-    """Append X_{r+1} = (1/(r+1)) sum_{j<=r} op(X_j, S_{r-j}) to xs = [X_0..X_r].
+def ladder_step(xs: list, slices) -> None:
+    """Append X_{r+1} = (1/(r+1)) sum_{j<=r} (i/hbar)[X_j, S_{r-j}] to xs = [X_0..X_r].
 
-    `op` defaults to the bracket (i/hbar)[X, S] of QSeries: the pairs with
-    both X_j and S_{r-j} nonzero go to one `bracket_sum` call with div=r+1.
-    A custom `op` is applied pair by pair and the results are summed and
-    scaled; X and S may then be QSeries or ScalarSeries.  `slices` is only
-    read up to S_r, so it may still be growing between steps.  An empty sum
-    is the zero of X_0's type.
+    The pairs with both X_j and S_{r-j} nonzero go to one `bracket_sum` call
+    with div=r+1.  `slices` is only read up to S_r, so it may still be
+    growing between steps.  An empty sum is the zero of X_0's type.
     """
     r = len(xs) - 1
     pairs = [(xs[j], slices[r - j]) for j in range(r + 1) if xs[j] and slices[r - j]]
-    if not pairs:
-        xs.append(xs[0].zero_like())
-    elif op is None:
-        xs.append(bracket_sum(pairs, r + 1))
-    else:
-        acc = op(*pairs[0])
-        for x, s in pairs[1:]:
-            acc = acc + op(x, s)
-        xs.append(acc.scale(Fraction(1, r + 1)))
+    xs.append(bracket_sum(pairs, r + 1) if pairs else xs[0].zero_like())
 
 
 def ladder_sum(ladders, gen_slices, r, start, weight=None):
@@ -94,12 +84,17 @@ def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
 
 
 def solve_propagator(H: QSeries, order: int) -> QSeries:
-    """The unique U with dU/dt = H U and U(0) = 1, through t-order `order`."""
+    """The unique U with dU/dt = H U and U(0) = 1, through t-order `order`.
+
+    U_{r+1} = (1/(r+1)) sum_{j<=r} H_{r-j} U_j, each step one `product_sum`
+    call over its nonzero pairs.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
     hw = H.with_caps(t_cap=order)
     h_slices = hw.t_slices()
     us = [one(order, hw.weight_cap)]
-    while len(us) <= order:
-        ladder_step(us, h_slices, lambda u, h: h * u)
+    for r in range(order):
+        pairs = [(h_slices[r - j], us[j]) for j in range(r + 1) if h_slices[r - j] and us[j]]
+        us.append(product_sum(pairs, r + 1) if pairs else us[0].zero_like())
     return hw.join_t_slices(us)

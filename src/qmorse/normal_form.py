@@ -9,7 +9,8 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
   ad(f0) inverts monomial-by-monomial since
   (i/hbar)[f0, adag^m a^n] = 2i(m-n) adag^m a^n;
 * the normalizing germ u is transported by du/dt = -(du/dz) g, u(0, z) = z
-  (the sign is pinned by the exactly solvable families t q^2 and t q);
+  (the sign is pinned by the exactly solvable families t q^2 and t q), step
+  r one `product_sum` over (du_j/dz, g_(r-j)), each du_j/dz formed once;
 * the stored H is the generator of the normalizing automorphism phi in the
   integrate_heisenberg convention, so
   compose_scalar(u, integrate_heisenberg(H, f, N)) == f0 holds literally;
@@ -72,6 +73,7 @@ from .series import (
     SIG_ZHT,
     harmonic,
     p_op,
+    product_sum,
     q_op,
     scalar_var,
 )
@@ -158,7 +160,7 @@ class NormalFormResult:
     callers never pay for the brackets behind it.
     """
 
-    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h_slices):
+    def __init__(self, g, u, u_inv, scale, shift, normalized_input, order, h):
         self.g: ScalarSeries = g
         self.u: ScalarSeries = u
         self.u_inv: ScalarSeries = u_inv
@@ -166,7 +168,7 @@ class NormalFormResult:
         self.shift: ScalarSeries = shift
         self.normalized_input: QSeries = normalized_input
         self.order: int = order
-        self._h_slices = h_slices
+        self._h = h
         self._H: QSeries | None = None
         self._ladders = None
         self._verified: bool | None = None
@@ -183,12 +185,12 @@ class NormalFormResult:
         Y = phi(dfn/dt); a diagonal right side is a DomainError.  Y_r = sum_l l L_l[r+1-l]
         is read by `flow.ladder_sum` off the Lie ladders L_l of the unscaled slices fn_l,
         l >= 1, which step r runs only as far as H_0..H_(r-1); they are kept for `verify()`.
-        The slices of h are read by this build only, and released after it.
+        h, kept joined, is sliced afresh by this build only, and released after it.
         """
         if self._H is None:
             fn = self.normalized_input
             f0 = harmonic(fn.t_cap, fn.weight_cap)
-            F, _ = _homological_solve(fn, self._h_slices)
+            F, _ = _homological_solve(fn, self._h.t_slices())
             F = self.u_inv.join_t_slices(F).subs_series("z", self.u_inv)
             diag = compose_scalar(F, f0).t_slices()
             V = compose_scalar(self.u_inv, f0).t_slices()
@@ -206,7 +208,7 @@ class NormalFormResult:
                     raise DomainError(f"generator equation has a diagonal part at t^{r}")
                 H.append(K - diag[r])
             self._H, self._ladders = fn.join_t_slices(H), ladders
-            self._h_slices = None
+            self._h = None
         return self._H
 
     def verify(self) -> bool:
@@ -332,9 +334,11 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
 
     # transport: u' = -(du/dz) g, u(0, z) = z
     z = scalar_var("z", SIG_ZHT, order, weight_cap)
-    u_slices = [z]
-    while len(u_slices) <= order:
-        flow.ladder_step(u_slices, g_slices, lambda u, g: -(u.deriv("z") * g))
+    u_slices, du = [z], []
+    for r in range(order):
+        du.append(u_slices[r].deriv("z"))
+        pairs = [(du[j], g_slices[r - j]) for j in range(r + 1) if du[j] and g_slices[r - j]]
+        u_slices.append(product_sum(pairs, -(r + 1)) if pairs else z.zero_like())
     u = z.join_t_slices(u_slices)
     u_inv = invert_series_z(u)
     return NormalFormResult(
@@ -345,7 +349,7 @@ def quantum_morse(f: QSeries, order: int, *, weight_cap=None) -> NormalFormResul
         shift=shift,
         normalized_input=fn,
         order=order,
-        h_slices=h_slices,
+        h=fn.join_t_slices(h_slices),
     )
 
 

@@ -6,8 +6,9 @@ for adag, a, x and y, 2 for hbar and z, 0 for t and n).  `_Series` holds the
 map, the caps and the signature, and implements everything that does not
 depend on how monomials multiply: construction, re-capping, sums, scaling,
 powers, slices, shifts, derivatives, rendering and JSON.  Both value types
-multiply in one loop, `_kernel.qmul_packed`, and differ only in whether
-their monomials contract:
+multiply in one loop, `_kernel.qmul_packed`, which `product_sum` runs once
+over a list of pairs (a `ScalarSeries` product is its one-pair case), and
+differ only in whether their monomials contract:
 
 * `QSeries` is a polynomial in (adag, a, hbar, t) stored in normal order
   (every monomial has all adag powers before all a powers); multiplication
@@ -28,11 +29,11 @@ The packed form.  The kernels read every operand in the one form that
 `_kernel.pack_terms` writes from the term map and the signature (`_kernel`
 module docstring); only `QSeries` terms carry the adag and a powers that
 contract (the class constant ``_contracts``).  A value keeps its form, made
-whole on first use, for the key width it was made at (`_packed`), so
-Horner's ``out * value`` in `subs_series`, the brackets of a Lie ladder and
-every other reader of one value at one width pack it once.  The term map
-never changes, so the kept form never goes stale, and no reader changes it;
-it is derived data only, and takes no part in ``__eq__`` or JSON.
+whole on first use, for the key width it was made at (`_packed`), so every
+reader of one value at one width (Horner's ``out * value`` in `subs_series`,
+the steps of a ladder) packs it once.  The term map never changes, so the
+kept form never goes stale; no reader changes it, and it takes no part in
+``__eq__`` or JSON.
 """
 
 from __future__ import annotations
@@ -452,33 +453,13 @@ class ScalarSeries(_Series):
     def _from_raw(cls, terms, vars, t_cap, w2_cap):
         return cls._make(_scalar_sig(vars), terms, t_cap, w2_cap)
 
-    def _key_width(self, other, t_cap, w2_cap):
-        """Field width of the packed keys of ``self * other`` at the joined caps.
-
-        A field of the product holds at most ``w2_cap`` for a variable of
-        positive weight and ``t_cap`` for t; only a variable of weight 0
-        other than t (n, lambda_j) is bounded by the operands' largest
-        exponents, so over a signature without one the width is the caps'.
-        """
-        top = max(w2_cap, t_cap)
-        ti = self._ti
-        free = [i for i, wt in enumerate(self._weights) if not wt and i != ti]
-        if free:
-            top = max(top, sum(max((e[i] for e in s._terms for i in free), default=0) for s in (self, other)))
-        return _kernel.key_width(top)
-
     def __mul__(self, other):
         if isinstance(other, ScalarSeries):
-            self._check_sig(other)
-            t_cap, w2 = self._join_caps(other)
-            S = self._key_width(other, t_cap, w2)
-            out, den = _kernel.qmul_packed([(self._packed(S), other._packed(S))], t_cap, w2, S)
-            return self._like(_kernel.unpacked(_kernel.joined(out, den), len(self.vars), S), t_cap, w2)
+            return product_sum([(self, other)])
         return self.scale(other)
 
     def subs_series(self, var, value):
         """Substitute a same-signature series for one variable (Horner)."""
-        self._check_sig(value)
         out = self.zero_like()
         for power in range(self.var_degree(var), -1, -1):
             out = out * value + self.var_slice(var, power)
@@ -522,6 +503,34 @@ class ScalarSeries(_Series):
         return cls(
             cls._json_terms(obj), vars=obj["vars"], t_cap=obj["t_cap"], weight_cap=obj["weight_cap"]
         )
+
+
+def pair_caps(pairs):
+    """``(t_cap, w2_cap, S)`` of a non-empty list of series pairs of one signature (so one type):
+    the smallest caps of all the operands, as summing the pairs' results gives, and the key
+    width of the output (`_kernel` docstring, "Packed keys"), where a weight-0 variable other
+    than t is bounded by the largest sum, over a pair, of its operands' largest exponents."""
+    first = pairs[0][0]
+    operands = [x for pair in pairs for x in pair]
+    for x in operands:
+        first._check_sig(x)
+    t_cap = min(x.t_cap for x in operands)
+    w2 = min(x.w2_cap for x in operands)
+    top = max(w2, t_cap)
+    free = [i for i, wt in enumerate(first._weights) if not wt and i != first._ti]
+    if free:
+        top = max(top, *(sum(max((e[i] for e in x._terms for i in free), default=0) for x in pair) for pair in pairs))
+    return t_cap, w2, _kernel.key_width(top)
+
+
+def product_sum(pairs, div=1):
+    """``(1/div) sum A B`` over a non-empty list of series pairs, at the caps of `pair_caps`:
+    one `_kernel.qmul_packed` call over the operands' kept forms, and ``div`` (a nonzero
+    integer) folded into the one reduction of each output term."""
+    t_cap, w2, S = pair_caps(pairs)
+    parts, den = _kernel.qmul_packed([(a._packed(S), b._packed(S)) for a, b in pairs], t_cap, w2, S)
+    first = pairs[0][0]
+    return first._like(_kernel.unpacked(_kernel.joined(parts, den * div), len(first.vars), S), t_cap, w2)
 
 
 def series_from_json(obj):

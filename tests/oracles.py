@@ -33,7 +33,7 @@ from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
 from qmorse.algebra import pi_restriction
 from qmorse.field import Coefficient, I
 from qmorse.milnor import _monomials, _working, plane, poisson
-from qmorse.series import QSeries, ScalarSeries, SIG_HT, a_op, adag, one
+from qmorse.series import QSeries, ScalarSeries, SIG_HT, a_op, adag, harmonic, one, q_op
 
 # A non-hermitian perturbation whose values fill all four components of
 # Q(i, sqrt2).
@@ -280,3 +280,76 @@ def versality_rows_by_products(F, degree):
     top = work.w2_cap
     rows = [poisson(plane({mono: 1}, top), work).with_caps(weight_cap=Fraction(degree, 2)) for mono in _monomials(top)]
     return rows + [plane({mono: 1}, degree) * work for mono in _monomials(degree)]
+
+
+def _potential(coefficients, order):
+    """p^2 + sum_k c_k t^(k-2) q^k over ``coefficients`` [c_0, c_1, ...], through t^order.
+
+    c_0 = c_1 = 0 and c_2 = 1, so f(t=0) = p^2 + q^2.  The powers of q are
+    engine products, which the word rewriter checks elsewhere.
+    """
+    assert coefficients[:3] == [0, 0, 1]
+    caps = dict(t_cap=order, weight_cap=str(order + 4))
+    q = q_op(**caps)
+    f, power = harmonic(**caps), q * q
+    for k in range(3, order + 3):
+        power = power * q
+        f = f + power.shift(t=k - 2).scale(coefficients[k])
+    return f
+
+
+def morse_perturbation(order):
+    """The Morse oscillator p^2 + (1 - e^(-tq))^2 / t^2 through t^order.
+
+    (1 - e^(-x))^2 = sum_{k>=2} (-1)^k (2^k - 2) / k! x^k.
+    """
+    return _potential([Fraction((-1) ** k * (2**k - 2), factorial(k)) if k > 1 else 0 for k in range(order + 3)], order)
+
+
+def poschl_teller_perturbation(order):
+    """The Poschl-Teller oscillator p^2 + tanh^2(tq) / t^2 through t^order.
+
+    tanh x = sum_j T_j x^j from tanh' = 1 - tanh^2: T_1 = 1 and
+    (j+1) T_(j+1) = -sum_i T_i T_(j-i) for j >= 1.
+    """
+    tanh = [Fraction(0), Fraction(1)]
+    for j in range(1, order + 2):
+        tanh.append(-sum(tanh[i] * tanh[j - i] for i in range(j + 1)) / (j + 1))
+    return _potential([sum(tanh[i] * tanh[k - i] for i in range(k + 1)) for k in range(order + 3)], order)
+
+
+def _half_binomial(k):
+    """binomial(1/2, k), the coefficient of x^k in sqrt(1 + x)."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= (Fraction(1, 2) - i) / (i + 1)
+    return out
+
+
+# The closed-form germs u_inv(z, hbar, t), {(z, hbar, t) exponents: Fraction}, with
+# E_n = u_inv(z = hbar (2n + 1)) the exact bound-state levels.
+def morse_germ(order):
+    """z - t^2 z^2 / 4: E_n = hbar (2n+1) - t^2 hbar^2 (n + 1/2)^2 (Morse, Phys. Rev. 34, 57 (1929),
+    at D = 1/t^2, alpha = t, mass 1/2)."""
+    return {(1, 0, 0): Fraction(1), (2, 0, 2): Fraction(-1, 4)}
+
+
+def poschl_teller_germ(order):
+    """z sqrt(1 + t^4 hbar^2 / 4) - t^2 z^2 / 4 - t^2 hbar^2 / 4, through t^order: E_n = D - alpha^2
+    hbar^2 (s - n)^2 with s (s + 1) = D / (alpha hbar)^2 (Poschl and Teller, Z. Phys. 83, 143
+    (1933)), at D = 1/t^2, alpha = t, mass 1/2."""
+    germ = {(1, 2 * k, 4 * k): _half_binomial(k) / 4**k for k in range(order // 4 + 1)}
+    germ[2, 0, 2] = germ[0, 2, 2] = Fraction(-1, 4)
+    return germ
+
+
+def germ_levels(germ, n=None):
+    """The germ at z = hbar (2n + 1): {(n, hbar, t): Fraction} for a symbolic n, or
+    {(hbar, t): Fraction} at the level ``n``."""
+    out = {}
+    for (j, k, l), c in germ.items():
+        for r in range(j + 1):  # (2n + 1)^j = sum_r C(j, r) 2^r n^r
+            w = c * comb(j, r) * 2**r
+            key = (r, j + k, l) if n is None else (j + k, l)
+            out[key] = out.get(key, 0) + (w if n is None else w * n**r)
+    return {key: c for key, c in out.items() if c}

@@ -130,6 +130,29 @@ def test_from_ordered_equals_per_monomial_ordering(order):
         assert (got.t_cap, got.w2_cap) == (2, w2)
 
 
+def test_substitute_takes_the_smaller_caps_of_its_images():
+    """A term past the narrower image's caps is missing, not zero, so
+    `substitute` returns at the smaller caps of x and y: q p^2 (weight 3/2,
+    6 terms at weight cap 4) is no term at weight cap 1/2, a cap its result
+    states.  Either image may be the narrower one, by t cap or weight cap,
+    and the monomial-by-monomial route agrees in value and caps; an empty
+    sum is zero at the same caps."""
+    from qmorse._kernel import COEFF_ONE
+
+    terms = {(1, 2, 0, 0): COEFF_ONE, (0, 1, 1, 1): COPRIME[0].raw}
+    q, p = q_op(2, 4), p_op(2, 4)
+    wide = algebra.substitute({(1, 2, 0, 0): COEFF_ONE}, q, p)
+    assert wide == q * p * p and len(wide) == 6 and (wide.t_cap, wide.w2_cap) == (2, 8)
+    narrow = algebra.substitute({(1, 2, 0, 0): COEFF_ONE}, q, p_op(2, "1/2"))
+    assert not narrow and (narrow.t_cap, narrow.w2_cap) == (2, 1)
+    for x, y in ((q, p_op(2, "1/2")), (q_op(2, "3/2"), p), (q_op(0, 4), p), (q, p_op(1, "5/2"))):
+        got = algebra.substitute(terms, x, y)
+        caps = (min(x.t_cap, y.t_cap), min(x.w2_cap, y.w2_cap))
+        assert got == substitute_per_monomial(terms, x, y) and (got.t_cap, got.w2_cap) == caps
+        empty = algebra.substitute({}, x, y)
+        assert not empty and (empty.t_cap, empty.w2_cap) == caps
+
+
 def test_to_pq_of_qp():
     q, p = q_op(**CAPS), p_op(**CAPS)
     view = algebra.to_pq(q * p)
@@ -384,21 +407,20 @@ def test_qmul_matches_per_pair_reduction(monkeypatch):
     assert out == {(2, 0, 0, 0): (-5, 0, 0, 0, 63), (0, 0, 2, 0): (1, 0, 0, 0, 35)}
     # the sum over a pair list, each pair over the lcm of its side's denominators,
     # against the per-pair products summed as series (re-capped at the smallest caps)
-    from qmorse import _kernel
     from qmorse.errors import ResourceError
+    from qmorse.series import product_sum
 
     pairs = [(f, g), (g, f), (x, y)]
     reference = None
     for a, b in pairs:
         term = QSeries._from_raw(qmul_per_pair(a, b), *a._join_caps(b))
         reference = term if reference is None else reference + term
-    raw = [(a._terms, b._terms) for a, b in pairs]
-    for order in (raw, raw[::-1]):  # the sum does not depend on the order of the list
-        out = _kernel.qmul_sum(order, reference.t_cap, reference.w2_cap)
-        assert out and out == reference._terms
+    for order in (pairs, pairs[::-1]):  # the sum does not depend on the order of the list
+        out = product_sum(order)
+        assert out and out == reference and (out.t_cap, out.w2_cap) == (reference.t_cap, reference.w2_cap)
     monkeypatch.setenv("QMORSE_TERM_GUARD", str(len(out) - 1))
     with pytest.raises(ResourceError):
-        _kernel.qmul_sum(raw, reference.t_cap, reference.w2_cap)
+        product_sum(pairs)
 
 
 def test_kernels_read_operand_terms_past_the_joined_caps():
@@ -425,7 +447,7 @@ def test_kernels_read_operand_terms_past_the_joined_caps():
     )
     g = QSeries({(0, 1, 0, 0): c1, (2, 1, 0, 0): c2, (0, 0, 0, 1): c0, (1, 0, 0, 1): c1}, t_cap=1, weight_cap="3/2")
     for x, y in ((f, g), (g, f)):
-        out = _kernel.qmul_sum([(x._terms, y._terms)], 1, 3)
+        out = _kernel.qmul(x._terms, y._terms, 1, 3)
         assert out and out == qmul_per_pair(x, y)
         assert any(m + n + 2 * k == 3 for m, n, k, _ in out)
         assert algebra.bracket_i_hbar(x, y)._terms == bracket_per_pair(x, y)

@@ -416,7 +416,7 @@ def test_generator_packs_each_value_once_per_width(monkeypatch):
     so a Lie-ladder slice X_j, or a slice H_k or V_j, that several steps read
     is packed once, and so is every ScalarSeries operand.  The other
     operator packs are the central C_ij of the solve (`_homological_solve`)
-    and the operands of the term-map products (`_kernel.qmul_sum`, which
+    and the operands of the term-map products (`_kernel.qmul`, which
     `compose_scalar` reaches through ``QSeries.__mul__``).  The layout
     before the kept forms packed both operands of every bracket pair on
     every call: 280 operator packs (5,503 terms) at N=8 and 968 (51,951
@@ -428,16 +428,16 @@ def test_generator_packs_each_value_once_per_width(monkeypatch):
         caps = dict(t_cap=order, weight_cap=str(2 * order))
         f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
         packs, asked = _record_packs(monkeypatch)
-        qmul_sum, in_products = _kernel.qmul_sum, []
+        qmul, in_products = _kernel.qmul, []
 
-        def marked_qmul_sum(pairs, *rest):
+        def marked_qmul(*args):
             in_products.append(1)
             try:
-                return qmul_sum(pairs, *rest)
+                return qmul(*args)
             finally:
                 in_products.pop()
 
-        monkeypatch.setattr(_kernel, "qmul_sum", marked_qmul_sum)
+        monkeypatch.setattr(_kernel, "qmul", marked_qmul)
         product_packs = _record_packs(monkeypatch, in_products)[0]
         result = nf.quantum_morse(f, order)
         result.H
@@ -460,51 +460,90 @@ def test_solve_work_counts(monkeypatch):
     anything.  Every product, of operators and of scalars, and every
     bracket runs over packed operands, and is counted where it runs as the
     product of the operands' entries (a term has one entry per nonzero
-    component; every term of this solve has one), by operand kind.  Brackets
+    component; every term of this solve has one), by operand type.  Brackets
     are formed by `_kernel.qbracket` and counted before its hermitian cut.
     Every other product is formed by `_kernel.qmul_packed`.  The operator
     products are the powers of fn, one pair each, and the composition part
     of each residual R_k, one pair (C_ij, [t^(k-i)] fn^j) per earlier step i
     and z power j >= 1 of g_i, whose central left operand C_ij holds g_i's
-    terms at z^j.  Only the
-    t^(k-i) slices that R_k reads are formed, none at t^0.  The scalar
-    products are those of `ScalarSeries.__mul__`, one pair each, in the
-    transport of u and its reversion.  The diagonal split reads the
-    falling products P_n from an integer table, so it forms no
-    ScalarSeries product.
+    terms at z^j.  Only the t^(k-i) slices that R_k reads are formed, none
+    at t^0.  The scalar products are those whose left operand is the kept
+    form of a ``ScalarSeries``: the transport of u, one `product_sum` of the
+    pairs (du_j/dz, g_(r-j)) per step r, and the Horner products of its
+    reversion, one pair each.  The diagonal split reads the falling
+    products P_n from an integer table, so it forms no ScalarSeries product.
+
+    The solve makes 12 z-derivatives and 151 `_kernel.qmul_packed` calls:
+    each du_j/dz is formed once, when u_j is, and step r of the transport is
+    one call.  A step that differentiated every u_j, j <= r, again and formed
+    one product per pair made 78 z-derivatives and 217 calls.
     """
     from qmorse import _kernel
+    from qmorse.series import _Series
 
     caps = dict(t_cap=12, weight_cap="24")
     f = harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4
-    counts = {"smul_pairs": 0, "product_pairs": 0, "bracket_pairs": 0}
-    smul, qmul_packed, qbracket = ScalarSeries.__mul__, _kernel.qmul_packed, _kernel.qbracket
+    counts = {"smul_pairs": 0, "product_pairs": 0, "bracket_pairs": 0, "qmul_packed_calls": 0, "z_derivatives": 0}
+    packed, qmul_packed, qbracket, deriv = _Series._packed, _kernel.qmul_packed, _kernel.qbracket, _Series.deriv
+    kinds = {}  # id of a kept form: (the form, kept alive so no id is reused; its value's type)
 
     def entries(operand):
         return sum(map(len, operand[1].values()))
 
-    in_smul = []
+    def typed_packed(self, S):
+        form = packed(self, S)
+        kinds[id(form)] = (form, type(self))
+        return form
 
-    def counting_smul(self, other):
-        in_smul.append(1)
-        try:
-            return smul(self, other)
-        finally:
-            in_smul.pop()
+    def counting_deriv(self, var):
+        counts["z_derivatives"] += var == "z"
+        return deriv(self, var)
 
     def counting_qmul_packed(pairs, *rest):
-        counts["smul_pairs" if in_smul else "product_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
+        counts["qmul_packed_calls"] += 1
+        for A, B in pairs:
+            scalar = kinds.get(id(A), (None, None))[1] is ScalarSeries
+            counts["smul_pairs" if scalar else "product_pairs"] += entries(A) * entries(B)
         return qmul_packed(pairs, *rest)
 
     def counting_qbracket(pairs, *rest):
         counts["bracket_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
         return qbracket(pairs, *rest)
 
-    monkeypatch.setattr(ScalarSeries, "__mul__", counting_smul)
+    monkeypatch.setattr(_Series, "_packed", typed_packed)
+    monkeypatch.setattr(_Series, "deriv", counting_deriv)
     monkeypatch.setattr(_kernel, "qmul_packed", counting_qmul_packed)
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     nf.quantum_morse(f, 12)
-    assert counts == {"smul_pairs": 48950, "product_pairs": 37637, "bracket_pairs": 6534}
+    assert counts == {
+        "smul_pairs": 48950,
+        "product_pairs": 37637,
+        "bracket_pairs": 6534,
+        "qmul_packed_calls": 151,
+        "z_derivatives": 12,
+    }
+
+
+def _held_series(result):
+    """The QSeries a result holds, in its attributes and the lists among them."""
+    for value in vars(result).values():
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, QSeries):
+                yield x
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_result_holds_no_packed_form_but_the_input(order):
+    """After the solve the result keeps h as one joined series, not as the
+    slices whose packed forms the solve's brackets kept, so no QSeries it
+    holds carries a packed form but `normalized_input`, which the second
+    solve of `H` reads; building H releases h."""
+    caps = dict(t_cap=order, weight_cap=str(2 * order))
+    result = nf.quantum_morse(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, order)
+    held = list(_held_series(result))
+    assert any(x is result._h for x in held) and result.normalized_input._pack
+    assert all(x._pack is None for x in held if x is not result.normalized_input)
+    assert result.H and result._h is None
 
 
 def test_generator_work_counts(monkeypatch):
@@ -543,9 +582,9 @@ def test_generator_work_counts(monkeypatch):
         counts["formed_pairs"] += formed
         return formed
 
-    def counting_ladder_step(xs, slices, op=None):
-        counts["bracket_steps"] += op is None
-        return ladder_step(xs, slices, op)
+    def counting_ladder_step(xs, slices):
+        counts["bracket_steps"] += 1
+        return ladder_step(xs, slices)
 
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     monkeypatch.setattr(_kernel, "prefix_length", counting_prefix_length)
@@ -662,7 +701,7 @@ def test_verify_ladders_equal_an_independent_transport(monkeypatch, text, order)
     assert result.verify()
     fn = result.normalized_input
     assert composed == [flow.integrate_heisenberg(result.H, fn, order)]
-    assert result._ladders is None and result._h_slices is None
+    assert result._ladders is None and result._h is None
     assert result.verify() and len(composed) == 1
 
 
@@ -772,7 +811,7 @@ def test_homological_equation(text, order):
     f = parser.elaborate(parser.parse_expr(text), order, "64")
     result = nf.quantum_morse(f, order)
     fn = result.normalized_input
-    h = fn.join_t_slices(result._h_slices)
+    h = result._h
     lhs = compose_scalar(result.g, fn) + bracket_i_hbar(fn, h)
     assert lhs.with_caps(t_cap=order - 1) == fn.deriv("t").with_caps(t_cap=order - 1)
 

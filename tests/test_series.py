@@ -28,7 +28,7 @@ from qmorse.series import (
 )
 from qmorse.spectrum import FockVector
 
-from oracles import COPRIME, random_qseries
+from oracles import COPRIME, qmul_per_pair, random_qseries
 
 
 def test_zero_series_has_empty_map():
@@ -422,6 +422,91 @@ def test_scalar_product_is_one_run_of_the_operator_loop(monkeypatch, sig):
         assert terms and all(term[3] == term[4] == 0 for term in terms)
 
 
+PLANE_FAMILY = ("x", "y", "lambda1", "lambda2")
+
+
+@pytest.mark.parametrize("sig", ["operator", SIG_ZHT, SIG_NHT, PLANE_FAMILY], ids=["q", "zht", "nht", "plane-family"])
+def test_product_sum_is_the_per_pair_sum_then_scaled(monkeypatch, sig):
+    """`product_sum(pairs, div)` equals the per-pair products summed as
+    series and then scaled by 1/div, negative div included, at the smallest
+    caps of all the operands (here always those of the last pair's right
+    operand), in one `_kernel.qmul_packed` call.  The n and lambda exponents
+    reach 40 and 30 under a weight cap of at most 4, so the key width comes
+    from the operands' largest weight-0 exponents, not from the caps."""
+    from qmorse import _kernel
+    from qmorse.series import product_sum
+
+    rng = random.Random(str(sig))
+    calls = []
+    qmul_packed = _kernel.qmul_packed
+
+    def recording(pairs, *rest):
+        calls.append(len(pairs))
+        return qmul_packed(pairs, *rest)
+
+    def operand(t_cap, weight_cap):
+        if sig == "operator":
+            return random_qseries(rng, t_cap=t_cap, weight_cap=weight_cap, max_terms=5)
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exp = [rng.randint(0, 2) for _ in sig]
+            if sig != SIG_ZHT and rng.randrange(2):
+                exp[0 if sig == SIG_NHT else 2] = rng.choice((20, 30, 40))
+            terms[tuple(exp)] = rng.choice(COPRIME)
+        return ScalarSeries(terms, vars=sig, t_cap=t_cap, weight_cap=weight_cap)
+
+    def product(a, b):
+        if sig == "operator":
+            return QSeries._from_raw(qmul_per_pair(a, b), *a._join_caps(b))
+        return _naive_product(a, b)
+
+    monkeypatch.setattr(_kernel, "qmul_packed", recording)
+    nonzero = 0
+    for div in (1, 3, -2):
+        for size in (1, 2, 4, 4):
+            pairs = [(operand(4, 4), operand(3, "7/2")) for _ in range(size)]
+            pairs[-1] = (pairs[-1][0], operand(2, "5/2"))
+            reference = product(*pairs[0])
+            for a, b in pairs[1:]:
+                reference = reference + product(a, b)
+            reference = reference.scale(Fraction(1, div))
+            del calls[:]
+            got = product_sum(pairs, div)
+            assert calls == [size] and got == reference
+            assert (got.t_cap, got.w2_cap) == (reference.t_cap, reference.w2_cap) == (2, 5)
+            nonzero += bool(got)
+    assert nonzero >= 8
+
+
+def test_product_sum_refuses_mixed_signatures_and_keeps_the_guard(monkeypatch):
+    """A pair list of mixed signatures, or of operators and scalars, is a
+    DomainError before any product; under ``QMORSE_TERM_GUARD=1`` the one
+    `_kernel.qmul_packed` call raises ResourceError."""
+    from qmorse import _kernel
+    from qmorse.series import product_sum
+
+    z = ScalarSeries({(1, 0, 0): 1, (0, 1, 0): 1}, vars=SIG_ZHT, t_cap=2, weight_cap=4)
+    n = ScalarSeries({(1, 0, 0): 1}, vars=SIG_NHT, t_cap=2, weight_cap=4)
+    q = q_op(2, 4)
+    calls = []
+    qmul_packed = _kernel.qmul_packed
+
+    def recording(pairs, *rest):
+        calls.append(len(pairs))
+        return qmul_packed(pairs, *rest)
+
+    monkeypatch.setattr(_kernel, "qmul_packed", recording)
+    for pairs in ([(z, z), (n, n)], [(z, n)], [(q, q), (z, z)], [(q, z)]):
+        with pytest.raises(DomainError):
+            product_sum(pairs)
+    assert calls == []
+    assert len(product_sum([(z, z), (z, z.shift(t=1))], -1)) == 6
+    monkeypatch.setenv("QMORSE_TERM_GUARD", "1")
+    with pytest.raises(ResourceError):
+        product_sum([(z, z), (z, z.shift(t=1))], -1)
+    assert calls == [2, 2]
+
+
 def test_scalar_product_term_guard(monkeypatch):
     z, hb = (ScalarSeries({e: 1}, vars=SIG_ZHT, t_cap=0, weight_cap=8) for e in ((1, 0, 0), (0, 1, 0)))
     s = z + hb
@@ -517,13 +602,13 @@ def test_power_past_the_weight_cap_forms_no_product(monkeypatch, capsys):
     from qmorse.parser import elaborate, parse_expr
 
     calls = []
-    qmul_sum = _kernel.qmul_sum
+    qmul_packed = _kernel.qmul_packed
 
     def counting(pairs, *rest):
         calls.append(len(pairs))
-        return qmul_sum(pairs, *rest)
+        return qmul_packed(pairs, *rest)
 
-    monkeypatch.setattr(_kernel, "qmul_sum", counting)
+    monkeypatch.setattr(_kernel, "qmul_packed", counting)
     g = elaborate(parse_expr("(q+p)^99999"), 2, "64")
     assert not g and (g.t_cap, g.w2_cap) == (2, 128) and calls == []
     outputs = []

@@ -299,7 +299,7 @@ def test_trace_hbar_equals_the_trace_by_products(monkeypatch, seed):
     def refuse(*args):
         raise AssertionError("trace_hbar formed an operator product")
 
-    monkeypatch.setattr(_kernel, "qmul_sum", refuse)
+    monkeypatch.setattr(_kernel, "qmul_packed", refuse)
     for cutoff, ref in enumerate(expected):
         got = sp.trace_hbar(f, cutoff)
         assert got == ref
