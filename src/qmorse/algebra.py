@@ -1,6 +1,7 @@
 """Named operations of the normal-ordered algebra.
 
-Products, commutators, the p/q ordered views, symbols, Borel transform,
+Products, commutators, the p/q ordered views (`to_ordered` is exp(hbar D) of
+the normal symbol, `from_ordered` is `substitute`), symbols, Borel transform,
 hermitian conjugation, the restriction-to-zero map pi, the pairing
 P(f, g) = pi(dagger(f) g), and composition of a scalar germ with an operator.
 """
@@ -210,46 +211,52 @@ class OrderedPQ:
 
 
 def to_ordered(f: QSeries, order: str) -> OrderedPQ:
-    """Rewrite into the q-before-p (or p-before-q) ordered basis.
+    """Rewrite into the q-before-p (or p-before-q) ordered basis, in closed form.
 
-    Triangular in the hbar filtration: the hbar^k slice is matched at the
-    symbol level by a commutative change of variables, the normal-ordered
-    reconstruction is subtracted, and the remainder starts at hbar^(k+1).
+    A change of ordering is the exponential of a constant second-order
+    operator on the commutative symbol (Agarwal & Wolf, Phys. Rev. D 2, 2161
+    (1970)).  With x = adag and y = a, the ordered symbol is exp(hbar D) of the
+    normal symbol `total_symbol(f)`, D = a (d_x^2 - d_y^2) - (1/2) d_x d_y with
+    a = 1/4 for "qp" and -1/4 for "pq".  Derivation: x, y = (p +- iq)/sqrt2, so
+    d_q = (i/sqrt2)(d_x - d_y), d_p = (d_x + d_y)/sqrt2 and d_q d_p =
+    (i/2)(d_x^2 - d_y^2); the Weyl symbol is exp(-(hbar/2) d_x d_y) of the
+    normal one, and the q-before-p (p-before-q) symbol is exp(-(i hbar/2) d_q d_p)
+    (exp(+(i hbar/2) d_q d_p)) of the Weyl one.  So adag a -> (p^2 + q^2 - hbar)/2.
+
+    term_j = (hbar/j) D term_(j-1) is summed from term_0 = the symbol until a
+    term vanishes; D lowers the (x, y) degree by 2 and hbar adds that weight
+    back, so no cap cuts a term.  Each x^m y^n then maps to its commutative
+    (q, p) image, formed once per (m, n).
     """
     if order not in ("qp", "pq"):
         raise ValueError("order must be 'qp' or 'pq'")
+    a = Fraction(1, 4) if order == "qp" else Fraction(-1, 4)
+    term = symbol = total_symbol(f)
+    j = 0
+    while term:
+        j += 1
+        dx = term.deriv("x")
+        d2 = dx.deriv("x") - term.deriv("y").deriv("y")
+        term = (d2.scale(a / j) - dx.deriv("y").scale(Fraction(1, 2 * j))).shift(hbar=1)
+        symbol = symbol + term
     # commutative images of x (adag) and y (a) as polynomials in (Q, P)
     caps = dict(vars=SIG_PLANE, t_cap=0, weight_cap=Fraction(f.w2_cap, 2))
     x_img = ScalarSeries({(1, 0): HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)  # (P + iQ)/sqrt2
     y_img = ScalarSeries({(1, 0): -HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)
-    x_pows = [x_img.one_like()]
-    y_pows = [y_img.one_like()]
-    images = {}  # (m, n): the terms of x^m y^n, formed once for every t and hbar power
-
-    rem = f
-    collected = {}
-    while rem:
-        kmin = min(k for (_, _, k, _) in rem._terms)
-        batch = {}
-        for (m, n, k, l), c in rem._terms.items():
-            if k != kmin:
-                continue
-            image = images.get((m, n))
-            if image is None:
-                while len(x_pows) <= m:
-                    x_pows.append(x_pows[-1] * x_img)
-                while len(y_pows) <= n:
-                    y_pows.append(y_pows[-1] * y_img)
-                image = images[m, n] = (x_pows[m] * y_pows[n])._terms
-            for (eq, ep), w in image.items():
-                key = (eq, ep, kmin, l) if order == "qp" else (ep, eq, kmin, l)
-                _kernel.add_term(batch, key, _kernel.coeff_mul(c, w))
-        collected.update(batch)
-        new_rem = rem - from_ordered(OrderedPQ(order, batch, rem.t_cap, rem.w2_cap))
-        if new_rem and min(k for (_, _, k, _) in new_rem._terms) <= kmin:
-            raise AssertionError("ordered rewrite failed to make progress")
-        rem = new_rem
-    return OrderedPQ(order, collected, f.t_cap, f.w2_cap)
+    x_pows, y_pows = [x_img.one_like()], [y_img.one_like()]
+    images, out = {}, {}  # images: (m, n) -> the terms of x^m y^n, formed once for every t and hbar power
+    for (m, n, k, l), c in symbol._terms.items():
+        image = images.get((m, n))
+        if image is None:
+            while len(x_pows) <= m:
+                x_pows.append(x_pows[-1] * x_img)
+            while len(y_pows) <= n:
+                y_pows.append(y_pows[-1] * y_img)
+            image = images[m, n] = (x_pows[m] * y_pows[n])._terms
+        for (eq, ep), w in image.items():
+            key = (eq, ep, k, l) if order == "qp" else (ep, eq, k, l)
+            _kernel.add_term(out, key, _kernel.coeff_mul(c, w))
+    return OrderedPQ(order, out, f.t_cap, f.w2_cap)
 
 
 def substitute(terms, x: QSeries, y: QSeries) -> QSeries:

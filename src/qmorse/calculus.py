@@ -33,29 +33,29 @@ def d_dp(f: QSeries) -> QSeries:
     return bracket_i_hbar(f, q_op(f.t_cap, f.weight_cap))
 
 
-def int_dq(f: QSeries) -> QSeries:
-    """The antiderivative F with d_dq F = f and F divisible by q on the left.
+def _antiderivative(f: QSeries, order: str) -> QSeries:
+    """The antiderivative in the first variable of ``order`` ("qp": q, "pq": p),
+    divisible by that variable on the left.
 
-    Realized on the q-before-p ordered view as q^m p^n -> q^(m+1) p^n / (m+1).
-    The result carries weight headroom +1/2 over f's cap so the top terms of
-    f integrate without truncation.
+    Realized on the ordered view as v^m w^n -> v^(m+1) w^n / (m+1).  The
+    result carries weight headroom +1/2 over f's cap so the top terms of f
+    integrate without truncation.
     """
-    view = to_ordered(f, "qp")
     terms = {
         (m + 1, n, k, l): coeff_mul(c, coeff_make(1, 0, 0, 0, m + 1))
-        for (m, n, k, l), c in view.terms.items()
+        for (m, n, k, l), c in to_ordered(f, order).terms.items()
     }
-    return from_ordered(OrderedPQ("qp", terms, f.t_cap, f.w2_cap + 1))
+    return from_ordered(OrderedPQ(order, terms, f.t_cap, f.w2_cap + 1))
+
+
+def int_dq(f: QSeries) -> QSeries:
+    """The antiderivative F with d_dq F = f and F divisible by q on the left."""
+    return _antiderivative(f, "qp")
 
 
 def int_dp(f: QSeries) -> QSeries:
     """The antiderivative F with d_dp F = f and F divisible by p on the left."""
-    view = to_ordered(f, "pq")
-    terms = {
-        (m + 1, n, k, l): coeff_mul(c, coeff_make(1, 0, 0, 0, m + 1))
-        for (m, n, k, l), c in view.terms.items()
-    }
-    return from_ordered(OrderedPQ("pq", terms, f.t_cap, f.w2_cap + 1))
+    return _antiderivative(f, "pq")
 
 
 def divisible_by_q(f: QSeries) -> bool:

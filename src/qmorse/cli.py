@@ -46,7 +46,7 @@ from .errors import DomainError, ParseError, ResourceError
 from .field import Coefficient, parse_rational
 from .parser import elaborate, elaborate_plane, parse_expr
 from .series import (
-    SIG_PLANE, QSeries, ScalarSeries, harmonic, render_terms, t_op, w2_to_str, weight_cap_to_w2,
+    SIG_PLANE, QSeries, ScalarSeries, harmonic, render_terms, w2_to_str, weight_cap_to_w2,
 )
 
 DEFAULT_T_CAP = 16
@@ -108,9 +108,7 @@ def _perturbed(args) -> QSeries:
     order = getattr(args, "order", None)
     t_cap = max(order if order is not None else 0, DEFAULT_T_CAP)
     g = elaborate(parse_expr(args.perturbation), t_cap, "64")
-    f0 = harmonic(t_cap, "64")
-    f = f0 + t_op(t_cap, "64") * g
-    return f
+    return harmonic(t_cap, "64") + g.shift(t=1)
 
 
 def cmd_binary(args):
@@ -319,8 +317,7 @@ def cmd_milnor(args):
 def cmd_versal(args):
     params = [s for s in (args.params.split(",") if args.params else []) if s]
     poly, tangents = _plane_family(args.symbol, params, args.cutoff)
-    dim, basis, stabilized = milnor.versality_dimension(poly, args.cutoff)
-    versal, _ = milnor.check_versal(poly, tangents, args.cutoff)
+    dim, basis, versal, stabilized = milnor.check_versal(poly, tangents, args.cutoff)
     _emit(
         {
             "format": "versal-v1",

@@ -16,13 +16,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .field import Coefficient
+from .field import Coefficient, rational_str
 from .series import ScalarSeries
 
 # the verdict thresholds of `gevrey_report`
 BAND = 4.0
 SLOPE_THRESHOLD = 0.5
 MIN_NONZERO = 6
+
+
+def _off_line(spectrum: ScalarSeries, w):
+    """(l, k) of the first monomial t^l hbar^k n^j of the spectrum off the
+    homogeneity line k = w l + 1, or None when every monomial is on it."""
+    hi = spectrum.vars.index("hbar")
+    ti = spectrum.vars.index("t")
+    for exp in spectrum._terms:
+        if Fraction(exp[hi]) != w * exp[ti] + 1:
+            return exp[ti], exp[hi]
+    return None
 
 
 def homogeneity_check(spectrum: ScalarSeries, degree: int) -> bool:
@@ -32,13 +43,7 @@ def homogeneity_check(spectrum: ScalarSeries, degree: int) -> bool:
     line (the q -> sqrt(hbar) q rescaling); odd degrees force odd t-orders to
     vanish outright.
     """
-    w = Fraction(degree, 2) - 1
-    hi = spectrum.vars.index("hbar")
-    ti = spectrum.vars.index("t")
-    for exp in spectrum._terms:
-        if Fraction(exp[hi]) != w * exp[ti] + 1:
-            return False
-    return True
+    return _off_line(spectrum, Fraction(degree, 2) - 1) is None
 
 
 def extract_diagonal(spectrum: ScalarSeries, level: int, w) -> list:
@@ -50,19 +55,18 @@ def extract_diagonal(spectrum: ScalarSeries, level: int, w) -> list:
     w = Fraction(w)
     if level < 0:
         raise ValueError("level must be a non-negative integer")
+    off = _off_line(spectrum, w)
+    if off is not None:
+        raise DomainError(
+            f"homogeneity violated: t^{off[0]} hbar^{off[1]} is off the k = {w}*l + 1 line"
+        )
     ni = spectrum.vars.index("n")
-    hi = spectrum.vars.index("hbar")
     ti = spectrum.vars.index("t")
     coeffs = {}
     level_c = Coefficient(level)
     for exp, c in spectrum.items():
-        l, k, j = exp[ti], exp[hi], exp[ni]
-        if Fraction(k) != w * l + 1:
-            raise DomainError(
-                f"homogeneity violated: t^{l} hbar^{k} is off the k = {w}*l + 1 line"
-            )
-        val = c * (level_c**j)
-        coeffs[l] = coeffs.get(l, Coefficient(0)) + val
+        val = c * (level_c**exp[ni])
+        coeffs[exp[ti]] = coeffs.get(exp[ti], Coefficient(0)) + val
     top = max(coeffs, default=0)
     return [coeffs.get(l, Coefficient(0)) for l in range(top + 1)]
 
@@ -116,14 +120,8 @@ def _to_float(k, value):
 
 def _exact_str(value):
     if isinstance(value, Coefficient):
-        if value.is_rational():
-            from .field import rational_str
-
-            return rational_str(value.r)
-        return str(value)
+        return rational_str(value.r) if value.is_rational() else str(value)
     if isinstance(value, Fraction):
-        from .field import rational_str
-
         return rational_str(value)
     return None
 

@@ -40,7 +40,10 @@ def poisson(g: ScalarSeries, f: ScalarSeries) -> ScalarSeries:
 
 
 def _working(F: ScalarSeries, degree: int) -> ScalarSeries:
-    """F at degree cap D + deg F, which holds F and every generator exactly."""
+    """F at degree cap D + deg F, which holds F and every generator exactly;
+    every check starts here, so here F must vanish at the origin."""
+    if F.coeff((0, 0)):
+        raise DomainError("polynomial must vanish at the origin")
     return F.with_caps(weight_cap=Fraction(degree + F.max_weight2(), 2))
 
 
@@ -52,20 +55,16 @@ def _monomials(degree):
     return out
 
 
-def _rank_and_pivots(rows, columns):
-    """Exact Gaussian elimination; returns (rank, pivot column set)."""
+def _reduce(rows, columns, pivots):
+    """Exact Gaussian elimination of `rows` into the echelon rows `pivots`
+    {lead column index: row}, in place; returns `pivots`."""
     index = {c: i for i, c in enumerate(columns)}
-    mat = []
     for poly in rows:
         vec = {}
         for e, c in poly._terms.items():
             i = index.get(e)
             if i is not None:
                 vec[i] = c
-        if vec:
-            mat.append(vec)
-    pivots = {}
-    for vec in mat:
         while vec:
             lead = min(vec)
             if lead not in pivots:
@@ -76,7 +75,7 @@ def _rank_and_pivots(rows, columns):
             raw = factor.raw
             for i, c in other.items():
                 add_term(vec, i, coeff_neg(coeff_mul(c, raw)))
-    return len(pivots), {columns[i] for i in pivots}
+    return pivots
 
 
 def _jacobian_rows(F, degree):
@@ -87,13 +86,9 @@ def _jacobian_rows(F, degree):
 
 def milnor_number(F: ScalarSeries, degree: int):
     """dim C[x,y]_{<=D} / (F_x, F_y), with a D vs D+1 stabilization flag."""
-    if F.coeff((0, 0)):
-        raise DomainError("polynomial must vanish at the origin")
-
     def dim_at(d):
         cols = _monomials(d)
-        rank, _ = _rank_and_pivots(_jacobian_rows(F, d), cols)
-        return len(cols) - rank
+        return len(cols) - len(_reduce(_jacobian_rows(F, d), cols, {}))
 
     dim = dim_at(degree)
     return dim, dim == dim_at(degree + 1)
@@ -123,12 +118,13 @@ def _versality_rows(F, degree):
 
 
 def _quotient(F, degree):
-    """(dim, basis monomials, rows) of the quotient truncated at D; `rows` are
-    its `_versality_rows`, for a caller that extends them."""
+    """(basis monomials, echelon rows) of the quotient truncated at D: the
+    `_reduce` of its `_versality_rows` over the monomials of degree <= D, and
+    the columns left without a pivot; a caller may reduce further rows into
+    the echelon rows."""
     cols = _monomials(degree)
-    rows = _versality_rows(F, degree)
-    rank, pivots = _rank_and_pivots(rows, cols)
-    return len(cols) - rank, [c for c in cols if c not in pivots], rows
+    pivots = _reduce(_versality_rows(F, degree), cols, {})
+    return [c for i, c in enumerate(cols) if i not in pivots], pivots
 
 
 def versality_dimension(F: ScalarSeries, degree: int):
@@ -136,23 +132,21 @@ def versality_dimension(F: ScalarSeries, degree: int):
 
     Returns (dim, basis monomials, stabilized).
     """
-    if F.coeff((0, 0)):
-        raise DomainError("polynomial must vanish at the origin")
-    dim, basis, _ = _quotient(F, degree)
-    return dim, basis, dim == _quotient(F, degree + 1)[0]
+    dim, basis, _, stabilized = check_versal(F, [], degree)
+    return dim, basis, stabilized
 
 
 def check_versal(F: ScalarSeries, tangents, degree: int):
     """Versal iff the classes of 1 and the parameter tangents span the quotient.
 
-    Returns (versal, stabilized); `tangents` are d/d(lambda_j) of the family at
-    lambda = 0.  The rows at D are built once, for the dimension and the span.
+    Returns (dim, basis monomials, versal, stabilized) of C[x,y]/({., F} + (F))
+    truncated at D; `tangents` are d/d(lambda_j) of the family at lambda = 0.
+    Two eliminations answer all four: the one at D, continued with 1 and the
+    tangents for the span, and the one at D + 1 for the stabilization flag.
     """
-    if F.coeff((0, 0)):
-        raise DomainError("polynomial must vanish at the origin")
-    dim, _, rows = _quotient(F, degree)
+    basis, pivots = _quotient(F, degree)
     cap = Fraction(degree, 2)
     extra = [plane({(0, 0): 1})] + [t.with_caps(weight_cap=cap) for t in tangents]
     cols = _monomials(degree)
-    rank, _ = _rank_and_pivots(rows + extra, cols)
-    return rank == len(cols), dim == _quotient(F, degree + 1)[0]
+    versal = len(_reduce(extra, cols, pivots)) == len(cols)
+    return len(basis), basis, versal, len(basis) == len(_quotient(F, degree + 1)[0])

@@ -22,6 +22,9 @@ rather than from the Fock action, normal ordering one monomial ``x^e1 y^e2``
 at a time by binary powers rather than by `algebra.substitute`, and the
 Milnor rows as ``plane(...) *`` products capped at degree D rather than as
 shifts.
+
+`rs_spectrum` is the whole spectrum E(n, hbar, t) from the RS recursion
+alone, by exact interpolation in n; it shares nothing with the solver.
 """
 
 from fractions import Fraction
@@ -31,9 +34,10 @@ import random
 from qmorse import _kernel
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
 from qmorse.algebra import pi_restriction
-from qmorse.field import Coefficient, I
+from qmorse.field import Coefficient, I, ZERO
 from qmorse.milnor import _monomials, _working, plane, poisson
-from qmorse.series import QSeries, ScalarSeries, SIG_HT, a_op, adag, harmonic, one, q_op
+from qmorse.series import QSeries, ScalarSeries, SIG_HT, SIG_NHT, a_op, adag, harmonic, one, q_op
+from qmorse.spectrum import rs_perturbation
 
 # A non-hermitian perturbation whose values fill all four components of
 # Q(i, sqrt2).
@@ -238,6 +242,39 @@ def rs_per_entry(f, level, order):
                 psi[(m, kh - 1)] = -c / (2 * (m - level))
         psis.append(psi)
     return {(kh, k): c for k, e in enumerate(energies) for kh, c in e.items()}
+
+
+def rs_spectrum(f, order):
+    """The spectrum E(n, hbar, t) of f through t^order, over `SIG_NHT`, from
+    `rs_perturbation` alone, by exact interpolation in n.
+
+    In each hbar^k t^l slice the closure is a polynomial in n of degree <= k,
+    so RS at levels 0..K+1, K the largest hbar power the RS series reach,
+    fixes every slice.  The Newton divided differences of a slice run over the
+    k + 2 nodes n = 0..k+1, one node more than the degree bound: the top
+    difference must vanish, and the others are the Newton form of the
+    polynomial, expanded here in powers of n.
+    """
+    levels = []
+    top = 0
+    while len(levels) < top + 2:
+        series = rs_perturbation(f, len(levels), order)
+        levels.append(dict(series.items()))
+        top = max([top] + [k for k, _ in levels[-1]])
+    terms = {}
+    for k, l in set().union(*levels):
+        values = [level.get((k, l), ZERO) for level in levels[: k + 2]]
+        newton = []  # f[0..j], the divided difference over the nodes 0..j
+        for j in range(k + 2):
+            newton.append(values[0])
+            values = [(b - a) * Coefficient(Fraction(1, j + 1)) for a, b in zip(values, values[1:])]
+        assert not newton.pop(), f"hbar^{k} t^{l} slice is not a polynomial of degree <= {k} in n"
+        falling = [1]  # n (n - 1) ... (n - j + 1), by powers of n
+        for j, c in enumerate(newton):
+            for m, b in enumerate(falling):
+                terms[m, k, l] = terms.get((m, k, l), ZERO) + c * b
+            falling = [(falling[m - 1] if m else 0) - j * (falling[m] if m < len(falling) else 0) for m in range(len(falling) + 1)]
+    return ScalarSeries({e: c for e, c in terms.items() if c}, vars=SIG_NHT, t_cap=order, weight_cap=f.weight_cap)
 
 
 def trace_by_products(f, cutoff):

@@ -476,6 +476,36 @@ def test_to_ordered_forms_each_image_once(monkeypatch):
     assert counts == [19, 19]
 
 
+def test_to_ordered_matches_direct_products():
+    """`to_ordered` against operator products, not through `from_ordered`:
+    q^a p^b is the one q-before-p term q^a p^b, and p^b q^a the one
+    p-before-q term p^b q^a, for every a + b <= 8, alone or times a central
+    c hbar^k t^l; a sum of such products, cut at a weight cap below the top
+    ones, keeps exactly the rest, at the operator's caps."""
+    caps = dict(t_cap=2, weight_cap=6)
+    q, p, hb, t = q_op(**caps), p_op(**caps), hbar_op(**caps), t_op(**caps)
+    qs, ps = [q.one_like()], [p.one_like()]
+    for _ in range(8):
+        qs.append(qs[-1] * q)
+        ps.append(ps[-1] * p)
+    centrals = ((0, 0, Coefficient(1)), (1, 0, COPRIME[0]), (0, 2, COPRIME[1]), (2, 1, COPRIME[2]))
+    sums = {"qp": (q.zero_like(), {}), "pq": (q.zero_like(), {})}
+    for a, b in itertools.product(range(9), repeat=2):
+        if a + b > 8:
+            continue
+        for order, op, key in (("qp", qs[a] * ps[b], (a, b)), ("pq", ps[b] * qs[a], (b, a))):
+            for k, l, c in centrals:
+                view = algebra.to_ordered(op * (hb**k * t**l).scale(c), order)
+                assert view == algebra.OrderedPQ(order, {key + (k, l): c.raw}, 2, 12)
+            c = COPRIME[(a + 2 * b) % 3]
+            total, expected = sums[order]
+            if a + b <= 6:
+                expected[key + (0, 0)] = c.raw
+            sums[order] = (total + op.scale(c), expected)
+    for order, (total, expected) in sums.items():
+        assert algebra.to_ordered(total.with_caps(weight_cap=3), order) == algebra.OrderedPQ(order, expected, 2, 6)
+
+
 def test_qbracket_matches_per_pair_reduction():
     f, g = _coprime_operands()
     for x, y in ((f, g), (g, f)):

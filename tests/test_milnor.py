@@ -33,8 +33,9 @@ def test_milnor_x3_plus_y3():
 
 
 def test_milnor_requires_vanishing_at_origin():
-    with pytest.raises(DomainError):
-        milnor_number(plane({(0, 0): 1, (2, 0): 1}), 4)
+    for check in (milnor_number, versality_dimension, lambda F, d: check_versal(F, [], d)):
+        with pytest.raises(DomainError, match="vanish at the origin"):
+            check(plane({(0, 0): 1, (2, 0): 1}), 4)
 
 
 def test_versality_morse():
@@ -66,17 +67,17 @@ def test_check_versal_family():
     for k in range(2, 6):
         F = _akpoly(k)
         tangents = [plane({(j, 0): 1}) for j in range(1, k)]
-        versal, ok = check_versal(F, tangents, 2 * k + 2)
-        assert ok and versal
+        dim, basis, versal, ok = check_versal(F, tangents, 2 * k + 2)
+        assert ok and versal and (dim, basis) == (k, [(j, 0) for j in range(k)])
 
 
 def test_check_versal_needs_parameters():
     # y^2 + x^3 with no parameters: quotient dim 2, {1} insufficient
-    versal, ok = check_versal(plane({(0, 2): 1, (3, 0): 1}), [], 8)
-    assert ok and not versal
+    dim, _, versal, ok = check_versal(plane({(0, 2): 1, (3, 0): 1}), [], 8)
+    assert ok and not versal and dim == 2
     # Morse germ needs none
-    versal2, ok2 = check_versal(plane({(2, 0): 1, (0, 2): 1}), [], 6)
-    assert ok2 and versal2
+    dim2, _, versal2, ok2 = check_versal(plane({(2, 0): 1, (0, 2): 1}), [], 6)
+    assert ok2 and versal2 and dim2 == 1
 
 
 def test_poisson_bracket():
@@ -144,7 +145,7 @@ def test_shifted_rows_eliminate_like_product_rows(seed):
             (milnor._jacobian_rows, jacobian_rows_by_products),
             (milnor._versality_rows, versality_rows_by_products),
         ):
-            assert milnor._rank_and_pivots(rows(F, d), cols) == milnor._rank_and_pivots(by_products(F, d), cols)
+            assert set(milnor._reduce(rows(F, d), cols, {})) == set(milnor._reduce(by_products(F, d), cols, {}))
 
 
 def test_monomial_rows_form_no_series_product(monkeypatch):
@@ -191,3 +192,26 @@ def test_check_versal_builds_each_degree_once(monkeypatch):
     monkeypatch.setattr(ScalarSeries, "__mul__", counting)
     assert check_versal(poly, tangents, 9) == expected
     assert sorted(builds) == [9, 10] and products == []
+
+
+def test_versal_command_runs_two_eliminations(monkeypatch, capsys):
+    """`qmorse versal` prints dim, basis, versal and stabilized from two
+    quotients, one at the cutoff D (continued with 1 and the tangents) and one
+    at D + 1."""
+    import json
+
+    from qmorse import cli
+
+    degrees = []
+    quotient = milnor._quotient
+
+    def counting(F, degree):
+        degrees.append(degree)
+        return quotient(F, degree)
+
+    monkeypatch.setattr(milnor, "_quotient", counting)
+    assert cli.main(["versal", "--symbol", "p^2+q^4+l1*q+l2*q^2", "--params", "l1,l2", "--cutoff", "8"]) == 0
+    assert degrees == [8, 9]
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dim"], out["basis"], out["versal"], out["stabilized"]) == (3, ["1", "x", "x^2"], True, True)
+

@@ -219,6 +219,25 @@ def test_cli_diag_csv_cells_are_numbers():
     assert rows == [[v for z in row for v in (z.real, z.imag)] for row in matrix.tolist()]
 
 
+@pytest.mark.parametrize("order", [None, 40])
+@pytest.mark.parametrize(
+    "perturbation", ["q^4", "q", "(q^2*p^2+p^2*q^2)/2", "q^3+p^3+q^4", "t*q^2+i*q^3", "hbar*q^6"]
+)
+def test_perturbed_family_forms_t_g_as_a_shift(perturbation, order):
+    """`cli._perturbed` forms t*g as `g.shift(t=1)`, equal in value and caps to
+    the product with t at the family's t cap (16, or the order above it)."""
+    import argparse
+
+    from qmorse import cli
+    from qmorse.series import t_op
+
+    t_cap = max(order or 0, cli.DEFAULT_T_CAP)
+    g = elaborate(parse_expr(perturbation), t_cap, "64")
+    expected = harmonic(t_cap, "64") + t_op(t_cap, "64") * g
+    got = cli._perturbed(argparse.Namespace(perturbation=perturbation, order=order))
+    assert got == expected and (got.t_cap, got.w2_cap) == (expected.t_cap, expected.w2_cap)
+
+
 def test_cli_diag_and_gevrey_and_versal():
     d = json.loads(
         _run_cli(

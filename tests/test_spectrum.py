@@ -24,6 +24,7 @@ from oracles import (
     random_qseries,
     rho_per_entry,
     rs_per_entry,
+    rs_spectrum,
     trace_by_products,
 )
 
@@ -403,18 +404,18 @@ def test_oracle_triangle_small():
         assert abs(diag.values[n] - series_val) < max(budget, 1e-12)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "p^2+q^2 + t*(sqrt2*(q^3)/3 + (q^2*p^2+p^2*q^2)/5 + i*(q^3*p - p*q^3)/3)"
-        " + t^2*(q^2)/7",
-        # not hermitian: the energies carry all four components of Q(i, sqrt2)
-        COMPLEX_ENERGIES,
-    ],
-    ids=["hermitian", "complex-energies"],
-)
+# Families with coefficients in sqrt2 and i, and perturbations in two t-slices.
+OUTSIDE_Q = [
+    "p^2+q^2 + t*(sqrt2*(q^3)/3 + (q^2*p^2+p^2*q^2)/5 + i*(q^3*p - p*q^3)/3)"
+    " + t^2*(q^2)/7",
+    # not hermitian: the energies carry all four components of Q(i, sqrt2)
+    COMPLEX_ENERGIES,
+]
+OUTSIDE_Q_IDS = ["hermitian", "complex-energies"]
+
+
+@pytest.mark.parametrize("text", OUTSIDE_Q, ids=OUTSIDE_Q_IDS)
 def test_rs_matches_normal_form_outside_q(text):
-    # coefficients in sqrt2 and i, and perturbations in two t-slices
     f = parser.elaborate(parser.parse_expr(text), 6, "16")
     res = nf.quantum_morse(f, 6)
     for n in (0, 1, 2):
@@ -423,6 +424,18 @@ def test_rs_matches_normal_form_outside_q(text):
             t_cap=closure.t_cap, weight_cap=closure.weight_cap
         )
         assert closure == lifted
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["p^2+q^2+t*q", "p^2+q^2+t*q^3", "p^2+q^2+t*q^4", "p^2+q^2+t*q^6", "p^2+q^2+t*(q^2*p^2+p^2*q^2)/2"] + OUTSIDE_Q,
+    ids=["q", "q^3", "q^4", "q^6", "sym(q^2p^2)"] + OUTSIDE_Q_IDS,
+)
+def test_whole_spectrum_equals_rs_interpolated_in_n(text):
+    """The normal-form spectrum E(n, hbar, t) through t^8 equals, as a whole
+    series, the one `rs_spectrum` interpolates in n from RS alone."""
+    f = parser.elaborate(parser.parse_expr(text), 8, "64")
+    assert nf.quantum_morse(f, 8).spectrum == rs_spectrum(f, 8)
 
 
 # SHA-256 of the RS series of p^2+q^2+t q^4 at order 40, as the CLI prints
