@@ -10,10 +10,16 @@ and `qbracket`, the sum ``(1/div) sum (i/hbar)[A, B]``, formed directly from
 the contraction terms.  Every product runs `qmul_packed`: a composition
 ``sum_j C_j(hbar, t) P^j`` is one call whose left operands are central, and
 ``series.product_sum`` (a ``ScalarSeries`` product is its one-pair case)
-one call over kept forms.  The reordering factors come from one table: both
-kernels read the ``j >= 1`` factors of `contractions` by row
-(`contraction_row`), each row filled when it is made or lengthened.  A
-Lie-ladder step passes all of its brackets to `qbracket` in one call.
+one call over kept forms.  The reordering factors come from the ``j >= 1``
+factors of `contractions`, read by row (`contraction_row`), each row filled
+when it is made or lengthened: `qmul_packed` reads the rows, and `qbracket`
+reads a factor table filled from them (`BracketTable`), which its caller
+passes in.  There are two tables, one per ordering: `NORMAL_ORDER`, the
+contraction differences of normal-ordered operands, for the solve's
+brackets, ``commutator`` and ``calculus``; and `MOYAL`, the odd orders of
+the Moyal bracket of Weyl symbols (``algebra.weyl_symbol``), for every Lie
+ladder and the recursion of the generator H.  A Lie-ladder step passes all
+of its brackets to `qbracket` in one call.
 
 Packed keys.  Every product of monomials, in `qmul_packed` and `qbracket`,
 adds integer keys.  An exponent tuple ``(e_0, ..., e_r)`` is packed once into
@@ -39,8 +45,8 @@ One function writes it, `pack_terms`, for any signature (a commutative
 term has ``m = n = 0``, so it never contracts), and drops no term: the
 loops check every term pair against their caps, so a series keeps one form
 per key width (``series._Series._packed``) for every product and bracket.
-No kernel changes an operand: `qbracket` drops the central terms of copies
-(`noncentral`) and sorts those.
+No kernel changes an operand: `qbracket` reads copies of the terms that do
+not commute (`_moving`) and sorts those.
 `qmul_packed` returns the split sums over ``den_A * den_B``, and has two
 endings.  A caller that reads the product as a series (`qmul`, which packs
 its two term maps, and ``series.product_sum``, which reads kept forms) joins
@@ -96,13 +102,16 @@ power at least the a power) and fills in the others by conjugation
 never ``m - n``.  A list with any other mix of signs runs the full loop.  For
 a self-adjoint perturbation, as in every benchmark family, the operator, its
 generator ``H`` and every Lie-ladder slice that builds ``H`` or checks
-``verify()`` are hermitian, so those brackets take the half path.
+``verify()`` are hermitian, so those brackets take the half path.  The same
+holds in Weyl form: the Weyl map's factors are real and symmetric in m and
+n, so it commutes with dagger, and a hermitian operator has a hermitian
+symbol.  Each series scans its sign once (``series._Series._hermitian``),
+beside its kept packed form.
 """
 
 import os
 from bisect import bisect_right
-from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from .errors import ResourceError
@@ -260,15 +269,20 @@ def split(terms, den):
     return {x: p for x, p in enumerate(parts) if p}
 
 
-def joined(parts, den):
+def joined(parts, den, hbar_shift=None):
     """``{key: coefficient tuple}`` of the split sums ``parts`` over ``den``,
-    each nonzero entry reduced once."""
+    each nonzero entry reduced once.  With ``hbar_shift = S`` the keys are
+    packed operator keys of ``S`` bits a field, and each entry goes over ``den
+    * 2^k``, k its hbar power (a `MOYAL` bracket, `BracketTable`)."""
     nums = {}
     for x, p in parts.items():
         for key, c in p.items():
             if c:
                 nums.setdefault(key, [0, 0, 0, 0])[x] = c
-    return {key: coeff_make(a, b, c, d, den) for key, (a, b, c, d) in nums.items()}
+    if hbar_shift is None:
+        return {key: coeff_make(a, b, c, d, den) for key, (a, b, c, d) in nums.items()}
+    S, mask = hbar_shift, (1 << hbar_shift) - 1
+    return {key: coeff_make(a, b, c, d, den << (key >> S & mask)) for key, (a, b, c, d) in nums.items()}
 
 
 def term_guard():
@@ -526,14 +540,126 @@ def hermitian_sign(terms):
 
 
 def _lowering(term):
-    # n2 - m2 of a kept right term of qbracket
-    return term[4] - term[3]
+    # n2 - m2 of a right term of qbracket, kept last in its copy
+    return term[-1]
 
 
-def noncentral(parts):
-    """The parts of a packed operand without their central terms (``m = n = 0``), empty parts dropped."""
-    kept = {x: [term for term in p if term[3] or term[4]] for x, p in parts.items()}
-    return {x: p for x, p in kept.items() if p}
+def pair_index(m, n):
+    """The place of ``(m, n)`` in the enumeration of exponent pairs by ``m + n``,
+    then ``n``: an integer key for any pair, with no width to outgrow."""
+    d = m + n
+    return d * (d + 1) // 2 + n
+
+
+def _pair(index):
+    # the inverse of pair_index
+    d = (isqrt(8 * index + 1) - 1) // 2
+    n = index - d * (d + 1) // 2
+    return d - n, n
+
+
+def _trimmed(factors):
+    """``factors`` as a tuple without its trailing zeros."""
+    end = len(factors)
+    while end and not factors[end - 1]:
+        end -= 1
+    return tuple(factors[:end])
+
+
+def normal_order_factors(m1, n1, m2, n2):
+    """The factors of ``AB - BA`` at ``hbar^j``, ``j = 1, 2, ...``, for
+    normal-ordered ``A = adag^m1 a^n1`` and ``B = adag^m2 a^n2``:
+    ``contractions(n1, m2)[j] - contractions(m1, n2)[j]``, read from
+    `contraction_row`."""
+    fwd = contraction_row(n1, m2 + 1)[m2] if n1 else ()
+    bwd = contraction_row(m1, n2 + 1)[n2] if m1 else ()
+    top = max(len(fwd), len(bwd))
+    fwd, bwd = fwd + (0,) * (top - len(fwd)), bwd + (0,) * (top - len(bwd))
+    return _trimmed([f - b for f, b in zip(fwd, bwd)])
+
+
+def moyal_factors(m1, n1, m2, n2):
+    """The factors of the Moyal bracket of the Weyl symbols ``zbar^m1 z^n1``
+    and ``zbar^m2 z^n2`` at the odd orders ``j = 1, 3, 5, ...``.
+
+    ``(i/hbar)[f, g] = sum_j 2i S_j / (2^j j!) hbar^(j-1) zbar^(m1+m2-j)
+    z^(n1+n2-j)``, the odd orders of the bidifferential operator (Groenewold,
+    Physica 12, 405 (1946); Moyal, Proc. Camb. Phil. Soc. 45, 99 (1949)); the
+    even ones cancel.  The factor is ``S_j / j! = sum_i (-1)^i
+    contractions(m1, n2)[i] contractions(n1, m2)[j - i]``, read from
+    `contraction_row`; `qbracket` supplies ``2^(1-j)`` (`BracketTable`)."""
+    u = (1,) + (contraction_row(m1, n2 + 1)[n2] if m1 else ())
+    v = (1,) + (contraction_row(n1, m2 + 1)[m2] if n1 else ())
+    return _trimmed([
+        sum(u[i] * v[j - i] if i % 2 == 0 else -u[i] * v[j - i]
+            for i in range(max(0, j + 1 - len(v)), min(j, len(u) - 1) + 1))
+        for j in range(1, len(u) + len(v) - 1, 2)
+    ])
+
+
+class _Row(dict):
+    """The factors of one left exponent pair ``(m1, n1)``, keyed by the right
+    pair's `pair_index`, each filled when it is first read."""
+
+    __slots__ = ("factors", "m1", "n1")
+
+    def __init__(self, factors, m1, n1):
+        self.factors, self.m1, self.n1 = factors, m1, n1
+
+    def __missing__(self, index):
+        entry = self[index] = self.factors(self.m1, self.n1, *_pair(index))
+        return entry
+
+
+class BracketTable:
+    """The factors `qbracket` writes per term pair: for exponent pairs ``(m1,
+    n1)`` and ``(m2, n2)``, the tuple of factors at the contraction orders
+    ``j = 1, 1 + stride, 1 + 2 stride, ...``, through the last nonzero one
+    (empty when the pair commutes); a zero inside it, which few pairs have,
+    is skipped by the loop.  A flat tuple of ints costs 8 bytes a factor,
+    where a ``(j, factor)`` tuple costs 56.
+
+    Rows are made and entries filled when a bracket first reads them
+    (`_Row`), never at import, and both are shared by every call, whatever
+    its key width: the table holds factors, and the loop steps the key.  There
+    is one table per ordering: `NORMAL_ORDER` for normal-ordered operands
+    (`normal_order_factors`, stride 1) and `MOYAL` for Weyl symbols
+    (`moyal_factors`, stride 2).  ``weyl`` marks the Moyal table, whose written
+    factors miss the ``2^(1-j)`` of the Moyal bracket: since the output
+    carries ``hbar^K``, ``K = k1 + k2 + j - 1``, that is ``2^(k1 + k2) /
+    2^K``, so `qbracket` multiplies each term by ``2^k``, its hbar power, and
+    shifts each output term's denominator by its hbar power in the one
+    reduction (`joined`).  No scale has to grow with the orders in use.
+    """
+
+    __slots__ = ("factors", "stride", "weyl", "_rows")
+
+    def __init__(self, factors, stride, weyl):
+        self.factors, self.stride, self.weyl, self._rows = factors, stride, weyl, {}
+
+    def row(self, m1, n1):
+        """The `_Row` of the left exponent pair ``(m1, n1)``."""
+        index = pair_index(m1, n1)
+        row = self._rows.get(index)
+        if row is None:
+            row = self._rows[index] = _Row(self.factors, m1, n1)
+        return row
+
+
+NORMAL_ORDER = BracketTable(normal_order_factors, 1, False)
+MOYAL = BracketTable(moyal_factors, 2, True)
+
+
+def _moving(parts, weyl):
+    """The terms of a packed operand that do not commute (m or n nonzero), as
+    ``(key, w2, l, m, n, numerator)`` copies with the numerator times ``2^k``
+    when ``weyl`` (`BracketTable`), empty parts dropped."""
+    out = {}
+    for x, p in parts.items():
+        kept = [term for term in p if term[3] or term[4]]
+        if kept:
+            out[x] = [(key, w2, l, m, n, c << (w2 - m - n >> 1)) for key, w2, l, m, n, c in kept] if weyl else kept
+    return out
 
 
 def prefix_length(part, bound):
@@ -542,71 +668,76 @@ def prefix_length(part, bound):
     return bisect_right(part, bound, key=_lowering)
 
 
-def qbracket(pairs, s, S, t_cap, w2_cap, div=1):
+def qbracket(pairs, table, s, S, t_cap, w2_cap, div=1):
     """``(1/div) sum (i/hbar)[A, B]`` over pairs of packed operands, as a term map.
 
-    For a pair of terms with coefficients c1, c2, the ``hbar^j`` part of
-    ``AB - BA`` is ``c1 c2`` times ``contractions(n1, m2)[j] -
-    contractions(n2, m1)[j]`` (a missing entry counts as 0).  The ``j = 0``
-    parts cancel exactly, so they are never formed; the ``j >= 1`` factors are
-    read by row from the table of `contraction_row`, as ``rows[n1][m2]`` and
-    ``rows[m1][n2]``.  A term with ``m = n = 0`` commutes with everything
-    and is skipped, and so is a pair with no contraction in either order.
-    The ``hbar^j`` part is written at ``hbar^(j-1)`` (the exact division by
-    hbar); its weight is ``w1 + w2 - 2``, and it is kept when that is within
-    ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.
+    One loop for both orderings: ``table`` (a `BracketTable`) gives, per pair
+    of terms with exponents ``(m1, n1)`` and ``(m2, n2)``, the factors of
+    ``AB - BA`` at ``hbar^j`` (`NORMAL_ORDER`: normal-ordered operands, every
+    ``j >= 1``; `MOYAL`: Weyl symbols, odd j).  Each lands at
+    ``(m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)``, the exact
+    division by hbar included, its weight ``w1 + w2 - 2``; a term pair is
+    kept when that is within ``w2_cap`` and ``l1 + l2`` is within ``t_cap``.
+    The ``j = 0`` parts cancel and are never formed, a term with ``m = n =
+    0`` commutes with everything and is skipped (`_moving`), and so is a
+    pair whose entry is empty.  A left term reads its row of the table once
+    (`BracketTable.row`), each right term carries its `pair_index`.
 
     Hermitian half.  ``dagger((i/hbar)[A, B]) = (i/hbar)[dagger(A),
     dagger(B)]``, so when ``dagger(A) = eps A`` and ``dagger(B) = delta B``
-    the output has ``out(n, m, k, l) = eps delta conj(out(m, n, k, l))``.
-    ``s`` is that product ``eps delta`` when every pair of the list with two
-    nonempty operands has the same nonzero one, else 0 (`hermitian_sign`).
-    When ``s`` is nonzero only the output terms with ``m >= n`` are formed,
-    and after the one reduction each term with ``m > n`` is copied to ``(n,
-    m, k, l)`` as ``s conj(c)``.  A term pair lands only at ``m - n = (m1 -
-    n1) + (m2 - n2)``, since each contraction lowers m and n alike, so a left
-    term needs only the right terms with ``n2 - m2 <= m1 - n1``: each right
-    part is sorted by ``n2 - m2`` and a left term loops over its prefix of
-    length `prefix_length`.  The kernel calls `prefix_length` through the
-    module attribute, so a wrapper installed on it sees every term pair
-    formed.  The cut is exact under truncation: the caps read only ``m +
-    n``, k and l, which the mirror keeps, and ``div`` is rational.  When ``s
-    = 0`` the right parts stay in t order, every left term loops over the
-    whole part and every output term is formed.
+    the output has ``out(n, m, k, l) = eps delta conj(out(m, n, k, l))``; the
+    Weyl map commutes with dagger (its factors are real and symmetric in m
+    and n), so this holds for Weyl symbols too.  ``s`` is that product ``eps
+    delta`` when every pair of the list with two nonempty operands has the
+    same nonzero one, else 0 (`hermitian_sign`).  When ``s`` is nonzero only
+    the output terms with ``m >= n`` are formed, and after the one reduction
+    each term with ``m > n`` is copied to ``(n, m, k, l)`` as ``s conj(c)``.
+    A term pair lands only at ``m - n = (m1 - n1) + (m2 - n2)``, since each
+    contraction lowers m and n alike, so a left term needs only the right
+    terms with ``n2 - m2 <= m1 - n1``: each right part is sorted by ``n2 -
+    m2`` and a left term loops over its prefix of length `prefix_length`.
+    The kernel calls `prefix_length` through the module attribute, so a
+    wrapper installed on it sees every term pair formed.  The cut is exact
+    under truncation: the caps read only ``m + n``, k and l, which the
+    mirror keeps, and ``div`` is rational.  When ``s = 0`` every left term
+    loops over the whole right part and every output term is formed.
 
     The operands are packed whole (`pack_terms`), keys of ``S`` bits a field
     (the caps' `key_width`); a term pair past the caps is skipped, and the
-    central terms are dropped from copies (`noncentral`), so an operand is
-    never changed.  The key of a pair's product is the sum of the operand
-    keys, and the division by hbar and each contraction add a constant.  All numerators go over ``den_A * den_B``
-    (`denominator_lcms`), each pair lifted by one factor on its left terms,
-    as in `qmul_packed`.  The factor ``i`` is the table entry
-    ``COMPONENT_PRODUCT[1, z]``, applied with the pair's own factor and lift
-    to the left operand, so a pair of components ``x, y`` adds into component
-    ``x ^ y ^ 1``; each output term is reduced once, over ``den_A * den_B *
-    div``.  Raises ResourceError when the accumulators, or the output, exceed
-    `term_guard` entries.
+    moving terms are read from copies (`_moving`), so an operand is never
+    changed.  The key of a pair's product is the sum of the operand keys,
+    and the division by hbar and each contraction add a constant.  All
+    numerators go over ``den_A * den_B`` (`denominator_lcms`), each pair
+    lifted by one factor on its left terms, as in `qmul_packed`.  The factor
+    ``i`` is the table entry ``COMPONENT_PRODUCT[1, z]``, applied with the
+    pair's own factor and lift to the left operand, so a pair of components
+    ``x, y`` adds into component ``x ^ y ^ 1``; each output term is reduced
+    once, over ``den_A * den_B * div`` (times ``2^K`` for `MOYAL`).  Raises
+    ResourceError when the accumulators, or the output, exceed `term_guard`
+    entries.
     """
     guard = term_guard()
     den_a, den_b = denominator_lcms(pairs)
     one = 1 << S  # the packed hbar
     step = contraction_step(S)
+    stride = table.stride * step
     room2 = w2_cap + 2
+    weyl = table.weyl
+    row_of = table.row
     out = {}
     for (da, left), (db, right) in pairs:
-        left, right = noncentral(left), noncentral(right)
+        left, right = _moving(left, weyl), _moving(right, weyl)
         if not (left and right):
             continue
+        right = {
+            x: [(key, w2, l, pair_index(m, n), c, n - m) for key, w2, l, m, n, c in q]
+            for x, q in right.items()
+        }
         if s:
             for q in right.values():
                 q.sort(key=_lowering)
-        reach = max(max(term[3], term[4]) for q in right.values() for term in q) + 1
         left = {
-            x: [
-                (key - one, room2 - w1, t_cap - l1, contraction_row(n1, reach), contraction_row(m1, reach),
-                 c, m1 - n1)
-                for key, w1, l1, m1, n1, c in p
-            ]
+            x: [(key - one, room2 - w1, t_cap - l1, row_of(m1, n1), c, m1 - n1) for key, w1, l1, m1, n1, c in p]
             for x, p in left.items()
         }
         lift = den_a // da * (den_b // db)
@@ -615,23 +746,21 @@ def qbracket(pairs, s, S, t_cap, w2_cap, div=1):
             w *= u * lift
             acc = out.setdefault(z, {})
             get = acc.get
-            for base, w_room, t_room, row_f, row_b, x, cut in p:
+            for base, w_room, t_room, row, x, cut in p:
                 x *= w
-                for p2, w2, l2, m2, n2, y in q[: prefix_length(q, cut)] if s else q:
+                for p2, w2, l2, i2, y, _ in q[: prefix_length(q, cut)] if s else q:
                     if w2 > w_room or l2 > t_room:
                         continue
-                    fwd = row_f[m2]
-                    bwd = row_b[n2]
-                    if not fwd and not bwd:
-                        continue
-                    c = x * y
-                    key = base + p2
-                    for wf, wb in zip_longest(fwd, bwd, fillvalue=0):
-                        key += step
-                        if wf != wb:
-                            acc[key] = get(key, 0) + c * (wf - wb)
+                    entry = row[i2]
+                    if entry:
+                        c = x * y
+                        key = base + p2 + step
+                        for f in entry:
+                            if f:
+                                acc[key] = get(key, 0) + c * f
+                            key += stride
                 check_guard(out, guard)
-    terms = unpacked(joined(out, den_a * den_b * div), 4, S)
+    terms = unpacked(joined(out, den_a * den_b * div, S if weyl else None), 4, S)
     if s:
         for (m, n, k, l), c in list(terms.items()):
             if m > n:

@@ -1,7 +1,8 @@
 """Named operations of the normal-ordered algebra.
 
 Products, commutators, the p/q ordered views (`to_ordered` is exp(hbar D) of
-the normal symbol, `from_ordered` is `substitute`), symbols, Borel transform,
+the normal symbol, `from_ordered` is `substitute`), Weyl symbols
+(`weyl_symbol` and `from_weyl`, one closed form per term), symbols, Borel transform,
 hermitian conjugation, the restriction-to-zero map pi, the pairing
 P(f, g) = pi(dagger(f) g), and composition of a scalar germ with an operator.
 """
@@ -52,20 +53,63 @@ def bracket_i_hbar(f: QSeries, g: QSeries) -> QSeries:
     return bracket_sum([(f, g)])
 
 
-def bracket_sum(pairs, div=1) -> QSeries:
+def bracket_sum(pairs, div=1, table=_kernel.NORMAL_ORDER) -> QSeries:
     """(1/div) sum (i/hbar)[f, g] over a non-empty list of QSeries pairs (f, g).
 
     One `_kernel.qbracket` call sums every pair in one accumulator and reduces
     each output term once, at the caps and key width of `series.pair_caps`
     (the smallest caps of all the operands), as `series.product_sum` does.
-    Each operand is read in its kept packed form (`_packed`) at that width;
-    the sign product of the kernel's hermitian half skips empty operands.
+    ``table`` is the kernel's factor table: `_kernel.NORMAL_ORDER` for
+    normal-ordered operands, `_kernel.MOYAL` for Weyl symbols (`weyl_symbol`).
+    Each operand is read in its kept packed form (`_packed`) at that width,
+    with its kept hermitian sign (`_hermitian`), so a value is scanned once
+    however many brackets read it; the sign product of the kernel's
+    hermitian half skips empty operands.
     """
     t_cap, w2, S = pair_caps(pairs)
-    signs = {_kernel.hermitian_sign(f._terms) * _kernel.hermitian_sign(g._terms) for f, g in pairs if f and g}
+    signs = {f._hermitian() * g._hermitian() for f, g in pairs if f and g}
     s = signs.pop() if len(signs) == 1 else 0
-    terms = _kernel.qbracket([(f._packed(S), g._packed(S)) for f, g in pairs], s, S, t_cap, w2, div)
+    terms = _kernel.qbracket([(f._packed(S), g._packed(S)) for f, g in pairs], table, s, S, t_cap, w2, div)
     return QSeries._from_raw(terms, t_cap, w2)
+
+
+def _reordered(f: QSeries, sign: int) -> QSeries:
+    """sum_j j! C(m,j) C(n,j) (sign hbar/2)^j adag^(m-j) a^(n-j) for each term
+    c adag^m a^n of f, over one common denominator, each output term reduced once."""
+    terms = f._terms
+    den = _kernel.common_denominator(terms)
+    top = max((min(m, n) for m, n, _, _ in terms), default=0)
+    out = {}
+    for x, p in _kernel.split(terms, den).items():
+        acc = out[x] = {}
+        for (m, n, k, l), v in p.items():
+            acc[m, n, k, l] = acc.get((m, n, k, l), 0) + (v << top)
+            if m and n:
+                for j, e in enumerate(_kernel.contraction_row(m, n + 1)[n], 1):
+                    e = e << top - j if sign > 0 or j % 2 == 0 else -e << top - j
+                    key = (m - j, n - j, k + j, l)
+                    acc[key] = acc.get(key, 0) + v * e
+    return QSeries._from_raw(_kernel.joined(out, den << top), f.t_cap, f.w2_cap)
+
+
+def weyl_symbol(f: QSeries) -> QSeries:
+    """The Weyl symbol of f, with the same (m, n, k, l) keys, zbar standing for adag.
+
+    sigma(adag^m a^n) = sum_j j! C(m,j) C(n,j) (-hbar/2)^j zbar^(m-j) z^(n-j),
+    exp(-(hbar/2) d_zbar d_z) of the normal symbol, in closed form per term.
+    Each term keeps its weight m + n + 2k and its t power, so the caps stay.
+    f0 = 2 adag a + hbar has the symbol 2 zbar z.  A value made by `from_weyl`
+    keeps the symbol it came from, which is returned as it is.
+    """
+    return f._weyl if f._weyl is not None else _reordered(f, -1)
+
+
+def from_weyl(w: QSeries) -> QSeries:
+    """The normal-ordered operator of the Weyl symbol w: `weyl_symbol` with
+    the sign of hbar/2 flipped.  The result keeps w as its symbol."""
+    out = _reordered(w, 1)
+    out._weyl = w
+    return out
 
 
 def dagger(f: QSeries) -> QSeries:

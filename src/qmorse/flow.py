@@ -28,6 +28,15 @@ perturbation, every slice of a bracket ladder is hermitian too, since the
 bracket (i/hbar)[X, S] of two hermitian operators is hermitian; the kernel
 then forms only the output terms whose adag power is at least their a power
 and fills in the rest by conjugation (its "hermitian half").
+
+Every bracket ladder runs on Weyl symbols (`algebra.weyl_symbol`), through
+the kernel's Moyal table: the Moyal bracket writes only the odd orders of
+its bidifferential operator, and for a self-adjoint perturbation the
+symbols are hbar-even, about half the size of the normal-ordered operators.
+The Weyl map is an algebra isomorphism that keeps every term's weight and t
+power, so the ladders equal the normal-order ones slice for slice, under the
+same caps.  `integrate_heisenberg` converts f and H in once (H's kept symbol
+when it has one, as `NormalFormResult.H` does) and the result out once.
 """
 
 from __future__ import annotations
@@ -36,20 +45,22 @@ from fractions import Fraction
 
 # The ladder calls bracket_sum only; flow.bracket_i_hbar stays importable
 # because the traced benchmark run (qbench/spans.py) wraps it by that name.
-from .algebra import bracket_i_hbar, bracket_sum  # noqa: F401
+from ._kernel import MOYAL
+from .algebra import bracket_i_hbar, bracket_sum, from_weyl, weyl_symbol  # noqa: F401
 from .series import QSeries, one, product_sum
 
 
 def ladder_step(xs: list, slices) -> None:
-    """Append X_{r+1} = (1/(r+1)) sum_{j<=r} (i/hbar)[X_j, S_{r-j}] to xs = [X_0..X_r].
+    """Append X_{r+1} = (1/(r+1)) sum_{j<=r} (i/hbar)[X_j, S_{r-j}] to xs = [X_0..X_r],
+    every X_j and S_k a Weyl symbol (`algebra.weyl_symbol`).
 
     The pairs with both X_j and S_{r-j} nonzero go to one `bracket_sum` call
-    with div=r+1.  `slices` is only read up to S_r, so it may still be
-    growing between steps.  An empty sum is the zero of X_0's type.
+    with div=r+1 over the Moyal table.  `slices` is only read up to S_r, so it
+    may still be growing between steps.  An empty sum is the zero of X_0's type.
     """
     r = len(xs) - 1
     pairs = [(xs[j], slices[r - j]) for j in range(r + 1) if xs[j] and slices[r - j]]
-    xs.append(bracket_sum(pairs, r + 1) if pairs else xs[0].zero_like())
+    xs.append(bracket_sum(pairs, r + 1, MOYAL) if pairs else xs[0].zero_like())
 
 
 def ladder_sum(ladders, gen_slices, r, start, weight=None):
@@ -72,15 +83,19 @@ def ladder_sum(ladders, gen_slices, r, start, weight=None):
 
 
 def integrate_heisenberg(H: QSeries, f: QSeries, order: int) -> QSeries:
-    """Transport f along the flow of H through t-order `order`."""
+    """Transport f along the flow of H through t-order `order`.
+
+    The ladders run on Weyl symbols: f and H convert in once (H's kept symbol,
+    when it has one, is read as it is) and the result converts out once.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
     wc = Fraction(min(H.w2_cap, f.w2_cap), 2)
-    fw = f.with_caps(t_cap=order, weight_cap=wc)
-    hw = H.with_caps(t_cap=order, weight_cap=wc)
+    fw = weyl_symbol(f.with_caps(t_cap=order, weight_cap=wc))
+    hw = weyl_symbol(H).with_caps(t_cap=order, weight_cap=wc)
     ladders = [(l, [x]) for l, x in enumerate(fw.t_slices()) if x]
     h_slices, zero = hw.t_slices(), fw.zero_like()
-    return fw.join_t_slices(ladder_sum(ladders, h_slices, r, zero) for r in range(order + 1))
+    return from_weyl(fw.join_t_slices(ladder_sum(ladders, h_slices, r, zero) for r in range(order + 1)))
 
 
 def solve_propagator(H: QSeries, order: int) -> QSeries:

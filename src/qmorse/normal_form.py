@@ -18,7 +18,11 @@ oscillator f0 = p^2 + q^2 = 2 adag a + hbar, order by order in t:
   from P o phi = phi o P_fn (`NormalFormResult.H`); H keeps the Lie ladders
   of the slices fn_l, l >= 1, that its recursion ran for phi(dfn/dt), and
   `verify()` reads phi(fn) off them plus one new ladder, phi(fn_0) by
-  `flow.integrate_heisenberg`;
+  `flow.integrate_heisenberg`.  The recursion and every ladder run on Weyl
+  symbols (`algebra.weyl_symbol`, the Moyal table of `_kernel.qbracket`):
+  fn's slices, V and the diagonal convert in once, H and phi(fn) out once,
+  and `split_homological` reads Weyl symbols as they are, since ad f0 acts
+  on zbar^m z^n as 2i(m-n) too and the conversion keeps each m-n class;
 * the spectrum closure is E_n = u^{-1}(t, hbar (2n+1)).
 
 Weight caps are chosen from the perturbation's weight growth per t-order so
@@ -59,9 +63,10 @@ import math
 from fractions import Fraction
 
 from . import _kernel, flow
-from ._kernel import coeff_make, coeff_mul, coeff_mul_int
+from ._kernel import MOYAL, coeff_make, coeff_mul, coeff_mul_int
 from .algebra import (
-    HALF_I_SQRT2, HALF_SQRT2, bracket_i_hbar, bracket_sum, compose_scalar, scalar_to_qseries, substitute,
+    HALF_I_SQRT2, HALF_SQRT2, bracket_i_hbar, bracket_sum, compose_scalar, from_weyl, scalar_to_qseries, substitute,
+    weyl_symbol,
 )
 from .errors import DomainError
 from .field import Coefficient, ONE
@@ -185,6 +190,8 @@ class NormalFormResult:
         Y = phi(dfn/dt); a diagonal right side is a DomainError.  Y_r = sum_l l L_l[r+1-l]
         is read by `flow.ladder_sum` off the Lie ladders L_l of the unscaled slices fn_l,
         l >= 1, which step r runs only as far as H_0..H_(r-1); they are kept for `verify()`.
+        The recursion runs on Weyl symbols (module docstring): H converts out once, and
+        keeps its symbol for the ladder of fn_0 that `verify()` runs.
         h, kept joined, is sliced afresh by this build only, and released after it.
         """
         if self._H is None:
@@ -192,9 +199,9 @@ class NormalFormResult:
             f0 = harmonic(fn.t_cap, fn.weight_cap)
             F, _ = _homological_solve(fn, self._h.t_slices())
             F = self.u_inv.join_t_slices(F).subs_series("z", self.u_inv)
-            diag = compose_scalar(F, f0).t_slices()
-            V = compose_scalar(self.u_inv, f0).t_slices()
-            ladders = [(l, [x]) for l, x in enumerate(fn.t_slices()) if l and x]
+            diag = weyl_symbol(compose_scalar(F, f0)).t_slices()
+            V = weyl_symbol(compose_scalar(self.u_inv, f0)).t_slices()
+            ladders = [(l, [x]) for l, x in enumerate(weyl_symbol(fn).t_slices()) if l and x]
             zero = fn.zero_like()
             H = []
             for r in range(self.order):
@@ -202,12 +209,12 @@ class NormalFormResult:
                 rhs = V[r + 1].scale(r + 1) - y
                 pairs = [(V[j], H[r - j]) for j in range(1, r + 1) if V[j] and H[r - j]]
                 if pairs:
-                    rhs = rhs - bracket_sum(pairs)
+                    rhs = rhs - bracket_sum(pairs, table=MOYAL)
                 s, K = split_homological(rhs)
                 if s:
                     raise DomainError(f"generator equation has a diagonal part at t^{r}")
                 H.append(K - diag[r])
-            self._H, self._ladders = fn.join_t_slices(H), ladders
+            self._H, self._ladders = from_weyl(fn.join_t_slices(H)), ladders
             self._h = None
         return self._H
 
@@ -227,12 +234,15 @@ class NormalFormResult:
         """phi(fn) = phi(fn_0) + sum_l t^l phi(fn_l) through t^N.
 
         The ladders of fn_l, l >= 1, are the ones `H` ran, and already as long as
-        this reads them, so none takes a step here; the only new ladder is that of
-        fn_0, run by `flow.integrate_heisenberg`, and it alone reads H_(N-1).
+        this reads them, so none takes a step here; their Weyl sum converts out once.
+        The only new ladder is that of fn_0, run by `flow.integrate_heisenberg` on
+        H's kept symbol, and it alone reads H_(N-1).
         """
         fn, H = self.normalized_input, self.H
-        phi0 = flow.integrate_heisenberg(H, fn.var_slice("t", 0), self.order).t_slices()
-        return fn.join_t_slices(flow.ladder_sum(self._ladders, (), r, x) for r, x in enumerate(phi0))
+        phi0 = flow.integrate_heisenberg(H, fn.var_slice("t", 0), self.order)
+        zero = fn.zero_like()
+        rest = fn.join_t_slices(flow.ladder_sum(self._ladders, (), r, zero) for r in range(self.order + 1))
+        return phi0 + from_weyl(rest)
 
     def to_json(self):
         return {

@@ -97,7 +97,7 @@ class _Series:
     weights) and ``_ti`` (the position of t, None when there is no t).
     """
 
-    __slots__ = ("_terms", "t_cap", "w2_cap", "vars", "_weights", "_ti", "_pack")
+    __slots__ = ("_terms", "t_cap", "w2_cap", "vars", "_weights", "_ti", "_pack", "_sign", "_weyl")
 
     def _init(self, terms, t_cap, weight_cap):
         """Validate and canonicalize `terms` once the signature is set."""
@@ -116,14 +116,14 @@ class _Series:
                 continue
             _kernel.add_term(out, exp, _as_raw(coef))
         self._terms = out
-        self._pack = None
+        self._pack = self._sign = self._weyl = None
 
     @classmethod
     def _make(cls, sig, terms, t_cap, w2_cap):
         obj = object.__new__(cls)
         obj.vars, obj._weights, obj._ti = sig
         obj._terms = terms
-        obj._pack = None
+        obj._pack = obj._sign = obj._weyl = None
         obj.t_cap = t_cap
         obj.w2_cap = w2_cap
         return obj
@@ -159,6 +159,12 @@ class _Series:
         if kept is None or kept[0] != S:
             kept = self._pack = S, _kernel.pack_terms(self._terms, S, self._weights, self._ti, self._contracts)
         return kept[1]
+
+    def _hermitian(self):
+        """`_kernel.hermitian_sign` of the term map, scanned once and kept beside the packed form."""
+        if self._sign is None:
+            self._sign = _kernel.hermitian_sign(self._terms)
+        return self._sign
 
     def _join_caps(self, other):
         return min(self.t_cap, other.t_cap), min(self.w2_cap, other.w2_cap)

@@ -7,6 +7,15 @@ coefficients.  It shares nothing with the kernel's binomial formula.
 `qmul_per_pair` and `bracket_per_pair` form a product or a bracket term pair
 by term pair, reducing every pair product with the single-coefficient ops of
 `_kernel` (`coeff_mul`, `coeff_add`), not with its product kernels.
+`moyal_per_pair` does the same for the Moyal bracket of two Weyl symbols,
+written from the bidifferential formula with falling factorials, with no
+contraction row and no factor table.
+
+`ladder_step_in_normal_order`, `transport_in_normal_order` and
+`generator_in_normal_order` are the Lie ladders, the Heisenberg transport and
+the fixed-frame recursion of the generator H as they run on normal-ordered
+operators, one `bracket_i_hbar` per pair and then one scale per step: the
+references for the engine's ladders, which run on Weyl symbols.
 `rho_per_entry`, `inner_per_entry` and `rs_per_entry` form the Fock action,
 the Fock inner product and the Rayleigh-Schrodinger recursion entry by entry
 in `field.Coefficient` arithmetic, with no common denominators and no split
@@ -33,7 +42,7 @@ import random
 
 from qmorse import _kernel
 from qmorse._kernel import COEFF_ZERO, coeff_add, coeff_mul, coeff_mul_int
-from qmorse.algebra import pi_restriction
+from qmorse.algebra import bracket_i_hbar, pi_restriction
 from qmorse.field import Coefficient, I, ZERO
 from qmorse.milnor import _monomials, _working, plane, poisson
 from qmorse.series import QSeries, ScalarSeries, SIG_HT, SIG_NHT, a_op, adag, harmonic, one, q_op
@@ -187,6 +196,89 @@ def bracket_per_pair(f, g):
                 key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)
                 out[key] = coeff_add(out.get(key, COEFF_ZERO), coeff_mul_int(c, w))
     return _on_caps(out, *f._join_caps(g))
+
+
+def moyal_per_pair(f, g):
+    """(i/hbar)[f, g] of two Weyl symbols over (zbar, z, hbar, t), term pair by term pair.
+
+    f * g = f exp((hbar/2)(<-d_z ->d_zbar - <-d_zbar ->d_z)) g, so the bracket
+    is 2i/hbar times the odd orders j: (hbar/2)^j / j! sum_i C(j, i) (-1)^i
+    (d_zbar^i d_z^(j-i) f)(d_zbar^(j-i) d_z^i g).
+    """
+    out = {}
+    for (m1, n1, k1, l1), c1 in f._terms.items():
+        for (m2, n2, k2, l2), c2 in g._terms.items():
+            c = coeff_mul(coeff_mul(c1, c2), I.raw)
+            for j in range(1, min(m1, n2) + min(n1, m2) + 1, 2):
+                w = sum(
+                    (-1) ** i * comb(j, i) * perm(m1, i) * perm(n1, j - i) * perm(m2, j - i) * perm(n2, i)
+                    for i in range(j + 1)
+                )
+                key = (m1 + m2 - j, n1 + n2 - j, k1 + k2 + j - 1, l1 + l2)
+                term = coeff_mul(c, _kernel.coeff_make(2 * w, 0, 0, 0, 2**j * factorial(j)))
+                out[key] = coeff_add(out.get(key, COEFF_ZERO), term)
+    return _on_caps(out, *f._join_caps(g))
+
+
+def ladder_step_in_normal_order(xs, slices):
+    """Append X_{r+1} = (1/(r+1)) sum_j (i/hbar)[X_j, S_{r-j}] to xs, normal-ordered
+    operands: one `bracket_i_hbar` per nonzero pair, summed as series, then one scale."""
+    r = len(xs) - 1
+    acc = None
+    for j in range(r + 1):
+        x, s = xs[j], slices[r - j]
+        if x and s:
+            term = bracket_i_hbar(x, s)
+            acc = term if acc is None else acc + term
+    xs.append(xs[0].zero_like() if acc is None else acc.scale(Fraction(1, r + 1)))
+
+
+def transport_in_normal_order(H, f, order):
+    """phi(f), phi the flow of H through t^order (`flow.integrate_heisenberg`), with
+    one `ladder_step_in_normal_order` ladder per nonzero t-slice of f."""
+    wc = Fraction(min(H.w2_cap, f.w2_cap), 2)
+    fw = f.with_caps(t_cap=order, weight_cap=wc)
+    h_slices = H.with_caps(t_cap=order, weight_cap=wc).t_slices()
+    out = [fw.zero_like() for _ in range(order + 1)]
+    for l, x in enumerate(fw.t_slices()):
+        ladder = [x]
+        while x and len(ladder) <= order - l:
+            ladder_step_in_normal_order(ladder, h_slices)
+        for r, y in enumerate(ladder if x else ()):
+            out[l + r] = out[l + r] + y
+    return fw.join_t_slices(out)
+
+
+def generator_in_normal_order(result):
+    """The generator H of a `NormalFormResult`, by its fixed-frame recursion
+    (`NormalFormResult.H`) on normal-ordered operators, every bracket one
+    `bracket_i_hbar` and every ladder step `ladder_step_in_normal_order`."""
+    from qmorse import normal_form as nf
+    from qmorse.algebra import compose_scalar
+
+    fn, u_inv, order = result.normalized_input, result.u_inv, result.order
+    f0 = harmonic(fn.t_cap, fn.weight_cap)
+    h = fn.join_t_slices(nf._homological_solve(fn, fn.deriv("t").t_slices())[1])
+    F, _ = nf._homological_solve(fn, h.t_slices())
+    F = u_inv.join_t_slices(F).subs_series("z", u_inv)
+    diag = compose_scalar(F, f0).t_slices()
+    V = compose_scalar(u_inv, f0).t_slices()
+    ladders = [(l, [x]) for l, x in enumerate(fn.t_slices()) if l and x]
+    H = []
+    for r in range(order):
+        rhs = V[r + 1].scale(r + 1)
+        for l, ladder in ladders:
+            if l <= r + 1:
+                while len(ladder) <= r + 1 - l:
+                    ladder_step_in_normal_order(ladder, H)
+                rhs = rhs - ladder[r + 1 - l].scale(l)
+        for j in range(1, r + 1):
+            if V[j] and H[r - j]:
+                rhs = rhs - bracket_i_hbar(V[j], H[r - j])
+        s, K = nf.split_homological(rhs)
+        assert not s, f"generator equation has a diagonal part at t^{r}"
+        H.append(K - diag[r])
+    return fn.join_t_slices(H)
 
 
 def rho_per_entry(f, psi):

@@ -28,6 +28,7 @@ from qmorse.series import (
 from oracles import (
     COPRIME,
     bracket_per_pair,
+    moyal_per_pair,
     normal_order_word,
     qmul_per_pair,
     random_coeff,
@@ -668,9 +669,13 @@ def test_qbracket_reads_its_operands_from_pack_terms(monkeypatch, hermitian):
         seen.append((left, right))
         return component_pairs(left, right)
 
-    def recording_qbracket(operands, s, *rest):
-        read.append((operands, s))
-        return qbracket(operands, s, *rest)
+    def recording_qbracket(operands, table, s, *rest):
+        read.append((operands, table, s))
+        return qbracket(operands, table, s, *rest)
+
+    def moving(parts):  # the terms with m or n nonzero, empty parts dropped
+        kept = {x: [term for term in p if term[3] or term[4]] for x, p in parts.items()}
+        return {x: p for x, p in kept.items() if p}
 
     monkeypatch.setattr(_kernel, "pack_terms", recording_pack)
     monkeypatch.setattr(_kernel, "component_pairs", recording_pairs)
@@ -678,20 +683,26 @@ def test_qbracket_reads_its_operands_from_pack_terms(monkeypatch, hermitian):
     expected = _bracket_sum_reference(pairs, 2).to_json()
     assert algebra.bracket_sum(pairs, 2).to_json() == expected
     assert packs == [z._terms for pair in pairs for z in pair]
-    (operands, s), = read
-    assert s == (1 if hermitian else 0)
+    (operands, table, s), = read
+    assert table is _kernel.NORMAL_ORDER and s == (1 if hermitian else 0)
     assert all(a is f._pack[1] and b is g._pack[1] for (a, b), (f, g) in zip(operands, pairs))
     assert len(seen) == len(pairs)
     for (left, right), ((_, packed_left), (_, packed_right)) in zip(seen, operands):
-        if not hermitian:  # the half path sorts the right parts by n2 - m2
-            assert right == _kernel.noncentral(packed_right)
-        assert {x: sorted(q) for x, q in right.items()} == {
-            x: sorted(q) for x, q in _kernel.noncentral(packed_right).items()
+        # a right copy is (key, w2, l, pair_index(m, n), numerator, n - m), in
+        # t order, or sorted by n - m on the half path
+        copies = {
+            x: [(key, w2, l, _kernel.pair_index(m, n), c, n - m) for key, w2, l, m, n, c in q]
+            for x, q in moving(packed_right).items()
         }
-        moving = _kernel.noncentral(packed_left)
+        if not hermitian:
+            assert right == copies
+        assert {x: sorted(q) for x, q in right.items()} == {x: sorted(q) for x, q in copies.items()}
+        # a left term carries its numerator as packed, beside its row of the table
         assert {x: [term[-2] for term in p] for x, p in left.items()} == {
-            x: [term[-1] for term in p] for x, p in moving.items()
+            x: [term[-1] for term in p] for x, p in moving(packed_left).items()
         }
+        assert all(term[3] is _kernel.NORMAL_ORDER.row(m, n) for x, p in left.items()
+                   for term, (_, _, _, m, n, _) in zip(p, moving(packed_left)[x]))
     del packs[:]
     assert algebra.bracket_sum(pairs, 2).to_json() == expected
     assert packs == [] and read[1][0] == operands
@@ -737,3 +748,97 @@ def test_hermitian_sign():
     assert _kernel.hermitian_sign(QSeries({(1, 1, 0, 0): I}, **CAPS)._terms) == -1
     assert _kernel.hermitian_sign(QSeries({(1, 1, 0, 0): Coefficient(1, 1)}, **CAPS)._terms) == 0
     assert _kernel.hermitian_sign(QSeries({(2, 0, 0, 0): 1}, **CAPS)._terms) == 0  # no mirror
+
+
+def test_weyl_symbol_round_trips_exactly():
+    """`weyl_symbol` and `from_weyl` are inverse, caps included, on random
+    operators and on random operators past 5 contractions; neither keeps a
+    term past the caps, since both keep each term's weight and t power."""
+    rng = random.Random(97)
+    for trial in range(150):
+        if trial % 3:
+            f = random_qseries(rng, t_cap=rng.randint(0, 4), weight_cap=str(rng.randint(1, 9)), max_exp=4)
+        else:
+            f = _random_operand(rng) + QSeries({(6, 5, 0, 0): COPRIME[trial % 3]}, t_cap=5, weight_cap=7)
+        for there, back in ((algebra.weyl_symbol, algebra.from_weyl), (algebra.from_weyl, algebra.weyl_symbol)):
+            image = there(f)
+            assert (image.t_cap, image.w2_cap) == (f.t_cap, f.w2_cap)
+            out = back(image.with_caps())  # a fresh value, so nothing kept is read
+            assert out.to_json() == f.to_json()
+
+
+def test_weyl_symbol_values():
+    """sigma(adag^m a^n) = sum_j j! C(m,j) C(n,j) (-hbar/2)^j zbar^(m-j) z^(n-j):
+    adag a -> zbar z - hbar/2, f0 = 2 adag a + hbar -> 2 zbar z, the
+    symmetrized (adag a + a adag)/2 -> zbar z, and adag^2 a^2 -> zbar^2 z^2
+    - 2 hbar zbar z + hbar^2/2; a value made by `from_weyl` keeps its symbol."""
+    caps = dict(t_cap=0, weight_cap=4)
+    n_op = adag(**caps) * a_op(**caps)
+    half = Fraction(1, 2)
+    assert algebra.weyl_symbol(n_op) == QSeries({(1, 1, 0, 0): 1, (0, 0, 1, 0): -half}, **caps)
+    assert algebra.weyl_symbol(harmonic(**caps)) == QSeries({(1, 1, 0, 0): 2}, **caps)
+    sym = (n_op + a_op(**caps) * adag(**caps)).scale(half)
+    assert algebra.weyl_symbol(sym) == QSeries({(1, 1, 0, 0): 1}, **caps)
+    assert algebra.weyl_symbol(n_op * n_op - n_op.shift(hbar=1)) == QSeries(
+        {(2, 2, 0, 0): 1, (1, 1, 1, 0): -2, (0, 0, 2, 0): half}, **caps
+    )
+    w = algebra.weyl_symbol(sym)
+    op = algebra.from_weyl(w)
+    assert op == sym and algebra.weyl_symbol(op) is w
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (0, 0), "mixed"])
+def test_moyal_bracket_matches_per_pair(monkeypatch, signs):
+    """`bracket_sum` over the Moyal table equals `moyal_per_pair`, with central
+    terms, terms past the caps and div > 1: hermitian and anti-hermitian
+    operands take the half path, the others the full loop; and, converted to
+    normal order, it is the normal-order bracket."""
+    from qmorse import _kernel
+
+    rng = random.Random(f"moyal-{signs}")
+    seen = _record_prefixes(monkeypatch)
+    halves = 0
+    for _ in range(30):
+        if signs == "mixed":
+            pairs = [(_symmetrized(rng, 1), _symmetrized(rng, 1)), (_symmetrized(rng, -1), _symmetrized(rng, 1))]
+        elif signs == (0, 0):
+            pairs = [(_random_operand(rng), _random_operand(rng)) for _ in range(rng.randint(1, 3))]
+        else:
+            pairs = [(_symmetrized(rng, signs[0]), _symmetrized(rng, signs[1])) for _ in range(rng.randint(1, 3))]
+        div = rng.randint(1, 4)
+        del seen[:]
+        out = algebra.bracket_sum(pairs, div, _kernel.MOYAL)
+        expected = None
+        for f, g in pairs:
+            term = QSeries._from_raw(moyal_per_pair(f, g), *f._join_caps(g))
+            expected = term if expected is None else expected + term
+        assert out.to_json() == expected.scale(Fraction(1, div)).to_json()
+        normal = algebra.bracket_sum([(algebra.from_weyl(f), algebra.from_weyl(g)) for f, g in pairs], div)
+        assert algebra.from_weyl(out) == normal
+        halves += bool(seen)
+    assert (halves > 10) if signs in ((1, 1), (1, -1)) else not halves
+
+
+def test_bracket_tables_fill_on_read(tmp_path):
+    """Importing the engine fills no factor table, and a bracket fills only the
+    rows and entries of the exponent pairs its term pairs read."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from qmorse import _kernel, algebra\n"
+        "from qmorse.series import QSeries\n"
+        "tables = (_kernel.NORMAL_ORDER, _kernel.MOYAL)\n"
+        "assert [t._rows for t in tables] == [{}, {}] and _kernel._rows == []\n"
+        "x = QSeries({(2, 1, 0, 0): 1, (0, 0, 1, 0): 1}, t_cap=0, weight_cap=5)\n"
+        "y = QSeries({(1, 3, 0, 0): 1}, t_cap=0, weight_cap=5)\n"
+        "algebra.bracket_sum([(x, y)], 1, _kernel.MOYAL)\n"
+        "rows = _kernel.MOYAL._rows\n"
+        "assert _kernel.NORMAL_ORDER._rows == {} and list(rows) == [_kernel.pair_index(2, 1)]\n"
+        "assert dict(rows[_kernel.pair_index(2, 1)]) == {_kernel.pair_index(1, 3): (-5, 6)}\n"
+    )
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

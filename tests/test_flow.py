@@ -11,7 +11,13 @@ from qmorse.errors import ResourceError
 from qmorse.field import Coefficient
 from qmorse.series import QSeries, a_op, adag, harmonic, hbar_op, one, p_op, q_op, t_op
 
-from oracles import COPRIME, bracket_per_pair, random_qseries
+from oracles import (
+    COPRIME,
+    ladder_step_in_normal_order,
+    moyal_per_pair,
+    random_qseries,
+    transport_in_normal_order,
+)
 
 
 def test_flow_of_a_under_number_operator():
@@ -104,18 +110,21 @@ def test_propagator_solves_ode():
 
 
 def _step_reference(xs, slices):
-    """X_{r+1} as a sum of bracket_i_hbar over the nonzero pairs, then one scale."""
+    """X_{r+1} of Weyl symbols as a sum of `moyal_per_pair` over the nonzero pairs,
+    then one scale; converted to normal order, it is the step of the normal-order
+    ladder over the converted operands."""
     r = len(xs) - 1
     acc = None
     for j in range(r + 1):
         x, s = xs[j], slices[r - j]
         if x and s:
-            term = algebra.bracket_i_hbar(x, s)
-            assert term._terms == bracket_per_pair(x, s)
+            term = QSeries._from_raw(moyal_per_pair(x, s), *x._join_caps(s))
             acc = term if acc is None else acc + term
-    if acc is None:
-        acc = xs[0].zero_like()
-    return acc.scale(Fraction(1, r + 1))
+    expected = xs[0].zero_like() if acc is None else acc.scale(Fraction(1, r + 1))
+    normal = [algebra.from_weyl(x) for x in xs]
+    ladder_step_in_normal_order(normal, [algebra.from_weyl(s) for s in slices])
+    assert algebra.from_weyl(expected) == normal[-1]
+    return expected
 
 
 def _checked_step(xs, slices):
@@ -128,6 +137,7 @@ def _checked_step(xs, slices):
 
 
 def test_ladder_step_matches_per_pair_brackets():
+    """A ladder step reads its operands as Weyl symbols (the Moyal table)."""
     c0, c1, c2 = COPRIME
     # joined caps t^2, weight 5/2; S0 holds adag^6 and adag^3 a^3 (weight 3),
     # and the weight-1/2 terms of X1 and X2 carry adag^6 down to weight 5/2
@@ -179,3 +189,65 @@ def test_ladder_step_term_guard(monkeypatch):
     with pytest.raises(ResourceError):
         flow.ladder_step(xs, slices)
     assert len(xs) == 1
+
+
+def test_ladder_scans_each_slice_once(monkeypatch):
+    """Every value keeps its hermitian sign beside its packed form, so a ladder
+    of r steps scans each nonzero slice, of X and of S, once, not once per
+    step that reads it."""
+    from qmorse import _kernel
+
+    caps = dict(t_cap=6, weight_cap="10")
+    # hermitian term maps, read as Weyl symbols
+    slices = (harmonic(**caps) + q_op(**caps) ** 3 + t_op(**caps) * p_op(**caps) ** 4).t_slices()
+    xs = [q_op(**caps) ** 2 + p_op(**caps)]
+    scans = []
+    sign = _kernel.hermitian_sign
+
+    def counting(terms):
+        scans.append(terms)
+        return sign(terms)
+
+    monkeypatch.setattr(_kernel, "hermitian_sign", counting)
+    for _ in range(6):
+        flow.ladder_step(xs, slices)
+    operands = [x for x in xs[:-1] + slices[:6] if x]
+    assert len(scans) == len({id(x) for x in operands}) == len(operands)
+    assert sorted(map(id, scans)) == sorted(id(x._terms) for x in operands)
+
+
+def _symmetrized(rng, sign, **kw):
+    """A nonzero random operator plus (sign 1) or minus (sign -1) its adjoint."""
+    while True:
+        f = random_qseries(rng, **kw)
+        out = f + algebra.dagger(f) if sign > 0 else f - algebra.dagger(f)
+        if out:
+            return out
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "anti-hermitian", "mixed-sign", "non-hermitian", "t-cap-wide"])
+def test_transport_equals_the_normal_order_ladders(kind):
+    """`integrate_heisenberg`, whose ladders run on Weyl symbols, equals the
+    normal-order ladders (`transport_in_normal_order`) on seeded random
+    families.  Hermitian H with hermitian or anti-hermitian f take the
+    kernel's hermitian half; H with a hermitian and an anti-hermitian slice,
+    or neither, take the full loop; and one family has a t cap wider than
+    its weight cap."""
+    rng = random.Random(f"transport-{kind}")
+    for _ in range(6):
+        if kind == "t-cap-wide":
+            kw = dict(t_cap=9, weight_cap="3/2", max_exp=2)
+            H = _symmetrized(rng, 1, **kw) + t_op(9, "3/2").scale(Fraction(1, 3)) * _symmetrized(rng, 1, **kw)
+            f, order = _symmetrized(rng, 1, **kw), 9
+        else:
+            kw = dict(t_cap=4, weight_cap="7", max_exp=3)
+            if kind == "non-hermitian":
+                H, f = random_qseries(rng, **kw), random_qseries(rng, **kw)
+            else:
+                H = _symmetrized(rng, 1, **kw)
+                if kind == "mixed-sign":
+                    H = H.var_slice("t", 0) + t_op(4, "7").scale(2) * _symmetrized(rng, -1, **kw).var_slice("t", 0)
+                f = _symmetrized(rng, -1 if kind == "anti-hermitian" else 1, **kw)
+            order = 4
+        got = flow.integrate_heisenberg(H, f, order)
+        assert got.to_json() == transport_in_normal_order(H, f, order).to_json()

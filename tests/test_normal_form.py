@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qmorse import flow, normal_form as nf, parser, spectrum as sp
-from qmorse.algebra import bracket_i_hbar, compose_scalar, dagger
+from qmorse.algebra import bracket_i_hbar, compose_scalar, dagger, weyl_symbol
 from qmorse.errors import DomainError
 from qmorse.field import Coefficient, I
 from qmorse.series import (
@@ -28,7 +28,13 @@ from qmorse.series import (
 )
 
 from oracles import (
-    COMPLEX_ENERGIES, component_pair_counts, random_coeff, random_qseries, substitute_per_monomial,
+    COMPLEX_ENERGIES,
+    component_pair_counts,
+    generator_in_normal_order,
+    random_coeff,
+    random_qseries,
+    substitute_per_monomial,
+    transport_in_normal_order,
 )
 
 CAPS = dict(t_cap=8, weight_cap="24")
@@ -549,33 +555,39 @@ def test_result_holds_no_packed_form_but_the_input(order):
 def test_generator_work_counts(monkeypatch):
     """Bracket work of the generator H and of verify() for the quartic at N=8.
 
-    H splits h in the body frame (one `bracket_i_hbar` per step) and solves
-    its fixed-frame recursion with one `bracket_sum` over the pairs
-    (V_j, H_(r-j)) per step r; Y = phi(dfn/dt) is read off the ladder of
-    fn_1 = q^4, the one nonzero slice of fn past t^0.  verify() reuses that
-    ladder, already as long as it needs, and runs one new ladder, that of fn_0.
-    Every ladder step is one `_kernel.qbracket` call over all of its nonzero
-    pairs.  The pairs are counted as the product of the packed operands'
-    entries (one per nonzero component of a term; every term here has one),
-    summed over each call's pair list, before any cut.  H, V and every ladder slice are hermitian, so
+    H splits h in the body frame (one `bracket_i_hbar` per step, normal
+    order) and solves its fixed-frame recursion on Weyl symbols, with one
+    `bracket_sum` over the pairs (V_j, H_(r-j)) per step r; Y = phi(dfn/dt)
+    is read off the ladder of fn_1 = q^4, the one nonzero slice of fn past
+    t^0.  verify() reuses that ladder, already as long as it needs, and runs
+    one new ladder, that of fn_0.  Every ladder step is one `_kernel.qbracket`
+    call over all of its nonzero pairs, with the Moyal table.  The pairs are
+    counted as the product of the packed operands' entries (one per nonzero
+    component of a term; every term here has one), summed over each call's
+    pair list, before any cut.  H, V and every ladder slice are hermitian, so
     the kernel forms only the term pairs that land at ``m >= n`` (its
     hermitian half); those are counted where the kernel reads them, at
-    `_kernel.prefix_length`, summed over the component pairs.
+    `_kernel.prefix_length`, summed over the component pairs.  Every value
+    keeps its hermitian sign, so `_kernel.hermitian_sign` scans each bracket
+    operand once.
     """
     from qmorse import _kernel
 
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(harmonic(**caps) + t_op(**caps) * q_op(**caps) ** 4, 8)
-    counts = {"bracket_pairs": 0, "formed_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0}
+    counts = {"bracket_pairs": 0, "formed_pairs": 0, "qbracket_calls": 0, "bracket_steps": 0, "sign_scans": 0}
+    tables = set()
     qbracket, prefix_length, ladder_step = _kernel.qbracket, _kernel.prefix_length, flow.ladder_step
+    hermitian_sign = _kernel.hermitian_sign
 
     def entries(operand):
         return sum(map(len, operand[1].values()))
 
-    def counting_qbracket(pairs, *rest):
+    def counting_qbracket(pairs, table, *rest):
         counts["bracket_pairs"] += sum(entries(A) * entries(B) for A, B in pairs)
         counts["qbracket_calls"] += 1
-        return qbracket(pairs, *rest)
+        tables.add(table)
+        return qbracket(pairs, table, *rest)
 
     def counting_prefix_length(part, bound):
         formed = prefix_length(part, bound)
@@ -586,17 +598,24 @@ def test_generator_work_counts(monkeypatch):
         counts["bracket_steps"] += 1
         return ladder_step(xs, slices)
 
+    def counting_sign(terms):
+        counts["sign_scans"] += 1
+        return hermitian_sign(terms)
+
     monkeypatch.setattr(_kernel, "qbracket", counting_qbracket)
     monkeypatch.setattr(_kernel, "prefix_length", counting_prefix_length)
+    monkeypatch.setattr(_kernel, "hermitian_sign", counting_sign)
     monkeypatch.setattr(flow, "ladder_step", counting_ladder_step)
     result.H
     assert result.verify()
     assert counts["formed_pairs"] < counts["bracket_pairs"]
+    assert tables == {_kernel.NORMAL_ORDER, _kernel.MOYAL}
     assert counts == {
-        "bracket_pairs": 31876,
-        "formed_pairs": 16310,
+        "bracket_pairs": 12384,
+        "formed_pairs": 6661,
         "qbracket_calls": 29,
         "bracket_steps": 15,
+        "sign_scans": 45,
     }
 
 
@@ -739,6 +758,82 @@ def test_random_family_matches_rs_and_verifies(seed):
         assert closure == sp.rs_perturbation(f, n, 5).lift(("n", "hbar", "t"))
 
 
+def _transported_by_verify(monkeypatch, result):
+    """The phi(fn) that verify() composes with u, read off its ladders, and the verdict."""
+    result.H  # its recursion composes too
+    composed = []
+
+    def spy(u, x):
+        composed.append(x)
+        return compose_scalar(u, x)
+
+    monkeypatch.setattr(nf, "compose_scalar", spy)
+    verdict = result.verify()
+    monkeypatch.setattr(nf, "compose_scalar", compose_scalar)
+    (phi,) = composed
+    return phi, verdict
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "mixed-sign", "t-cap-wide"])
+def test_generator_and_verify_equal_the_normal_order_references(monkeypatch, kind):
+    """`H`, whose recursion and ladders run on Weyl symbols, equals the same
+    recursion on normal-ordered operators (`generator_in_normal_order`), and
+    the phi(fn) that verify() reads off its ladders equals the normal-order
+    transport (`transport_in_normal_order`), on seeded random families:
+    hermitian perturbations (the kernel's hermitian half), ones that are not
+    (the full loop), and a quartic family solved at a weight cap below its t
+    cap."""
+    rng = random.Random(f"generator-{kind}")
+    for trial in range(4 if kind != "t-cap-wide" else 1):
+        if kind == "t-cap-wide":
+            caps = dict(t_cap=8, weight_cap="16")
+            result = nf.quantum_morse(_f(q_op(**caps) ** 4 + p_op(**caps) ** 3, caps=caps), 8, weight_cap=3)
+            assert result.normalized_input.w2_cap == 6 < 8 == result.normalized_input.t_cap
+        else:
+            caps = dict(t_cap=5, weight_cap="16")
+            result = nf.quantum_morse(_f(_random_perturbation(rng, kind == "hermitian", caps), caps=caps), 5)
+        assert result.H.to_json() == generator_in_normal_order(result).to_json()
+        phi, verdict = _transported_by_verify(monkeypatch, result)
+        fn = result.normalized_input
+        assert phi.to_json() == transport_in_normal_order(result.H, fn, result.order).to_json()
+        assert verdict is (compose_scalar(result.u, phi) == harmonic(phi.t_cap, phi.weight_cap))
+
+
+def _odd_hbar(series):
+    """The number of terms of a series at an odd power of hbar."""
+    k = series.vars.index("hbar")
+    return sum(e[k] % 2 for e in series._terms)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("p^2+q^2+t*q^4", 16),
+        ("p^2+q^2+t*q^3", 12),
+        ("p^2+q^2+t*(q^2*p^2+p^2*q^2)/2", 10),
+        ("p^2+q^2+t*(q^3+p^3+q^4)", 6),
+        (COMPLEX_ENERGIES, 6),
+    ],
+    ids=["quartic", "cubic", "sym-q2p2", "q3+p3+q4", "complex-energies"],
+)
+def test_weyl_symbols_are_hbar_even(monkeypatch, text, order):
+    """The Weyl symbols of H and of phi(fn) (read off verify()'s ladders), and
+    u_inv, whose z is the Weyl symbol of f0 = 2 zbar z as it stands, have no
+    term at an odd power of hbar for self-adjoint perturbations whose Weyl
+    symbol is hbar-even.  `COMPLEX_ENERGIES` is the negative control: its
+    perturbation is not self-adjoint, and all three have odd-hbar terms."""
+    f = parser.elaborate(parser.parse_expr(text), order, "64")
+    result = nf.quantum_morse(f, order)
+    phi, verdict = _transported_by_verify(monkeypatch, result)
+    assert verdict
+    # with_caps makes fresh values, converted afresh rather than read from the symbol H keeps
+    odd = [_odd_hbar(weyl_symbol(x.with_caps())) for x in (result.H, phi)] + [_odd_hbar(result.u_inv)]
+    if text == COMPLEX_ENERGIES:
+        assert all(odd)
+    else:
+        assert odd == [0, 0, 0] and _odd_hbar(weyl_symbol(result.normalized_input)) == 0
+
+
 def test_component_pair_counts():
     """Work of the split products, counted per component pair (x, y).
 
@@ -757,7 +852,7 @@ def test_component_pair_counts():
     caps = dict(t_cap=8, weight_cap="16")
     result = nf.quantum_morse(_f(q_op(**caps) ** 4, caps=caps), 8)
     counts = component_pair_counts(lambda: (result.H, result.verify()))
-    assert counts == {(0, 0): 11144, (0, 1): 27712}
+    assert counts == {(0, 0): 11144, (0, 1): 10242}
     f = parser.elaborate(parser.parse_expr(COMPLEX_ENERGIES), 6, "64")
 
     def run():
@@ -766,10 +861,10 @@ def test_component_pair_counts():
         assert result.verify()
 
     assert component_pair_counts(run) == {
-        (0, 0): 34338, (0, 1): 32686, (0, 2): 33906, (0, 3): 20338,
-        (1, 0): 16091, (1, 1): 15961, (1, 2): 16746, (1, 3): 9229,
-        (2, 0): 23466, (2, 1): 18626, (2, 2): 19691, (2, 3): 13272,
-        (3, 0): 20467, (3, 1): 23416, (3, 2): 23816, (3, 3): 12868,
+        (0, 0): 32284, (0, 1): 28717, (0, 2): 28375, (0, 3): 18011,
+        (1, 0): 15091, (1, 1): 14175, (1, 2): 13682, (1, 3): 8405,
+        (2, 0): 22332, (2, 1): 16120, (2, 2): 16657, (2, 3): 12030,
+        (3, 0): 18190, (3, 1): 19432, (3, 2): 17991, (3, 3): 10956,
     }
 
 
