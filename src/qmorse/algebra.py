@@ -1,10 +1,13 @@
 """Named operations of the normal-ordered algebra.
 
-Products, commutators, the p/q ordered views (`to_ordered` is exp(hbar D) of
-the normal symbol, `from_ordered` is `substitute`), Weyl symbols
-(`weyl_symbol` and `from_weyl`, one closed form per term), symbols, Borel transform,
-hermitian conjugation, the restriction-to-zero map pi, the pairing
-P(f, g) = pi(dagger(f) g), and composition of a scalar germ with an operator.
+Products, commutators, Weyl symbols (`weyl_symbol` and `from_weyl`, one
+closed form per term) and the maps that go through them: the p/q ordered
+views (`to_ordered`, `from_ordered`) and linear symplectic changes of
+coordinates (`linear_symplectic`), each one linear change of the symbol's
+variables (`_linear_change`), the views with one more closed-form pass
+(`_i_reordered`).  Also symbols, Borel transform, hermitian conjugation, the
+restriction-to-zero map pi, the pairing P(f, g) = pi(dagger(f) g), and
+composition of a scalar germ with an operator.
 """
 
 from __future__ import annotations
@@ -15,25 +18,20 @@ from math import factorial
 
 from . import _kernel
 from .errors import DomainError
-from .field import Coefficient
+from .field import Coefficient, ONE
 from .series import (
     QSeries,
     ScalarSeries,
     SIG_HT,
-    SIG_PLANE,
     SIG_PRINCIPAL,
     SIG_SYMBOL,
-    p_op,
     pair_caps,
     product_sum,
-    q_op,
     render_terms,
     weight_cap_to_w2,
 )
 
 NEG_I = Coefficient(0, -1)
-HALF_SQRT2 = Coefficient(0, 0, Fraction(1, 2))          # 1/sqrt2
-HALF_I_SQRT2 = Coefficient(0, 0, 0, Fraction(1, 2))     # i/sqrt2
 
 
 def commutator(f: QSeries, g: QSeries) -> QSeries:
@@ -74,8 +72,12 @@ def bracket_sum(pairs, div=1, table=_kernel.NORMAL_ORDER) -> QSeries:
 
 
 def _reordered(f: QSeries, sign: int) -> QSeries:
-    """sum_j j! C(m,j) C(n,j) (sign hbar/2)^j adag^(m-j) a^(n-j) for each term
-    c adag^m a^n of f, over one common denominator, each output term reduced once."""
+    """exp(sign (hbar/2) d_1 d_2) of the symbol f in closed form: sum_j j!
+    C(m,j) C(n,j) (sign hbar/2)^j v1^(m-j) v2^(n-j) for each term c v1^m v2^n
+    of f, over one common denominator, each output term reduced once.
+
+    `weyl_symbol` and `from_weyl` run it on (zbar, z), and the ordered views
+    on (q, p) with hbar -> i hbar (`_i_reordered`)."""
     terms = f._terms
     den = _kernel.common_denominator(terms)
     top = max((min(m, n) for m, n, _, _ in terms), default=0)
@@ -228,7 +230,47 @@ def compose_scalar(u: ScalarSeries, f: QSeries) -> QSeries:
     return out
 
 
-# -- q-before-p / p-before-q ordered views --------------------------------------
+# -- changes of ordering and of linear coordinates, through the Weyl symbol ------
+
+# Linear forms (c1, c2) = c1 v1 + c2 v2 in raw coefficients, from
+# zbar, z = (p +- i q)/sqrt2: zbar and z in (q, p), q and p in (zbar, z).
+ZBAR_QP = ((0, 0, 0, 1, 2), (0, 0, 1, 0, 2))   # (i/sqrt2) q + (1/sqrt2) p
+Z_QP = ((0, 0, 0, -1, 2), (0, 0, 1, 0, 2))     # -(i/sqrt2) q + (1/sqrt2) p
+Q_ZZ = ((0, 0, 0, -1, 2), (0, 0, 0, 1, 2))     # -(i/sqrt2) zbar + (i/sqrt2) z
+P_ZZ = ((0, 0, 1, 0, 2), (0, 0, 1, 0, 2))      # (1/sqrt2) zbar + (1/sqrt2) z
+
+
+def _linear_change(s: QSeries, x, y) -> QSeries:
+    """The commutative symbol s with its variables v1, v2 replaced by the
+    linear forms x, y (`ZBAR_QP`), at the caps of s.
+
+    sum C_mn X^m Y^n over the (m, n) of s, C_mn(hbar, t) the coefficient of
+    v1^m v2^n: each image X^m Y^n is formed once, for every hbar and t power,
+    and the sum is one `series.product_sum` over the pairs (C_mn, X^m Y^n).
+    A linear change keeps each term's degree, so no cap cuts a term.
+    """
+    caps = dict(vars=SIG_SYMBOL, t_cap=s.t_cap, weight_cap=Fraction(s.w2_cap, 2))
+    x_img = ScalarSeries({(1, 0, 0, 0): x[0], (0, 1, 0, 0): x[1]}, **caps)
+    y_img = ScalarSeries({(1, 0, 0, 0): y[0], (0, 1, 0, 0): y[1]}, **caps)
+    central = {}
+    for (m, n, k, l), c in s._terms.items():
+        central.setdefault((m, n), {})[0, 0, k, l] = c
+    x_pows, y_pows = [x_img.one_like()], [y_img.one_like()]
+    pairs = []
+    for (m, n), c in central.items():
+        while len(x_pows) <= m:
+            x_pows.append(x_pows[-1] * x_img)
+        while len(y_pows) <= n:
+            y_pows.append(y_pows[-1] * y_img)
+        pairs.append((x_img._like(c), x_pows[m] * y_pows[n]))
+    out = product_sum(pairs)._terms if pairs else {}
+    return QSeries._from_raw(out, s.t_cap, s.w2_cap)
+
+
+def _composed(form, x, y):
+    """The linear form form[0] X + form[1] Y, X and Y the linear forms x, y."""
+    a, b = form
+    return tuple(_kernel.coeff_add(_kernel.coeff_mul(a, u), _kernel.coeff_mul(b, v)) for u, v in zip(x, y))
 
 
 @dataclass
@@ -254,82 +296,79 @@ class OrderedPQ:
         return render_terms(self.terms, names + ("hbar", "t"))
 
 
+def _frame(order: str):
+    """(s, zbar and z in the view's variables, the view's variables in (zbar,
+    z)) for an ordered view, s the sign of exp(s (i hbar/2) d_q d_p), which
+    takes the Weyl symbol to the ``order`` symbol."""
+    if order == "qp":
+        return -1, (ZBAR_QP, Z_QP), (Q_ZZ, P_ZZ)
+    if order == "pq":
+        return 1, (ZBAR_QP[::-1], Z_QP[::-1]), (P_ZZ, Q_ZZ)
+    raise ValueError("order must be 'qp' or 'pq'")
+
+
+def _i_reordered(s: QSeries, sign: int) -> QSeries:
+    """exp(sign (i hbar/2) d_1 d_2) of a commutative symbol: `_reordered`
+    conjugated by hbar -> i hbar, each term c hbar^k scaled by i^-k before it
+    and by i^k after it."""
+    return _times_i_power(_reordered(_times_i_power(s, -1), sign), 1)
+
+
+def _times_i_power(s: QSeries, sign: int) -> QSeries:
+    """s with each term c hbar^k times i^(sign k)."""
+    out = {}
+    for key, (a, b, c, d, den) in s._terms.items():
+        for _ in range(sign * key[2] % 4):
+            a, b, c, d = -b, a, -d, c
+        out[key] = (a, b, c, d, den)
+    return s._like(out)
+
+
 def to_ordered(f: QSeries, order: str) -> OrderedPQ:
     """Rewrite into the q-before-p (or p-before-q) ordered basis, in closed form.
 
     A change of ordering is the exponential of a constant second-order
     operator on the commutative symbol (Agarwal & Wolf, Phys. Rev. D 2, 2161
-    (1970)).  With x = adag and y = a, the ordered symbol is exp(hbar D) of the
-    normal symbol `total_symbol(f)`, D = a (d_x^2 - d_y^2) - (1/2) d_x d_y with
-    a = 1/4 for "qp" and -1/4 for "pq".  Derivation: x, y = (p +- iq)/sqrt2, so
-    d_q = (i/sqrt2)(d_x - d_y), d_p = (d_x + d_y)/sqrt2 and d_q d_p =
-    (i/2)(d_x^2 - d_y^2); the Weyl symbol is exp(-(hbar/2) d_x d_y) of the
-    normal one, and the q-before-p (p-before-q) symbol is exp(-(i hbar/2) d_q d_p)
-    (exp(+(i hbar/2) d_q d_p)) of the Weyl one.  So adag a -> (p^2 + q^2 - hbar)/2.
-
-    term_j = (hbar/j) D term_(j-1) is summed from term_0 = the symbol until a
-    term vanishes; D lowers the (x, y) degree by 2 and hbar adds that weight
-    back, so no cap cuts a term.  Each x^m y^n then maps to its commutative
-    (q, p) image, formed once per (m, n).
+    (1970)).  The Weyl symbol of f (`weyl_symbol`), written in (q, p) by the
+    linear change zbar, z = (p +- iq)/sqrt2 (`_linear_change`), is taken to the
+    q-before-p (p-before-q) symbol by exp(-(i hbar/2) d_q d_p)
+    (exp(+(i hbar/2) d_q d_p)), `_i_reordered`.  So adag a, whose Weyl symbol
+    is zbar z - hbar/2, maps to (p^2 + q^2 - hbar)/2 in either order.
     """
-    if order not in ("qp", "pq"):
-        raise ValueError("order must be 'qp' or 'pq'")
-    a = Fraction(1, 4) if order == "qp" else Fraction(-1, 4)
-    term = symbol = total_symbol(f)
-    j = 0
-    while term:
-        j += 1
-        dx = term.deriv("x")
-        d2 = dx.deriv("x") - term.deriv("y").deriv("y")
-        term = (d2.scale(a / j) - dx.deriv("y").scale(Fraction(1, 2 * j))).shift(hbar=1)
-        symbol = symbol + term
-    # commutative images of x (adag) and y (a) as polynomials in (Q, P)
-    caps = dict(vars=SIG_PLANE, t_cap=0, weight_cap=Fraction(f.w2_cap, 2))
-    x_img = ScalarSeries({(1, 0): HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)  # (P + iQ)/sqrt2
-    y_img = ScalarSeries({(1, 0): -HALF_I_SQRT2, (0, 1): HALF_SQRT2}, **caps)
-    x_pows, y_pows = [x_img.one_like()], [y_img.one_like()]
-    images, out = {}, {}  # images: (m, n) -> the terms of x^m y^n, formed once for every t and hbar power
-    for (m, n, k, l), c in symbol._terms.items():
-        image = images.get((m, n))
-        if image is None:
-            while len(x_pows) <= m:
-                x_pows.append(x_pows[-1] * x_img)
-            while len(y_pows) <= n:
-                y_pows.append(y_pows[-1] * y_img)
-            image = images[m, n] = (x_pows[m] * y_pows[n])._terms
-        for (eq, ep), w in image.items():
-            key = (eq, ep, k, l) if order == "qp" else (ep, eq, k, l)
-            _kernel.add_term(out, key, _kernel.coeff_mul(c, w))
-    return OrderedPQ(order, out, f.t_cap, f.w2_cap)
-
-
-def substitute(terms, x: QSeries, y: QSeries) -> QSeries:
-    """sum c hbar^k t^l x^e1 y^e2 over ``terms`` {(e1, e2, k, l): c}, normal-ordered.
-
-    One central coefficient series per (e1, e2), each power of x and of y
-    formed once, and one `series.product_sum` over the pairs (central
-    series, x^e1 y^e2), so the result takes the smaller caps of x and y.
-    """
-    central = {}
-    for (e1, e2, k, l), c in terms.items():
-        central.setdefault((e1, e2), {})[0, 0, k, l] = c
-    xs, ys = [x.one_like()], [y.one_like()]
-    for e1, e2 in central:
-        while len(xs) <= e1:
-            xs.append(xs[-1] * x)
-        while len(ys) <= e2:
-            ys.append(ys[-1] * y)
-    pairs = [(QSeries(c, t_cap=x.t_cap, weight_cap=x.weight_cap), xs[e1] * ys[e2]) for (e1, e2), c in central.items()]
-    return product_sum(pairs or [(x.zero_like(), y)])  # an empty sum: zero at the same caps
+    sign, images, _ = _frame(order)
+    s = _i_reordered(_linear_change(weyl_symbol(f), *images), sign)
+    return OrderedPQ(order, s._terms, f.t_cap, f.w2_cap)
 
 
 def from_ordered(view: OrderedPQ) -> QSeries:
-    """Normal-order an ordered q/p form back into the algebra: `substitute`
-    with x, y = q, p (or p, q for order="pq") at the view's caps."""
-    wc = Fraction(view.w2_cap, 2)
-    qs, ps = q_op(view.t_cap, wc), p_op(view.t_cap, wc)
-    x, y = (qs, ps) if view.order == "qp" else (ps, qs)
-    return substitute(view.terms, x, y)
+    """Normal-order an ordered q/p form back into the algebra at the view's
+    caps: `to_ordered` backwards, the inverse pass, the change of (q, p) to
+    (zbar, z) and `from_weyl`.  A term past the view's caps is dropped on
+    entry; every map on the way keeps each term's weight and t power."""
+    sign, _, images = _frame(view.order)
+    kept = {e: c for e, c in view.terms.items() if e[0] + e[1] + 2 * e[2] <= view.w2_cap and e[3] <= view.t_cap}
+    return from_weyl(_linear_change(_i_reordered(QSeries._from_raw(kept, view.t_cap, view.w2_cap), -sign), *images))
+
+
+def linear_symplectic(f: QSeries, matrix) -> QSeries:
+    """Substitute (q, p) -> (M11 q + M12 p, M21 q + M22 p), det M = 1.
+
+    An algebra automorphism: the substitution preserves [p, q] = -i hbar
+    exactly when det M = 1, which is enforced.  The Weyl calculus is
+    covariant under linear symplectic maps with no hbar correction (Folland,
+    Harmonic Analysis in Phase Space, 1989, ch. 2), so this is `from_weyl`
+    of the Weyl symbol with zbar and z replaced by their images under M.
+    """
+    (m11, m12), (m21, m22) = matrix
+    m11, m12, m21, m22 = (
+        x if isinstance(x, Coefficient) else Coefficient(x)
+        for x in (m11, m12, m21, m22)
+    )
+    if m11 * m22 - m12 * m21 != ONE:
+        raise DomainError("matrix is not symplectic (det != 1)")
+    images = (m11.raw, m12.raw), (m21.raw, m22.raw)  # q and p under M, in (q, p)
+    x, y = (_composed(_composed(form, *images), Q_ZZ, P_ZZ) for form in (ZBAR_QP, Z_QP))
+    return from_weyl(_linear_change(weyl_symbol(f), x, y))
 
 
 def to_pq(f: QSeries) -> OrderedPQ:

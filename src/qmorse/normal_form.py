@@ -64,12 +64,10 @@ from fractions import Fraction
 
 from . import _kernel, flow
 from ._kernel import MOYAL, coeff_make, coeff_mul, coeff_mul_int
-from .algebra import (
-    HALF_I_SQRT2, HALF_SQRT2, bracket_i_hbar, bracket_sum, compose_scalar, from_weyl, scalar_to_qseries, substitute,
-    weyl_symbol,
-)
+from .algebra import bracket_i_hbar, bracket_sum, compose_scalar, from_weyl, scalar_to_qseries, weyl_symbol
+from .algebra import linear_symplectic  # noqa: F401  the preconditioner that reduce_to_harmonic names
 from .errors import DomainError
-from .field import Coefficient, ONE
+from .field import Coefficient
 from .series import (
     QSeries,
     ScalarSeries,
@@ -77,9 +75,7 @@ from .series import (
     SIG_NHT,
     SIG_ZHT,
     harmonic,
-    p_op,
     product_sum,
-    q_op,
     scalar_var,
 )
 
@@ -393,28 +389,6 @@ def spectrum_closure(result: NormalFormResult) -> ScalarSeries:
     e_norm = ScalarSeries._from_raw(out_terms, SIG_NHT, v.t_cap, v.w2_cap)
     e = e_norm.scale(result.scale)
     return e + result.shift.lift(SIG_NHT)
-
-
-def linear_symplectic(f: QSeries, matrix) -> QSeries:
-    """Substitute (q, p) -> (M11 q + M12 p, M21 q + M22 p), det M = 1.
-
-    An algebra automorphism: the substitution preserves [p, q] = -i hbar
-    exactly when det M = 1, which is enforced.
-    """
-    (m11, m12), (m21, m22) = matrix
-    m11, m12, m21, m22 = (
-        x if isinstance(x, Coefficient) else Coefficient(x)
-        for x in (m11, m12, m21, m22)
-    )
-    if m11 * m22 - m12 * m21 != ONE:
-        raise DomainError("matrix is not symplectic (det != 1)")
-    qs = q_op(f.t_cap, f.weight_cap)
-    ps = p_op(f.t_cap, f.weight_cap)
-    q_img = qs.scale(m11) + ps.scale(m12)
-    p_img = qs.scale(m21) + ps.scale(m22)
-    adag_img = p_img.scale(HALF_SQRT2) + q_img.scale(HALF_I_SQRT2)  # (p + i q)/sqrt2
-    a_img = p_img.scale(HALF_SQRT2) - q_img.scale(HALF_I_SQRT2)  # (p - i q)/sqrt2
-    return substitute(f._terms, adag_img, a_img)
 
 
 def reduce_to_harmonic(f0: QSeries, order: int, *, weight_cap=None) -> NormalFormResult:

@@ -28,7 +28,8 @@ the term pairs that each component pair visits, at `_kernel.component_pairs`.
 / `versality_rows_by_products` are second routes, through engine products, to
 values the engine forms another way: the hbar-trace as ``pi(a^n f adag^n)``
 rather than from the Fock action, normal ordering one monomial ``x^e1 y^e2``
-at a time by binary powers rather than by `algebra.substitute`, and the
+at a time by binary powers rather than through the Weyl symbol (as
+`algebra.to_ordered`, `from_ordered` and `linear_symplectic` do), and the
 Milnor rows as ``plane(...) *`` products capped at degree D rather than as
 shifts.
 

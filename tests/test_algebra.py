@@ -114,44 +114,38 @@ def test_to_pq_round_trip_and_ordering():
 
 @pytest.mark.parametrize("order", ["qp", "pq"])
 def test_from_ordered_equals_per_monomial_ordering(order):
-    """One `substitute` call over all monomials equals ordering each monomial
-    by its own binary powers, in value and caps, with exponents up to 5, hbar
-    and t powers, Q(i, sqrt2) coefficients and terms past the weight cap."""
+    """`from_ordered` equals ordering each monomial by its own binary powers,
+    in value and caps, with exponents up to 5, hbar and t powers, Q(i, sqrt2)
+    coefficients and terms past the weight cap.  A term past the view's weight
+    cap (q p^2 at weight cap 1/2) or t cap is missing, not zero: the result
+    states the view's caps, and an empty view is zero at them.  `to_ordered`
+    of a random operator is checked by the same route, not through
+    `from_ordered`: its view ordered monomial by monomial gives the operator."""
     rng = random.Random(41 if order == "qp" else 43)
+    views = []
     for _ in range(12):
         w2 = rng.randint(7, 20)
         terms = {}
         for _ in range(rng.randint(1, 6)):
             key = (rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 2), rng.randint(0, 2))
             terms[key] = rng.choice(COPRIME + [random_coeff(rng)]).raw
+        views.append((terms, w2))
+    past = {(1, 2, 0, 0): COPRIME[2].raw, (0, 1, 1, 3): COPRIME[0].raw, (1, 0, 0, 1): COPRIME[1].raw}
+    views += [(past, 1), (past, 3), ({}, 1), ({}, 9)]
+    for terms, w2 in views:
         qs, ps = q_op(2, Fraction(w2, 2)), p_op(2, Fraction(w2, 2))
         x, y = (qs, ps) if order == "qp" else (ps, qs)
         got = algebra.from_ordered(algebra.OrderedPQ(order, terms, 2, w2))
         assert got == substitute_per_monomial(terms, x, y)
         assert (got.t_cap, got.w2_cap) == (2, w2)
-
-
-def test_substitute_takes_the_smaller_caps_of_its_images():
-    """A term past the narrower image's caps is missing, not zero, so
-    `substitute` returns at the smaller caps of x and y: q p^2 (weight 3/2,
-    6 terms at weight cap 4) is no term at weight cap 1/2, a cap its result
-    states.  Either image may be the narrower one, by t cap or weight cap,
-    and the monomial-by-monomial route agrees in value and caps; an empty
-    sum is zero at the same caps."""
-    from qmorse._kernel import COEFF_ONE
-
-    terms = {(1, 2, 0, 0): COEFF_ONE, (0, 1, 1, 1): COPRIME[0].raw}
-    q, p = q_op(2, 4), p_op(2, 4)
-    wide = algebra.substitute({(1, 2, 0, 0): COEFF_ONE}, q, p)
-    assert wide == q * p * p and len(wide) == 6 and (wide.t_cap, wide.w2_cap) == (2, 8)
-    narrow = algebra.substitute({(1, 2, 0, 0): COEFF_ONE}, q, p_op(2, "1/2"))
-    assert not narrow and (narrow.t_cap, narrow.w2_cap) == (2, 1)
-    for x, y in ((q, p_op(2, "1/2")), (q_op(2, "3/2"), p), (q_op(0, 4), p), (q, p_op(1, "5/2"))):
-        got = algebra.substitute(terms, x, y)
-        caps = (min(x.t_cap, y.t_cap), min(x.w2_cap, y.w2_cap))
-        assert got == substitute_per_monomial(terms, x, y) and (got.t_cap, got.w2_cap) == caps
-        empty = algebra.substitute({}, x, y)
-        assert not empty and (empty.t_cap, empty.w2_cap) == caps
+        assert bool(got) == any(a + b + 2 * k <= w2 and l <= 2 for a, b, k, l in terms)
+    for _ in range(6):
+        f = random_qseries(rng, t_cap=2, weight_cap=rng.choice(["5", "8"]), max_terms=5, max_exp=5)
+        qs, ps = q_op(2, f.weight_cap), p_op(2, f.weight_cap)
+        x, y = (qs, ps) if order == "qp" else (ps, qs)
+        view = algebra.to_ordered(f, order)
+        assert substitute_per_monomial(view.terms, x, y) == f
+        assert (view.t_cap, view.w2_cap) == (f.t_cap, f.w2_cap)
 
 
 def test_to_pq_of_qp():
@@ -455,9 +449,10 @@ def test_kernels_read_operand_terms_past_the_joined_caps():
 
 
 def test_to_ordered_forms_each_image_once(monkeypatch):
-    """`to_ordered` forms the commutative image x^m y^n once per (m, n), so
-    the t-slices of an operator that repeat one set of monomials cost no
-    further products."""
+    """`to_ordered`, `from_ordered` and `linear_symplectic` share one linear
+    change of variables, which forms the commutative image x^m y^n once per
+    (m, n), so the t-slices of an operator that repeat one set of monomials
+    cost no further products."""
     products = []
     multiply = ScalarSeries.__mul__
 
@@ -466,15 +461,25 @@ def test_to_ordered_forms_each_image_once(monkeypatch):
         return multiply(self, other)
 
     caps = dict(t_cap=3, weight_cap=6)
-    q6, t = q_op(**caps) ** 6, t_op(**caps)
+    q, p, t = q_op(**caps), p_op(**caps), t_op(**caps)
+    q6 = q**6
     repeated = q6 + t * q6 + t * t * q6 + t * t * t * q6
+    shear = ((SQRT2, I), (0, SQRT2.inverse()))
+    sheared = (q.scale(SQRT2) + p.scale(I)) ** 6
+    cases = (
+        (q6, {(6, 0, 0, 0): 1}, sheared),
+        (repeated, {(6, 0, 0, l): 1 for l in range(4)}, sheared + t * sheared + t * t * sheared + t * t * t * sheared),
+    )
     monkeypatch.setattr(ScalarSeries, "__mul__", counting)
     counts = []
-    for f, view in ((q6, {(6, 0, 0, 0): 1}), (repeated, {(6, 0, 0, l): 1 for l in range(4)})):
-        products.clear()
-        assert algebra.to_pq(f) == algebra.OrderedPQ("qp", {e: Coefficient(c).raw for e, c in view.items()}, 3, 12)
-        counts.append(len(products))
-    assert counts == [19, 19]
+    for f, terms, image in cases:
+        view = algebra.OrderedPQ("qp", {e: Coefficient(c).raw for e, c in terms.items()}, 3, 12)
+        maps = ((algebra.to_pq, (f,), view), (algebra.from_ordered, (view,), f), (algebra.linear_symplectic, (f, shear), image))
+        for run, args, expected in maps:
+            products.clear()
+            assert run(*args) == expected
+            counts.append(len(products))
+    assert counts == [19, 7, 19] * 2
 
 
 def test_to_ordered_matches_direct_products():

@@ -1016,17 +1016,20 @@ SYMPLECTIC = [
     ((1, 2), (0, 1)),
     ((2, 1), (1, 1)),
     ((Coefficient(0, 0, 1), 0), (0, Coefficient(0, 0, Fraction(1, 2)))),
+    ((Coefficient(Fraction(1, 2), Fraction(-1, 2)), 0), (0, Coefficient(1, 1))),  # diag((1-i)/2, 1+i)
+    ((Coefficient(0, 0, 1), I), (0, Coefficient(0, 0, Fraction(1, 2)))),  # ((sqrt2, i), (0, sqrt2/2))
 ]
 
 
 def test_linear_symplectic_equals_per_monomial_substitution():
     """adag, a -> (p' + i q')/sqrt2, (p' - i q')/sqrt2 for the images q', p'
     under M, normal-ordered one monomial at a time, equals `linear_symplectic`
-    in value and caps; the identity matrix gives f back."""
+    in value and caps, for real and complex M over Q(i, sqrt2) and exponents
+    up to 5; the identity matrix gives f back."""
     rng = random.Random(61)
     i_unit, inv_sqrt2 = Coefficient(0, 1), Coefficient(0, 0, Fraction(1, 2))
-    for _ in range(8):
-        f = random_qseries(rng, t_cap=2, weight_cap=rng.choice(["7/2", "5", "8"]), max_terms=5, max_exp=3)
+    for max_exp in [3] * 8 + [5] * 3:
+        f = random_qseries(rng, t_cap=2, weight_cap=rng.choice(["7/2", "5", "8"]), max_terms=5, max_exp=max_exp)
         qs, ps = q_op(f.t_cap, f.weight_cap), p_op(f.t_cap, f.weight_cap)
         for (m11, m12), (m21, m22) in SYMPLECTIC:
             q_img = qs.scale(m11) + ps.scale(m12)
